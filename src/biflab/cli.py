@@ -36,6 +36,7 @@ from .hyperbolic import build_cantor, linearize_orbit
 from .misiurewicz import (
     ActivitySpec,
     Preperiodic,
+    certificate_from_json,
     certificate_to_json,
     solve_misiurewicz,
     verify_certificate,
@@ -218,22 +219,9 @@ def _cmd_misiurewicz(args):
 def _cmd_certify(args):
     family = _parse_family(args.family)
     docs = bio.read_ndjson(args.certs)
-    from .misiurewicz import MisiurewiczCertificate
     reports = []
     for doc in docs:
-        pat = doc["pattern"]
-        spec = ActivitySpec(
-            tracked=tuple(pat["tracked"]), k0=pat["k0"],
-            patterns=tuple(Preperiodic(p.get("n", p["p"]), p["p"])
-                           for p in pat["patterns"]))
-        cert = MisiurewiczCertificate(
-            lam=np.array([complex(re, im) for re, im in doc["lambda"]]),
-            residual=doc["residual"],
-            multipliers=[(m["log_mod"], m["arg"]) for m in doc["multipliers"]],
-            sigma_min=doc["sigma_min"],
-            m_plus=np.array(doc["m_plus"]),
-            spec=spec)
-        reports.append(verify_certificate(cert, family))
+        reports.append(verify_certificate(certificate_from_json(doc), family))
         print("pass" if reports[-1]["passed"] else "FAIL",
               [k for k, v in reports[-1]["checks"].items() if not v])
     out = Path(args.out)

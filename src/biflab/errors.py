@@ -24,11 +24,6 @@ class CriticalOnOrbit(BiflabError):
     product degenerates."""
 
 
-class EscapeFlag(BiflabError):
-    """Not raised: orbits carry escape as a flag, this class exists only
-    so downstream code can reference a common name."""
-
-
 # --- potential ---
 
 class DegenerateLift(BiflabError):

@@ -3,6 +3,14 @@ NDJSON and run manifests with content hashes.
 
 All writers are deterministic: no timestamps, sorted JSON keys, fixed
 float formatting, so identical inputs give byte-identical files.
+
+CSV byte contract (field and cloud files): one header line, then one row
+per cell (fields) or point (clouds) in C order, ``\r\n`` after every
+line, no quoting.  Indices are written with ``%d``; coordinates and
+values with ``%.17g``, which round-trips every float64 (``-0.0`` prints
+as ``-0``, non-finite values as ``nan``, ``inf``, ``-inf``).  A field
+file formats each distinct index, coordinate and value bit pattern once;
+rows of both kinds are joined and written in chunks of _CHUNK_ROWS.
 """
 
 from __future__ import annotations
@@ -52,6 +60,45 @@ def write_pgm(path, values, sidecar=None):
     return side_path
 
 
+_CHUNK_ROWS = 1 << 13
+
+
+def _strings(fmt, values):
+    """Object array of ``fmt % v`` for each v, ready for fancy indexing."""
+    return np.array([fmt % v for v in values], dtype=object)
+
+
+def _lookup(strings, codes):
+    """Column whose row r is strings[codes[r]]."""
+    return lambda rows: strings[codes[rows]].tolist()
+
+
+def _formatted(fmt, values):
+    """Column whose row r is fmt % values[r], formatted chunk by chunk."""
+    return lambda rows: [fmt % v for v in values[rows].tolist()]
+
+
+def _distinct_lookup(values):
+    """Float column that formats each distinct bit pattern once; keying on
+    bits, not on float equality, keeps -0.0 apart from 0.0."""
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.uint64)
+    distinct, codes = np.unique(bits, return_inverse=True)
+    return _lookup(_strings("%.17g", distinct.view(float).tolist()), codes)
+
+
+def _write_csv(path, header, n_rows, columns):
+    """Header line, then n_rows rows of comma-joined fields, ``\r\n``
+    after every line.  column(rows) gives a column's field strings for
+    the slice rows; rows are built and written _CHUNK_ROWS at a time, so
+    per-row strings never exist for the whole table."""
+    with open(path, "w", newline="") as f:
+        f.write(header + "\r\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            fields = [column(rows) for column in columns]
+            f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
 def write_field_csv(path, box, resolution, values, value_name="value"):
     """Cell-indexed CSV of a grid (one row per cell, headers included)."""
     v = np.asarray(values, dtype=float)
@@ -63,25 +110,18 @@ def write_field_csv(path, box, resolution, values, value_name="value"):
         coord_names += [f"re{i}", f"im{i}"]
     header = ",".join(idx_names + coord_names + [value_name])
     idx = np.indices(v.shape).reshape(2 * m, -1)
-    axes = box.axes(resolution)
-    cols = [a.astype(float) for a in idx]
-    for i in range(m):
-        cols.append(axes[i][0][idx[2 * i]])
-        cols.append(axes[i][1][idx[2 * i + 1]])
-    cols.append(v.ravel())
-    table = np.column_stack(cols)
-    fmt = ["%d"] * (2 * m) + ["%.17g"] * (2 * m + 1)
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header,
-               comments="", newline="\r\n")
+    coords = [a for pair in box.axes(resolution) for a in pair]
+    columns = [_lookup(_strings("%d", range(n)), codes) for n, codes in zip(v.shape, idx)]
+    columns += [_lookup(_strings("%.17g", a.tolist()), codes) for a, codes in zip(coords, idx)]
+    columns.append(_distinct_lookup(v))
+    _write_csv(path, header, v.size, columns)
 
 
 def write_cloud_csv(path, points):
     pts = np.asarray(points, dtype=complex).ravel()
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "re", "im"])
-        for i, z in enumerate(pts):
-            w.writerow([i, f"{z.real:.17g}", f"{z.imag:.17g}"])
+    _write_csv(path, "index,re,im", len(pts), [
+        _formatted("%d", np.arange(len(pts))),
+        _formatted("%.17g", pts.real), _formatted("%.17g", pts.imag)])
 
 
 def read_cloud_csv(path):

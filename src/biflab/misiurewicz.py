@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriticalOnOrbit, NoConvergence, NonRepellingTarget
+from .errors import BiflabError, CriticalOnOrbit, NoConvergence, NonRepellingTarget
 from .families import family_to_json, multiplier as segment_multiplier, orbit
 
 DELTA_REP = 1e-3
@@ -230,7 +230,7 @@ def verify_certificate(cert, family, spec=None, closure_tol=1e-8,
     for i in range(len(spec.tracked)):
         try:
             ml = _landing_multiplier(family, lam, spec, i)
-        except Exception:
+        except (BiflabError, ArithmeticError, np.linalg.LinAlgError):
             repelling = False
             break
         if ml[0] <= math.log1p(delta_rep):
@@ -250,11 +250,32 @@ def verify_certificate(cert, family, spec=None, closure_tol=1e-8,
     }
 
 
+def _pair(z):
+    return [float(z.real), float(z.imag)]
+
+
+def _pattern_to_json(pat):
+    if isinstance(pat, Preperiodic):
+        return {"n": pat.n, "p": pat.p}
+    return {"p": pat.p, "motion": True,
+            "base_param": [_pair(complex(v)) for v in pat.base_param],
+            "base_point": _pair(complex(pat.base_point))}
+
+
+def _pattern_from_json(doc):
+    if not doc.get("motion"):
+        return Preperiodic(doc.get("n", doc["p"]), doc["p"])
+    if "base_param" not in doc or "base_point" not in doc:
+        raise ValueError("motion pattern without base_param/base_point")
+    return MotionTarget(tuple(complex(re, im) for re, im in doc["base_param"]),
+                        complex(*doc["base_point"]), doc["p"])
+
+
 def certificate_to_json(cert, family):
     """One NDJSON object per certificate."""
     spec = cert.spec
     return {
-        "lambda": [[float(v.real), float(v.imag)] for v in cert.lam],
+        "lambda": [_pair(v) for v in cert.lam],
         "residual": cert.residual,
         "multipliers": [{"log_mod": lm, "arg": ar} for lm, ar in cert.multipliers],
         "sigma_min": cert.sigma_min,
@@ -262,8 +283,21 @@ def certificate_to_json(cert, family):
         "pattern": {
             "k0": spec.k0,
             "tracked": list(spec.tracked),
-            "patterns": [{"n": p.n, "p": p.p} if isinstance(p, Preperiodic)
-                         else {"p": p.p, "motion": True} for p in spec.patterns],
+            "patterns": [_pattern_to_json(p) for p in spec.patterns],
         },
         "family": family_to_json(family),
     }
+
+
+def certificate_from_json(doc):
+    """Inverse of certificate_to_json (the family is not rebuilt)."""
+    pat = doc["pattern"]
+    spec = ActivitySpec(tracked=tuple(pat["tracked"]), k0=pat["k0"],
+                        patterns=tuple(_pattern_from_json(p) for p in pat["patterns"]))
+    return MisiurewiczCertificate(
+        lam=np.array([complex(re, im) for re, im in doc["lambda"]]),
+        residual=doc["residual"],
+        multipliers=[(m["log_mod"], m["arg"]) for m in doc["multipliers"]],
+        sigma_min=doc["sigma_min"],
+        m_plus=np.array(doc["m_plus"]),
+        spec=spec)

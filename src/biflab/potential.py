@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLift, PreimageFailure
+from .errors import CriticalOnOrbit, DegenerateLift, PreimageFailure
 from .rng import counter_choice
 
 GREEN_MAXITER = 200
@@ -162,9 +162,10 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
     """Monte-Carlo Lyapunov exponent against the maximal entropy measure.
 
     Samples landing within 1e-12 of a critical point are redrawn (with a
-    shifted counter key) and counted in ``flagged``.  The derivative is
-    measured in the affine chart; the spherical correction is applied
-    only for the rational kind.
+    shifted counter key) and counted in ``flagged``; CriticalOnOrbit is
+    raised if any remain after five rounds, or if a log-derivative is
+    not finite.  The derivative is measured in the affine chart; the
+    spherical correction is applied only for the rational kind.
     """
     z = sample_mu_f(family, lam, n_points, depth, seed)
     crit = ([c for c, _ in family.marked_critical_points(lam)]
@@ -172,9 +173,7 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
             else [c for c, _ in _finite_critical(family, lam)])
     flagged = 0
     for round_ in range(1, 6):
-        bad = np.zeros(len(z), dtype=bool)
-        for c in crit:
-            bad |= np.abs(z - c) < 1e-12
+        bad = _near_critical(z, crit)
         if not np.any(bad):
             break
         flagged += int(np.sum(bad))
@@ -185,15 +184,31 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
             k = counter_choice(seed + 0x5851F42D * round_, idx.astype(np.uint64), s, family.degree)
             zz = pre[k, np.arange(len(idx))]
         z[idx] = zz
+    else:
+        n_bad = int(np.sum(_near_critical(z, crit)))
+        if n_bad:
+            raise CriticalOnOrbit(
+                f"{n_bad} samples within 1e-12 of a critical point after 5 redraw rounds")
     dz = np.asarray(family.deriv(lam, z), dtype=complex)
-    vals = np.log(np.abs(dz))
+    with np.errstate(divide="ignore"):
+        vals = np.log(np.abs(dz))
     if family.kind == "rational":
         fz = np.asarray(family.eval(lam, z), dtype=complex)
         vals = vals + np.log1p(np.abs(z) ** 2) - np.log1p(np.abs(fz) ** 2)
+    n_bad = int(np.sum(~np.isfinite(vals)))
+    if n_bad:
+        raise CriticalOnOrbit(f"{n_bad} log-derivatives are not finite")
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     return LyapunovResult(value=value, stderr=stderr, n_points=n_points,
                           depth=depth, flagged=flagged)
+
+
+def _near_critical(z, crit):
+    bad = np.zeros(len(z), dtype=bool)
+    for c in crit:
+        bad |= np.abs(z - c) < 1e-12
+    return bad
 
 
 def _finite_critical(family, lam):

@@ -6,6 +6,13 @@ import pytest
 
 from biflab import io as bio
 from biflab.cli import main
+from biflab.families import MapFamily
+from biflab.misiurewicz import (
+    ActivitySpec,
+    MotionTarget,
+    certificate_to_json,
+    solve_misiurewicz,
+)
 
 FULL_BOX = "-0.5,0:5x4"
 
@@ -107,6 +114,20 @@ class TestMisiurewicz:
         rc = main(["certify", "--family", "unicritical2", "--certs", str(bad),
                    "--out", str(tmp_path / "cert")])
         assert rc == 3
+
+    def test_certify_motion_pattern(self, tmp_path):
+        # the motion form at c = -2 must read back with its base parameter
+        # and base point, not as an algebraic pattern
+        spec = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
+        quad = MapFamily("unicritical", 2)
+        cert = solve_misiurewicz(quad, [-1.99 + 0j], spec)
+        certs = tmp_path / "motion.ndjson"
+        bio.write_ndjson(certs, [certificate_to_json(cert, quad)])
+        rc = main(["certify", "--family", "unicritical2", "--certs", str(certs),
+                   "--out", str(tmp_path / "cert")])
+        assert rc == 0
+        report = read_json(tmp_path / "cert" / "certify_report.json")
+        assert report["reports"][0]["passed"]
 
     def test_multiple_seeds(self, tmp_path):
         out = tmp_path / "mis2"

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,44 @@ import pytest
 
 from biflab import io as bio
 from biflab.bifgrid import Box
+
+# values whose %.17g text is easy to get wrong: signed zeros, non-finite,
+# subnormal, near-overflow and integer-valued floats
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308,
+                  3.0, -7.0, 2.0 ** 53, 1e16]
+
+
+def _savetxt_field_csv(path, box, resolution, values, value_name):
+    """Byte oracle: the np.savetxt field writer write_field_csv replaced."""
+    v = np.asarray(values, dtype=float)
+    m = box.m
+    idx_names = []
+    coord_names = []
+    for i in range(1, m + 1):
+        idx_names += [f"ix{i}", f"iy{i}"]
+        coord_names += [f"re{i}", f"im{i}"]
+    header = ",".join(idx_names + coord_names + [value_name])
+    idx = np.indices(v.shape).reshape(2 * m, -1)
+    axes = box.axes(resolution)
+    cols = [a.astype(float) for a in idx]
+    for i in range(m):
+        cols.append(axes[i][0][idx[2 * i]])
+        cols.append(axes[i][1][idx[2 * i + 1]])
+    cols.append(v.ravel())
+    table = np.column_stack(cols)
+    fmt = ["%d"] * (2 * m) + ["%.17g"] * (2 * m + 1)
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header,
+               comments="", newline="\r\n")
+
+
+def _csv_writer_cloud_csv(path, points):
+    """Byte oracle: the csv.writer cloud writer write_cloud_csv replaced."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["index", "re", "im"])
+        for i, z in enumerate(pts):
+            w.writerow([i, f"{z.real:.17g}", f"{z.imag:.17g}"])
 
 
 class TestPgm:
@@ -62,6 +101,40 @@ class TestCsv:
         x, y = box.axes(res)[0]
         assert float(first[2]) == x[0] and float(first[3]) == y[0]
         assert float(first[4]) == 0.0
+
+    @pytest.mark.parametrize("box, res", [
+        (Box((0.5 + 0.25j,), (1.0,), (0.5,)), 4),
+        (Box((-2.0 + 0j,), (0.16,)), 257),
+        (Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4), (0.4, 0.3)), 5),
+    ], ids=["2d", "2d-two-chunks", "4d"])
+    def test_field_bytes_match_savetxt(self, tmp_path, box, res):
+        rng = np.random.default_rng(res)
+        values = rng.standard_normal((res,) * (2 * box.m))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[rng.random(values.shape) < 0.2] = -1.5
+        flat = values.reshape(-1)
+        flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+        flat[-len(SPECIAL_VALUES):] = SPECIAL_VALUES[::-1]
+        if res == 257:
+            assert values.size > bio._CHUNK_ROWS
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        bio.write_field_csv(new, box, res, values, "mass")
+        _savetxt_field_csv(old, box, res, values, "mass")
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 10000])
+    def test_cloud_bytes_match_csv_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        pts[: min(n, 4)] = np.round(pts[: min(n, 4)])
+        if n > 100:
+            assert n > bio._CHUNK_ROWS
+            pts.real[10:10 + len(SPECIAL_VALUES)] = SPECIAL_VALUES
+            pts.imag[10:10 + len(SPECIAL_VALUES)] = SPECIAL_VALUES[::-1]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        bio.write_cloud_csv(new, pts)
+        _csv_writer_cloud_csv(old, pts)
+        assert new.read_bytes() == old.read_bytes()
 
     def test_cloud_round_trip(self, tmp_path):
         pts = np.array([1 + 2j, -0.5 - 0.25j, 1e-17 + 3j])

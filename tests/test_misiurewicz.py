@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from biflab.errors import NonRepellingTarget
+from biflab import misiurewicz
+from biflab.errors import CriticalOnOrbit, NonRepellingTarget
 from biflab.families import MapFamily
 from biflab.misiurewicz import (
     ActivitySpec,
@@ -11,6 +13,7 @@ from biflab.misiurewicz import (
     MotionTarget,
     Preperiodic,
     activity_chi,
+    certificate_from_json,
     certificate_to_json,
     solve_misiurewicz,
     transversality,
@@ -25,6 +28,9 @@ CUBIC = MapFamily("branner_hubbard", 3)
 CHEB_SPEC = ActivitySpec((0,), 2, (Preperiodic(1, 1),))
 # at c = i the orbit is 0 -> i -> -1+i -> -i -> -1+i: period 2 after two steps
 I_SPEC = ActivitySpec((0,), 2, (Preperiodic(2, 2),))
+# the same Chebyshev parameter as a motion pattern: the landing point is
+# the beta fixed point 2 continued from c = -2
+MOTION_SPEC = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
 
 
 class TestActivity:
@@ -136,6 +142,48 @@ class TestVerification:
         assert doc["family"]["kind"] == "unicritical"
         assert len(doc["m_plus"]) == len(cert.m_plus)
         assert doc["sigma_min"] == cert.sigma_min
+
+    @pytest.mark.parametrize("spec, seed", [(CHEB_SPEC, -1.9 + 0j),
+                                            (MOTION_SPEC, -1.99 + 0j)],
+                             ids=["preperiodic", "motion"])
+    def test_json_round_trip(self, spec, seed):
+        cert = solve_misiurewicz(QUAD, [seed], spec)
+        doc = json.loads(json.dumps(certificate_to_json(cert, QUAD)))
+        back = certificate_from_json(doc)
+        assert back.spec == cert.spec
+        assert np.array_equal(back.lam, cert.lam)
+        assert np.array_equal(back.m_plus, cert.m_plus)
+        assert back.multipliers == [tuple(m) for m in cert.multipliers]
+        assert (back.residual, back.sigma_min) == (cert.residual, cert.sigma_min)
+        assert verify_certificate(back, QUAD)["passed"]
+
+    def test_motion_record_without_base_rejected(self):
+        cert = solve_misiurewicz(QUAD, [-1.99 + 0j], MOTION_SPEC)
+        doc = certificate_to_json(cert, QUAD)
+        doc["pattern"]["patterns"] = [{"p": 1, "motion": True}]
+        with pytest.raises(ValueError):
+            certificate_from_json(doc)
+
+    def test_numerical_failure_reported_as_not_repelling(self, monkeypatch):
+        cert = solve_misiurewicz(QUAD, [-1.9 + 0j], CHEB_SPEC)
+
+        def on_critical(*args):
+            raise CriticalOnOrbit("derivative below 1e-14 on the segment")
+
+        monkeypatch.setattr(misiurewicz, "_landing_multiplier", on_critical)
+        report = verify_certificate(cert, QUAD)
+        assert not report["passed"]
+        assert not report["checks"]["repelling_landing"]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        cert = solve_misiurewicz(QUAD, [-1.9 + 0j], CHEB_SPEC)
+
+        def broken(*args):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(misiurewicz, "_landing_multiplier", broken)
+        with pytest.raises(TypeError):
+            verify_certificate(cert, QUAD)
 
 
 def test_two_critical_certificate_in_cubic_family():

@@ -1,7 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from biflab.errors import CriticalOnOrbit
 from biflab.families import MapFamily
 from biflab.potential import (
     LiftVector,
@@ -122,6 +124,22 @@ class TestLyapunov:
             mc = lyapunov_mc(QUAD, [c], 150000, 80, 5)
             closed = math.log(2) + critical_green_sum(QUAD, [c]) / 2.0
             assert abs(mc.value - closed) < max(4 * mc.stderr, 2e-3)
+
+    def test_samples_stuck_on_critical_point_raise(self, monkeypatch):
+        # every backward orbit lands on the critical point 0, so the five
+        # redraw rounds cannot clear it
+        fam = MapFamily("unicritical", 2)
+        monkeypatch.setattr(fam, "preimages", lambda lam, z: np.zeros((2, len(z)), complex))
+        with pytest.raises(CriticalOnOrbit):
+            lyapunov_mc(fam, [0j], 64, 5, 0)
+
+    def test_nonfinite_log_derivative_raises(self, monkeypatch):
+        # a derivative vanishing away from the marked critical points
+        # would average log 0 = -inf into the estimate
+        fam = MapFamily("unicritical", 2)
+        monkeypatch.setattr(fam, "deriv", lambda lam, z: np.where(np.arange(len(z)) == 3, 0, 2 * z))
+        with pytest.raises(CriticalOnOrbit):
+            lyapunov_mc(fam, [0j], 64, 5, 0)
 
 
 def test_demarco_residual_on_subgrid():
