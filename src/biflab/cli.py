@@ -111,7 +111,6 @@ def _config(args, family):
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("func",) and v is not None}
     cfg["family_resolved"] = family_to_json(family) if family is not None else None
-    cfg["threads"] = int(os.environ.get("BIFLAB_THREADS", os.cpu_count() or 1))
     return cfg
 
 

@@ -11,6 +11,15 @@ parameter scans) consumes the three family kinds defined here:
 
 Derivatives in z are analytic (from the coefficient formulas), never
 numerical.  Derivatives in lambda are the callers' concern.
+
+Scalar orbits, Newton loops and activity maps call ``eval``/``deriv`` one
+point at a time at a fixed parameter, so a polynomial family keeps the
+coefficient vector (and its derivative) of the last parameter it saw and
+rebuilds them only when the parameter changes.  Evaluation stays
+``npoly.polyval`` on an ndarray ``z``: a hand-written Horner loop in
+Python ``complex`` arithmetic rounds differently from numpy's complex
+multiply (which may fuse multiply and add), and results must keep their
+bits.
 """
 
 from __future__ import annotations
@@ -105,6 +114,9 @@ class MapFamily:
             if max(len(self.num), len(self.den)) - 1 != degree:
                 raise ValueError("rational degree must match max(deg N, deg D)")
             self.param_dim = 1
+        # (parameter bytes, coefficients, derivative coefficients or None),
+        # replaced as one tuple so key and arrays always belong together
+        self._memo = None
 
     # ------------------------------------------------------------------
     # coefficients
@@ -128,6 +140,22 @@ class MapFamily:
             coef[0] = a ** d
             return coef
         raise ValueError("rational kind has no single coefficient vector")
+
+    def _coeffs(self, lam, with_deriv=False):
+        """Read-only (coef, dcoef) of a polynomial kind, rebuilt only when
+        lam differs from the previous call; dcoef is None unless asked."""
+        key = np.asarray(lam, dtype=complex).ravel().tobytes()
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            coef = self.poly_coeffs(lam)
+            coef.flags.writeable = False
+            memo = (key, coef, None)
+        if with_deriv and memo[2] is None:
+            dcoef = npoly.polyder(memo[1])
+            dcoef.flags.writeable = False
+            memo = (key, memo[1], dcoef)
+        self._memo = memo
+        return memo[1], memo[2]
 
     def _rat_coeffs(self, lam):
         lam = complex(np.asarray(lam, dtype=complex).ravel()[0])
@@ -166,15 +194,13 @@ class MapFamily:
         z = np.asarray(z, dtype=complex)
         if self.kind == "rational":
             return self._rat_eval(lam, z)
-        coef = self.poly_coeffs(lam)
-        return npoly.polyval(z, coef)
+        return npoly.polyval(z, self._coeffs(lam)[0])
 
     def deriv(self, lam, z):
         z = np.asarray(z, dtype=complex)
         if self.kind == "rational":
             return self._rat_deriv(lam, z)
-        coef = self.poly_coeffs(lam)
-        return npoly.polyval(z, npoly.polyder(coef))
+        return npoly.polyval(z, self._coeffs(lam, with_deriv=True)[1])
 
     def _rat_eval(self, lam, z):
         n, d = self._rat_coeffs(lam)

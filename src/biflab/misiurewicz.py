@@ -169,26 +169,33 @@ def solve_misiurewicz(family, seed, spec, tol=1e-12, maxiter=60,
     k = len(spec.tracked)
     if k != len(lam):
         raise ValueError(f"square solve requires {k} parameter coordinates, got {len(lam)}")
-    chi = activity_chi(family, lam, spec)
-    res = float(np.linalg.norm(chi))
-    for _ in range(maxiter):
-        if res <= tol:
-            break
-        J = _chi_jacobian(family, lam, spec)
-        try:
-            step = np.linalg.solve(J, chi)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular activity Jacobian: {exc}") from exc
-        for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            trial = lam - damping * step
-            chi_t = activity_chi(family, trial, spec)
-            res_t = float(np.linalg.norm(chi_t))
-            if res_t < res:
-                lam, chi, res = trial, chi_t, res_t
+    # A diverging seed overflows its orbits; the non-finite values are
+    # handled below, so numpy's overflow/invalid warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = activity_chi(family, lam, spec)
+        # No early exit on a non-finite starting residual: such a seed
+        # fails below, on the Jacobian check or in the damping loop.
+        res = float(np.linalg.norm(chi))
+        for _ in range(maxiter):
+            if res <= tol:
                 break
-        else:
-            raise NoConvergence(f"damped Newton stalled at residual {res:.3g}")
-    if res > 1e-10:
+            J = _chi_jacobian(family, lam, spec)
+            if not np.all(np.isfinite(J)):
+                raise NoConvergence(f"Newton: activity Jacobian is not finite at lambda={lam}")
+            try:
+                step = np.linalg.solve(J, chi)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(f"singular activity Jacobian: {exc}") from exc
+            for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
+                trial = lam - damping * step
+                chi_t = activity_chi(family, trial, spec)
+                res_t = float(np.linalg.norm(chi_t))
+                if math.isfinite(res_t) and res_t < res:
+                    lam, chi, res = trial, chi_t, res_t
+                    break
+            else:
+                raise NoConvergence(f"damped Newton stalled at residual {res:.3g}")
+    if not res <= 1e-10:  # also refuses a nan residual
         raise NoConvergence(f"residual {res:.3g} > 1e-10 after {maxiter} iterations")
     mults = []
     for i in range(k):

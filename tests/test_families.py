@@ -2,8 +2,10 @@ import json
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
+from biflab import misiurewicz
 from biflab.errors import CriticalOnOrbit, DegenerateMap
 from biflab.families import (
     MapFamily,
@@ -204,3 +206,119 @@ def test_family_json_roundtrip():
 
     fam3, params3 = family_from_json({"kind": "branner_hubbard", "degree": 3})
     assert fam3.param_dim == 2 and params3 is None
+
+
+# ----------------------------------------------------------------------
+# coefficient memo: scalar calls reuse one parameter's coefficients and
+# must keep the bits of a fresh npoly.polyval per call
+
+POLY_FAMILIES = [MapFamily("unicritical", 2), MapFamily("unicritical", 3),
+                 MapFamily("branner_hubbard", 3), MapFamily("branner_hubbard", 4)]
+
+
+def _random_complex(rng, shape, scale=3.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _same_bits(a, b):
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.ravel().view(np.uint64),
+                                                 b.ravel().view(np.uint64))
+
+
+def _old_eval(self, lam, z):
+    z = np.asarray(z, dtype=complex)
+    if self.kind == "rational":
+        return self._rat_eval(lam, z)
+    return npoly.polyval(z, self.poly_coeffs(lam))
+
+
+def _old_deriv(self, lam, z):
+    z = np.asarray(z, dtype=complex)
+    if self.kind == "rational":
+        return self._rat_deriv(lam, z)
+    return npoly.polyval(z, npoly.polyder(self.poly_coeffs(lam)))
+
+
+class TestCoefficientMemo:
+    @pytest.mark.parametrize("fam", POLY_FAMILIES, ids=lambda f: f"{f.kind}{f.degree}")
+    def test_bits_match_polyval_for_every_shape(self, fam):
+        rng = np.random.default_rng(17 + fam.degree)
+        shapes = [()] + [(n,) for n in range(1, 10)] + [(3, 4), (1, 7)]
+        for trial in range(40):
+            lam = _random_complex(rng, fam.param_dim, scale=1.5)
+            coef = fam.poly_coeffs(lam)
+            for shape in shapes:
+                # eval took np.asarray(z) before polyval, so a scalar z was
+                # a 0-d array there (ufunc arithmetic, not numpy-scalar)
+                z = np.asarray(_random_complex(rng, shape, scale=2.0 ** (trial % 6)))
+                arg = complex(z) if z.ndim == 0 else z
+                assert _same_bits(fam.eval(lam, arg), npoly.polyval(z, coef))
+                assert _same_bits(fam.deriv(lam, arg), npoly.polyval(z, npoly.polyder(coef)))
+
+    @pytest.mark.parametrize("fam", POLY_FAMILIES, ids=lambda f: f"{f.kind}{f.degree}")
+    def test_scalar_results_keep_their_type(self, fam):
+        lam = np.full(fam.param_dim, 0.3 - 0.2j)
+        z = 0.7 + 0.1j
+        assert type(fam.eval(lam, z)) is type(_old_eval(fam, lam, z))
+        assert type(fam.deriv(lam, z)) is type(_old_deriv(fam, lam, z))
+
+    def test_alternating_parameters_are_never_stale(self):
+        fam = MapFamily("branner_hubbard", 3)
+        lams = [np.array([0.5 + 0.1j, 1.2 - 0.3j]), np.array([-0.7j, 0.9 + 0j])]
+        z = np.array([0.3 + 0.4j, -1.1 + 0.2j])
+        for k in range(6):
+            lam = lams[k % 2]
+            coef = fam.poly_coeffs(lam)
+            # deriv first on odd rounds, so both fill orders are exercised
+            if k % 2:
+                assert _same_bits(fam.deriv(lam, z), npoly.polyval(z, npoly.polyder(coef)))
+            assert _same_bits(fam.eval(lam, z), npoly.polyval(z, coef))
+            assert _same_bits(fam.deriv(lam, z), npoly.polyval(z, npoly.polyder(coef)))
+
+    def test_parameter_mutated_in_place_is_never_stale(self):
+        fam = MapFamily("branner_hubbard", 3)
+        lam = np.array([0.5 + 0.1j, 1.2 - 0.3j])
+        z = 0.8 - 0.6j
+        before = fam.eval(lam, z), fam.deriv(lam, z)
+        lam[1] = -0.4 + 0.9j
+        after = fam.eval(lam, z), fam.deriv(lam, z)
+        fresh = MapFamily("branner_hubbard", 3)
+        assert _same_bits(after[0], fresh.eval(lam.copy(), z))
+        assert _same_bits(after[1], fresh.deriv(lam.copy(), z))
+        assert not _same_bits(before[0], after[0])
+
+    def test_poly_coeffs_returns_a_fresh_writable_array(self):
+        fam = MapFamily("branner_hubbard", 3)
+        lam = [0.5 + 0.1j, 1.2 - 0.3j]
+        z = 0.8 - 0.6j
+        expected = fam.eval(lam, z)
+        a = fam.poly_coeffs(lam)
+        b = fam.poly_coeffs(lam)
+        assert a is not b and a.flags.writeable
+        a[:] = 99.0
+        assert _same_bits(fam.eval(lam, z), expected)
+        assert _same_bits(b, fam.poly_coeffs(lam))
+
+    @pytest.mark.parametrize("pats, seed", [
+        ((misiurewicz.Preperiodic(1, 1), misiurewicz.Preperiodic(2, 2)),
+         [-0.375 + 0.8j, 1.3 + 0.5j]),
+        ((misiurewicz.Preperiodic(2, 1), misiurewicz.Preperiodic(1, 1)),
+         [0.4j, 1.3 + 0.5j]),
+        ((misiurewicz.Preperiodic(2, 1), misiurewicz.Preperiodic(1, 1)),
+         [1.125 + 0j, 1.3 + 0.5j]),
+    ])
+    def test_hunt_certificates_match_per_call_coefficients(self, monkeypatch, pats, seed):
+        # seeds from the c12 grid of the cubic transversality hunt
+        fam = MapFamily("branner_hubbard", 3)
+        spec = misiurewicz.ActivitySpec((0, 1), 2, pats)
+
+        def certificate():
+            cert = misiurewicz.solve_misiurewicz(fam, seed, spec)
+            return json.dumps(misiurewicz.certificate_to_json(cert, fam))
+
+        memoized = certificate()
+        monkeypatch.setattr(MapFamily, "eval", _old_eval)
+        monkeypatch.setattr(MapFamily, "deriv", _old_deriv)
+        assert memoized == certificate()

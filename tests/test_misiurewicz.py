@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from biflab import misiurewicz
-from biflab.errors import CriticalOnOrbit, NonRepellingTarget
+from biflab.errors import CriticalOnOrbit, NoConvergence, NonRepellingTarget
 from biflab.families import MapFamily
 from biflab.misiurewicz import (
     ActivitySpec,
@@ -109,6 +110,19 @@ class TestSolver:
         # fixed point is superattracting
         with pytest.raises(NonRepellingTarget):
             solve_misiurewicz(QUAD, [0.05 + 0j], CHEB_SPEC)
+
+    @pytest.mark.parametrize("seed, stage", [
+        # orbits overflow in a damping trial: the inf residual is rejected
+        ([1.0 + 0j, 100.0 + 0j], "stalled"),
+        # an orbit overflows inside the finite-difference Jacobian
+        ([1.0 + 0j, 1e4 + 0j], "Newton: activity Jacobian is not finite"),
+    ])
+    def test_diverging_seed_fails_quietly(self, seed, stage):
+        spec = ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match=stage):
+                solve_misiurewicz(CUBIC, seed, spec)
 
     def test_m_plus_profile_chebyshev(self):
         cert = solve_misiurewicz(QUAD, [-1.9 + 0j], CHEB_SPEC)
