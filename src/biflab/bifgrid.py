@@ -24,8 +24,8 @@ from .errors import (
     NotPlurisubharmonic,
     ResolutionExceeded,
 )
+from .potential import escape_rate
 
-PLANE_BIG = 1e12
 SCAN_MAXITER = 512
 
 
@@ -72,10 +72,7 @@ class Box:
 
     def param_grids(self, resolution):
         """Complex coordinate arrays of shape (resolution,) * 2m."""
-        flats = []
-        for x, y in self.axes(resolution):
-            flats.extend([x, y])
-        mesh = np.meshgrid(*flats, indexing="ij")
+        mesh = np.meshgrid(*_cell_center_coords(self, resolution), indexing="ij")
         return [mesh[2 * i] + 1j * mesh[2 * i + 1] for i in range(self.m)]
 
 
@@ -169,54 +166,47 @@ def _grid_critical(family, lams, index):
     raise ValueError(f"critical index {index} out of range")
 
 
-def _grid_green(family, lams, z0, maxiter=SCAN_MAXITER, big=PLANE_BIG):
+def _grid_green(family, lams, z0, maxiter=SCAN_MAXITER):
     """Escape-rate Green value of the orbit of z0, cellwise."""
     d = family.degree
     lead = 1.0 / d if family.kind == "branner_hubbard" else 1.0
     gamma = math.log(abs(lead)) / (d - 1)
-    shape = z0.shape
-    g = np.zeros(shape, dtype=float).ravel()
-    z = z0.ravel().copy()
     lam_flat = [l.ravel() for l in lams]
     sig_flat = _sigma_arrays(lam_flat[:-1]) if family.kind == "branner_hubbard" else None
-    active = np.arange(z.size)
-    for n in range(maxiter + 1):
-        out = np.abs(z[active]) > big
-        if np.any(out):
-            hit = active[out]
-            g[hit] = d ** (-float(n)) * (np.log(np.abs(z[hit])) + gamma)
-            active = active[~out]
-        if active.size == 0 or n == maxiter:
-            break
+
+    def step(z, active):
         cur = [l[active] for l in lam_flat]
         sig = ([s[active] if np.ndim(s) else s for s in sig_flat]
                if sig_flat is not None else None)
-        z[active] = _grid_apply(family, cur, z[active], sig=sig)
-    return g.reshape(shape)
+        return _grid_apply(family, cur, z, sig=sig)
+
+    return escape_rate(z0, step, d, gamma, maxiter)[0]
 
 
-def _local_mass(values, resolution, weights=None):
+def _second_difference(u, ax):
+    """u[i+1] + u[i-1] - 2 u[i] along axis ``ax``; 0 on the two end cells."""
+    out = np.zeros_like(u)
+    lo, up, dn = (tuple(s if b == ax else slice(None) for b in range(u.ndim))
+                  for s in (slice(1, -1), slice(2, None), slice(0, -2)))
+    out[lo] = u[up] + u[dn] - 2.0 * u[lo]
+    return out
+
+
+def _local_mass(values, weights=None):
     """Unscaled 5-point mass per complex coordinate, (1/2pi)(sum of the 4
     in-plane neighbors - 4 center), summed over coordinates; boundary
     cells get 0.  ``weights`` rescale each axis's second difference for
     rectangular cells (weight = h_other / h_axis per coordinate plane)."""
-    u = values
-    out = np.zeros_like(u)
-    ndim = u.ndim
+    ndim = values.ndim
     if weights is None:
         weights = [1.0] * ndim
+    out = np.zeros_like(values)
     for ax in range(ndim):
-        lo = [slice(1, -1) if a == ax else slice(None) for a in range(ndim)]
-        up = [slice(2, None) if a == ax else slice(None) for a in range(ndim)]
-        dn = [slice(0, -2) if a == ax else slice(None) for a in range(ndim)]
-        out[tuple(lo)] += weights[ax] * (u[tuple(up)] + u[tuple(dn)] - 2.0 * u[tuple(lo)])
-    mass = out / (2.0 * math.pi)
-    # zero out the boundary ring where the stencil is one-sided
-    for ax in range(ndim):
-        edge0 = [0 if a == ax else slice(None) for a in range(ndim)]
-        edge1 = [-1 if a == ax else slice(None) for a in range(ndim)]
-        mass[tuple(edge0)] = 0.0
-        mass[tuple(edge1)] = 0.0
+        out += weights[ax] * _second_difference(values, ax)
+    # the boundary ring, where the stencil is one-sided, keeps mass 0
+    mass = np.zeros_like(out)
+    inner = (slice(1, -1),) * ndim
+    mass[inner] = out[inner] / (2.0 * math.pi)
     return mass
 
 
@@ -252,7 +242,7 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER,
         ws = []
         for hx, hy in zip(box.cell_widths(resolution), box.cell_heights(resolution)):
             ws.extend([hy / hx, hx / hy])
-        mass = _local_mass(g, resolution, weights=ws)
+        mass = _local_mass(g, weights=ws)
         vals = (np.abs(mass) > activity_threshold).astype(float)
         meta["threshold"] = activity_threshold
     elif which.startswith("G"):
@@ -274,7 +264,7 @@ def ddc(gfield):
         raise ValueError("ddc requires one complex parameter")
     hx = gfield.box.cell_widths(gfield.resolution)[0]
     hy = gfield.box.cell_heights(gfield.resolution)[0]
-    raw = _local_mass(gfield.values, gfield.resolution, weights=[hy / hx, hx / hy])
+    raw = _local_mass(gfield.values, weights=[hy / hx, hx / hy])
     clamped = np.maximum(raw, 0.0)
     clamp_total = float(np.sum(clamped - raw))
     return MeasureField(box=gfield.box, resolution=gfield.resolution,
@@ -285,20 +275,9 @@ def ddc(gfield):
 def _hessian_fields(u, h1, h2):
     """Complex-Hessian entries (d^2 u / dl_j dl_k-bar) of a 4D grid with
     axis order (x1, y1, x2, y2)."""
-    def d2(a, ax):
-        out = np.zeros_like(a)
-        ndim = a.ndim
-        lo = [slice(1, -1) if b == ax else slice(None) for b in range(ndim)]
-        up = [slice(2, None) if b == ax else slice(None) for b in range(ndim)]
-        dn = [slice(0, -2) if b == ax else slice(None) for b in range(ndim)]
-        out[tuple(lo)] = a[tuple(up)] + a[tuple(dn)] - 2.0 * a[tuple(lo)]
-        return out
-
     def dxy(a, ax, ay):
         out = np.zeros_like(a)
         ndim = a.ndim
-        def sl(axis, s):
-            return tuple(s if b == axis else slice(None) for b in range(ndim))
         mid = tuple(slice(1, -1) if b in (ax, ay) else slice(None) for b in range(ndim))
         pp = a[tuple(slice(2, None) if b in (ax, ay) else slice(None) for b in range(ndim))]
         mm = a[tuple(slice(0, -2) if b in (ax, ay) else slice(None) for b in range(ndim))]
@@ -309,8 +288,8 @@ def _hessian_fields(u, h1, h2):
         out[mid] = (pp + mm - pm - mp) / 4.0
         return out
 
-    A11 = 0.25 * (d2(u, 0) + d2(u, 1)) / h1 ** 2
-    A22 = 0.25 * (d2(u, 2) + d2(u, 3)) / h2 ** 2
+    A11 = 0.25 * (_second_difference(u, 0) + _second_difference(u, 1)) / h1 ** 2
+    A22 = 0.25 * (_second_difference(u, 2) + _second_difference(u, 3)) / h2 ** 2
     A12 = 0.25 * (dxy(u, 0, 2) + dxy(u, 1, 3)
                   + 1j * (dxy(u, 0, 3) - dxy(u, 1, 2))) / (h1 * h2)
     return A11, A22, A12

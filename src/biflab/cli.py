@@ -10,7 +10,6 @@ chosen output directory.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -232,6 +231,11 @@ def _cmd_certify(args):
 
 
 def _cmd_dimension(args):
+    needed = ("scales",) if args.cloud else ("box", "res", "center", "radii")
+    missing = [f"--{k}" for k in needed if getattr(args, k) is None]
+    if missing:
+        raise ValueError(f"dimension needs --cloud with --scales, or --box, --res, "
+                         f"--center and --radii; missing {', '.join(missing)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.cloud:

@@ -12,7 +12,12 @@ parameter scans) consumes the three family kinds defined here:
 Derivatives in z are analytic (from the coefficient formulas), never
 numerical.  Derivatives in lambda are the callers' concern.
 
-Scalar orbits, Newton loops and activity maps call ``eval``/``deriv`` one
+``newton`` is the one Newton routine in the dynamical plane: it solves
+f^p(z) = target, or f^p(z) = z for a cycle, and serves ``find_periodic``
+and the continuation, inverse-branch and Cantor code of ``hyperbolic``
+(``misiurewicz`` runs a damped Newton in parameter space).
+
+Scalar orbits, Newton and activity maps call ``eval``/``deriv`` one
 point at a time at a fixed parameter, so a polynomial family keeps the
 coefficient vector (and its derivative) of the last parameter it saw and
 rebuilds them only when the parameter changes.  Evaluation stays
@@ -27,13 +32,12 @@ from __future__ import annotations
 import json
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import (
-    BiflabError,
     CriticalOnOrbit,
     DegenerateMap,
     NoConvergence,
@@ -158,10 +162,13 @@ class MapFamily:
         return memo[1], memo[2]
 
     def _rat_coeffs(self, lam):
+        """Numerator and denominator z-coefficients at lam, both padded
+        with zeros to degree + 1 entries."""
         lam = complex(np.asarray(lam, dtype=complex).ravel()[0])
+        size = self.degree + 1
         n = np.array([npoly.polyval(lam, row) for row in self.num], dtype=complex)
         d = np.array([npoly.polyval(lam, row) for row in self.den], dtype=complex)
-        return n, d
+        return np.pad(n, (0, size - len(n))), np.pad(d, (0, size - len(d)))
 
     def resultant(self, lam):
         """Sylvester resultant of numerator and denominator (rational kind)."""
@@ -202,72 +209,42 @@ class MapFamily:
             return self._rat_deriv(lam, z)
         return npoly.polyval(z, self._coeffs(lam, with_deriv=True)[1])
 
-    def _rat_eval(self, lam, z):
+    def _rat_chart(self, lam, z, value):
+        """value(x, n, d, far) over z: x = z with the coefficients n, d
+        where |z| <= 1, and x = 1/z with reversed coefficients (far=True)
+        where |z| > 1, so no power of a large z is formed."""
         n, d = self._rat_coeffs(lam)
-        deg = self.degree
-        n = np.pad(n, (0, deg + 1 - len(n)))
-        d = np.pad(d, (0, deg + 1 - len(d)))
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            if abs(z) > 1.0:
-                w = 1.0 / z
-                return npoly.polyval(w, n[::-1]) / npoly.polyval(w, d[::-1])
-            return npoly.polyval(z, n) / npoly.polyval(z, d)
-        big = np.abs(z) > 1.0
-        out = np.empty_like(z)
-        out[~big] = npoly.polyval(z[~big], n) / npoly.polyval(z[~big], d)
-        w = 1.0 / z[big]
-        out[big] = npoly.polyval(w, n[::-1]) / npoly.polyval(w, d[::-1])
-        return out
-
-    def _rat_deriv(self, lam, z):
-        n, d = self._rat_coeffs(lam)
-        deg = self.degree
-        n = np.pad(n, (0, deg + 1 - len(n)))
-        d = np.pad(d, (0, deg + 1 - len(d)))
-        z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
         out = np.empty_like(z)
         big = np.abs(z) > 1.0
-        zs = z[~big]
-        nv = npoly.polyval(zs, n)
-        dv = npoly.polyval(zs, d)
-        out[~big] = (npoly.polyval(zs, npoly.polyder(n)) * dv
-                     - nv * npoly.polyval(zs, npoly.polyder(d))) / dv ** 2
-        w = 1.0 / z[big]
-        nr, dr = n[::-1], d[::-1]
-        nv = npoly.polyval(w, nr)
-        dv = npoly.polyval(w, dr)
-        out[big] = -w ** 2 * (npoly.polyval(w, npoly.polyder(nr)) * dv
-                              - nv * npoly.polyval(w, npoly.polyder(dr))) / dv ** 2
+        out[~big] = value(z[~big], n, d, False)
+        out[big] = value(1.0 / z[big], n[::-1], d[::-1], True)
         return out[0] if scalar else out
+
+    def _rat_eval(self, lam, z):
+        return self._rat_chart(
+            lam, z, lambda x, n, d, far: npoly.polyval(x, n) / npoly.polyval(x, d))
+
+    def _rat_deriv(self, lam, z):
+        def quotient_rule(x, n, d, far):
+            nv = npoly.polyval(x, n)
+            dv = npoly.polyval(x, d)
+            top = (npoly.polyval(x, npoly.polyder(n)) * dv
+                   - nv * npoly.polyval(x, npoly.polyder(d)))
+            # d/dz of R(1/z) is -R'(1/z)/z^2
+            if far:
+                top = -x ** 2 * top
+            return top / dv ** 2
+
+        return self._rat_chart(lam, z, quotient_rule)
 
     def local_series(self, lam, w, order):
         """Taylor coefficients b_0..b_order of f at the point w."""
-        w = complex(w)
-        shift = np.array([w, 1.0], dtype=complex)  # the polynomial w + D
         if self.kind != "rational":
-            coef = self.poly_coeffs(lam)
-            out = np.zeros(order + 1, dtype=complex)
-            acc = np.array([1.0 + 0j])
-            for k, c in enumerate(coef):
-                m = min(order + 1, len(acc))
-                out[:m] += c * acc[:m]
-                acc = npoly.polymul(acc, shift)[: order + 2]
-            return out
+            return _taylor_shift(self.poly_coeffs(lam), w, order)
         n, d = self._rat_coeffs(lam)
-
-        def shifted(c):
-            out = np.zeros(order + 1, dtype=complex)
-            acc = np.array([1.0 + 0j])
-            for k, ck in enumerate(c):
-                m = min(order + 1, len(acc))
-                out[:m] += ck * acc[:m]
-                acc = npoly.polymul(acc, shift)[: order + 2]
-            return out
-
-        ns, ds = shifted(n), shifted(d)
+        ns, ds = _taylor_shift(n, w, order), _taylor_shift(d, w, order)
         if abs(ds[0]) < 1e-300:
             raise DegenerateMap(f"denominator vanishes at expansion point {w}")
         # power-series quotient ns/ds up to given order
@@ -297,8 +274,6 @@ class MapFamily:
         else:
             if self.kind == "rational":
                 n, dd = self._rat_coeffs(lam)
-                n = np.pad(n, (0, d + 1 - len(n)))
-                dd = np.pad(dd, (0, d + 1 - len(dd)))
                 # solve N(z) - w D(z) = 0 per sample, batched companion matrices
                 coefs = n[None, :] - w[:, None] * dd[None, :]
             else:
@@ -342,23 +317,28 @@ class MapFamily:
         d = self.degree
         if self.kind == "rational":
             n, dd = self._rat_coeffs(lam)
-            n = np.pad(n, (0, d + 1 - len(n)))
-            dd = np.pad(dd, (0, d + 1 - len(dd)))
-
-            def F(u, v):
-                powsu = u ** np.arange(d + 1)
-                powsv = v ** np.arange(d, -1, -1)
-                return (np.sum(n * powsu * powsv), np.sum(dd * powsu * powsv))
-
-            return F
-        coef = self.poly_coeffs(lam)
+        else:
+            n, dd = self.poly_coeffs(lam), None
 
         def F(u, v):
             powsu = u ** np.arange(d + 1)
             powsv = v ** np.arange(d, -1, -1)
-            return (np.sum(coef * powsu * powsv), v ** d)
+            second = v ** d if dd is None else np.sum(dd * powsu * powsv)
+            return np.sum(n * powsu * powsv), second
 
         return F
+
+
+def _taylor_shift(coef, w, order):
+    """Coefficients b_0..b_order of sum_k coef[k] (w + t)^k in t."""
+    shift = np.array([complex(w), 1.0], dtype=complex)  # the polynomial w + t
+    out = np.zeros(order + 1, dtype=complex)
+    acc = np.array([1.0 + 0j])
+    for c in coef:
+        m = min(order + 1, len(acc))
+        out[:m] += c * acc[:m]
+        acc = npoly.polymul(acc, shift)[: order + 2]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +417,39 @@ def critical_points(family, lam):
     return out
 
 
+def _iterate(family, lam, z, period):
+    """(f^period(z), (f^period)'(z)), the derivative by the chain rule."""
+    w, dw = z, 1.0 + 0j
+    for _ in range(period):
+        dw *= complex(family.deriv(lam, w))
+        w = complex(family.eval(lam, w))
+    return w, dw
+
+
+def newton(family, lam, seed, period=1, target=None, maxiter=NEWTON_MAXITER):
+    """Newton on f^period(z) = target from the seed, or on f^period(z) = z
+    when there is no target.
+
+    Returns (z, iterations) once a step is below NEWTON_TOL relative to
+    max(1, |z|), or (None, iterations) when the derivative vanishes
+    (|dg| < 1e-300) or ``maxiter`` runs out.
+    """
+    z = complex(seed)
+    for it in range(1, maxiter + 1):
+        w, dw = _iterate(family, lam, z, period)
+        if target is None:
+            g, dg = w - z, dw - 1.0
+        else:
+            g, dg = w - target, dw
+        if abs(dg) < 1e-300:
+            return None, it
+        step = g / dg
+        z -= step
+        if abs(step) < NEWTON_TOL * max(1.0, abs(z)):
+            return z, it
+    return None, maxiter
+
+
 def find_periodic(family, lam, period, seed):
     """Newton-solve f^p(z) = z from the seed; reports the minimal period.
 
@@ -445,39 +458,18 @@ def find_periodic(family, lam, period, seed):
     """
     if period < 1:
         raise ValueError("period must be >= 1")
-    z = complex(seed)
-    for _ in range(NEWTON_MAXITER):
-        w = z
-        dw = 1.0 + 0j
-        for _ in range(period):
-            dw *= complex(family.deriv(lam, w))
-            w = complex(family.eval(lam, w))
-        g = w - z
-        dg = dw - 1.0
-        if abs(dg) < 1e-300:
-            raise NoConvergence("Newton derivative vanished in find_periodic")
-        step = g / dg
-        z = z - step
-        if abs(step) < NEWTON_TOL * max(1.0, abs(z)):
-            break
-    else:
-        raise NoConvergence(f"find_periodic: no convergence after {NEWTON_MAXITER} iterations")
+    z, it = newton(family, lam, seed, period)
+    if z is None:
+        raise NoConvergence(f"find_periodic: Newton derivative vanished or no convergence "
+                            f"after {it} iterations")
     tol = NEWTON_TOL * max(1.0, abs(z)) * 10
     minimal = period
     for q in range(1, period):
-        if period % q == 0:
-            w = z
-            for _ in range(q):
-                w = complex(family.eval(lam, w))
-            if abs(w - z) <= tol:
-                minimal = q
-                break
-    mult = 1.0 + 0j
-    w = z
-    for _ in range(minimal):
-        mult *= complex(family.deriv(lam, w))
-        w = complex(family.eval(lam, w))
-    return PeriodicPoint(location=z, period=minimal, multiplier=mult)
+        if period % q == 0 and abs(_iterate(family, lam, z, q)[0] - z) <= tol:
+            minimal = q
+            break
+    return PeriodicPoint(location=z, period=minimal,
+                         multiplier=_iterate(family, lam, z, minimal)[1])
 
 
 def multiplier(family, lam, segment):

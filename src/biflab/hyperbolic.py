@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -26,9 +26,9 @@ from .errors import (
     OverlapError,
     StepFloorReached,
 )
+from .families import multiplier, newton, orbit as forward_orbit
 
 STEP_FLOOR = 1e-12
-NEWTON_TOL = 1e-13
 
 
 @dataclass
@@ -99,54 +99,13 @@ class CantorSystem:
 
 
 # ----------------------------------------------------------------------
-# Newton helpers
-
-def _newton_cycle(family, lam, seed, period, tol=NEWTON_TOL, maxiter=12):
-    """Newton on f^p(z) - z; returns (point, iterations) or (None, it)."""
-    z = complex(seed)
-    for it in range(1, maxiter + 1):
-        w, dw = z, 1.0 + 0j
-        for _ in range(period):
-            dw *= complex(family.deriv(lam, w))
-            w = complex(family.eval(lam, w))
-        dg = dw - 1.0
-        if abs(dg) < 1e-300:
-            return None, it
-        step = (w - z) / dg
-        z -= step
-        if abs(step) < tol * max(1.0, abs(z)):
-            return z, it
-    return None, maxiter
-
-
-def _newton_preimage(family, lam, target, seed, tol=NEWTON_TOL, maxiter=12):
-    """Newton on f(z) = target from the seed."""
-    z = complex(seed)
-    for it in range(1, maxiter + 1):
-        g = complex(family.eval(lam, z)) - target
-        dg = complex(family.deriv(lam, z))
-        if abs(dg) < 1e-300:
-            return None, it
-        step = g / dg
-        z -= step
-        if abs(step) < tol * max(1.0, abs(z)):
-            return z, it
-    return None, maxiter
-
-
-# ----------------------------------------------------------------------
 # continuation
-
-def _multiplier_log(family, lam, pts):
-    dz = np.asarray(family.deriv(lam, np.asarray(pts, dtype=complex)), dtype=complex)
-    return float(np.sum(np.log(np.abs(dz)))), float(np.sum(np.angle(dz)))
-
 
 def _correct_orbit(family, lam, pts, period):
     """One corrector pass: continue the tail cycle, then walk backwards
     through inverse branches.  Returns (new_points, worst_newton_iters)."""
     n = len(pts) - 1
-    z_tail, it_tail = _newton_cycle(family, lam, pts[n], period)
+    z_tail, it_tail = newton(family, lam, pts[n], period, maxiter=12)
     if z_tail is None:
         return None, it_tail
     worst = it_tail
@@ -154,7 +113,7 @@ def _correct_orbit(family, lam, pts, period):
     new[n] = z_tail
     # propagate the tail cycle point backwards
     for k in range(n - 1, -1, -1):
-        zk, it = _newton_preimage(family, lam, new[k + 1], pts[k])
+        zk, it = newton(family, lam, pts[k], target=new[k + 1], maxiter=12)
         if zk is None:
             return None, it
         worst = max(worst, it)
@@ -178,7 +137,7 @@ def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8,
     if np.any(dz0 < 1.0 + delta):
         raise LostHyperbolicity(
             f"base orbit not uniformly repelling: min |f'| = {float(np.min(dz0)):.6g}")
-    mlog0 = _multiplier_log(family, lam0, pts[:-1] if len(pts) > 1 else pts[:1])
+    mlog0 = multiplier(family, lam0, pts[:-1] if len(pts) > 1 else pts[:1])
     if np.array_equal(lam0, lam1):
         return OrbitTrack(lam0, [lam0, lam1], pts, pts.copy(), mlog0, mlog0)
     t, dt = 0.0, 1.0 / steps
@@ -200,7 +159,7 @@ def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8,
             dt /= 2.0
             if dt < STEP_FLOOR:
                 raise StepFloorReached("continuation step fell below 1e-12")
-    mlog1 = _multiplier_log(family, lam1, cur[:-1] if len(cur) > 1 else cur[:1])
+    mlog1 = multiplier(family, lam1, cur[:-1] if len(cur) > 1 else cur[:1])
     return OrbitTrack(lam0, path, pts, cur, mlog0, mlog1)
 
 
@@ -237,7 +196,7 @@ def inverse_branch(family, lam, anchor, w):
     fa = complex(family.eval(lam, anchor))
     if abs(w - fa) >= eta:
         raise ValueError(f"target {w} outside the certified disk of radius {eta:.6g}")
-    z, _ = _newton_preimage(family, lam, complex(w), anchor, maxiter=40)
+    z, _ = newton(family, lam, anchor, target=complex(w), maxiter=40)
     if z is None:
         raise NoConvergence("inverse-branch Newton did not converge")
     if abs(z - anchor) > eta / K:
@@ -251,7 +210,6 @@ def inverse_branch(family, lam, anchor, w):
 
 def distortion_profile(family, lam0, lam, w0, n_max, period=1, **kw):
     """Multiplier ratios (f_lam^n)'(h(w0)) / (f_lam0^n)'(w0), n = 1..n_max."""
-    from .families import orbit as forward_orbit
     base = forward_orbit(family, lam0, w0, n_max)
     if base.escaped or len(base) < n_max + 1:
         raise LostHyperbolicity("base orbit escaped; cannot form the ratio")
@@ -344,7 +302,7 @@ def _backward_extend(family, lam, start, tail):
             if nxt is None:
                 raise LostHyperbolicity("no repelling preimage on the backward extension")
         else:
-            nxt, _ = _newton_preimage(family, lam, z, z, maxiter=60)
+            nxt, _ = newton(family, lam, z, target=z, maxiter=60)
             if nxt is None or abs(complex(family.deriv(lam, nxt))) <= 1.0:
                 raise LostHyperbolicity("backward extension lost expansion")
         out[t] = nxt
@@ -371,7 +329,6 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, rho0=None,
     if n < 1:
         raise ValueError("n must be >= 1")
     if forward_points is None:
-        from .families import orbit as forward_orbit
         ob = forward_orbit(family, lam, w, n)
         if ob.escaped or len(ob) < n + 1:
             raise LostHyperbolicity("orbit escaped before the requested depth")
@@ -482,17 +439,10 @@ def _branch_apply(family, lam, anchor, w, period, guard=None):
         if len(order) > 1 and dist[order[1]] < 2.0 * dist[order[0]] and dist[order[0]] > 1e-12:
             raise CoverageError(f"ambiguous branch selection near {seed}")
         return complex(best)
-    z = complex(seed)
-    for _ in range(60):
-        g, dg = z, 1.0 + 0j
-        for _ in range(period):
-            dg *= complex(family.deriv(lam, g))
-            g = complex(family.eval(lam, g))
-        step = (g - complex(w)) / dg
-        z -= step
-        if abs(step) < NEWTON_TOL * max(1.0, abs(z)):
-            return z
-    raise NoConvergence("branch Newton did not converge")
+    z, _ = newton(family, lam, seed, period, target=complex(w), maxiter=60)
+    if z is None:
+        raise NoConvergence("branch Newton did not converge")
+    return z
 
 
 def _build_cloud(family, lam, anchors, depth, period):
@@ -603,7 +553,7 @@ def continue_cantor(cantor, lam1, steps=8):
         lam = lam0 + (lam1 - lam0) * (s / steps)
         new_anchors = []
         for a in anchors:
-            z, _ = _newton_cycle(family, lam, a, cantor.period)
+            z, _ = newton(family, lam, a, cantor.period, maxiter=12)
             if z is None:
                 raise NoConvergence("anchor continuation failed")
             new_anchors.append(z)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from .errors import CriticalOnOrbit, DegenerateLift, PreimageFailure
 from .rng import counter_choice
@@ -96,6 +97,31 @@ def green_at(family, lam, v: LiftVector, tol=1e-12):
     return GreenValue(value=G, iterations=n + 1, converged=converged)
 
 
+def escape_rate(z0, step, degree, gamma, maxiter, big=PLANE_BIG):
+    """Escape-rate values g = d^{-n} (log|z_n| + gamma) at the first n
+    with |z_n| > big, for every orbit z_0 = z0[i], z_{n+1} = step(z_n).
+
+    ``step(z, active)`` returns the images of the points z that are still
+    iterated; ``active`` holds their flat indices into z0, for steps that
+    depend on a per-point parameter.  Returns g (shape of z0, 0 where the
+    orbit never passes ``big`` within ``maxiter`` steps) and the flat
+    indices of those non-escaping points.
+    """
+    z = z0.ravel().copy()
+    g = np.zeros(z.size, dtype=float)
+    active = np.arange(z.size)
+    for n in range(maxiter + 1):
+        out = np.abs(z[active]) > big
+        if np.any(out):
+            hit = active[out]
+            g[hit] = degree ** (-float(n)) * (np.log(np.abs(z[hit])) + gamma)
+            active = active[~out]
+        if active.size == 0 or n == maxiter:
+            break
+        z[active] = step(z[active], active)
+    return g.reshape(z0.shape), active
+
+
 def plane_green(family, lam, z, big=PLANE_BIG, maxiter=PLANE_MAXITER):
     """Escape-rate Green function g(z) = lim d^{-n} log|f^n(z)| in the
     affine chart, vectorized over z (polynomial kinds only).
@@ -108,21 +134,10 @@ def plane_green(family, lam, z, big=PLANE_BIG, maxiter=PLANE_MAXITER):
     coef = family.poly_coeffs(lam)
     gamma = math.log(abs(coef[d])) / (d - 1)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g = np.zeros(z.shape, dtype=float)
-    escaped = np.zeros(z.shape, dtype=bool)
-    active = np.arange(z.size)
-    zz = z.ravel().copy()
-    for n in range(maxiter + 1):
-        cur = zz[active]
-        out = np.abs(cur) > big
-        if np.any(out):
-            hit = active[out]
-            g.ravel()[hit] = d ** (-float(n)) * (np.log(np.abs(zz[hit])) + gamma)
-            escaped.ravel()[hit] = True
-            active = active[~out]
-        if active.size == 0 or n == maxiter:
-            break
-        zz[active] = np.polynomial.polynomial.polyval(zz[active], coef)
+    g, bounded = escape_rate(z, lambda zz, _: npoly.polyval(zz, coef), d, gamma,
+                             maxiter, big=big)
+    escaped = np.ones(z.shape, dtype=bool)
+    escaped.ravel()[bounded] = False
     return g, escaped
 
 

@@ -212,8 +212,8 @@ def test_c11_self_wedge_against_mixed_mass():
         mixed = wedge_pair(G0, G1, mollify_radius=0.2)
     assert mixed.total_mass > 0
     assert self0.total_mass <= 0.05 * mixed.total_mass
-    active0 = np.abs(_local_mass(G0.values, res)) > 1e-8
-    active1 = np.abs(_local_mass(G1.values, res)) > 1e-8
+    active0 = np.abs(_local_mass(G0.values)) > 1e-8
+    active1 = np.abs(_local_mass(G1.values)) > 1e-8
     one_active = active0 ^ active1
     assert float(np.sum(mixed.cell_mass[one_active])) <= 0.05 * mixed.total_mass
 

@@ -244,6 +244,17 @@ class TestExitCodes:
     def test_usage_error(self):
         assert main(["lyap", "--family", "unicritical2"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        [],                                                  # neither --cloud nor --box
+        ["--cloud", "cloud.csv"],                            # --cloud without --scales
+        ["--box", FULL_BOX, "--res", "16"],                  # no --center, --radii
+        ["--box", FULL_BOX, "--center", "0,0", "--radii", "0.5,0.25"],   # no --res
+    ])
+    def test_dimension_missing_flag(self, tmp_path, capsys, flags):
+        assert main(["dimension", "--family", "unicritical2", "--out", str(tmp_path)]
+                    + flags) == 2
+        assert "missing --" in capsys.readouterr().err
+
     def test_numerical_failure(self, tmp_path):
         # continuation from a non-repelling base orbit is a numerical
         # failure, not a usage error

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from biflab.errors import LostHyperbolicity
+from biflab.errors import LostHyperbolicity, NoConvergence
 from biflab.families import MapFamily, orbit
 from biflab.hyperbolic import (
+    _branch_apply,
     branch_radius,
     build_cantor,
     coded_orbit,
@@ -184,6 +185,12 @@ class TestCantor:
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 0)
         assert np.allclose(cs.cloud, [3.0, -2.0])
         assert cs.words.shape == (2, 0)
+
+    def test_vanishing_branch_derivative_is_no_convergence(self):
+        # (f^2)'(0) = 0: the Newton step of the period-2 branch would divide by 0
+        with pytest.raises(NoConvergence):
+            _branch_apply(MapFamily("unicritical", 2), [-6 + 0j], 3 + 0j, 3 + 0j,
+                          period=2, guard=0j)
 
     def test_depth_ten_cloud(self):
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)

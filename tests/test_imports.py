@@ -1,0 +1,50 @@
+"""Every name a biflab module imports is used in that module.
+
+No linter ships with the project, so this is the unused-import check:
+it walks each module's syntax tree, collects the names bound by
+``import`` statements and the names the module reads, and reports the
+difference.  ``from __future__`` imports are directives, not names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "biflab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def unused_imports(source):
+    """(line, name) of each imported name the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds the name "a"
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport os.path\nfrom json import dumps, loads as ld\n"
+              "from .errors import (\n    A,\n    B,\n)\n"
+              "x = os.path.join(dumps(1), B)\n")
+    assert unused_imports(source) == [(2, "math"), (4, "ld"), (5, "A")]
