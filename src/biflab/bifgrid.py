@@ -11,6 +11,7 @@ density follows from that choice.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,6 +44,9 @@ class Box:
             object.__setattr__(self, "half_heights", tuple(self.half_widths))
         if not (len(self.centers) == len(self.half_widths) == len(self.half_heights)):
             raise ValueError("one half-width and half-height per center")
+        if not all(cmath.isfinite(v)
+                   for v in self.centers + self.half_widths + self.half_heights):
+            raise ValueError("box centers, half-widths and half-heights must be finite")
         if any(h <= 0 for h in self.half_widths + self.half_heights):
             raise ValueError("half-widths must be positive")
 
@@ -171,25 +175,23 @@ def _grid_green(family, lams, z0, maxiter=SCAN_MAXITER):
     d = family.degree
     lead = 1.0 / d if family.kind == "branner_hubbard" else 1.0
     gamma = math.log(abs(lead)) / (d - 1)
-    lam_flat = [l.ravel() for l in lams]
-    sig_flat = _sigma_arrays(lam_flat[:-1]) if family.kind == "branner_hubbard" else None
+    args = [l.ravel() for l in lams]
+    n_lam = len(args)
+    if family.kind == "branner_hubbard":
+        args += [np.broadcast_to(s, args[0].shape) for s in _sigma_arrays(args[:-1])]
 
-    def step(z, active):
-        cur = [l[active] for l in lam_flat]
-        sig = ([s[active] if np.ndim(s) else s for s in sig_flat]
-               if sig_flat is not None else None)
-        return _grid_apply(family, cur, z, sig=sig)
+    def step(z, *cur):
+        return _grid_apply(family, cur[:n_lam], z, sig=cur[n_lam:])
 
-    return escape_rate(z0, step, d, gamma, maxiter)[0]
+    return escape_rate(z0, step, d, gamma, maxiter, args=args)[0]
 
 
-def _second_difference(u, ax):
-    """u[i+1] + u[i-1] - 2 u[i] along axis ``ax``; 0 on the two end cells."""
-    out = np.zeros_like(u)
-    lo, up, dn = (tuple(s if b == ax else slice(None) for b in range(u.ndim))
+def _second_difference(u, ax, others):
+    """u[i+1] + u[i-1] - 2 u[i] along axis ``ax`` at the cells 1..n-2 of
+    that axis; ``others`` (a slice) selects the cells of every other axis."""
+    lo, up, dn = (tuple(s if b == ax else others for b in range(u.ndim))
                   for s in (slice(1, -1), slice(2, None), slice(0, -2)))
-    out[lo] = u[up] + u[dn] - 2.0 * u[lo]
-    return out
+    return u[up] + u[dn] - 2.0 * u[lo]
 
 
 def _local_mass(values, weights=None):
@@ -200,13 +202,13 @@ def _local_mass(values, weights=None):
     ndim = values.ndim
     if weights is None:
         weights = [1.0] * ndim
-    out = np.zeros_like(values)
-    for ax in range(ndim):
-        out += weights[ax] * _second_difference(values, ax)
     # the boundary ring, where the stencil is one-sided, keeps mass 0
-    mass = np.zeros_like(out)
     inner = (slice(1, -1),) * ndim
-    mass[inner] = out[inner] / (2.0 * math.pi)
+    acc = np.zeros_like(values[inner])
+    for ax in range(ndim):
+        acc += weights[ax] * _second_difference(values, ax, slice(1, -1))
+    mass = np.zeros_like(values)
+    mass[inner] = acc / (2.0 * math.pi)
     return mass
 
 
@@ -221,6 +223,8 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER,
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     lams = box.param_grids(resolution)
     d = family.degree
     meta = {"which": which, "maxiter": maxiter}
@@ -288,8 +292,14 @@ def _hessian_fields(u, h1, h2):
         out[mid] = (pp + mm - pm - mp) / 4.0
         return out
 
-    A11 = 0.25 * (_second_difference(u, 0) + _second_difference(u, 1)) / h1 ** 2
-    A22 = 0.25 * (_second_difference(u, 2) + _second_difference(u, 3)) / h2 ** 2
+    def d2(ax):
+        out = np.zeros_like(u)
+        out[tuple(slice(1, -1) if b == ax else slice(None) for b in range(u.ndim))] = \
+            _second_difference(u, ax, slice(None))
+        return out
+
+    A11 = 0.25 * (d2(0) + d2(1)) / h1 ** 2
+    A22 = 0.25 * (d2(2) + d2(3)) / h2 ** 2
     A12 = 0.25 * (dxy(u, 0, 2) + dxy(u, 1, 3)
                   + 1j * (dxy(u, 0, 3) - dxy(u, 1, 2))) / (h1 * h2)
     return A11, A22, A12

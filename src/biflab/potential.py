@@ -97,29 +97,55 @@ def green_at(family, lam, v: LiftVector, tol=1e-12):
     return GreenValue(value=G, iterations=n + 1, converged=converged)
 
 
-def escape_rate(z0, step, degree, gamma, maxiter, big=PLANE_BIG):
+def escape_rate(z0, step, degree, gamma, maxiter, args=(), big=PLANE_BIG):
     """Escape-rate values g = d^{-n} (log|z_n| + gamma) at the first n
     with |z_n| > big, for every orbit z_0 = z0[i], z_{n+1} = step(z_n).
 
-    ``step(z, active)`` returns the images of the points z that are still
-    iterated; ``active`` holds their flat indices into z0, for steps that
-    depend on a per-point parameter.  Returns g (shape of z0, 0 where the
-    orbit never passes ``big`` within ``maxiter`` steps) and the flat
-    indices of those non-escaping points.
+    ``step(z, *args)`` returns the images of the points z that are still
+    iterated; ``args`` are per-point flat arrays (parameters of the step),
+    the size of z0, and reach the step compacted together with z.  Returns
+    g (shape of z0, 0 where the orbit never passes ``big`` within
+    ``maxiter`` steps) and the sorted flat indices of those non-escaping
+    points.
+
+    The loop carries only the points still iterated, and retires a point
+    whose float orbit repeats exactly: it keeps a copy of z taken at each
+    power-of-two step n >= 8, and on every 8th step a point with z equal
+    to that copy leaves with g = 0.  This changes no bit of g.  The step
+    is a pure function of (z, the point's args), so z_n == z_m with m < n
+    makes the float orbit periodic from step m on; it stayed <= ``big``
+    from m to n and so never passes ``big``, which is g = 0 at
+    ``maxiter``.  NaN never compares equal, so NaN orbits keep iterating;
+    orbits that differ only in the sign of a zero have equal magnitudes.
     """
     z = z0.ravel().copy()
     g = np.zeros(z.size, dtype=float)
-    active = np.arange(z.size)
+    idx = np.arange(z.size)
+    saved = None
+    retired = []
     for n in range(maxiter + 1):
-        out = np.abs(z[active]) > big
-        if np.any(out):
-            hit = active[out]
-            g[hit] = degree ** (-float(n)) * (np.log(np.abs(z[hit])) + gamma)
-            active = active[~out]
-        if active.size == 0 or n == maxiter:
+        leave = np.abs(z) > big
+        if np.any(leave):
+            hit = idx[leave]
+            g[hit] = degree ** (-float(n)) * (np.log(np.abs(z[leave])) + gamma)
+        if saved is not None and n % 8 == 0:
+            cycled = z == saved
+            if np.any(cycled):
+                retired.append(idx[cycled])
+                leave |= cycled
+        if np.any(leave):
+            keep = ~leave
+            z, idx = z[keep], idx[keep]
+            args = [a[keep] for a in args]
+            if saved is not None:
+                saved = saved[keep]
+        if idx.size == 0 or n == maxiter:
             break
-        z[active] = step(z[active], active)
-    return g.reshape(z0.shape), active
+        if n >= 8 and n & (n - 1) == 0:
+            saved = z.copy()
+        z = step(z, *args)
+    bounded = np.sort(np.concatenate(retired + [idx])) if retired else idx
+    return g.reshape(z0.shape), bounded
 
 
 def plane_green(family, lam, z, big=PLANE_BIG, maxiter=PLANE_MAXITER):
@@ -134,7 +160,7 @@ def plane_green(family, lam, z, big=PLANE_BIG, maxiter=PLANE_MAXITER):
     coef = family.poly_coeffs(lam)
     gamma = math.log(abs(coef[d])) / (d - 1)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g, bounded = escape_rate(z, lambda zz, _: npoly.polyval(zz, coef), d, gamma,
+    g, bounded = escape_rate(z, lambda zz: npoly.polyval(zz, coef), d, gamma,
                              maxiter, big=big)
     escaped = np.ones(z.shape, dtype=bool)
     escaped.ravel()[bounded] = False

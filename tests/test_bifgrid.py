@@ -59,6 +59,18 @@ class TestBox:
         with pytest.raises(ValueError):
             Box((0j,), (0.0,))
 
+    @pytest.mark.parametrize("centers, widths, heights", [
+        ((complex("nan"),), (1.0,), None),
+        ((complex(0.0, float("inf")),), (1.0,), None),
+        ((0j,), (float("nan"),), None),
+        ((0j,), (float("inf"),), None),
+        ((0j,), (1.0,), (float("nan"),)),
+        ((0j, 0j), (1.0, 1.0), (1.0, float("inf"))),
+    ])
+    def test_rejects_nonfinite(self, centers, widths, heights):
+        with pytest.raises(ValueError, match="finite"):
+            Box(centers, widths, heights)
+
 
 class TestDdc:
     def test_harmonic_field_has_zero_mass(self):
@@ -140,6 +152,11 @@ class TestScan:
             scan_field(QUAD, Box((0j,), (1.0,)), 8, "Q0")
         with pytest.raises(ValueError):
             scan_field(QUAD, Box((0j,), (1.0,)), 8, "G1")
+
+    @pytest.mark.parametrize("maxiter", [0, -1])
+    def test_maxiter_below_one_rejected(self, maxiter):
+        with pytest.raises(ValueError, match="maxiter"):
+            scan_field(QUAD, Box((0j,), (1.0,)), 8, "G0", maxiter=maxiter)
 
 
 class TestWedge:

@@ -236,6 +236,20 @@ class TestExitCodes:
         assert main(["scan", "--family", "unicritical2", "--box", FULL_BOX,
                      "--res", "4", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("maxiter", ["0", "-1"])
+    def test_maxiter_below_one(self, tmp_path, capsys, maxiter):
+        # a scan that iterates nothing is an error, not a zero field
+        assert main(["ddc", "--family", "unicritical2", "--box", FULL_BOX,
+                     "--res", "16", "--maxiter", maxiter, "--out", str(tmp_path)]) == 2
+        assert "maxiter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", ["-0.5,0:nanx4", "-0.5,0:5xinf", "nan,0:5x4",
+                                     "-0.5,inf:5x4"])
+    def test_nonfinite_box(self, tmp_path, capsys, box):
+        assert main(["ddc", "--family", "unicritical2", f"--box={box}",
+                     "--res", "16", "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_certs_file(self, tmp_path):
         assert main(["certify", "--family", "unicritical2",
                      "--certs", str(tmp_path / "none.ndjson"),

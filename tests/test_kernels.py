@@ -6,8 +6,10 @@ oracle: the four Newton loops (``find_periodic``, the cycle and preimage
 helpers of the continuation code, the Newton branch of ``_branch_apply``),
 the two escape-rate loops (``plane_green`` and the grid scan's), the two
 second-difference stencils (``_local_mass`` and the Hessian's ``d2``), and
-the rational chart and Taylor-shift code.  Results are compared through
-``uint64`` views, so a changed last bit, sign of zero or NaN fails.
+the rational chart and Taylor-shift code.  The escape-rate references also
+pin the compacted loop that retires exactly repeating orbits early, down
+to the files the CLI writes.  Results are compared through ``uint64``
+views, so a changed last bit, sign of zero or NaN fails.
 """
 
 import math
@@ -15,9 +17,12 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from biflab import bifgrid, hyperbolic
+from biflab import bifgrid, hyperbolic, potential
+from biflab import io as bio
 from biflab.bifgrid import Box, _hessian_fields, _local_mass, scan_field
+from biflab.cli import main
 from biflab.errors import NoConvergence
 from biflab.families import NEWTON_TOL, MapFamily, PeriodicPoint, find_periodic, newton
 from biflab.potential import plane_green
@@ -338,6 +343,111 @@ class TestEscapeRate:
         g0, esc0 = old_plane_green(QUAD, [-1.0 + 0j], [0j, -1.0 + 0j, 1e13 + 0j, 2.0 + 0j])
         assert same_bits(g, g0) and np.array_equal(esc, esc0)
         assert esc.tolist() == [False, False, True, True]
+
+    # boxes whose cells mostly stay bounded, so most of them retire early,
+    # and boundary zooms where orbits escape late or converge slowly
+    @pytest.mark.parametrize("box", [
+        Box((-0.1 + 0j,), (0.3,)),                  # main cardioid
+        Box((-1.0 + 0j,), (0.15,)),                 # period-2 bulb
+        Box((-0.1226 + 0.7449j,), (0.04,)),         # period-3 bulb
+        Box((-0.75 + 0j,), (0.1,)),                 # cardioid / bulb junction
+        Box((-0.7435 + 0.1314j,), (0.002,)),        # seahorse-valley zoom
+        Box((0.25002 + 0j,), (2e-5,), (2e-6,)),     # cusp: slow passage past 1/2
+    ], ids=["cardioid", "bulb2", "bulb3", "junction", "zoom", "cusp"])
+    @pytest.mark.parametrize("maxiter", [512, 1024])
+    def test_bounded_grids(self, box, maxiter):
+        new, old = grid_green_pair(QUAD, box.param_grids(64), 0, maxiter)
+        assert same_bits(new, old)
+
+    @pytest.mark.parametrize("box", [Box((0j, 0.3 + 0.1j), (1.5, 1.2)),
+                                     Box((0.2 + 0j, 0.1 + 0.1j), (0.6, 0.6))],
+                             ids=["wide", "bounded"])
+    def test_bh3_fields(self, monkeypatch, box):
+        new = [scan_field(BH3, box, 10, f, maxiter=512).values for f in ("G0", "G1", "L")]
+        monkeypatch.setattr(bifgrid, "_grid_green", old_grid_green)
+        old = [scan_field(BH3, box, 10, f, maxiter=512).values for f in ("G0", "G1", "L")]
+        for a, b in zip(new, old):
+            assert same_bits(a, b)
+
+    def test_special_parameters(self):
+        # c = -2, 0, i, -1 make the critical orbit an exact float cycle;
+        # nan, +-inf and signed zeros must keep their old bits
+        nan, inf = float("nan"), float("inf")
+        special = [-2.0 + 0j, 0j, 1j, -1.0 + 0j, complex(nan, 0.0), complex(0.0, nan),
+                   complex(inf, 0.0), complex(-inf, 0.0), complex(0.0, inf),
+                   complex(inf, nan), complex(-0.0, 0.0), complex(0.0, -0.0),
+                   complex(-0.0, -0.0), -1.75 + 0j, 0.25 + 0j, -0.75 + 0j]
+        quad_lams = [np.array(special * 3).reshape(6, 8)]
+        pairs = np.array([(a, b) for a in special for b in special]).T
+        bh3_lams = [pairs[0].reshape(16, 16), pairs[1].reshape(16, 16)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for maxiter in (1, 8, 17, 512, 1024):
+                assert same_bits(*grid_green_pair(QUAD, quad_lams, 0, maxiter))
+                for j in (0, 1):
+                    assert same_bits(*grid_green_pair(BH3, bh3_lams, j, maxiter))
+            z = np.array([0j, 1j, -1.0 + 0j, 2.0 + 0j, complex(nan, 0.0), complex(inf, 0.0),
+                          complex(-0.0, -0.0), 0.3 - 0.2j])
+            for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j):
+                for maxiter in (8, 16, 100, 2048):
+                    g, esc = plane_green(QUAD, [c], z, maxiter=maxiter)
+                    g0, esc0 = old_plane_green(QUAD, [c], z, maxiter=maxiter)
+                    assert same_bits(g, g0) and np.array_equal(esc, esc0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fam=st.sampled_from([QUAD, CUBIC, BH3]), j=st.integers(0, 1),
+           re=st.floats(-2.5, 1.0), im=st.floats(-1.5, 1.5),
+           log_half=st.floats(-14.0, 1.0), aspect=st.floats(0.5, 2.0),
+           res=st.integers(8, 40), maxiter=st.integers(1, 600))
+    def test_random_boxes(self, fam, j, re, im, log_half, aspect, res, maxiter):
+        half = 2.0 ** log_half
+        m = fam.param_dim
+        box = Box((complex(re, im),) * m, (half,) * m, (half * aspect,) * m)
+        j = j if fam is BH3 else 0
+        lams = box.param_grids(res if m == 1 else min(res, 8))
+        assert same_bits(*grid_green_pair(fam, lams, j, maxiter))
+
+    def test_exact_cycle_retires_early(self, monkeypatch):
+        # the critical orbit 0, -1, 0, ... of z^2 - 1 repeats z_8 at step
+        # 16; the old loop stepped it 2048 times
+        calls = []
+        escape_rate = potential.escape_rate
+
+        def counting(z0, step, *args, **kw):
+            def counted(*a):
+                calls.append(1)
+                return step(*a)
+            return escape_rate(z0, counted, *args, **kw)
+
+        monkeypatch.setattr(potential, "escape_rate", counting)
+        g, esc = plane_green(QUAD, [-1.0 + 0j], [0j], maxiter=2048)
+        assert len(calls) <= 16
+        assert same_bits(g, np.zeros(1)) and esc.tolist() == [False]
+
+
+def grid_green_pair(fam, lams, j, maxiter):
+    """Escape-rate field of critical point j over the parameter grids
+    ``lams``, from the current loop and from the old one."""
+    cv = bifgrid._grid_apply(fam, lams, bifgrid._grid_critical(fam, lams, j))
+    return (bifgrid._grid_green(fam, lams, cv, maxiter=maxiter),
+            old_grid_green(fam, lams, cv, maxiter=maxiter))
+
+
+class TestEndToEnd:
+    # a 10^4 wedge clamps negative cells; only the digests matter here
+    @pytest.mark.filterwarnings("ignore::biflab.errors.NotPlurisubharmonic")
+    @pytest.mark.parametrize("argv", [
+        ["ddc", "--family", "unicritical2", "--box", "-0.5,0:5x4", "--res", "64",
+         "--field", "G0"],
+        ["ma2", "--family", "bh3", "--box", "1.7,0.4:0.8x0.8;1.6,0.5:0.8x0.8",
+         "--res", "10", "--field", "G0", "--field2", "G1", "--maxiter", "256"],
+    ], ids=["ddc", "ma2"])
+    def test_outputs_match_old_loop(self, tmp_path, monkeypatch, argv):
+        assert main(argv + ["--out", str(tmp_path / "new")]) == 0
+        monkeypatch.setattr(bifgrid, "_grid_green", old_grid_green)
+        assert main(argv + ["--out", str(tmp_path / "old")]) == 0
+        digests = [{p.name: bio.sha256_file(p) for p in (tmp_path / side).iterdir()
+                    if p.name != "manifest.json"} for side in ("new", "old")]
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 # ----------------------------------------------------------------------
