@@ -147,15 +147,21 @@ def _sigma_arrays(cs):
     return sig
 
 
-def _grid_apply(family, lams, z, sig=None):
-    """f applied cellwise: z and every entry of lams share a shape."""
+def _grid_apply(family, lams, z, sig=None, top=None):
+    """f applied cellwise: z and every entry of lams share a shape.
+
+    For Branner-Hubbard, ``sig`` (the ``_sigma_arrays`` of lams[:-1]) and
+    ``top`` (lams[-1] ** d) are the terms that do not depend on z; they
+    are computed here unless a caller that iterates passes them."""
     d = family.degree
     if family.kind == "unicritical":
         return z ** d + lams[0]
     if family.kind == "branner_hubbard":
         if sig is None:
             sig = _sigma_arrays(lams[:-1])
-        out = z ** d / d + lams[-1] ** d
+        if top is None:
+            top = lams[-1] ** d
+        out = z ** d / d + top
         for j in range(2, d):
             out = out + ((-1.0) ** (d - j)) * sig[d - j] / j * z ** j
         return out
@@ -176,12 +182,17 @@ def _grid_green(family, lams, z0, maxiter=SCAN_MAXITER):
     lead = 1.0 / d if family.kind == "branner_hubbard" else 1.0
     gamma = math.log(abs(lead)) / (d - 1)
     args = [l.ravel() for l in lams]
+    if family.kind != "branner_hubbard":
+        return escape_rate(z0, lambda z, *cur: _grid_apply(family, cur, z), d, gamma,
+                           maxiter, args=args)[0]
+    # the z-free terms are per-cell constants: computed once, compacted
+    # by escape_rate along with the parameters
     n_lam = len(args)
-    if family.kind == "branner_hubbard":
-        args += [np.broadcast_to(s, args[0].shape) for s in _sigma_arrays(args[:-1])]
+    args += [np.broadcast_to(s, args[0].shape) for s in _sigma_arrays(args[:-1])]
+    args.append(args[n_lam - 1] ** d)
 
     def step(z, *cur):
-        return _grid_apply(family, cur[:n_lam], z, sig=cur[n_lam:])
+        return _grid_apply(family, cur[:n_lam], z, sig=cur[n_lam:-1], top=cur[-1])
 
     return escape_rate(z0, step, d, gamma, maxiter, args=args)[0]
 
@@ -525,8 +536,13 @@ def box_dimension(points, scales, min_points=1000):
             f"only {len(usable)} scales above 2x point spacing {spacing:.3g}")
     counts = []
     for eps in usable:
-        cells = np.unique(np.floor(xy / eps).astype(np.int64), axis=0)
-        counts.append(len(cells))
+        # occupied boxes: sort the box indices, count the rows that differ
+        # from their predecessor
+        ix, iy = np.floor(xy / eps).astype(np.int64).T
+        order = np.lexsort((iy, ix))
+        ix, iy = ix[order], iy[order]
+        counts.append(min(len(ix), 1) + int(np.count_nonzero(
+            (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1]))))
     slope, stderr = _ols(np.log(1.0 / usable), np.log(counts))
     return DimensionEstimate(slope=slope, stderr=stderr,
                              fit_range=(float(usable[0]), float(usable[-1])),

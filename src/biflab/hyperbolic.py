@@ -428,39 +428,55 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, rho0=None,
 # Cantor hyperbolic sets
 
 def _branch_apply(family, lam, anchor, w, period, guard=None):
-    """Inverse branch of f^period at the anchor applied to w, seeded at
-    ``guard`` (defaults to the anchor)."""
+    """Inverse branch of f^period at the anchor applied to every point of
+    the 1-d array w, seeded at ``guard`` (defaults to the anchor).
+
+    For period 1 on a polynomial kind each point takes its preimage
+    nearest the seed, from one batched ``preimages`` call; the call raises
+    CoverageError when, for any point, the second-nearest preimage is
+    within twice the nearest distance.  Otherwise each point runs its own
+    Newton solve of f^period(z) = w from the seed."""
     seed = anchor if guard is None else guard
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
     if period == 1 and family.kind != "rational":
-        pre = np.asarray(family.preimages(lam, complex(w)), dtype=complex)
+        pre = np.asarray(family.preimages(lam, w), dtype=complex)
         dist = np.abs(pre - seed)
-        order = np.argsort(dist)
-        best = pre[order[0]]
-        if len(order) > 1 and dist[order[1]] < 2.0 * dist[order[0]] and dist[order[0]] > 1e-12:
+        order = np.argsort(dist, axis=0)
+        cols = np.arange(w.size)
+        d0 = dist[order[0], cols]
+        if len(order) > 1 and np.any((dist[order[1], cols] < 2.0 * d0) & (d0 > 1e-12)):
             raise CoverageError(f"ambiguous branch selection near {seed}")
-        return complex(best)
-    z, _ = newton(family, lam, seed, period, target=complex(w), maxiter=60)
-    if z is None:
-        raise NoConvergence("branch Newton did not converge")
-    return z
+        return pre[order[0], cols]
+    out = np.empty(w.size, dtype=complex)
+    for i, x in enumerate(w.tolist()):
+        z, _ = newton(family, lam, seed, period, target=x, maxiter=60)
+        if z is None:
+            raise NoConvergence("branch Newton did not converge")
+        out[i] = z
+    return out
 
 
 def _build_cloud(family, lam, anchors, depth, period):
     """Depth-``depth`` word cloud: point(w_1..w_k) applies the generators
-    g_{w_1} o ... o g_{w_{k-1}} to the anchor of the last symbol."""
+    g_{w_1} o ... o g_{w_{k-1}} to the anchor of the last symbol.
+
+    Each level applies every generator to all points of the level below,
+    one ``_branch_apply`` call per generator: new point i*g + j is
+    generator j applied to point i, and its word is j followed by the
+    word of point i."""
     g = len(anchors)
+    pts = np.array(anchors, dtype=complex)
     if depth == 0:
-        return np.array(anchors, dtype=complex), np.zeros((g, 0), dtype=np.int64)
-    pts = list(anchors)
-    words = [[j] for j in range(g)]
+        return pts, np.zeros((g, 0), dtype=np.int64)
+    words = np.arange(g, dtype=np.int64)[:, None]
     for _ in range(depth - 1):
-        new_pts, new_words = [], []
-        for p, u in zip(pts, words):
-            for j in range(g):
-                new_pts.append(_branch_apply(family, lam, anchors[j], p, period))
-                new_words.append([j] + u)
-        pts, words = new_pts, new_words
-    return np.array(pts, dtype=complex), np.array(words, dtype=np.int64)
+        new = np.empty((len(pts), g), dtype=complex)
+        for j in range(g):
+            new[:, j] = _branch_apply(family, lam, anchors[j], pts, period)
+        pts = new.ravel()
+        words = np.column_stack([np.tile(np.arange(g, dtype=np.int64), len(words)),
+                                 np.repeat(words, g, axis=0)])
+    return pts, words
 
 
 def build_cantor(family, lam, anchors, depth, period=1, eta=None):
@@ -478,13 +494,13 @@ def build_cantor(family, lam, anchors, depth, period=1, eta=None):
     ring = np.exp(2j * np.pi * np.arange(16) / 16)
 
     def _check_coverage(radius):
+        targets = np.concatenate([ak + radius * ring for ak in anchors])
         for j, aj in enumerate(anchors):
-            for ak in anchors:
-                for w in ak + radius * ring:
-                    x = _branch_apply(family, lam, aj, w, period)
-                    if abs(x - aj) > radius:
-                        raise CoverageError(
-                            f"branch {j} image of the disk at {ak} leaves its own disk")
+            leaves = np.abs(_branch_apply(family, lam, aj, targets, period) - aj) > radius
+            if np.any(leaves):
+                ak = anchors[int(np.argmax(leaves)) // len(ring)]
+                raise CoverageError(
+                    f"branch {j} image of the disk at {ak} leaves its own disk")
 
     if eta is None:
         # the feasible radius window is bounded above by disk overlap and
@@ -519,23 +535,24 @@ def coded_orbit(cantor, index, length):
     rebuilt from its symbolic word at each step.
 
     Naive forward iteration loses shadowing accuracy (errors grow by the
-    expansion factor per step); stripping one symbol per step and
-    re-applying the generator branches keeps every point at Newton
-    tolerance.
+    expansion factor per step); point k is instead the point of the word
+    stripped of its first k symbols (at least one symbol is kept), so
+    every point is at Newton tolerance.  All those suffixes start at the
+    anchor of the last symbol and apply the same generators from the
+    back, so one pass over the word, one branch call per symbol, gives
+    every suffix's point.
     """
     family, lam = cantor.family, cantor.lam
     anchors, period = cantor.anchors, cantor.period
     if period != 1:
         raise NotImplementedError("coded_orbit supports period-1 anchors")
-    word = list(cantor.words[index])
-    pts = np.empty(length + 1, dtype=complex)
-    for k in range(length + 1):
-        suffix = word[min(k, len(word) - 1):]
-        p = complex(anchors[suffix[-1]])
-        for j in range(len(suffix) - 2, -1, -1):
-            p = _branch_apply(family, lam, anchors[suffix[j]], p, period)
-        pts[k] = p
-    return pts
+    word = cantor.words[index]
+    suffix_pts = np.empty(len(word), dtype=complex)
+    suffix_pts[-1] = anchors[word[-1]]
+    for t in range(len(word) - 2, -1, -1):
+        suffix_pts[t] = _branch_apply(family, lam, anchors[word[t]],
+                                      suffix_pts[t + 1:t + 2], period)[0]
+    return suffix_pts[np.minimum(np.arange(length + 1), len(word) - 1)]
 
 
 def continue_cantor(cantor, lam1, steps=8):
@@ -574,8 +591,10 @@ def holder_exponents(family, lam0, lam1, cantor, sep=None, steps=8):
     """Bi-Hoelder exponent band of the motion measured on cloud pairs.
 
     Per-pair exponents log(moved distance)/log(base distance) over all
-    pairs closer than ``sep`` (default: the generator disk radius), plus
-    the least-squares slope of log-moved vs log-base distances.
+    pairs closer than ``sep`` (default: ``min(cantor.eta, 0.99)``, the
+    generator disk radius kept below 1 so that every log distance is
+    negative), plus the least-squares slope of log-moved vs log-base
+    distances.
     """
     moved, _ = continue_cantor(cantor, lam1, steps=steps)
     base = cantor.cloud

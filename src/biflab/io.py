@@ -15,7 +15,6 @@ rows of both kinds are joined and written in chunks of _CHUNK_ROWS.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 
@@ -117,20 +116,31 @@ def write_field_csv(path, box, resolution, values, value_name="value"):
     _write_csv(path, header, v.size, columns)
 
 
+_CLOUD_HEADER = "index,re,im"
+
+
 def write_cloud_csv(path, points):
     pts = np.asarray(points, dtype=complex).ravel()
-    _write_csv(path, "index,re,im", len(pts), [
+    _write_csv(path, _CLOUD_HEADER, len(pts), [
         _formatted("%d", np.arange(len(pts))),
         _formatted("%.17g", pts.real), _formatted("%.17g", pts.imag)])
 
 
 def read_cloud_csv(path):
-    out = []
-    with open(path, newline="") as f:
-        r = csv.DictReader(f)
-        for row in r:
-            out.append(float(row["re"]) + 1j * float(row["im"]))
-    return np.array(out, dtype=complex)
+    """Points of a cloud CSV, each coordinate bit for bit as written
+    (NaN reads back as NaN)."""
+    with open(path) as f:
+        header = f.readline().rstrip("\r\n")
+        if header != _CLOUD_HEADER:
+            raise ValueError(f"{path}: header {header!r} is not {_CLOUD_HEADER!r}")
+        start = f.tell()
+        empty = not f.readline()
+        f.seek(start)
+        xy = np.empty((0, 2)) if empty else np.loadtxt(
+            f, delimiter=",", usecols=(1, 2), ndmin=2)
+    pts = np.empty(len(xy), dtype=complex)
+    pts.real, pts.imag = xy[:, 0], xy[:, 1]
+    return pts
 
 
 def write_ndjson(path, records):

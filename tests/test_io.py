@@ -1,8 +1,10 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biflab import io as bio
 from biflab.bifgrid import Box
@@ -142,6 +144,48 @@ class TestCsv:
         bio.write_cloud_csv(path, pts)
         back = bio.read_cloud_csv(path)
         assert np.array_equal(back, pts)
+
+    @pytest.mark.parametrize("re, im", [(-0.0, 2.0), (1.0, np.inf), (np.inf, -0.0),
+                                        (-0.0, -0.0)])
+    def test_cloud_round_trip_signs_and_infinities(self, tmp_path, re, im):
+        # each case read back with another real part or a NaN before
+        pts = np.empty(1, dtype=complex)
+        pts.real, pts.imag = re, im
+        path = tmp_path / "cloud.csv"
+        bio.write_cloud_csv(path, pts)
+        back = bio.read_cloud_csv(path)
+        assert back.dtype == complex
+        assert np.array_equal(back.view(np.uint64), pts.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats()), max_size=12))
+    def test_cloud_round_trip_bits(self, tmp_path_factory, pairs):
+        # st.floats() draws +-0, +-inf, NaN and subnormals
+        parts = np.array(pairs, dtype=float).reshape(-1, 2)
+        pts = np.empty(len(parts), dtype=complex)
+        pts.real, pts.imag = parts[:, 0], parts[:, 1]
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        bio.write_cloud_csv(path, pts)
+        back = bio.read_cloud_csv(path).view(float).reshape(-1, 2)
+        nan = np.isnan(parts)
+        assert back.shape == parts.shape
+        assert np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(back[~nan].view(np.uint64), parts[~nan].view(np.uint64))
+
+    def test_cloud_header_only(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        bio.write_cloud_csv(path, np.array([], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = bio.read_cloud_csv(path)
+        assert back.dtype == complex and back.shape == (0,)
+
+    @pytest.mark.parametrize("header", ["index,im,re", "re,im", "index,re,im,extra", ""])
+    def test_cloud_header_checked(self, tmp_path, header):
+        path = tmp_path / "cloud.csv"
+        path.write_text(header + "\r\n0,1,2\r\n")
+        with pytest.raises(ValueError, match="header"):
+            bio.read_cloud_csv(path)
 
 
 class TestJson:

@@ -5,13 +5,16 @@ Each reference below is the earlier implementation, kept verbatim as the
 oracle: the four Newton loops (``find_periodic``, the cycle and preimage
 helpers of the continuation code, the Newton branch of ``_branch_apply``),
 the two escape-rate loops (``plane_green`` and the grid scan's), the two
-second-difference stencils (``_local_mass`` and the Hessian's ``d2``), and
-the rational chart and Taylor-shift code.  The escape-rate references also
-pin the compacted loop that retires exactly repeating orbits early, down
-to the files the CLI writes.  Results are compared through ``uint64``
-views, so a changed last bit, sign of zero or NaN fails.
+second-difference stencils (``_local_mass`` and the Hessian's ``d2``),
+the rational chart and Taylor-shift code, the per-point Cantor cloud loop,
+coverage check and coded orbit, the ``csv``-module cloud reader and the
+``np.unique`` box count.  The escape-rate references also pin the
+compacted loop that retires exactly repeating orbits early, and they and
+the Cantor references pin the files the CLI writes.  Results are compared
+through ``uint64`` views, so a changed last bit, sign of zero or NaN fails.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -19,7 +22,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biflab import bifgrid, hyperbolic, potential
+from biflab import bifgrid, cli, hyperbolic, potential
 from biflab import io as bio
 from biflab.bifgrid import Box, _hessian_fields, _local_mass, scan_field
 from biflab.cli import main
@@ -250,7 +253,8 @@ class TestNewton:
     def test_cantor_cloud_and_motion(self, monkeypatch):
         cs = hyperbolic.build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6, period=2)
         moved, anchors = hyperbolic.continue_cantor(cs, [-6.1 + 0.05j], steps=4)
-        monkeypatch.setattr(hyperbolic, "_branch_apply", old_branch_apply)
+        monkeypatch.setattr(hyperbolic, "_branch_apply", old_branch_map)
+        monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
         monkeypatch.setattr(hyperbolic, "newton", lambda fam, lam, seed, period, maxiter:
                             old_newton_cycle(fam, lam, seed, period, maxiter=maxiter))
         cs_old = hyperbolic.build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6, period=2)
@@ -258,6 +262,271 @@ class TestNewton:
         assert same_bits(cs.cloud, cs_old.cloud)
         assert same_bits(moved, moved_old)
         assert same_bits(np.array(anchors), np.array(anchors_old))
+
+
+# ----------------------------------------------------------------------
+# reference Cantor cloud code: the per-point cloud loop, coverage check and
+# coded orbit, the csv-module cloud reader and the np.unique box count
+
+def old_branch_map(family, lam, anchor, w, period, guard=None):
+    """old_branch_apply point by point, in the array form of the current
+    ``_branch_apply``."""
+    return np.array([old_branch_apply(family, lam, anchor, x, period, guard)
+                     for x in np.atleast_1d(w)], dtype=complex)
+
+
+def old_build_cloud(family, lam, anchors, depth, period):
+    g = len(anchors)
+    if depth == 0:
+        return np.array(anchors, dtype=complex), np.zeros((g, 0), dtype=np.int64)
+    pts = list(anchors)
+    words = [[j] for j in range(g)]
+    for _ in range(depth - 1):
+        new_pts, new_words = [], []
+        for p, u in zip(pts, words):
+            for j in range(g):
+                new_pts.append(old_branch_apply(family, lam, anchors[j], p, period))
+                new_words.append([j] + u)
+        pts, words = new_pts, new_words
+    return np.array(pts, dtype=complex), np.array(words, dtype=np.int64)
+
+
+def old_check_coverage(family, lam, anchors, radius, period):
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)
+    for j, aj in enumerate(anchors):
+        for ak in anchors:
+            for w in ak + radius * ring:
+                x = old_branch_apply(family, lam, aj, w, period)
+                if abs(x - aj) > radius:
+                    raise hyperbolic.CoverageError(
+                        f"branch {j} image of the disk at {ak} leaves its own disk")
+
+
+def old_coverage_radius(family, lam, anchors, period):
+    sep = min(abs(anchors[i] - anchors[j])
+              for i in range(len(anchors)) for j in range(i + 1, len(anchors)))
+    for frac in (0.49, 0.45, 0.35, 0.25, 0.15):
+        try:
+            old_check_coverage(family, lam, anchors, frac * sep, period)
+            return frac * sep
+        except (hyperbolic.CoverageError, hyperbolic.BranchAmbiguity, NoConvergence):
+            pass
+    return None
+
+
+def old_coded_orbit(cantor, index, length):
+    family, lam = cantor.family, cantor.lam
+    anchors, period = cantor.anchors, cantor.period
+    if period != 1:
+        raise NotImplementedError("coded_orbit supports period-1 anchors")
+    word = list(cantor.words[index])
+    pts = np.empty(length + 1, dtype=complex)
+    for k in range(length + 1):
+        suffix = word[min(k, len(word) - 1):]
+        p = complex(anchors[suffix[-1]])
+        for j in range(len(suffix) - 2, -1, -1):
+            p = old_branch_apply(family, lam, anchors[suffix[j]], p, period)
+        pts[k] = p
+    return pts
+
+
+def old_read_cloud_csv(path):
+    out = []
+    with open(path, newline="") as f:
+        r = csv.DictReader(f)
+        for row in r:
+            out.append(float(row["re"]) + 1j * float(row["im"]))
+    return np.array(out, dtype=complex)
+
+
+def old_box_dimension(points, scales, min_points=1000):
+    pts = np.asarray(points, dtype=complex).ravel()
+    if len(pts) < min_points:
+        raise ValueError(f"need >= {min_points} points, got {len(pts)}")
+    scales = np.asarray(sorted(set(float(s) for s in scales), reverse=True))
+    from scipy.spatial import cKDTree
+    xy = np.column_stack([pts.real, pts.imag])
+    tree = cKDTree(xy)
+    dd, _ = tree.query(xy[: min(len(xy), 2000)], k=2)
+    spacing = float(np.median(dd[:, 1]))
+    usable = scales[scales >= 2.0 * spacing]
+    if len(usable) < 4:
+        raise bifgrid.InsufficientScales(
+            f"only {len(usable)} scales above 2x point spacing {spacing:.3g}")
+    counts = []
+    for eps in usable:
+        cells = np.unique(np.floor(xy / eps).astype(np.int64), axis=0)
+        counts.append(len(cells))
+    slope, stderr = bifgrid._ols(np.log(1.0 / usable), np.log(counts))
+    return bifgrid.DimensionEstimate(slope=slope, stderr=stderr,
+                                     fit_range=(float(usable[0]), float(usable[-1])),
+                                     n_points=len(usable))
+
+
+def cantor_case(name):
+    """(family, parameter, anchors) of a two-generator Cantor set."""
+    if name == "unicritical2":
+        return QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j]
+    if name == "unicritical3":       # z^3 - 6 fixes 2 and -1 +- i sqrt 2
+        return CUBIC, [-6.0 + 0j], [2.0 + 0j, complex(-1.0, math.sqrt(2.0))]
+    lam = [0.5 + 0.2j, 2.0 + 0j]
+    return BH3, lam, [find_periodic(BH3, lam, 1, s).location for s in (3.0 + 0j, -1.0 + 2j)]
+
+
+def same_cloud(a, b):
+    """Two (cloud, words) pairs agree bit for bit."""
+    return (same_bits(a[0], b[0]) and a[1].dtype == b[1].dtype
+            and np.array_equal(a[1], b[1]))
+
+
+class TestCantorCloud:
+    CASES = ["unicritical2", "unicritical3", "bh3"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_cloud_and_words(self, name):
+        fam, lam, anchors = cantor_case(name)
+        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+        for depth in (0, 1, 2, 10, 14):
+            assert same_cloud(hyperbolic._build_cloud(fam, lam, anchors, depth, 1),
+                              old_build_cloud(fam, lam, anchors, depth, 1))
+
+    def test_branch_apply_arrays(self):
+        # one array call gives every point's old result, or the old error;
+        # the targets near the critical value -6 have preimages closer to
+        # the seed 0 than 1e-12, which the ambiguity test lets through
+        rng = np.random.default_rng(14)
+        lam = [-6.0 + 0j]
+        near_critical = -6.0 + np.array([1e-30j, 1e-26j, -1e-25j, 0.0])
+        spread = 3.0 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        for seed, w in [(0j, near_critical), (3.0 + 0j, spread[:1]), (3.0 + 0j, spread),
+                        (-2.0 + 0j, spread), (0j, np.concatenate([near_critical, spread]))]:
+            new = outcome(hyperbolic._branch_apply, QUAD, lam, seed, w, 1)
+            old = outcome(old_branch_map, QUAD, lam, seed, w, 1)
+            if isinstance(old, type):
+                assert new is old
+            else:
+                assert same_bits(new, old)
+
+    def test_newton_branch(self):
+        fam, lam, anchors = cantor_case("unicritical2")
+        assert same_cloud(hyperbolic._build_cloud(fam, lam, anchors, 6, 2),
+                          old_build_cloud(fam, lam, anchors, 6, 2))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_coverage_radius(self, name):
+        fam, lam, anchors = cantor_case(name)
+        eta = old_coverage_radius(fam, np.atleast_1d(np.asarray(lam, dtype=complex)),
+                                  anchors, 1)
+        assert eta is not None
+        assert hyperbolic.build_cantor(fam, lam, anchors, 1).eta == eta
+
+    @pytest.mark.parametrize("lam, anchors", [
+        ([-6.0 + 0j], [3.0 + 0j, -2.0 + 0j]),
+        ([-6.0 + 0j], [-2.0 + 0j, 3.0 + 0j]),
+        # the rings of the 0.49 radius pass near the critical value -3
+        ([-3.0 + 0j], [(1 + math.sqrt(13)) / 2 + 0j, (1 - math.sqrt(13)) / 2 + 0j]),
+    ], ids=["beta-first", "alpha-first", "near-critical"])
+    def test_coverage_failures(self, lam, anchors):
+        # the same radii pass or fail, with the same error and message
+        sep = abs(anchors[0] - anchors[1])
+        failures = 0
+        for frac in (0.002, 0.01, 0.04, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
+            radius = frac * sep
+            try:
+                old_check_coverage(QUAD, np.array(lam), anchors, radius, 1)
+                old = None
+            except hyperbolic.CoverageError as exc:
+                old = str(exc)
+            try:
+                hyperbolic.build_cantor(QUAD, lam, anchors, 1, eta=radius)
+                new = None
+            except hyperbolic.CoverageError as exc:
+                new = str(exc)
+            assert new == old
+            failures += old is not None
+        assert failures > 0
+
+    def test_ambiguous_branch(self):
+        # both preimages of every target are about as close to 0.1 as
+        # each other: the level step still raises CoverageError
+        lam = np.array([-6.0 + 0j])
+        anchors = [0.1 + 0j, -0.1 + 0j]
+        with pytest.raises(hyperbolic.CoverageError, match="ambiguous") as new:
+            hyperbolic._build_cloud(QUAD, lam, anchors, 3, 1)
+        with pytest.raises(hyperbolic.CoverageError) as old:
+            old_build_cloud(QUAD, lam, anchors, 3, 1)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("name", ["unicritical2", "bh3"])
+    def test_continue_cantor(self, monkeypatch, name):
+        fam, lam, anchors = cantor_case(name)
+        lam1 = [lam[0] + 0.02 - 0.01j] + lam[1:]
+        cs = hyperbolic.build_cantor(fam, lam, anchors, 8)
+        new = hyperbolic.continue_cantor(cs, lam1, steps=4)
+        monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
+        old = hyperbolic.continue_cantor(cs, lam1, steps=4)
+        assert same_bits(new[0], old[0])
+        assert same_bits(np.array(new[1]), np.array(old[1]))
+
+    def test_coded_orbit(self):
+        fam, lam, anchors = cantor_case("unicritical2")
+        cs = hyperbolic.build_cantor(fam, lam, anchors, 8)
+        for index in range(len(cs.cloud)):
+            for length in (3, 12):
+                assert same_bits(hyperbolic.coded_orbit(cs, index, length),
+                                 old_coded_orbit(cs, index, length))
+
+
+class TestCloudReadAndCount:
+    def test_read_cloud_csv(self, tmp_path):
+        # every finite nonzero coordinate reads back as the old reader did
+        rng = np.random.default_rng(12)
+        parts = (rng.uniform(1.0, 10.0, (2, 5000)) * rng.choice([-1.0, 1.0], (2, 5000))
+                 * 10.0 ** rng.integers(-300, 300, (2, 5000)))
+        parts[:, :20] = 5e-324 * rng.integers(-1000, 1000, (2, 20)) + 1e-310
+        pts = np.empty(5000, dtype=complex)
+        pts.real, pts.imag = parts
+        path = tmp_path / "cloud.csv"
+        bio.write_cloud_csv(path, pts)
+        assert same_bits(bio.read_cloud_csv(path), old_read_cloud_csv(path))
+        assert same_bits(bio.read_cloud_csv(path), pts)
+
+    def test_box_dimension(self):
+        fam, lam, anchors = cantor_case("unicritical2")
+        cloud, _ = hyperbolic._build_cloud(fam, np.array(lam), anchors, 14, 1)
+        rng = np.random.default_rng(13)
+        lattice = (rng.integers(-50, 50, 3000) + 1j * rng.integers(-50, 50, 3000)) / 64.0
+        clouds = [(cloud, 2.0 ** -np.arange(2, 9)), (cloud, 3.0 ** -np.arange(1, 7)),
+                  (lattice, 2.0 ** -np.arange(0, 6)),
+                  (rng.standard_normal(4000) + 1j * rng.standard_normal(4000),
+                   2.0 ** -np.arange(-1, 6))]
+        for pts, scales in clouds:
+            new, old = bifgrid.box_dimension(pts, scales), old_box_dimension(pts, scales)
+            assert same_bits(np.array([new.slope, new.stderr, *new.fit_range]),
+                             np.array([old.slope, old.stderr, *old.fit_range]))
+            assert new.n_points == old.n_points
+
+
+class TestCantorEndToEnd:
+    def test_outputs_match_old_code(self, tmp_path, monkeypatch):
+        def run(side):
+            out = tmp_path / side
+            assert main(["cantor", "--family", "unicritical2", "--param", "-6,0",
+                         "--anchors", "3,0;-2,0", "--depth", "10",
+                         "--out", str(out / "cantor")]) == 0
+            assert main(["dimension", "--family", "unicritical2",
+                         "--cloud", str(out / "cantor" / "cloud.csv"),
+                         "--scales", "0.25,0.125,0.0625,0.03125",
+                         "--out", str(out / "dimension")]) == 0
+            return {f"{p.parent.name}/{p.name}": bio.sha256_file(p)
+                    for p in sorted(out.glob("*/*")) if p.name != "manifest.json"}
+
+        new = run("new")
+        monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
+        monkeypatch.setattr(bio, "read_cloud_csv", old_read_cloud_csv)
+        monkeypatch.setattr(cli, "box_dimension", old_box_dimension)
+        old = run("old")
+        assert len(new) == 3 and new == old
 
 
 # ----------------------------------------------------------------------
