@@ -546,6 +546,8 @@ def coded_orbit(cantor, index, length):
     anchors, period = cantor.anchors, cantor.period
     if period != 1:
         raise NotImplementedError("coded_orbit supports period-1 anchors")
+    if cantor.depth < 1:
+        raise ValueError(f"coded_orbit needs a cloud of depth >= 1, got depth {cantor.depth}")
     word = cantor.words[index]
     suffix_pts = np.empty(len(word), dtype=complex)
     suffix_pts[-1] = anchors[word[-1]]

@@ -228,6 +228,11 @@ class TestExitCodes:
         assert main(["scan", "--family", "unicritical2", "--box", FULL_BOX,
                      "--res", "8", "--field", "G1", "--out", str(tmp_path)]) == 2
 
+    def test_negative_sample_count(self, tmp_path, capsys):
+        assert main(["lyap", "--family", "unicritical2", "--param", "-2,0",
+                     "--samples", "-5", "--out", str(tmp_path)]) == 2
+        assert "n_points" in capsys.readouterr().err
+
     def test_bad_box_string(self, tmp_path):
         assert main(["scan", "--family", "unicritical2", "--box", "zzz",
                      "--res", "8", "--out", str(tmp_path)]) == 2

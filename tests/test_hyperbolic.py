@@ -223,6 +223,12 @@ class TestCantor:
         assert naive.escaped or \
             np.max(np.min(np.abs(naive.points[:, None] - anchors[None, :]), axis=1)) > cs.eta
 
+    def test_coded_orbit_of_depth_zero_cloud(self):
+        # a depth-0 cloud has empty words, so no orbit can be rebuilt
+        cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 0)
+        with pytest.raises(ValueError, match="depth 0"):
+            coded_orbit(cs, 0, 3)
+
     def test_continue_cantor_trivial(self):
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6)
         cloud, anchors = continue_cantor(cs, [-6.0 + 0j])

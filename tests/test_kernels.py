@@ -10,12 +10,20 @@ the rational chart and Taylor-shift code, the per-point Cantor cloud loop,
 coverage check and coded orbit, the ``csv``-module cloud reader and the
 ``np.unique`` box count.  The escape-rate references also pin the
 compacted loop that retires exactly repeating orbits early, and they and
-the Cantor references pin the files the CLI writes.  Results are compared
-through ``uint64`` views, so a changed last bit, sign of zero or NaN fails.
+the Cantor references pin the files the CLI writes.  The block-split
+tests run the sampler and the escape-rate loop on 1, 2 and 3 CPUs with
+blocks shrunk so that small inputs split, against the same references.
+Results are compared through ``uint64`` views, so a changed last bit,
+sign of zero or NaN fails.
 """
 
 import csv
 import math
+import os
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -26,9 +34,10 @@ from biflab import bifgrid, cli, hyperbolic, potential
 from biflab import io as bio
 from biflab.bifgrid import Box, _hessian_fields, _local_mass, scan_field
 from biflab.cli import main
-from biflab.errors import NoConvergence
+from biflab.errors import CriticalOnOrbit, NoConvergence, PreimageFailure, RootFindingFailure
 from biflab.families import NEWTON_TOL, MapFamily, PeriodicPoint, find_periodic, newton
 from biflab.potential import plane_green
+from biflab.rng import counter_choice
 
 QUAD = MapFamily("unicritical", 2)
 CUBIC = MapFamily("unicritical", 3)
@@ -583,6 +592,37 @@ def old_grid_green(family, lams, z0, maxiter=512, big=1e12):
     return g.reshape(shape)
 
 
+# boxes whose cells mostly stay bounded, so most of them retire early,
+# and boundary zooms where orbits escape late or converge slowly
+BOUNDED_BOXES = [
+    Box((-0.1 + 0j,), (0.3,)),                  # main cardioid
+    Box((-1.0 + 0j,), (0.15,)),                 # period-2 bulb
+    Box((-0.1226 + 0.7449j,), (0.04,)),         # period-3 bulb
+    Box((-0.75 + 0j,), (0.1,)),                 # cardioid / bulb junction
+    Box((-0.7435 + 0.1314j,), (0.002,)),        # seahorse-valley zoom
+    Box((0.25002 + 0j,), (2e-5,), (2e-6,)),     # cusp: slow passage past 1/2
+]
+BOUNDED_IDS = ["cardioid", "bulb2", "bulb3", "junction", "zoom", "cusp"]
+BH3_BOXES = [Box((0j, 0.3 + 0.1j), (1.5, 1.2)), Box((0.2 + 0j, 0.1 + 0.1j), (0.6, 0.6))]
+
+NAN, INF = float("nan"), float("inf")
+SPECIAL_Z = np.array([0j, 1j, -1.0 + 0j, 2.0 + 0j, complex(NAN, 0.0), complex(INF, 0.0),
+                      complex(-0.0, -0.0), 0.3 - 0.2j])
+
+
+def special_lams():
+    """Parameter grids of unicritical2 (6 x 8) and bh3 (16 x 16 x 2):
+    c = -2, 0, i, -1 make the critical orbit an exact float cycle; nan,
+    +-inf and signed zeros must keep their old bits."""
+    special = [-2.0 + 0j, 0j, 1j, -1.0 + 0j, complex(NAN, 0.0), complex(0.0, NAN),
+               complex(INF, 0.0), complex(-INF, 0.0), complex(0.0, INF),
+               complex(INF, NAN), complex(-0.0, 0.0), complex(0.0, -0.0),
+               complex(-0.0, -0.0), -1.75 + 0j, 0.25 + 0j, -0.75 + 0j]
+    quad_lams = [np.array(special * 3).reshape(6, 8)]
+    pairs = np.array([(a, b) for a in special for b in special]).T
+    return quad_lams, [pairs[0].reshape(16, 16), pairs[1].reshape(16, 16)]
+
+
 class TestEscapeRate:
     @pytest.mark.parametrize("fam, box, res, fields", [
         (QUAD, Box((-0.5 + 0j,), (2.5,), (2.0,)), 48, ("G0", "L", "activity0")),
@@ -613,24 +653,13 @@ class TestEscapeRate:
         assert same_bits(g, g0) and np.array_equal(esc, esc0)
         assert esc.tolist() == [False, False, True, True]
 
-    # boxes whose cells mostly stay bounded, so most of them retire early,
-    # and boundary zooms where orbits escape late or converge slowly
-    @pytest.mark.parametrize("box", [
-        Box((-0.1 + 0j,), (0.3,)),                  # main cardioid
-        Box((-1.0 + 0j,), (0.15,)),                 # period-2 bulb
-        Box((-0.1226 + 0.7449j,), (0.04,)),         # period-3 bulb
-        Box((-0.75 + 0j,), (0.1,)),                 # cardioid / bulb junction
-        Box((-0.7435 + 0.1314j,), (0.002,)),        # seahorse-valley zoom
-        Box((0.25002 + 0j,), (2e-5,), (2e-6,)),     # cusp: slow passage past 1/2
-    ], ids=["cardioid", "bulb2", "bulb3", "junction", "zoom", "cusp"])
+    @pytest.mark.parametrize("box", BOUNDED_BOXES, ids=BOUNDED_IDS)
     @pytest.mark.parametrize("maxiter", [512, 1024])
     def test_bounded_grids(self, box, maxiter):
         new, old = grid_green_pair(QUAD, box.param_grids(64), 0, maxiter)
         assert same_bits(new, old)
 
-    @pytest.mark.parametrize("box", [Box((0j, 0.3 + 0.1j), (1.5, 1.2)),
-                                     Box((0.2 + 0j, 0.1 + 0.1j), (0.6, 0.6))],
-                             ids=["wide", "bounded"])
+    @pytest.mark.parametrize("box", BH3_BOXES, ids=["wide", "bounded"])
     def test_bh3_fields(self, monkeypatch, box):
         new = [scan_field(BH3, box, 10, f, maxiter=512).values for f in ("G0", "G1", "L")]
         monkeypatch.setattr(bifgrid, "_grid_green", old_grid_green)
@@ -639,23 +668,13 @@ class TestEscapeRate:
             assert same_bits(a, b)
 
     def test_special_parameters(self):
-        # c = -2, 0, i, -1 make the critical orbit an exact float cycle;
-        # nan, +-inf and signed zeros must keep their old bits
-        nan, inf = float("nan"), float("inf")
-        special = [-2.0 + 0j, 0j, 1j, -1.0 + 0j, complex(nan, 0.0), complex(0.0, nan),
-                   complex(inf, 0.0), complex(-inf, 0.0), complex(0.0, inf),
-                   complex(inf, nan), complex(-0.0, 0.0), complex(0.0, -0.0),
-                   complex(-0.0, -0.0), -1.75 + 0j, 0.25 + 0j, -0.75 + 0j]
-        quad_lams = [np.array(special * 3).reshape(6, 8)]
-        pairs = np.array([(a, b) for a in special for b in special]).T
-        bh3_lams = [pairs[0].reshape(16, 16), pairs[1].reshape(16, 16)]
+        quad_lams, bh3_lams = special_lams()
         with np.errstate(invalid="ignore", over="ignore"):
             for maxiter in (1, 8, 17, 512, 1024):
                 assert same_bits(*grid_green_pair(QUAD, quad_lams, 0, maxiter))
                 for j in (0, 1):
                     assert same_bits(*grid_green_pair(BH3, bh3_lams, j, maxiter))
-            z = np.array([0j, 1j, -1.0 + 0j, 2.0 + 0j, complex(nan, 0.0), complex(inf, 0.0),
-                          complex(-0.0, -0.0), 0.3 - 0.2j])
+            z = SPECIAL_Z
             for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j):
                 for maxiter in (8, 16, 100, 2048):
                     g, esc = plane_green(QUAD, [c], z, maxiter=maxiter)
@@ -717,6 +736,247 @@ class TestEndToEnd:
         digests = [{p.name: bio.sha256_file(p) for p in (tmp_path / side).iterdir()
                     if p.name != "manifest.json"} for side in ("new", "old")]
         assert len(digests[0]) == 4 and digests[0] == digests[1]
+
+
+# ----------------------------------------------------------------------
+# block split: the same bits for any worker count
+
+def old_sample_mu_f(family, lam, n_points, depth, seed):
+    d = family.degree
+    idx = np.arange(n_points, dtype=np.uint64)
+    z = np.full(n_points, 1.0 + 1.0j, dtype=complex)
+    for s in range(depth):
+        pre = family.preimages(lam, z)
+        if pre.shape[0] != d:
+            raise PreimageFailure(f"expected {d} preimages, got {pre.shape[0]}")
+        k = counter_choice(seed, idx, s, d)
+        z = pre[k, np.arange(n_points)]
+    return z
+
+
+def old_lyapunov_mc(family, lam, n_points, depth, seed):
+    z = old_sample_mu_f(family, lam, n_points, depth, seed)
+    crit = ([c for c, _ in family.marked_critical_points(lam)]
+            if family.kind != "rational"
+            else [c for c, _ in potential._finite_critical(family, lam)])
+    flagged = 0
+    for round_ in range(1, 6):
+        bad = potential._near_critical(z, crit)
+        if not np.any(bad):
+            break
+        flagged += int(np.sum(bad))
+        idx = np.nonzero(bad)[0]
+        zz = np.full(len(idx), 1.0 + 1.0j, dtype=complex)
+        for s in range(depth):
+            pre = family.preimages(lam, zz)
+            k = counter_choice(seed + 0x5851F42D * round_, idx.astype(np.uint64), s, family.degree)
+            zz = pre[k, np.arange(len(idx))]
+        z[idx] = zz
+    else:
+        n_bad = int(np.sum(potential._near_critical(z, crit)))
+        if n_bad:
+            raise CriticalOnOrbit(
+                f"{n_bad} samples within 1e-12 of a critical point after 5 redraw rounds")
+    dz = np.asarray(family.deriv(lam, z), dtype=complex)
+    with np.errstate(divide="ignore"):
+        vals = np.log(np.abs(dz))
+    if family.kind == "rational":
+        fz = np.asarray(family.eval(lam, z), dtype=complex)
+        vals = vals + np.log1p(np.abs(z) ** 2) - np.log1p(np.abs(fz) ** 2)
+    n_bad = int(np.sum(~np.isfinite(vals)))
+    if n_bad:
+        raise CriticalOnOrbit(f"{n_bad} log-derivatives are not finite")
+    value = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+    return potential.LyapunovResult(value=value, stderr=stderr, n_points=n_points,
+                                    depth=depth, flagged=flagged)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(cpus, block)`` makes the block runner see ``cpus`` CPUs and
+    cut blocks of at most ``block`` points, so small inputs split too."""
+    def use(cpus, block):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(potential, "_BLOCK", block)
+    return use
+
+
+def each_worker_count(split, block, fn, cpus=(1, 2, 3)):
+    out = []
+    for k in cpus:
+        split(k, block)
+        out.append(fn())
+    return out
+
+
+class TestBlockSplit:
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 13, 14, 15, 100])
+    def test_runner_covers_range_in_order(self, split, cpus, n):
+        # blocks of at most 7 points, as many as a multiple of the workers
+        # (at most one per point), every block in the errstate of the
+        # caller, results in block order
+        split(cpus, 7)
+        seen = []
+
+        def run(lo, hi):
+            time.sleep(0.002)
+            seen.append(threading.get_ident())
+            return lo, hi, np.geterr()["invalid"]
+
+        with np.errstate(invalid="raise"):
+            out = potential._blocks(run, n)
+        bounds = [(lo, hi) for lo, hi, _ in out]
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == n
+        assert all(mode == "raise" for _, _, mode in out)
+        if n < 2:
+            assert bounds == [(0, n)] and seen == [threading.get_ident()]
+        else:
+            assert len(out) % min(cpus, n) == 0 and all(0 < hi - lo <= 7 for lo, hi in bounds)
+        if len(out) >= 4 * cpus:
+            assert len(set(seen)) > 1
+
+    def test_runner_takes_each_block_once(self, split):
+        # more workers than cores and a short switch interval: every block
+        # runs exactly once and its result lands in its own slot
+        split(8, 3)
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                out = potential._blocks(lambda lo, hi: ran.append(lo) or lo, 2000)
+                assert sorted(ran) == out and len(set(out)) == len(out)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 15, 61])
+    @pytest.mark.parametrize("fam", [QUAD, lattes_family()], ids=["unicritical2", "lattes"])
+    def test_sample_mu_f(self, split, fam, n):
+        # point counts below, at and above one block of 7
+        lam = [-0.9 + 0.2j] if fam is QUAD else [0j]
+        ref = old_sample_mu_f(fam, lam, n, 12, 4)
+        for z in each_worker_count(split, 7, lambda: potential.sample_mu_f(fam, lam, n, 12, 4)):
+            assert same_bits(z, ref)
+
+    def test_lyapunov_redraw(self, split, monkeypatch):
+        # branch 0 of every point right of Re = 1 is moved onto the
+        # critical point 0, so the redraw rounds have work to do
+        fam = MapFamily("unicritical", 2)
+        real = fam.preimages
+
+        def landing(lam, w):
+            pre = real(lam, w)
+            pre[0, w.real > 1.0] = 0.0
+            return pre
+
+        monkeypatch.setattr(fam, "preimages", landing)
+        ref = old_lyapunov_mc(fam, [-2.0 + 0j], 400, 10, 6)
+        assert ref.flagged > 0
+        for res in each_worker_count(split, 7, lambda: potential.lyapunov_mc(
+                fam, [-2.0 + 0j], 400, 10, 6)):
+            assert res == ref and same_bits([res.value, res.stderr], [ref.value, ref.stderr])
+
+    @pytest.mark.parametrize("fam, box, res, block, fields", [
+        *[(QUAD, box, 32, 64, ("G0", "L")) for box in BOUNDED_BOXES],
+        *[(BH3, box, 10, 500, ("G0", "G1", "L")) for box in BH3_BOXES],
+    ], ids=BOUNDED_IDS + ["bh3-wide", "bh3-bounded"])
+    def test_scan_field(self, split, fam, box, res, block, fields):
+        out = each_worker_count(split, block, lambda: [
+            scan_field(fam, box, res, f, maxiter=512).values for f in fields])
+        for vals in out[1:]:
+            assert all(same_bits(a, b) for a, b in zip(vals, out[0]))
+
+    def test_special_parameters(self, split):
+        quad_lams, bh3_lams = special_lams()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for fam, lams, j in [(QUAD, quad_lams, 0), (BH3, bh3_lams, 0), (BH3, bh3_lams, 1)]:
+                cv = bifgrid._grid_apply(fam, lams, bifgrid._grid_critical(fam, lams, j))
+                for maxiter in (8, 17, 512):
+                    ref = old_grid_green(fam, lams, cv, maxiter=maxiter)
+                    for g in each_worker_count(split, 16, lambda: bifgrid._grid_green(
+                            fam, lams, cv, maxiter=maxiter)):
+                        assert same_bits(g, ref)
+
+    def test_plane_green(self, split):
+        rng = np.random.default_rng(11)
+        cases = [(QUAD, [c], SPECIAL_Z) for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j)]
+        for fam in (QUAD, CUBIC, BH3):
+            lam = random_seeds(rng, fam.param_dim, 1.0)
+            for shape in [(), (7,), (5, 6), (40,)]:
+                z = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                cases.append((fam, lam, z))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for fam, lam, z in cases:
+                g0, esc0 = old_plane_green(fam, lam, z, maxiter=100)
+                for g, esc in each_worker_count(split, 3, lambda: plane_green(
+                        fam, lam, z, maxiter=100)):
+                    assert same_bits(g, g0) and np.array_equal(esc, esc0)
+
+    def test_escape_rate_bounded_indices(self, split):
+        # the blocks' bounded indices, joined in block order, are sorted
+        rng = np.random.default_rng(12)
+        z0 = 1.5 * (rng.standard_normal((9, 11)) + 1j * rng.standard_normal((9, 11)))
+        c = rng.standard_normal(z0.size) * 0.5 + 0j
+        out = each_worker_count(split, 4, lambda: potential.escape_rate(
+            z0, lambda z, cc: z * z + cc, 2, 0.0, 300, args=[c]))
+        g, bounded = out[0]
+        assert 0 < bounded.size < z0.size and np.all(np.diff(bounded) > 0)
+        for g1, b1 in out[1:]:
+            assert same_bits(g1, g) and b1.dtype == bounded.dtype
+            assert np.array_equal(b1, bounded)
+
+    @pytest.mark.parametrize("argv", [
+        ["lyap", "--family", "unicritical2", "--param", "-2,0", "--samples", "3000",
+         "--depth", "20", "--seed", "3"],
+        ["ddc", "--family", "unicritical2", "--box", "-0.5,0:5x4", "--res", "64",
+         "--field", "G0"],
+    ], ids=["lyap", "ddc"])
+    def test_cli_outputs(self, tmp_path, split, argv):
+        # the same output directory each time, so manifest.json's paths agree
+        def run():
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+            return {p.name: bio.sha256_file(p) for p in tmp_path.iterdir()}
+
+        digests = each_worker_count(split, 200, run, cpus=(1, 2))
+        assert "manifest.json" in digests[0] and digests[0] == digests[1]
+
+    def test_errstate_in_every_block(self, split):
+        # the bh3 grid holds +-inf and nan parameters: under "raise" the
+        # scan fails with either worker count, and under "ignore" no block
+        # warns, which a pool thread outside the caller's context would
+        _, lams = special_lams()
+        with np.errstate(invalid="ignore", over="ignore"):
+            cv = bifgrid._grid_apply(BH3, lams, bifgrid._grid_critical(BH3, lams, 1))
+        for k in (1, 2):
+            split(k, 16)
+            with np.errstate(invalid="raise", over="ignore"):
+                with pytest.raises(FloatingPointError):
+                    bifgrid._grid_green(BH3, lams, cv, maxiter=64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    bifgrid._grid_green(BH3, lams, cv, maxiter=64)
+
+    def test_block_failure_keeps_its_type(self, split, monkeypatch, tmp_path):
+        # 5 samples on 2 CPUs are the blocks [0, 2) and [2, 5); the
+        # second one fails
+        real = MapFamily.preimages
+
+        def failing(self, lam, w):
+            if len(w) == 3:
+                raise RootFindingFailure("injected")
+            return real(self, lam, w)
+
+        monkeypatch.setattr(MapFamily, "preimages", failing)
+        split(2, 7)
+        with pytest.raises(RootFindingFailure):
+            potential.lyapunov_mc(QUAD, [-2.0 + 0j], 5, 4, 0)
+        assert main(["lyap", "--family", "unicritical2", "--param", "-2,0", "--samples", "5",
+                     "--depth", "4", "--out", str(tmp_path)]) == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from biflab.rng import counter_bits, counter_choice, counter_uniform
 
@@ -9,13 +10,21 @@ def test_pure_function_of_key():
     assert np.array_equal(a, b)
 
 
-def test_split_invariance():
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), start=st.integers(0, 2 ** 63),
+       size=st.integers(0, 600), step=st.integers(0, 2 ** 64 - 1),
+       n_choices=st.integers(1, 7), cuts=st.lists(st.integers(0, 600), max_size=8))
+def test_split_invariance(seed, start, size, step, n_choices, cuts):
     # drawing an index range in one batch or in chunks gives identical bits
-    idx = np.arange(1000, dtype=np.uint64)
-    whole = counter_uniform(9, idx, 3)
-    parts = np.concatenate([counter_uniform(9, idx[i: i + 130], 3)
-                            for i in range(0, 1000, 130)])
-    assert np.array_equal(whole, parts)
+    idx = np.arange(start, start + size, dtype=np.uint64)
+    edges = [0] + sorted(min(c, size) for c in cuts) + [size]
+    chunks = [idx[a:b] for a, b in zip(edges, edges[1:])]
+    for draw in (lambda i: counter_bits(seed, i, step),
+                 lambda i: counter_uniform(seed, i, step),
+                 lambda i: counter_choice(seed, i, step, n_choices)):
+        whole = draw(idx)
+        parts = np.concatenate([draw(c) for c in chunks])
+        assert whole.dtype == parts.dtype and np.array_equal(whole, parts)
 
 
 def test_uniform_range_and_moments():
