@@ -17,14 +17,18 @@ f^p(z) = target, or f^p(z) = z for a cycle, and serves ``find_periodic``
 and the continuation, inverse-branch and Cantor code of ``hyperbolic``
 (``misiurewicz`` runs a damped Newton in parameter space).
 
-Scalar orbits, Newton and activity maps call ``eval``/``deriv`` one
-point at a time at a fixed parameter, so a polynomial family keeps the
-coefficient vector (and its derivative) of the last parameter it saw and
-rebuilds them only when the parameter changes.  Evaluation stays
-``npoly.polyval`` on an ndarray ``z``: a hand-written Horner loop in
-Python ``complex`` arithmetic rounds differently from numpy's complex
-multiply (which may fuse multiply and add), and results must keep their
-bits.
+Scalar orbits and Newton call ``eval``/``deriv`` one point at a time at
+a fixed parameter, so a polynomial family keeps the coefficient vector
+(and its derivative) of the last parameter it saw and rebuilds them only
+when the parameter changes.  The activity maps of ``misiurewicz``
+evaluate a stack of parameters at once instead: one ``poly_coeffs``
+column per parameter and a column-wise
+``npoly.polyval(z, coef, tensor=False)``.  Evaluation stays
+``npoly.polyval`` on an ndarray ``z`` everywhere: its array loops round
+each multiply and add as its 0-d path does, while a hand-written Horner
+loop in Python ``complex`` arithmetic rounds differently from numpy's
+complex multiply (which may fuse multiply and add), and results must
+keep their bits.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from .errors import BiflabError, CriticalOnOrbit, NoConvergence, NonRepellingTarget
 from .families import family_to_json, multiplier as segment_multiplier, orbit
@@ -70,11 +71,11 @@ class MisiurewiczCertificate:
     spec: ActivitySpec
 
 
-def _critical_point(family, lam, index):
-    pts = family.marked_critical_points(lam)
-    if index >= len(pts):
+def _critical_point(marked, index):
+    """Critical point ``index`` of a ``marked_critical_points`` list."""
+    if index >= len(marked):
         raise ValueError(f"critical index {index} out of range")
-    return complex(pts[index][0])
+    return complex(marked[index][0])
 
 
 def _iterate(family, lam, z, n):
@@ -84,40 +85,73 @@ def _iterate(family, lam, z, n):
 
 
 def activity_chi(family, lam, spec, steps=8):
-    """Activity vector chi in C^k at the parameter lam."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    out = np.empty(len(spec.tracked), dtype=complex)
-    for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
-        c = _critical_point(family, lam, idx)
-        land = _iterate(family, lam, c, spec.k0)
+    """Activity vector chi in C^k at the parameter lam (shape (m,)), or
+    one row per parameter of a stack lam of shape (P, m), shape (P, k).
+
+    All rows' tracked critical orbits run together as arrays: one step is
+    one column-wise Horner pass ``npoly.polyval(z, coef, tensor=False)``
+    with column r of ``coef`` equal to ``family.poly_coeffs(lam[r])``.
+    That is the multiply-and-add sequence of ``family.eval`` at one point,
+    and numpy's array loops round each operation as its 0-d path does, so
+    every row keeps the bits of chi at that row alone.  Critical points,
+    and the continued landing points of motion patterns, are taken one
+    row at a time, in the order the rows and tracked points are given.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    lams = np.atleast_2d(lam)
+    k, rows = len(spec.tracked), len(lams)
+    z = np.empty((k, rows), dtype=complex)
+    target = np.empty((k, rows), dtype=complex)
+    base_orbits = {}
+    for r, row in enumerate(lams):
+        marked = family.marked_critical_points(row)
+        for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
+            z[i, r] = _critical_point(marked, idx)
+            if isinstance(pat, MotionTarget):
+                from .hyperbolic import continue_orbit
+                if i not in base_orbits:
+                    start = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
+                    base_orbits[i] = start, orbit(family, start, complex(pat.base_point), pat.p)
+                start, seg = base_orbits[i]
+                track = continue_orbit(family, start, row, seg.points,
+                                       period=pat.p, steps=steps)
+                target[i, r] = track.moved_points[0]
+            elif not isinstance(pat, Preperiodic):
+                raise TypeError(f"unknown pattern {pat!r}")
+    coef = np.stack([family.poly_coeffs(row) for row in lams], axis=1)
+    for _ in range(spec.k0):
+        z = npoly.polyval(z, coef, tensor=False)
+    out = np.empty((rows, k), dtype=complex)
+    for i, pat in enumerate(spec.patterns):
         if isinstance(pat, Preperiodic):
-            out[i] = _iterate(family, lam, land, pat.n) - land
-        elif isinstance(pat, MotionTarget):
-            from .hyperbolic import continue_orbit
-            base = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
-            seg = orbit(family, base, complex(pat.base_point), pat.p)
-            track = continue_orbit(family, base, lam, seg.points,
-                                   period=pat.p, steps=steps)
-            out[i] = land - track.moved_points[0]
+            w = z[i]
+            for _ in range(pat.n):
+                w = npoly.polyval(w, coef, tensor=False)
+            out[:, i] = w - z[i]
         else:
-            raise TypeError(f"unknown pattern {pat!r}")
-    return out
+            out[:, i] = z[i] - target[i]
+    return out if lam.ndim == 2 else out[0]
 
 
 def _chi_jacobian(family, lam, spec, step=FD_STEP):
     """Central finite-difference Jacobian of chi; chi is holomorphic in
-    lam, so one complex direction per coordinate suffices."""
+    lam, so one complex direction per coordinate suffices.  The 2m points
+    lam + h_j e_j, lam - h_j e_j (j = 0..m-1, in that order) are one stack
+    for one ``activity_chi`` call."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     k = len(spec.tracked)
     m = len(lam)
-    J = np.empty((k, m), dtype=complex)
+    pts = np.repeat(lam[None, :], 2 * m, axis=0)
+    hs = []
     for j in range(m):
         h = step * max(1.0, abs(lam[j]))
-        lp, lm = lam.copy(), lam.copy()
-        lp[j] += h
-        lm[j] -= h
-        J[:, j] = (activity_chi(family, lp, spec)
-                   - activity_chi(family, lm, spec)) / (2.0 * h)
+        pts[2 * j, j] += h
+        pts[2 * j + 1, j] -= h
+        hs.append(h)
+    chi = activity_chi(family, pts, spec)
+    J = np.empty((k, m), dtype=complex)
+    for j, h in enumerate(hs):
+        J[:, j] = (chi[2 * j] - chi[2 * j + 1]) / (2.0 * h)
     return J
 
 
@@ -130,7 +164,7 @@ def transversality(family, lam, spec, step=FD_STEP):
 
 def _landing_multiplier(family, lam, spec, i):
     idx, pat = spec.tracked[i], spec.patterns[i]
-    c = _critical_point(family, lam, idx)
+    c = _critical_point(family.marked_critical_points(lam), idx)
     land = _iterate(family, lam, c, spec.k0 + (pat.n if isinstance(pat, Preperiodic) else 0))
     seg = orbit(family, lam, land, pat.p)
     return segment_multiplier(family, lam, seg.points[:-1])
@@ -147,7 +181,7 @@ def _m_plus(family, lam, spec, n_max=N_CERT):
     logs = np.full((len(spec.tracked), n_max), -math.inf)
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
-        c = _critical_point(family, lam, idx)
+        c = _critical_point(family.marked_critical_points(lam), idx)
         land = _iterate(family, lam, c, spec.k0)
         q = pat.n if isinstance(pat, Preperiodic) else pat.p
         ob = orbit(family, lam, land, q)
@@ -223,7 +257,7 @@ def verify_certificate(cert, family, spec=None, closure_tol=1e-8,
     checks = {}
     worst = 0.0
     for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
-        c = _critical_point(family, lam, idx)
+        c = _critical_point(family.marked_critical_points(lam), idx)
         if isinstance(pat, Preperiodic):
             z = _iterate(family, lam, c, spec.k0 + pat.n)
             gap = abs(_iterate(family, lam, z, pat.p) - z)

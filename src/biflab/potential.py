@@ -310,8 +310,11 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
     shifted counter key) and counted in ``flagged``; CriticalOnOrbit is
     raised if any remain after five rounds, or if a log-derivative is
     not finite.  The derivative is measured in the affine chart; the
-    spherical correction is applied only for the rational kind.
+    spherical correction is applied only for the rational kind.  A
+    standard error needs two samples, so ``n_points < 2`` is a ValueError.
     """
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2 for a standard error, got {n_points}")
     z = sample_mu_f(family, lam, n_points, depth, seed)
     crit = ([c for c, _ in family.marked_critical_points(lam)]
             if family.kind != "rational"

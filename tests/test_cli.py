@@ -233,6 +233,15 @@ class TestExitCodes:
                      "--samples", "-5", "--out", str(tmp_path)]) == 2
         assert "n_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_too_few_samples(self, tmp_path, capsys, samples):
+        # a standard error needs two samples; this used to write NaN
+        assert main(["lyap", "--family", "unicritical2", "--param", "-2,0",
+                     "--samples", samples, "--out", str(tmp_path)]) == 2
+        assert f"n_points must be >= 2 for a standard error, got {samples}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "lyap.json").exists()
+
     def test_bad_box_string(self, tmp_path):
         assert main(["scan", "--family", "unicritical2", "--box", "zzz",
                      "--res", "8", "--out", str(tmp_path)]) == 2

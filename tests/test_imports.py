@@ -1,9 +1,12 @@
-"""Every name a biflab module imports is used in that module.
+"""Every name a biflab module or test module imports is used in that
+module.
 
 No linter ships with the project, so this is the unused-import check:
 it walks each module's syntax tree, collects the names bound by
 ``import`` statements and the names the module reads, and reports the
 difference.  ``from __future__`` imports are directives, not names.
+The test modules are checked too: their reference copies of earlier
+code are pasted in verbatim, and such copies bring stray imports along.
 """
 
 import ast
@@ -11,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "biflab"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "biflab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):

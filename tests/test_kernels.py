@@ -7,17 +7,21 @@ helpers of the continuation code, the Newton branch of ``_branch_apply``),
 the two escape-rate loops (``plane_green`` and the grid scan's), the two
 second-difference stencils (``_local_mass`` and the Hessian's ``d2``),
 the rational chart and Taylor-shift code, the per-point Cantor cloud loop,
-coverage check and coded orbit, the ``csv``-module cloud reader and the
-``np.unique`` box count.  The escape-rate references also pin the
-compacted loop that retires exactly repeating orbits early, and they and
-the Cantor references pin the files the CLI writes.  The block-split
-tests run the sampler and the escape-rate loop on 1, 2 and 3 CPUs with
-blocks shrunk so that small inputs split, against the same references.
+coverage check and coded orbit, the ``csv``-module cloud reader, the
+``np.unique`` box count, and the activity map and finite-difference
+Jacobian that ran one chain of scalar ``eval`` calls per parameter.  The
+escape-rate references also pin the compacted loop that retires exactly
+repeating orbits early, and they, the Cantor and the activity references
+pin the files the CLI writes; the activity references also pin the
+c05 and c12 certificates.  The block-split tests run the sampler and the
+escape-rate loop on 1, 2 and 3 CPUs with blocks shrunk so that small
+inputs split, against the same references.
 Results are compared through ``uint64`` views, so a changed last bit,
 sign of zero or NaN fails.
 """
 
 import csv
+import json
 import math
 import os
 import sys
@@ -30,12 +34,19 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biflab import bifgrid, cli, hyperbolic, potential
+from biflab import bifgrid, cli, hyperbolic, misiurewicz, potential
 from biflab import io as bio
 from biflab.bifgrid import Box, _hessian_fields, _local_mass, scan_field
 from biflab.cli import main
-from biflab.errors import CriticalOnOrbit, NoConvergence, PreimageFailure, RootFindingFailure
-from biflab.families import NEWTON_TOL, MapFamily, PeriodicPoint, find_periodic, newton
+from biflab.errors import (
+    BiflabError,
+    CriticalOnOrbit,
+    NoConvergence,
+    PreimageFailure,
+    RootFindingFailure,
+)
+from biflab.families import NEWTON_TOL, MapFamily, PeriodicPoint, find_periodic, newton, orbit
+from biflab.misiurewicz import FD_STEP, ActivitySpec, MotionTarget, Preperiodic
 from biflab.potential import plane_green
 from biflab.rng import counter_choice
 
@@ -1238,3 +1249,234 @@ class TestLocalSeries:
                 w = complex(*(2.0 * rng.standard_normal(2)))
                 assert same_bits(fam.local_series(lam, w, 8),
                                  old_local_series(fam, lam, w, 8))
+
+
+# ----------------------------------------------------------------------
+# reference activity map: one chain of scalar eval calls per parameter
+
+def old_critical_point(family, lam, index):
+    pts = family.marked_critical_points(lam)
+    if index >= len(pts):
+        raise ValueError(f"critical index {index} out of range")
+    return complex(pts[index][0])
+
+
+def old_iterate(family, lam, z, n):
+    for _ in range(n):
+        z = complex(family.eval(lam, z))
+    return z
+
+
+def old_activity_chi(family, lam, spec, steps=8):
+    """Activity vector chi in C^k at the parameter lam."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    out = np.empty(len(spec.tracked), dtype=complex)
+    for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
+        c = old_critical_point(family, lam, idx)
+        land = old_iterate(family, lam, c, spec.k0)
+        if isinstance(pat, Preperiodic):
+            out[i] = old_iterate(family, lam, land, pat.n) - land
+        elif isinstance(pat, MotionTarget):
+            from biflab.hyperbolic import continue_orbit
+            base = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
+            seg = orbit(family, base, complex(pat.base_point), pat.p)
+            track = continue_orbit(family, base, lam, seg.points,
+                                   period=pat.p, steps=steps)
+            out[i] = land - track.moved_points[0]
+        else:
+            raise TypeError(f"unknown pattern {pat!r}")
+    return out
+
+
+def old_chi_jacobian(family, lam, spec, step=FD_STEP):
+    """Central finite-difference Jacobian of chi; chi is holomorphic in
+    lam, so one complex direction per coordinate suffices."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    k = len(spec.tracked)
+    m = len(lam)
+    J = np.empty((k, m), dtype=complex)
+    for j in range(m):
+        h = step * max(1.0, abs(lam[j]))
+        lp, lm = lam.copy(), lam.copy()
+        lp[j] += h
+        lm[j] -= h
+        J[:, j] = (old_activity_chi(family, lp, spec)
+                   - old_activity_chi(family, lm, spec)) / (2.0 * h)
+    return J
+
+
+def activity_case(name):
+    """(family, base parameter, {"preperiodic": spec, "motion": spec}); the
+    motion pattern continues a repelling cycle found at the base."""
+    if name == "unicritical2":
+        return QUAD, np.array([-2.0 + 0j]), {
+            "preperiodic": ActivitySpec((0,), 2, (Preperiodic(1, 1),)),
+            "motion": ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))}
+    if name == "unicritical3":
+        base = np.array([0.3 + 0.1j])
+        cycle = find_periodic(CUBIC, base, 2, -0.9 + 0.5j)
+        return CUBIC, base, {
+            "preperiodic": ActivitySpec((0,), 3, (Preperiodic(2, 2),)),
+            "motion": ActivitySpec((0,), 2, (MotionTarget(tuple(base), cycle.location, 2),))}
+    base = np.array([0.5 + 0.2j, 1.1 + 0.3j])
+    cycle = find_periodic(BH3, base, 1, 1.5)
+    return BH3, base, {
+        "preperiodic": ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2))),
+        "motion": ActivitySpec((0, 1), 2, (Preperiodic(2, 1),
+                                           MotionTarget(tuple(base), cycle.location, 1)))}
+
+
+ACTIVITY_NAMES = ["unicritical2", "unicritical3", "bh3"]
+
+
+def stack_near(rng, base, rows, radius):
+    """rows parameters within radius of base, one per row."""
+    noise = rng.standard_normal((rows, len(base))) + 1j * rng.standard_normal((rows, len(base)))
+    return base + radius * noise / np.abs(noise)
+
+
+def same_stack(stack, family, spec):
+    """activity_chi on the stack, and on each row alone, has the bits of
+    the reference at each row."""
+    new = misiurewicz.activity_chi(family, stack, spec)
+    assert new.shape == (len(stack), len(spec.tracked))
+    for r, row in enumerate(stack):
+        ref = old_activity_chi(family, row, spec)
+        assert same_bits(new[r], ref)
+        assert same_bits(misiurewicz.activity_chi(family, row, spec), ref)
+    return new
+
+
+def run_outcome(fn, *args, **kw):
+    """The result, or the exception type and message, of one call."""
+    try:
+        return fn(*args, **kw)
+    except (BiflabError, ValueError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestActivityMap:
+    @pytest.mark.parametrize("name", ACTIVITY_NAMES)
+    @pytest.mark.parametrize("kind", ["preperiodic", "motion"])
+    def test_stacks(self, name, kind):
+        family, base, specs = activity_case(name)
+        rng = np.random.default_rng(ACTIVITY_NAMES.index(name))
+        radius = 0.3 if kind == "preperiodic" else 0.02
+        for rows in range(1, 10):
+            same_stack(stack_near(rng, base, rows, radius), family, specs[kind])
+
+    def test_scalar_parameter(self):
+        _, _, specs = activity_case("unicritical2")
+        spec = specs["preperiodic"]
+        for lam in (-1.9 + 0.1j, 0.25 + 0j):
+            assert misiurewicz.activity_chi(QUAD, lam, spec).shape == (1,)
+            assert same_bits(misiurewicz.activity_chi(QUAD, lam, spec),
+                             old_activity_chi(QUAD, lam, spec))
+
+    @pytest.mark.parametrize("name", ACTIVITY_NAMES)
+    def test_overflowing_rows(self, name):
+        # the rows of huge parameters overflow to inf, or on to nan
+        # (inf - inf), while the others stay finite
+        family, base, specs = activity_case(name)
+        rng = np.random.default_rng(20)
+        huge = [1e80, 1e160 + 1e160j, -1e300j, 1e30 - 1e30j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in range(1, 10):
+                stack = stack_near(rng, base, rows, 0.3)
+                stack[::2, 0] = [huge[r % len(huge)] for r in range(len(stack[::2]))]
+                new = same_stack(stack, family, specs["preperiodic"])
+                assert not np.all(np.isfinite(new[0]))
+
+    def test_failures_match(self):
+        # merged critical points (c_1 = 0) leave index 1 out of range; the
+        # beta fixed point of z^2 + c turns parabolic at c = 1/4, so a
+        # motion row past it fails to continue; an unknown pattern is
+        # refused; each fails as the reference does at its first bad row
+        bh3_spec = activity_case("bh3")[2]["preperiodic"]
+        motion = activity_case("unicritical2")[2]["motion"]
+        bad = ActivitySpec((0,), 2, ("not a pattern",))
+        cases = [(BH3, np.array([[0.4 + 0j, 1.0 + 0j], [0j, 1.0 + 0j]]), bh3_spec),
+                 (QUAD, np.array([[-1.9 + 0j], [0.5 + 0j], [0.3 + 0j]]), motion),
+                 (QUAD, np.array([[0.1 + 0j]]), bad)]
+        for family, stack, spec in cases:
+            new = run_outcome(misiurewicz.activity_chi, family, stack, spec)
+            assert isinstance(new, str)
+            assert new == next(r for r in (run_outcome(old_activity_chi, family, row, spec)
+                                           for row in stack) if isinstance(r, str))
+
+    @pytest.mark.parametrize("name", ACTIVITY_NAMES)
+    @pytest.mark.parametrize("kind", ["preperiodic", "motion"])
+    def test_jacobian(self, name, kind):
+        family, base, specs = activity_case(name)
+        rng = np.random.default_rng(30)
+        radius = 0.3 if kind == "preperiodic" else 0.02
+        for lam in stack_near(rng, base, 6, radius):
+            for step in (FD_STEP, 2e-7):
+                assert same_bits(misiurewicz._chi_jacobian(family, lam, specs[kind], step=step),
+                                 old_chi_jacobian(family, lam, specs[kind], step=step))
+
+
+# seeds of the c12 hunt grid (tests/test_acceptance.py): the four that
+# certify for each pattern pair, and every 11th of the others, which fail
+# in each of the solver's ways (superattracting target, stalled damping,
+# singular Jacobian, residual above 1e-10, merged critical points)
+def c12_seeds():
+    grid = [[complex(re1, im1), complex(rea, ima)]
+            for re1 in np.linspace(-1.5, 1.5, 9) for im1 in (0.0, 0.4, 0.8)
+            for rea in np.linspace(0.3, 1.3, 6) for ima in (0.1, 0.5)]
+    return {(Preperiodic(1, 1), Preperiodic(2, 2)): [grid[i] for i in (143, 203, 263, 275)],
+            (Preperiodic(2, 1), Preperiodic(1, 1)): [grid[i] for i in (118, 167, 263, 275)],
+            "failing": grid[::11] + [grid[144]]}
+
+
+def hunt_record(family, seed, spec):
+    """The certificate and its verify report as JSON, or the failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = run_outcome(misiurewicz.solve_misiurewicz, family, seed, spec)
+    if isinstance(cert, str):
+        return cert
+    return json.dumps([misiurewicz.certificate_to_json(cert, family),
+                       misiurewicz.verify_certificate(cert, family)])
+
+
+class TestActivityCertificates:
+    def records(self):
+        cases = [(QUAD, [-1.95 + 0j], activity_case("unicritical2")[2]["preperiodic"]),
+                 (QUAD, [-1.99 + 0j], activity_case("unicritical2")[2]["motion"])]
+        seeds = c12_seeds()
+        failing = seeds.pop("failing")
+        for pats, certified in seeds.items():
+            spec = ActivitySpec((0, 1), 2, pats)
+            cases += [(BH3, seed, spec) for seed in certified + failing]
+        return [hunt_record(*case) for case in cases]
+
+    def test_c05_and_c12_match_old_code(self, monkeypatch):
+        new = self.records()
+        assert sum(r.startswith("[") for r in new) >= 10
+        assert len({r.split(":")[0] for r in new if not r.startswith("[")}) == 3
+        monkeypatch.setattr(misiurewicz, "activity_chi", old_activity_chi)
+        monkeypatch.setattr(misiurewicz, "_chi_jacobian", old_chi_jacobian)
+        assert new == self.records()
+
+    def test_cli_outputs_match_old_code(self, tmp_path, monkeypatch):
+        runs = [["--family", "unicritical2", "--seed", "-1.95,0|-1.9,0",
+                 "--pattern", "k0=2,n=1,p=1"],
+                ["--family", "bh3", "--tracked", "0,1", "--seed",
+                 "-0.375,0.8;1.3,0.5|1.125,0;1.3,0.5", "--pattern", "k0=2,n=1,p=1,n=2,p=2"]]
+
+        def run(side):
+            for i, argv in enumerate(runs):
+                out = tmp_path / side / str(i)
+                assert main(["misiurewicz"] + argv + ["--out", str(out / "solve")]) == 0
+                assert main(["certify", argv[0], argv[1],
+                             "--certs", str(out / "solve" / "certificates.ndjson"),
+                             "--out", str(out / "certify")]) == 0
+            return {str(p.relative_to(tmp_path / side)): bio.sha256_file(p)
+                    for p in sorted((tmp_path / side).glob("*/*/*"))
+                    if p.name != "manifest.json"}
+
+        new = run("new")
+        monkeypatch.setattr(misiurewicz, "activity_chi", old_activity_chi)
+        monkeypatch.setattr(misiurewicz, "_chi_jacobian", old_chi_jacobian)
+        old = run("old")
+        assert len(new) == 4 and new == old

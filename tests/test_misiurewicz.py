@@ -4,7 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from biflab import io as bio
 from biflab import misiurewicz
 from biflab.errors import CriticalOnOrbit, NoConvergence, NonRepellingTarget
 from biflab.families import MapFamily
@@ -130,6 +132,60 @@ class TestSolver:
         assert np.allclose(cert.m_plus, n * math.log(4), rtol=1e-10)
 
 
+class TestCallCount:
+    """How many activity evaluations a solve makes, independent of timing.
+
+    Seeds from the c12 hunt grid (tests/test_acceptance.py): one that
+    certifies, one whose Newton run converges to a superattracting
+    target after many damping halvings.  A Jacobian is one
+    ``activity_chi`` call on the (2m, m) stack of its 2m difference
+    points, so a solve makes 1 call for the starting value, then per
+    Newton step 1 for the Jacobian and 1 per damping trial, and 1 more for
+    the transversality of a certified parameter.
+    """
+
+    SPEC = ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2)))
+
+    @pytest.mark.parametrize("grid, certified, steps, trials", [
+        ((-0.375 + 0.8j, 5, 1), True, 14, 14),
+        ((0.4j, 3, 0), False, 28, 31),
+    ], ids=["certified", "superattracting"])
+    def test_one_stacked_call_per_jacobian(self, monkeypatch, grid, certified,
+                                           steps, trials):
+        c1, j, k = grid
+        seed = [c1, complex(np.linspace(0.3, 1.3, 6)[j], (0.1, 0.5)[k])]
+        log = []
+        chi, jacobian, solve = (misiurewicz.activity_chi, misiurewicz._chi_jacobian,
+                                np.linalg.solve)
+
+        def counted_chi(family, lam, spec, **kw):
+            log.append(np.shape(lam))
+            return chi(family, lam, spec, **kw)
+
+        def marked_jacobian(*args, **kw):
+            log.append("jacobian")
+            return jacobian(*args, **kw)
+
+        def counted_solve(*args):
+            log.append("newton step")
+            return solve(*args)
+
+        monkeypatch.setattr(misiurewicz, "activity_chi", counted_chi)
+        monkeypatch.setattr(misiurewicz, "_chi_jacobian", marked_jacobian)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        if certified:
+            solve_misiurewicz(CUBIC, seed, self.SPEC)
+        else:
+            with pytest.raises(NonRepellingTarget):
+                solve_misiurewicz(CUBIC, seed, self.SPEC)
+        jacobians = [i for i, entry in enumerate(log) if entry == "jacobian"]
+        assert all(log[i + 1] == (4, 2) for i in jacobians)
+        assert log.count((4, 2)) == len(jacobians) == steps + certified
+        assert log.count("newton step") == steps
+        assert log[0] == (2,) and log.count((2,)) == 1 + trials
+        assert len(log) - len(jacobians) - steps == 1 + steps + trials + certified
+
+
 class TestVerification:
     def test_certificate_passes(self):
         cert = solve_misiurewicz(QUAD, [-1.9 + 0j], CHEB_SPEC)
@@ -170,6 +226,38 @@ class TestVerification:
         assert back.multipliers == [tuple(m) for m in cert.multipliers]
         assert (back.residual, back.sigma_min) == (cert.residual, cert.sigma_min)
         assert verify_certificate(back, QUAD)["passed"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from([CHEB_SPEC, MOTION_SPEC, ActivitySpec(
+               (0, 1), 2, (Preperiodic(1, 1), MotionTarget((0.5j, 1.0 + 0j), 2.0 + 0j, 2)))]),
+           data=st.data())
+    def test_ndjson_round_trip_bits(self, tmp_path_factory, spec, data):
+        # st.floats() draws +-0, +-inf, NaN and subnormals
+        k = len(spec.tracked)
+        lam = data.draw(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=2))
+        scalars = data.draw(st.tuples(st.floats(), st.floats()))
+        mults = data.draw(st.lists(st.tuples(st.floats(), st.floats()), min_size=k, max_size=k))
+        m_plus = data.draw(st.lists(st.floats(), max_size=8))
+        cert = MisiurewiczCertificate(
+            lam=np.array([complex(re, im) for re, im in lam]), residual=scalars[0],
+            multipliers=mults, sigma_min=scalars[1], m_plus=np.array(m_plus, dtype=float),
+            spec=spec)
+        path = tmp_path_factory.getbasetemp() / "certificates.ndjson"
+        bio.write_ndjson(path, [certificate_to_json(cert, QUAD)])
+        [doc] = bio.read_ndjson(path)
+        back = certificate_from_json(doc)
+
+        def words(c):
+            return np.concatenate([c.lam.view(float), [c.residual, c.sigma_min],
+                                   np.array(c.multipliers, dtype=float).ravel(),
+                                   np.asarray(c.m_plus, dtype=float)])
+
+        sent, got = words(cert), words(back)
+        nan = np.isnan(sent)
+        assert back.spec == spec and back.lam.dtype == complex and len(back.lam) == len(lam)
+        assert len(back.multipliers) == k and back.m_plus.shape == (len(m_plus),)
+        assert got.shape == sent.shape and np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), sent[~nan].view(np.uint64))
 
     def test_motion_record_without_base_rejected(self):
         cert = solve_misiurewicz(QUAD, [-1.99 + 0j], MOTION_SPEC)

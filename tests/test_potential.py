@@ -133,6 +133,17 @@ class TestLyapunov:
         with pytest.raises(CriticalOnOrbit):
             lyapunov_mc(fam, [0j], 64, 5, 0)
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_samples_rejected(self, n):
+        # one sample has no standard error and none has no mean; both used
+        # to come back as NaN
+        with pytest.raises(ValueError, match=f"n_points must be >= 2.*got {n}"):
+            lyapunov_mc(QUAD, [-2.0 + 0j], n, 5, 0)
+
+    def test_two_samples_suffice(self):
+        res = lyapunov_mc(QUAD, [-2.0 + 0j], 2, 5, 0)
+        assert math.isfinite(res.value) and math.isfinite(res.stderr)
+
     def test_nonfinite_log_derivative_raises(self, monkeypatch):
         # a derivative vanishing away from the marked critical points
         # would average log 0 = -inf into the estimate
