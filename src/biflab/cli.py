@@ -1,18 +1,19 @@
 """Command-line interface.
 
-Subcommands: scan, ddc, ma2, lyap, misiurewicz, certify, dimension,
-scaling, cantor, linearize.  Every run writes its outputs plus a
-manifest.json (resolved configuration and a sha256 per output) into the
-chosen output directory.  Exit codes: 0 success, 2 validation error,
-3 numerical failure.
+Each subcommand is one row of ``COMMANDS``.  ``_run`` computes first and
+only then writes the outputs plus a manifest.json (resolved configuration
+and a sha256 per output) into ``--out``, so a run that raises leaves no
+directory.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,6 @@ from .potential import lyapunov_mc
 
 def _parse_family(text):
     if os.path.exists(text):
-        import json
         with open(text) as f:
             fam, _ = family_from_json(json.load(f))
         return fam
@@ -60,12 +60,20 @@ def _parse_family(text):
     raise ValueError(f"unknown family {text!r} (try unicritical2, bh3, or a JSON file)")
 
 
-def _parse_params(text):
+def _parse_params(text, flag, count=None):
+    """`re,im[;re,im...]` as complex numbers; with ``count``, exactly
+    that many, else a ValueError naming the flag."""
     out = []
     for part in text.split(";"):
         re_s, im_s = part.split(",")
         out.append(float(re_s) + 1j * float(im_s))
+    if count is not None and len(out) != count:
+        raise ValueError(f"{flag} needs {count} re,im point(s), got {len(out)}")
     return out
+
+
+def _floats(text):
+    return np.array([float(v) for v in text.split(",")])
 
 
 def _parse_box(text):
@@ -106,220 +114,191 @@ def _parse_pattern(text, tracked):
                         patterns=tuple(Preperiodic(n, p) for n, p in zip(ns, ps)))
 
 
-def _config(args, family):
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func",) and v is not None}
-    cfg["family_resolved"] = family_to_json(family) if family is not None else None
-    return cfg
+# ----------------------------------------------------------------------
+# outputs: (file name, writer) pairs; a writer takes the file's path and
+# returns None, or the path of a sidecar it wrote next to it
+
+def _json(name, doc):
+    return name, lambda path: bio.write_json(path, doc)
 
 
-def _finish(outdir, config, paths):
-    manifest = Path(outdir) / "manifest.json"
-    bio.write_manifest(manifest, config, [str(p) for p in paths])
-    return 0
+def _grid_files(stem, grid, values, column):
+    """PGM (with its JSON sidecar) and cell-indexed CSV of a grid."""
+    return [(f"{stem}.pgm", lambda path: bio.write_pgm(path, values, sidecar={"meta": grid.meta})),
+            (f"{stem}.csv", lambda path: bio.write_field_csv(
+                path, grid.box, grid.resolution, values, column))]
+
+
+def _measure_files(stem, mf):
+    return _grid_files(stem, mf, mf.cell_mass, "mass") + [_json(
+        f"{stem}.json", {"total_mass": mf.total_mass, "clamp_total": mf.clamp_total,
+                         "meta": mf.meta})]
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# compute steps
 
-def _cmd_lyap(args):
-    family = _parse_family(args.family)
-    lam = _parse_params(args.param)
-    res = lyapunov_mc(family, lam, args.samples, args.depth, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _grid(args, family, field=None):
+    return scan_field(family, _parse_box(args.box), args.res, field or args.field,
+                      maxiter=args.maxiter)
+
+
+def _lyap(args, family):
+    res = lyapunov_mc(family, _parse_params(args.param, "--param", family.param_dim),
+                      args.samples, args.depth, args.seed)
     doc = {"value": res.value, "stderr": res.stderr, "n_points": res.n_points,
            "depth": res.depth, "flagged": res.flagged, "seed": args.seed}
-    path = out / "lyap.json"
-    bio.write_json(path, doc)
-    print(f"L = {res.value:.6f} +/- {res.stderr:.2g}")
-    return _finish(out, _config(args, family), [path])
+    return [_json("lyap.json", doc)], f"L = {res.value:.6f} +/- {res.stderr:.2g}"
 
 
 def _scan(args, family):
-    box = _parse_box(args.box)
-    return scan_field(family, box, args.res, args.field, maxiter=args.maxiter)
+    gf = _grid(args, family)
+    return (_grid_files(args.field, gf, gf.values, args.field),
+            f"scanned {args.field}: min {float(np.nanmin(gf.values)):.6g} "
+            f"max {float(np.nanmax(gf.values)):.6g} nan {gf.nan_count}")
 
 
-def _cmd_scan(args):
-    family = _parse_family(args.family)
-    gf = _scan(args, family)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pgm = out / f"{args.field}.pgm"
-    side = bio.write_pgm(pgm, gf.values, sidecar={"meta": gf.meta})
-    csv_path = out / f"{args.field}.csv"
-    bio.write_field_csv(csv_path, gf.box, gf.resolution, gf.values, args.field)
-    print(f"scanned {args.field}: min {float(np.nanmin(gf.values)):.6g} "
-          f"max {float(np.nanmax(gf.values)):.6g} nan {gf.nan_count}")
-    return _finish(out, _config(args, family), [pgm, side, csv_path])
+def _ddc(args, family):
+    mf = ddc_op(_grid(args, family))
+    return (_measure_files("ddc", mf),
+            f"total mass {mf.total_mass:.6f} (clamped {mf.clamp_total:.3g})")
 
 
-def _cmd_ddc(args):
-    family = _parse_family(args.family)
-    gf = _scan(args, family)
-    mf = ddc_op(gf)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pgm = out / "ddc.pgm"
-    side = bio.write_pgm(pgm, mf.cell_mass, sidecar={"meta": mf.meta})
-    csv_path = out / "ddc.csv"
-    bio.write_field_csv(csv_path, mf.box, mf.resolution, mf.cell_mass, "mass")
-    stats = out / "ddc.json"
-    bio.write_json(stats, {"total_mass": mf.total_mass,
-                           "clamp_total": mf.clamp_total, "meta": mf.meta})
-    print(f"total mass {mf.total_mass:.6f} (clamped {mf.clamp_total:.3g})")
-    return _finish(out, _config(args, family), [pgm, side, csv_path, stats])
-
-
-def _cmd_ma2(args):
-    family = _parse_family(args.family)
-    box = _parse_box(args.box)
-    gf = scan_field(family, box, args.res, args.field, maxiter=args.maxiter)
+def _ma2(args, family):
+    gf = _grid(args, family)
     if args.field2:
-        gf2 = scan_field(family, box, args.res, args.field2, maxiter=args.maxiter)
-        mf = wedge_pair(gf, gf2, mollify_radius=args.mollify)
+        mf = wedge_pair(gf, _grid(args, family, args.field2), mollify_radius=args.mollify)
         stem = f"wedge_{args.field}_{args.field2}"
     else:
         mf = monge_ampere2(gf, mollify_radius=args.mollify)
         stem = f"ma2_{args.field}"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pgm = out / f"{stem}.pgm"
-    side = bio.write_pgm(pgm, mf.cell_mass, sidecar={"meta": mf.meta})
-    csv_path = out / f"{stem}.csv"
-    bio.write_field_csv(csv_path, mf.box, mf.resolution, mf.cell_mass, "mass")
-    stats = out / f"{stem}.json"
-    bio.write_json(stats, {"total_mass": mf.total_mass,
-                           "clamp_total": mf.clamp_total, "meta": mf.meta})
-    print(f"{stem}: total mass {mf.total_mass:.6g}")
-    return _finish(out, _config(args, family), [pgm, side, csv_path, stats])
+    return _measure_files(stem, mf), f"{stem}: total mass {mf.total_mass:.6g}"
 
 
-def _cmd_misiurewicz(args):
-    family = _parse_family(args.family)
-    tracked = [int(t) for t in args.tracked.split(",")]
-    spec = _parse_pattern(args.pattern, tracked)
-    certs = []
-    for seed in args.seed.split("|"):
-        lam = _parse_params(seed)
-        cert = solve_misiurewicz(family, lam, spec)
-        certs.append(certificate_to_json(cert, family))
-        print(f"lambda* = {cert.lam}  sigma_min = {cert.sigma_min:.6g}  "
-              f"residual = {cert.residual:.2g}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "certificates.ndjson"
-    bio.write_ndjson(path, certs)
-    return _finish(out, _config(args, family), [path])
+def _misiurewicz(args, family):
+    spec = _parse_pattern(args.pattern, [int(t) for t in args.tracked.split(",")])
+    seeds = [_parse_params(s, "--seed", family.param_dim) for s in args.seed.split("|")]
+    certs = [solve_misiurewicz(family, lam, spec) for lam in seeds]
+    docs = [certificate_to_json(c, family) for c in certs]
+    return ([("certificates.ndjson", lambda path: bio.write_ndjson(path, docs))],
+            "\n".join(f"lambda* = {c.lam}  sigma_min = {c.sigma_min:.6g}  "
+                      f"residual = {c.residual:.2g}" for c in certs))
 
 
-def _cmd_certify(args):
-    family = _parse_family(args.family)
-    docs = bio.read_ndjson(args.certs)
-    reports = []
-    for doc in docs:
-        reports.append(verify_certificate(certificate_from_json(doc), family))
-        print("pass" if reports[-1]["passed"] else "FAIL",
-              [k for k, v in reports[-1]["checks"].items() if not v])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "certify_report.json"
-    bio.write_json(path, {"reports": reports})
-    code = _finish(out, _config(args, family), [path])
-    return code if all(r["passed"] for r in reports) else 3
+def _certify(args, family):
+    reports = [verify_certificate(certificate_from_json(doc), family)
+               for doc in bio.read_ndjson(args.certs)]
+    lines = [f"{'pass' if r['passed'] else 'FAIL'} {[k for k, v in r['checks'].items() if not v]}"
+             for r in reports]
+    return ([_json("certify_report.json", {"reports": reports})], "\n".join(lines),
+            0 if all(r["passed"] for r in reports) else 3)
 
 
-def _cmd_dimension(args):
-    needed = ("scales",) if args.cloud else ("box", "res", "center", "radii")
-    missing = [f"--{k}" for k in needed if getattr(args, k) is None]
-    if missing:
-        raise ValueError(f"dimension needs --cloud with --scales, or --box, --res, "
-                         f"--center and --radii; missing {', '.join(missing)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _dimension(args, family):
     if args.cloud:
-        pts = bio.read_cloud_csv(args.cloud)
-        scales = np.array([float(s) for s in args.scales.split(",")])
-        est = box_dimension(pts, scales)
-        doc = {"kind": "box_counting", "slope": est.slope, "stderr": est.stderr,
-               "fit_range": list(est.fit_range), "n_points": est.n_points}
-        family = None
+        est = box_dimension(bio.read_cloud_csv(args.cloud), _floats(args.scales))
+        doc = {"kind": "box_counting"}
     else:
-        family = _parse_family(args.family)
-        gf = _scan(args, family)
-        mf = ddc_op(gf)
-        center = _parse_params(args.center)
-        radii = np.array([float(r) for r in args.radii.split(",")])
-        prof = radial_masses(mf, center, radii)
+        center = _parse_params(args.center, "--center", family.param_dim)
+        prof = radial_masses(ddc_op(_grid(args, family)), center, _floats(args.radii))
         est = pointwise_dimension(prof)
-        doc = {"kind": "pointwise", "slope": est.slope, "stderr": est.stderr,
-               "fit_range": list(est.fit_range), "n_points": est.n_points,
-               "masses": prof.masses.tolist(), "radii": prof.radii.tolist()}
-    path = out / "dimension.json"
-    bio.write_json(path, doc)
-    print(f"slope = {est.slope:.4f} +/- {est.stderr:.4f}")
-    return _finish(out, _config(args, family), [path])
+        doc = {"kind": "pointwise", "masses": prof.masses.tolist(), "radii": prof.radii.tolist()}
+    doc.update(slope=est.slope, stderr=est.stderr, fit_range=list(est.fit_range),
+               n_points=est.n_points)
+    return [_json("dimension.json", doc)], f"slope = {est.slope:.4f} +/- {est.stderr:.4f}"
 
 
-def _cmd_scaling(args):
-    family = _parse_family(args.family)
-    gf = _scan(args, family)
-    mf = ddc_op(gf)
-    center = _parse_params(args.center)
-    m_plus = np.array([float(v) for v in args.mplus.split(",")])
-    res = mass_scaling(mf, center, m_plus, q=args.q, d=args.d, eps=args.eps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _scaling(args, family):
+    center = _parse_params(args.center, "--center", family.param_dim)
+    res = mass_scaling(ddc_op(_grid(args, family)), center, _floats(args.mplus),
+                       q=args.q, d=args.d, eps=args.eps)
     doc = {"slope": res.slope, "stderr": res.stderr, "expected": res.expected,
            "deviation": res.deviation, "n_used": res.n_used,
            "radii": res.radii.tolist(), "masses": res.masses.tolist(),
            "eps": args.eps}
-    path = out / "scaling.json"
-    bio.write_json(path, doc)
-    print(f"slope = {res.slope:.4f} (expected {res.expected:.4f})")
-    return _finish(out, _config(args, family), [path])
+    return [_json("scaling.json", doc)], f"slope = {res.slope:.4f} (expected {res.expected:.4f})"
 
 
-def _cmd_cantor(args):
-    family = _parse_family(args.family)
-    lam = _parse_params(args.param)
-    anchors = _parse_params(args.anchors)
-    cs = build_cantor(family, lam, anchors, args.depth, period=args.period)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cloud_path = out / "cloud.csv"
-    bio.write_cloud_csv(cloud_path, cs.cloud)
+def _cantor(args, family):
+    cs = build_cantor(family, _parse_params(args.param, "--param", family.param_dim),
+                      _parse_params(args.anchors, "--anchors"), args.depth, period=args.period)
     doc = {"eta": cs.eta, "K_cloud": cs.K_cloud, "depth": cs.depth,
            "n_points": len(cs.cloud),
            "specs": [{"eta": s.eta, "K": s.K, "B": s.B} for s in cs.specs]}
-    stats = out / "cantor.json"
-    bio.write_json(stats, doc)
-    print(f"cloud of {len(cs.cloud)} points, eta = {cs.eta:.4g}, "
-          f"min expansion {cs.K_cloud:.4g}")
-    return _finish(out, _config(args, family), [cloud_path, stats])
+    files = [("cloud.csv", lambda path: bio.write_cloud_csv(path, cs.cloud)),
+             _json("cantor.json", doc)]
+    return files, (f"cloud of {len(cs.cloud)} points, eta = {cs.eta:.4g}, "
+                   f"min expansion {cs.K_cloud:.4g}")
 
 
-def _cmd_linearize(args):
-    family = _parse_family(args.family)
-    lam = _parse_params(args.param)
-    w = _parse_params(args.w)[0]
-    lin = linearize_orbit(family, lam, w, args.n, N_trunc=args.ntrunc,
-                          tail=args.tail)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _linearize(args, family):
+    lin = linearize_orbit(family, _parse_params(args.param, "--param", family.param_dim),
+                          _parse_params(args.w, "--w", 1)[0], args.n,
+                          N_trunc=args.ntrunc, tail=args.tail)
     doc = {"rho": lin.rho, "C": lin.C, "residual": lin.residual, "n": lin.n,
            "m_log_mod": lin.m_log[0], "m_arg": lin.m_log[1],
            "rho_n": lin.rho_n.tolist(),
            "psi0": [[v.real, v.imag] for v in lin.psi0],
            "psi1": [[v.real, v.imag] for v in lin.psi1]}
-    path = out / "linearize.json"
-    bio.write_json(path, doc)
-    print(f"rho = {lin.rho:.6g}, C = {lin.C:.6g}, residual = {lin.residual:.3g}")
-    return _finish(out, _config(args, family), [path])
+    return ([_json("linearize.json", doc)],
+            f"rho = {lin.rho:.6g}, C = {lin.C:.6g}, residual = {lin.residual:.3g}")
 
 
 # ----------------------------------------------------------------------
+# the command table: flags are (flag, add_argument keywords) pairs, and
+# compute(args, family) returns (files, summary[, exit code])
+
+Command = namedtuple("Command", "name help flags compute")
+
+SCAN_FLAGS = (("--box", dict(required=True, help="cx,cy:WxH[;...]")),
+              ("--res", dict(type=int, required=True)),
+              ("--field", dict(default="L")),
+              ("--maxiter", dict(type=int, default=512)))
+
+
+COMMANDS = (
+    Command("lyap", "Monte-Carlo Lyapunov exponent", (
+        ("--param", dict(required=True, help="re,im[;re,im...]")),
+        ("--samples", dict(type=int, default=100000)),
+        ("--depth", dict(type=int, default=30)),
+        ("--seed", dict(type=int, default=0))), _lyap),
+    Command("scan", "grid scan of a parameter field", SCAN_FLAGS, _scan),
+    Command("ddc", "discrete dd^c of a scanned field", SCAN_FLAGS, _ddc),
+    Command("ma2", "Monge-Ampere / wedge measure over C^2", SCAN_FLAGS + (
+        ("--field2", dict(default=None, help="second field for a mixed wedge")),
+        ("--mollify", dict(type=float, default=None))), _ma2),
+    Command("misiurewicz", "Newton-certify Misiurewicz parameters", (
+        ("--seed", dict(required=True, help="re,im[;re,im][|re,im...] seeds")),
+        ("--pattern", dict(required=True, help="k0=2,n=1,p=1[,n=..,p=..]")),
+        ("--tracked", dict(default="0", help="critical indices, e.g. 0,1"))), _misiurewicz),
+    Command("certify", "re-verify an NDJSON certificate file", (
+        ("--certs", dict(required=True)),), _certify),
+    Command("dimension", "pointwise or box-counting dimension", (
+        ("--cloud", dict(default=None, help="CSV point cloud (box counting)")),
+        ("--scales", dict(default=None, help="comma list of scales")),
+        # --box and --res are needed only on the pointwise branch
+        *((flag, {**kw, "required": False}) for flag, kw in SCAN_FLAGS),
+        ("--center", dict(default=None, help="re,im")),
+        ("--radii", dict(default=None, help="comma list, decreasing"))), _dimension),
+    Command("scaling", "mass-scaling law against -q log d", SCAN_FLAGS + (
+        ("--center", dict(required=True)),
+        ("--mplus", dict(required=True, help="comma list of log m_n^+")),
+        ("--q", dict(type=int, default=1)),
+        ("--d", dict(type=int, default=2)),
+        ("--eps", dict(type=float, default=0.25))), _scaling),
+    Command("cantor", "build a certified Cantor cloud", (
+        ("--param", dict(required=True)),
+        ("--anchors", dict(required=True, help="re,im;re,im")),
+        ("--depth", dict(type=int, default=10)),
+        ("--period", dict(type=int, default=1))), _cantor),
+    Command("linearize", "chain linearization along an orbit", (
+        ("--param", dict(required=True)),
+        ("--w", dict(required=True, help="orbit start, re,im")),
+        ("--n", dict(type=int, required=True)),
+        ("--tail", dict(type=int, default=30)),
+        ("--ntrunc", dict(type=int, default=12))), _linearize),
+)
+
 
 def _build_parser():
     ap = argparse.ArgumentParser(prog="biflab",
@@ -329,81 +308,41 @@ def _build_parser():
     # let values like "-1.9,0" pass through as option arguments
     neg = re.compile(r"^-\d")
     ap._negative_number_matcher = neg
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
         p._negative_number_matcher = neg
         p.add_argument("--family", required=True,
                        help="unicritical<d>, bh<d>, or a JSON family file")
         p.add_argument("--out", default=".", help="output directory")
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("lyap", _cmd_lyap, help="Monte-Carlo Lyapunov exponent")
-    p.add_argument("--param", required=True, help="re,im[;re,im...]")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--depth", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-
-    for name, fn, helptext in (("scan", _cmd_scan, "grid scan of a parameter field"),
-                               ("ddc", _cmd_ddc, "discrete dd^c of a scanned field")):
-        p = add(name, fn, help=helptext)
-        p.add_argument("--box", required=True, help="cx,cy:WxH[;...]")
-        p.add_argument("--res", type=int, required=True)
-        p.add_argument("--field", default="L")
-        p.add_argument("--maxiter", type=int, default=512)
-
-    p = add("ma2", _cmd_ma2, help="Monge-Ampere / wedge measure over C^2")
-    p.add_argument("--box", required=True, help="cx,cy:WxH;cx,cy:WxH")
-    p.add_argument("--res", type=int, required=True)
-    p.add_argument("--field", default="L")
-    p.add_argument("--field2", default=None, help="second field for a mixed wedge")
-    p.add_argument("--mollify", type=float, default=None)
-    p.add_argument("--maxiter", type=int, default=512)
-
-    p = add("misiurewicz", _cmd_misiurewicz, help="Newton-certify Misiurewicz parameters")
-    p.add_argument("--seed", required=True, help="re,im[;re,im][|re,im...] seeds")
-    p.add_argument("--pattern", required=True, help="k0=2,n=1,p=1[,n=..,p=..]")
-    p.add_argument("--tracked", default="0", help="critical indices, e.g. 0,1")
-
-    p = add("certify", _cmd_certify, help="re-verify an NDJSON certificate file")
-    p.add_argument("--certs", required=True)
-
-    p = add("dimension", _cmd_dimension, help="pointwise or box-counting dimension")
-    p.add_argument("--cloud", default=None, help="CSV point cloud (box counting)")
-    p.add_argument("--scales", default=None, help="comma list of scales")
-    p.add_argument("--box", default=None)
-    p.add_argument("--res", type=int, default=None)
-    p.add_argument("--field", default="L")
-    p.add_argument("--maxiter", type=int, default=512)
-    p.add_argument("--center", default=None, help="re,im")
-    p.add_argument("--radii", default=None, help="comma list, decreasing")
-
-    p = add("scaling", _cmd_scaling, help="mass-scaling law against -q log d")
-    p.add_argument("--box", required=True)
-    p.add_argument("--res", type=int, required=True)
-    p.add_argument("--field", default="L")
-    p.add_argument("--maxiter", type=int, default=512)
-    p.add_argument("--center", required=True)
-    p.add_argument("--mplus", required=True, help="comma list of log m_n^+")
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--eps", type=float, default=0.25)
-
-    p = add("cantor", _cmd_cantor, help="build a certified Cantor cloud")
-    p.add_argument("--param", required=True)
-    p.add_argument("--anchors", required=True, help="re,im;re,im")
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--period", type=int, default=1)
-
-    p = add("linearize", _cmd_linearize, help="chain linearization along an orbit")
-    p.add_argument("--param", required=True)
-    p.add_argument("--w", required=True, help="orbit start, re,im")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tail", type=int, default=30)
-    p.add_argument("--ntrunc", type=int, default=12)
-
+        for flag, kw in cmd.flags:
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=cmd.compute)
     return ap
+
+
+def _run(args):
+    cloud = getattr(args, "cloud", None)
+    if args.command == "dimension":
+        needed = ("scales",) if cloud else ("box", "res", "center", "radii")
+        missing = [f"--{k}" for k in needed if getattr(args, k) is None]
+        if missing:
+            raise ValueError(f"dimension needs --cloud with --scales, or --box, --res, "
+                             f"--center and --radii; missing {', '.join(missing)}")
+    # box counting reads no family, and its manifest records none
+    family = None if cloud else _parse_family(args.family)
+    files, summary, *code = args.func(args, family)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, write in files:
+        sidecar = write(out / name)
+        paths += [out / name] if sidecar is None else [out / name, sidecar]
+    if summary:
+        print(summary)
+    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    config["family_resolved"] = family_to_json(family) if family is not None else None
+    bio.write_manifest(out / "manifest.json", config, [str(p) for p in paths])
+    return code[0] if code else 0
 
 
 def main(argv=None):
@@ -413,7 +352,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        return _run(args)
     except BiflabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -499,6 +499,11 @@ def family_from_json(doc):
     """Build a MapFamily from its JSON document (dict or JSON string)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    missing = [k for k in ("kind", "degree") if k not in doc]
+    if not missing and doc["kind"] == "rational":
+        missing = [k for k in ("num", "den") if k not in doc]
+    if missing:
+        raise ValueError(f"family JSON is missing {', '.join(missing)}")
     kind = doc["kind"]
     degree = int(doc["degree"])
     if kind == "rational":

@@ -482,6 +482,8 @@ def _build_cloud(family, lam, anchors, depth, period):
 def build_cantor(family, lam, anchors, depth, period=1, eta=None):
     """IFS-style hyperbolic Cantor cloud generated by the inverse branches
     of f^period anchored at two repelling periodic points."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     anchors = [complex(a) for a in anchors]
     specs = []

@@ -304,6 +304,8 @@ def _pattern_to_json(pat):
 
 
 def _pattern_from_json(doc):
+    if "p" not in doc:
+        raise ValueError("certificate pattern entry is missing p")
     if not doc.get("motion"):
         return Preperiodic(doc.get("n", doc["p"]), doc["p"])
     if "base_param" not in doc or "base_point" not in doc:
@@ -331,7 +333,14 @@ def certificate_to_json(cert, family):
 
 
 def certificate_from_json(doc):
-    """Inverse of certificate_to_json (the family is not rebuilt)."""
+    """Inverse of certificate_to_json (the family is not rebuilt); a
+    missing key is a ValueError that names it."""
+    missing = [k for k in ("lambda", "residual", "multipliers", "sigma_min", "m_plus", "pattern")
+               if k not in doc]
+    missing += [f"pattern.{k}" for k in ("k0", "tracked", "patterns")
+                if "pattern" in doc and k not in doc["pattern"]]
+    if missing:
+        raise ValueError(f"certificate is missing {', '.join(missing)}")
     pat = doc["pattern"]
     spec = ActivitySpec(tracked=tuple(pat["tracked"]), k0=pat["k0"],
                         patterns=tuple(_pattern_from_json(p) for p in pat["patterns"]))

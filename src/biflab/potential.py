@@ -280,6 +280,8 @@ def sample_mu_f(family, lam, n_points, depth, seed):
     """
     if n_points < 0:
         raise ValueError(f"n_points must be >= 0, got {n_points}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     return _backward_orbits(family, lam, np.arange(n_points, dtype=np.uint64), depth, seed)
 
 
@@ -311,10 +313,13 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
     raised if any remain after five rounds, or if a log-derivative is
     not finite.  The derivative is measured in the affine chart; the
     spherical correction is applied only for the rational kind.  A
-    standard error needs two samples, so ``n_points < 2`` is a ValueError.
+    standard error needs two samples, so ``n_points < 2`` is a ValueError;
+    so is ``depth < 1``, which leaves every sample at the start point.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2 for a standard error, got {n_points}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     z = sample_mu_f(family, lam, n_points, depth, seed)
     crit = ([c for c, _ in family.marked_critical_points(lam)]
             if family.kind != "rational"

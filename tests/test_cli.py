@@ -1,10 +1,13 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biflab import io as bio
+from biflab import cli, io as bio
 from biflab.cli import main
 from biflab.families import MapFamily
 from biflab.misiurewicz import (
@@ -283,8 +286,208 @@ class TestExitCodes:
                     + flags) == 2
         assert "missing --" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["misiurewicz", "--family", "bh3", "--seed", "-1.9,0",
+          "--pattern", "k0=2,n=1,p=1"], "--seed"),
+        (["misiurewicz", "--family", "bh3", "--tracked", "0,1",
+          "--seed", "-0.375,0.8;1.3,0.5|1.125,0", "--pattern", "k0=2,n=1,p=1"], "--seed"),
+        (["lyap", "--family", "unicritical2", "--param", "0,0;1,0", "--samples", "100"],
+         "--param"),
+        (["lyap", "--family", "bh3", "--param", "0.5,0.1", "--samples", "100"], "--param"),
+        (["cantor", "--family", "unicritical2", "--param", "-6,0;1,0",
+          "--anchors", "3,0;-2,0"], "--param"),
+        (["linearize", "--family", "unicritical2", "--param", "-2,0",
+          "--w", "2,0;3,0", "--n", "5"], "--w"),
+        (["scaling", "--family", "unicritical2", "--box", "-2,0:0.6x0.6", "--res", "32",
+          "--center", "-2,0;1,0", "--mplus", "0,0.5,1"], "--center"),
+        (["dimension", "--family", "unicritical2", "--box", FULL_BOX, "--res", "16",
+          "--center", "-2,0;1,0", "--radii", "1,0.5"], "--center"),
+    ], ids=["bh3-seed", "bh3-second-seed", "two-params", "bh3-one-param", "cantor-param",
+            "two-w", "scaling-center", "dimension-center"])
+    def test_parameter_count(self, tmp_path, capsys, argv, flag):
+        # a wrong count used to crash (IndexError) or silently drop points
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"{flag} needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lyap", "--param", "0,0", "--samples", "100", "--depth", "-1"],
+         "depth must be >= 1, got -1"),
+        (["lyap", "--param", "0,0", "--samples", "100", "--depth", "0"],
+         "depth must be >= 1, got 0"),
+        (["cantor", "--param", "-6,0", "--anchors", "3,0;-2,0", "--depth", "-1"],
+         "depth must be >= 0, got -1"),
+    ], ids=["lyap-minus-1", "lyap-0", "cantor-minus-1"])
+    def test_meaningless_depth(self, tmp_path, capsys, argv, message):
+        # depth 0 used to report log|f'(1+i)| of the sampler's start point
+        out = tmp_path / "run"
+        assert main(argv + ["--family", "unicritical2", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"degree": 2}, "kind"),
+        ({"kind": "unicritical"}, "degree"),
+    ])
+    def test_malformed_family_file(self, tmp_path, capsys, doc, key):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(doc))
+        assert main(["lyap", "--family", str(fam), "--param", "0,0",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"missing {key}" in capsys.readouterr().err
+
+    def test_certificate_without_pattern(self, tmp_path, capsys):
+        main(["misiurewicz", "--family", "unicritical2", "--seed", "-1.9,0",
+              "--pattern", "k0=2,n=1,p=1", "--out", str(tmp_path / "mis")])
+        docs = bio.read_ndjson(tmp_path / "mis" / "certificates.ndjson")
+        del docs[0]["pattern"]
+        bad = tmp_path / "bad.ndjson"
+        bio.write_ndjson(bad, docs)
+        assert main(["certify", "--family", "unicritical2", "--certs", str(bad),
+                     "--out", str(tmp_path / "cert")]) == 2
+        assert "missing pattern" in capsys.readouterr().err
+        assert not (tmp_path / "cert").exists()
+
     def test_numerical_failure(self, tmp_path):
         # continuation from a non-repelling base orbit is a numerical
         # failure, not a usage error
         assert main(["linearize", "--family", "unicritical2", "--param", "0,0",
                      "--w", "0,0", "--n", "5", "--out", str(tmp_path)]) == 3
+
+
+UNI2 = {"degree": 2, "kind": "unicritical"}
+BH3 = {"degree": 3, "kind": "branner_hubbard"}
+BH3_BOX = "1.7,0.4:0.8x0.8;1.6,0.5:0.8x0.8"
+TIP_BOX = "-2,0:0.16x0.16"
+
+# (argv without --out, the manifest's exact config without "out", the
+# exact file names in --out); "{tmp}" is the test's directory
+MANIFEST_CASES = {
+    "lyap": (
+        ["lyap", "--family", "unicritical2", "--param", "-2,0", "--samples", "200",
+         "--depth", "5"],
+        {"command": "lyap", "family": "unicritical2", "param": "-2,0", "samples": 200,
+         "depth": 5, "seed": 0, "family_resolved": UNI2},
+        {"lyap.json"}),
+    "scan": (
+        ["scan", "--family", "unicritical2", "--box", FULL_BOX, "--res", "8"],
+        {"command": "scan", "family": "unicritical2", "box": FULL_BOX, "res": 8,
+         "field": "L", "maxiter": 512, "family_resolved": UNI2},
+        {"L.pgm", "L.pgm.json", "L.csv"}),
+    "ddc": (
+        ["ddc", "--family", "unicritical2", "--box", FULL_BOX, "--res", "16",
+         "--field", "G0", "--maxiter", "64"],
+        {"command": "ddc", "family": "unicritical2", "box": FULL_BOX, "res": 16,
+         "field": "G0", "maxiter": 64, "family_resolved": UNI2},
+        {"ddc.pgm", "ddc.pgm.json", "ddc.csv", "ddc.json"}),
+    "ma2": (
+        ["ma2", "--family", "bh3", "--box", BH3_BOX, "--res", "8", "--field", "G0",
+         "--maxiter", "32"],
+        {"command": "ma2", "family": "bh3", "box": BH3_BOX, "res": 8, "field": "G0",
+         "maxiter": 32, "family_resolved": BH3},
+        {"ma2_G0.pgm", "ma2_G0.pgm.json", "ma2_G0.csv", "ma2_G0.json"}),
+    "ma2-wedge": (
+        ["ma2", "--family", "bh3", "--box", BH3_BOX, "--res", "8", "--field", "G0",
+         "--field2", "G1", "--mollify", "0.2", "--maxiter", "32"],
+        {"command": "ma2", "family": "bh3", "box": BH3_BOX, "res": 8, "field": "G0",
+         "field2": "G1", "mollify": 0.2, "maxiter": 32, "family_resolved": BH3},
+        {"wedge_G0_G1.pgm", "wedge_G0_G1.pgm.json", "wedge_G0_G1.csv",
+         "wedge_G0_G1.json"}),
+    "misiurewicz": (
+        ["misiurewicz", "--family", "unicritical2", "--seed", "-1.9,0",
+         "--pattern", "k0=2,n=1,p=1"],
+        {"command": "misiurewicz", "family": "unicritical2", "seed": "-1.9,0",
+         "pattern": "k0=2,n=1,p=1", "tracked": "0", "family_resolved": UNI2},
+        {"certificates.ndjson"}),
+    "certify": (
+        ["certify", "--family", "unicritical2", "--certs", "{tmp}/certs.ndjson"],
+        {"command": "certify", "family": "unicritical2", "certs": "{tmp}/certs.ndjson",
+         "family_resolved": UNI2},
+        {"certify_report.json"}),
+    "dimension-cloud": (
+        ["dimension", "--family", "unicritical2", "--cloud", "{tmp}/cloud.csv",
+         "--scales", "0.25,0.125,0.0625,0.03125"],
+        {"command": "dimension", "family": "unicritical2", "cloud": "{tmp}/cloud.csv",
+         "scales": "0.25,0.125,0.0625,0.03125", "field": "L", "maxiter": 512,
+         "family_resolved": None},
+        {"dimension.json"}),
+    "dimension-pointwise": (
+        ["dimension", "--family", "unicritical2", "--box", TIP_BOX, "--res", "32",
+         "--field", "G0", "--center", "-2,0", "--radii", "0.08,0.06,0.04,0.03,0.02"],
+        {"command": "dimension", "family": "unicritical2", "box": TIP_BOX, "res": 32,
+         "field": "G0", "maxiter": 512, "center": "-2,0",
+         "radii": "0.08,0.06,0.04,0.03,0.02", "family_resolved": UNI2},
+        {"dimension.json"}),
+    "scaling": (
+        ["scaling", "--family", "unicritical2", "--box", "-2,0:0.6x0.6", "--res", "32",
+         "--field", "G0", "--center", "-2,0", "--mplus", "0,0.5,1"],
+        {"command": "scaling", "family": "unicritical2", "box": "-2,0:0.6x0.6",
+         "res": 32, "field": "G0", "maxiter": 512, "center": "-2,0", "mplus": "0,0.5,1",
+         "q": 1, "d": 2, "eps": 0.25, "family_resolved": UNI2},
+        {"scaling.json"}),
+    "cantor": (
+        ["cantor", "--family", "unicritical2", "--param", "-6,0",
+         "--anchors", "3,0;-2,0", "--depth", "2"],
+        {"command": "cantor", "family": "unicritical2", "param": "-6,0",
+         "anchors": "3,0;-2,0", "depth": 2, "period": 1, "family_resolved": UNI2},
+        {"cloud.csv", "cantor.json"}),
+    "linearize": (
+        ["linearize", "--family", "unicritical2", "--param", "-2,0", "--w", "2,0",
+         "--n", "5"],
+        {"command": "linearize", "family": "unicritical2", "param": "-2,0", "w": "2,0",
+         "n": 5, "tail": 30, "ntrunc": 12, "family_resolved": UNI2},
+        {"linearize.json"}),
+}
+
+
+class TestManifest:
+    """Every argparse dest and default of each subcommand reaches the
+    manifest's config unchanged, and each run writes exactly its files."""
+
+    def test_cases_cover_every_command(self):
+        assert {argv[0] for argv, _, _ in MANIFEST_CASES.values()} \
+            == {c.name for c in cli.COMMANDS}
+
+    @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+    def test_config_and_outputs(self, tmp_path, case):
+        argv, config, names = MANIFEST_CASES[case]
+        fill = lambda v: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
+        cert = solve_misiurewicz(MapFamily("unicritical", 2), [-1.9 + 0j],
+                                 ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),)))
+        bio.write_ndjson(tmp_path / "certs.ndjson",
+                         [certificate_to_json(cert, MapFamily("unicritical", 2))])
+        bio.write_cloud_csv(tmp_path / "cloud.csv",
+                            np.exp(2j * np.pi * np.arange(2000) / 2000))
+        out = tmp_path / "run"
+        assert main([fill(a) for a in argv] + ["--out", str(out)]) == 0
+        man = read_json(out / "manifest.json")
+        assert man["config"] == {"out": str(out), **{k: fill(v) for k, v in config.items()}}
+        assert {p.name for p in out.iterdir()} == names | {"manifest.json"}
+        assert set(man["outputs"]) == {str(out / name) for name in names}
+
+
+def readme_commands():
+    """Every `biflab ...` line of the README's command block, continuation
+    lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in re.sub(r"\\\n\s*", " ", block).splitlines()
+            if line.startswith("biflab ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_example_parses(self, line):
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        tokens = list(lexer)
+        # an unquoted ; | or & would make a shell run part of the line as
+        # a second command
+        assert not {";", "|", "&"} & set(tokens), tokens
+        args = cli._build_parser().parse_args(tokens[1:])
+        assert args.command == tokens[1]
+
+    def test_every_command_shown(self):
+        assert {line.split()[1] for line in readme_commands()} \
+            == {c.name for c in cli.COMMANDS}

@@ -208,6 +208,15 @@ def test_family_json_roundtrip():
     assert fam3.param_dim == 2 and params3 is None
 
 
+@pytest.mark.parametrize("drop", ["kind", "degree", "num", "den"])
+def test_family_json_missing_key(drop):
+    # used to end in a KeyError, which the command line reports as a crash
+    doc = family_to_json(lattes_family())
+    del doc[drop]
+    with pytest.raises(ValueError, match=f"family JSON is missing {drop}"):
+        family_from_json(doc)
+
+
 # ----------------------------------------------------------------------
 # coefficient memo: scalar calls reuse one parameter's coefficients and
 # must keep the bits of a fresh npoly.polyval per call

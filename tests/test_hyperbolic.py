@@ -186,6 +186,11 @@ class TestCantor:
         assert np.allclose(cs.cloud, [3.0, -2.0])
         assert cs.words.shape == (2, 0)
 
+    def test_negative_depth_rejected(self):
+        # used to return the anchors and record depth -1
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], -1)
+
     def test_vanishing_branch_derivative_is_no_convergence(self):
         # (f^2)'(0) = 0: the Newton step of the period-2 branch would divide by 0
         with pytest.raises(NoConvergence):

@@ -266,6 +266,20 @@ class TestVerification:
         with pytest.raises(ValueError):
             certificate_from_json(doc)
 
+    @pytest.mark.parametrize("path", [
+        ("lambda",), ("residual",), ("multipliers",), ("sigma_min",), ("m_plus",),
+        ("pattern",), ("pattern", "k0"), ("pattern", "tracked"), ("pattern", "patterns"),
+        ("pattern", "patterns", 0, "p")])
+    def test_missing_key_named(self, path):
+        # used to end in a KeyError, which the command line reports as a crash
+        doc = certificate_to_json(solve_misiurewicz(QUAD, [-1.9 + 0j], CHEB_SPEC), QUAD)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(ValueError, match=rf"missing (pattern\.)?{path[-1]}\b"):
+            certificate_from_json(doc)
+
     def test_numerical_failure_reported_as_not_repelling(self, monkeypatch):
         cert = solve_misiurewicz(QUAD, [-1.9 + 0j], CHEB_SPEC)
 

@@ -86,6 +86,13 @@ class TestSampling:
         z = sample_mu_f(QUAD, [0j], n, 30, 3)
         assert abs(np.mean(np.log(np.abs(z)))) < 2 / math.sqrt(n)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            sample_mu_f(QUAD, [0j], 10, -1, 0)
+
+    def test_depth_zero_is_start_point(self):
+        assert np.array_equal(sample_mu_f(QUAD, [0j], 3, 0, 0), np.full(3, 1.0 + 1.0j))
+
     def test_deterministic_in_seed(self):
         a = sample_mu_f(QUAD, [0.1 + 0.2j], 500, 20, 9)
         b = sample_mu_f(QUAD, [0.1 + 0.2j], 500, 20, 9)
@@ -139,6 +146,16 @@ class TestLyapunov:
         # to come back as NaN
         with pytest.raises(ValueError, match=f"n_points must be >= 2.*got {n}"):
             lyapunov_mc(QUAD, [-2.0 + 0j], n, 5, 0)
+
+    @pytest.mark.parametrize("depth", [-1, 0])
+    def test_depth_below_one_rejected(self, depth):
+        # depth 0 used to report log|f'(1+i)| = 1.0397 for z^2, not log 2
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            lyapunov_mc(QUAD, [0j], 100, depth, 0)
+
+    def test_depth_one_accepted(self):
+        res = lyapunov_mc(QUAD, [0j], 100, 1, 0)
+        assert math.isfinite(res.value) and res.depth == 1
 
     def test_two_samples_suffice(self):
         res = lyapunov_mc(QUAD, [-2.0 + 0j], 2, 5, 0)
