@@ -28,6 +28,10 @@ from .errors import (
 from .potential import escape_rate
 
 SCAN_MAXITER = 512
+ACTIVITY_THRESHOLD = 1e-8
+MIN_CLOUD_POINTS = 1000
+# a wedge warns when clamping removed more than this share of its mass
+CLAMP_WARN_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -197,12 +201,20 @@ def _grid_green(family, lams, z0, maxiter=SCAN_MAXITER):
     return escape_rate(z0, step, d, gamma, maxiter, args=args)[0]
 
 
-def _second_difference(u, ax, others):
+def _second_difference(u, ax, others, ay=None):
     """u[i+1] + u[i-1] - 2 u[i] along axis ``ax`` at the cells 1..n-2 of
-    that axis; ``others`` (a slice) selects the cells of every other axis."""
-    lo, up, dn = (tuple(s if b == ax else others for b in range(u.ndim))
-                  for s in (slice(1, -1), slice(2, None), slice(0, -2)))
-    return u[up] + u[dn] - 2.0 * u[lo]
+    that axis; ``others`` (a slice) selects the cells of every other axis.
+    With a second axis ``ay``, the mixed difference (u[i+1, j+1] +
+    u[i-1, j-1] - u[i+1, j-1] - u[i-1, j+1]) / 4 at the cells 1..n-2 of
+    both axes."""
+    def cut(s_ax, s_ay=None):
+        return u[tuple(s_ax if b == ax else (s_ay if b == ay else others)
+                       for b in range(u.ndim))]
+
+    up, dn = slice(2, None), slice(0, -2)
+    if ay is None:
+        return cut(up) + cut(dn) - 2.0 * cut(slice(1, -1))
+    return (cut(up, up) + cut(dn, dn) - cut(up, dn) - cut(dn, up)) / 4.0
 
 
 def _local_mass(values, weights=None):
@@ -223,8 +235,7 @@ def _local_mass(values, weights=None):
     return mass
 
 
-def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER,
-               activity_threshold=1e-8):
+def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
     """Grid scan of a parameter field.
 
     ``which``: "L" (Lyapunov, log d + sum of critical Green values at the
@@ -258,8 +269,8 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER,
         for hx, hy in zip(box.cell_widths(resolution), box.cell_heights(resolution)):
             ws.extend([hy / hx, hx / hy])
         mass = _local_mass(g, weights=ws)
-        vals = (np.abs(mass) > activity_threshold).astype(float)
-        meta["threshold"] = activity_threshold
+        vals = (np.abs(mass) > ACTIVITY_THRESHOLD).astype(float)
+        meta["threshold"] = ACTIVITY_THRESHOLD
     elif which.startswith("G"):
         vals = green_field(int(which[1:]))
     else:
@@ -290,29 +301,16 @@ def ddc(gfield):
 def _hessian_fields(u, h1, h2):
     """Complex-Hessian entries (d^2 u / dl_j dl_k-bar) of a 4D grid with
     axis order (x1, y1, x2, y2)."""
-    def dxy(a, ax, ay):
-        out = np.zeros_like(a)
-        ndim = a.ndim
-        mid = tuple(slice(1, -1) if b in (ax, ay) else slice(None) for b in range(ndim))
-        pp = a[tuple(slice(2, None) if b in (ax, ay) else slice(None) for b in range(ndim))]
-        mm = a[tuple(slice(0, -2) if b in (ax, ay) else slice(None) for b in range(ndim))]
-        pm = a[tuple(slice(2, None) if b == ax else (slice(0, -2) if b == ay else slice(None))
-                     for b in range(ndim))]
-        mp = a[tuple(slice(0, -2) if b == ax else (slice(2, None) if b == ay else slice(None))
-                     for b in range(ndim))]
-        out[mid] = (pp + mm - pm - mp) / 4.0
-        return out
-
-    def d2(ax):
+    def d2(ax, ay=None):
         out = np.zeros_like(u)
-        out[tuple(slice(1, -1) if b == ax else slice(None) for b in range(u.ndim))] = \
-            _second_difference(u, ax, slice(None))
+        out[tuple(slice(1, -1) if b in (ax, ay) else slice(None) for b in range(u.ndim))] = \
+            _second_difference(u, ax, slice(None), ay)
         return out
 
     A11 = 0.25 * (d2(0) + d2(1)) / h1 ** 2
     A22 = 0.25 * (d2(2) + d2(3)) / h2 ** 2
-    A12 = 0.25 * (dxy(u, 0, 2) + dxy(u, 1, 3)
-                  + 1j * (dxy(u, 0, 3) - dxy(u, 1, 2))) / (h1 * h2)
+    A12 = 0.25 * (d2(0, 2) + d2(1, 3)
+                  + 1j * (d2(0, 3) - d2(1, 2))) / (h1 * h2)
     return A11, A22, A12
 
 
@@ -362,24 +360,10 @@ def wedge_pair(field_a, field_b, mollify_radius=None):
     raw = np.where(valid, raw, 0.0)
     clamped = np.maximum(raw, 0.0)
     clamp_total = float(np.sum(clamped - raw))
-    # significance floor: second differences of u carry roundoff of order
-    # eps * max|u|, which enters M through products with the Hessians
-    eps_m = np.finfo(float).eps
-    err_a = 16.0 * eps_m * float(np.max(np.abs(ua))) / min(h1, h2) ** 2
-    err_b = err_a if ub is ua else \
-        16.0 * eps_m * float(np.max(np.abs(ub))) / min(h1, h2) ** 2
-    amax = max(float(np.max(np.abs(A11))), float(np.max(np.abs(A22))),
-               float(np.max(np.abs(A12))))
-    bmax = amax if ub is ua else \
-        max(float(np.max(np.abs(B11))), float(np.max(np.abs(B22))),
-            float(np.max(np.abs(B12))))
-    floor = 8.0 * (8.0 / math.pi ** 2) * (h1 ** 2) * (h2 ** 2) \
-        * (amax * err_b + bmax * err_a + err_a * err_b)
-    eps_neg = max(1e-12 * float(np.max(np.abs(raw))), floor, 1e-300)
-    n_clamped = int(np.sum(raw < -eps_neg))
-    if n_clamped > 0.01 * int(np.sum(valid)):
-        warnings.warn(f"{n_clamped} of {int(np.sum(valid))} interior cells clamped negative",
-                      NotPlurisubharmonic)
+    absolute = float(np.sum(clamped)) + clamp_total
+    if clamp_total > CLAMP_WARN_SHARE * absolute:
+        warnings.warn(f"clamped mass {clamp_total:.3g} is {clamp_total / absolute:.1%} "
+                      f"of the absolute mass {absolute:.3g}", NotPlurisubharmonic)
     return MeasureField(box=box, resolution=res, cell_mass=clamped,
                         raw_mass=raw, clamp_total=clamp_total,
                         meta={"op": "wedge_pair", "mollify_radius": mollify_radius,
@@ -407,7 +391,7 @@ def _cell_center_coords(box, resolution):
     return flats
 
 
-def radial_masses(measure, center, radii, subsample=None):
+def radial_masses(measure, center, radii):
     """mu(ball(center, r_k)) by cell summation; cells cut by the sphere
     contribute their subsampled covered fraction."""
     box, res = measure.box, measure.resolution
@@ -434,8 +418,7 @@ def radial_masses(measure, center, radii, subsample=None):
         dist2 += (g - cvec[k]) ** 2
     dist = np.sqrt(dist2)
     half_diag = 0.5 * float(np.linalg.norm(hs))
-    if subsample is None:
-        subsample = 8 if box.m == 1 else 4
+    subsample = 8 if box.m == 1 else 4
     offs = [(np.arange(subsample) + 0.5) / subsample - 0.5 for _ in hs]
     off_mesh = np.meshgrid(*offs, indexing="ij")
     masses = np.empty(len(radii))
@@ -484,17 +467,14 @@ def pointwise_dimension(profile):
                              n_points=len(radii))
 
 
-def mass_scaling(measure, center, m_plus, q, d, eps=0.25, n_max=None):
+def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
     """Regression slope of log mu(ball(center, eps/m_n^+)) against n,
     compared with the -q log d scaling law.
 
     ``m_plus``: log m_n^+ values for n = 1, 2, ...; ``measure`` may also
     be a callable r -> mass (synthetic laws).
     """
-    m_plus = np.asarray(m_plus, dtype=float)
-    if n_max is not None:
-        m_plus = m_plus[:n_max]
-    radii = eps * np.exp(-m_plus)
+    radii = eps * np.exp(-np.asarray(m_plus, dtype=float))
     if callable(measure):
         usable = len(radii)
         masses = np.array([float(measure(r)) for r in radii])
@@ -518,12 +498,12 @@ def mass_scaling(measure, center, m_plus, q, d, eps=0.25, n_max=None):
                              radii=radii, masses=masses)
 
 
-def box_dimension(points, scales, min_points=1000):
+def box_dimension(points, scales):
     """Box-counting slope of log N(eps) against log(1/eps) for a planar
     point cloud."""
     pts = np.asarray(points, dtype=complex).ravel()
-    if len(pts) < min_points:
-        raise ValueError(f"need >= {min_points} points, got {len(pts)}")
+    if len(pts) < MIN_CLOUD_POINTS:
+        raise ValueError(f"need >= {MIN_CLOUD_POINTS} points, got {len(pts)}")
     scales = np.asarray(sorted(set(float(s) for s in scales), reverse=True))
     from scipy.spatial import cKDTree
     xy = np.column_stack([pts.real, pts.imag])

@@ -82,4 +82,5 @@ class InsufficientScales(BiflabError):
 
 
 class NotPlurisubharmonic(UserWarning):
-    """More than 1% of cells clamped negative Monge-Ampere mass."""
+    """Clamping negative cells removed more than 5% of a wedge's absolute
+    Monge-Ampere mass (total_mass + clamp_total)."""

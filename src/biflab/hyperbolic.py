@@ -29,6 +29,11 @@ from .errors import (
 from .families import multiplier, newton, orbit as forward_orbit
 
 STEP_FLOOR = 1e-12
+# continuation needs per-step |f'| >= 1 + REPEL_MARGIN (half that on the path)
+REPEL_MARGIN = 0.05
+N_FIT = 10
+LIN_RESIDUAL_TOL = 1e-8
+RHO_HALVINGS = 20
 
 
 @dataclass
@@ -121,20 +126,19 @@ def _correct_orbit(family, lam, pts, period):
     return new, worst
 
 
-def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8,
-                   delta=0.05, max_newton=5):
+def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8):
     """Predictor-corrector continuation of a repelling orbit whose tail
     point lies on a cycle of the given period.
 
-    Step size halves whenever Newton needs more than ``max_newton``
-    iterations; fails (StepFloorReached) rather than jumping branches.
+    Step size halves whenever Newton needs more than 5 iterations; fails
+    (StepFloorReached) rather than jumping branches.
     """
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=complex))
     lam1 = np.atleast_1d(np.asarray(lam1, dtype=complex))
     pts = np.asarray(base_points, dtype=complex)
     dz0 = np.abs(np.asarray(family.deriv(lam0, pts[:-1]), dtype=complex)) \
         if len(pts) > 1 else np.abs(np.atleast_1d(family.deriv(lam0, pts[0])))
-    if np.any(dz0 < 1.0 + delta):
+    if np.any(dz0 < 1.0 + REPEL_MARGIN):
         raise LostHyperbolicity(
             f"base orbit not uniformly repelling: min |f'| = {float(np.min(dz0)):.6g}")
     mlog0 = multiplier(family, lam0, pts[:-1] if len(pts) > 1 else pts[:1])
@@ -147,10 +151,10 @@ def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8,
         t_next = min(1.0, t + dt)
         lam = lam0 + (lam1 - lam0) * t_next
         trial, worst = _correct_orbit(family, lam, cur, period)
-        ok = trial is not None and worst <= max_newton
+        ok = trial is not None and worst <= 5
         if ok:
             dzp = np.abs(np.asarray(family.deriv(lam, trial[:-1] if len(trial) > 1 else trial[:1]), dtype=complex))
-            if np.any(dzp < 1.0 + delta / 2):
+            if np.any(dzp < 1.0 + REPEL_MARGIN / 2):
                 raise LostHyperbolicity(
                     f"per-step |f'| dropped to {float(np.min(dzp)):.6g} at t={t_next:.4g}")
             cur, t = trial, t_next
@@ -166,7 +170,7 @@ def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8,
 # ----------------------------------------------------------------------
 # inverse branches
 
-def branch_radius(family, lam, anchor, min_expansion=1.0 + 1e-6, samples=64):
+def branch_radius(family, lam, anchor):
     """Certified disk data (r, K, B): |f'| in [K, B] on the doubled disk
     |z - anchor| <= 2r, measured by boundary sampling, with K > 1."""
     fp = complex(family.deriv(lam, anchor))
@@ -174,12 +178,12 @@ def branch_radius(family, lam, anchor, min_expansion=1.0 + 1e-6, samples=64):
     fpp = 2.0 * series[2]
     r = 0.1 * abs(fp) ** 2 / max(abs(fpp), 1e-12)
     r = min(r, 1e3)
-    theta = np.exp(2j * np.pi * np.arange(samples) / samples)
+    theta = np.exp(2j * np.pi * np.arange(64) / 64)
     for _ in range(60):
         ring = anchor + 2.0 * r * theta
         mags = np.abs(np.asarray(family.deriv(lam, ring), dtype=complex))
         K, B = float(np.min(mags)), float(np.max(mags))
-        if K >= max(min_expansion, 0.5 * abs(fp)):
+        if K >= max(1.0 + 1e-6, 0.5 * abs(fp)):
             return r, K, B
         r /= 2.0
     raise LostHyperbolicity(f"no expanding disk found at anchor {anchor}")
@@ -208,12 +212,12 @@ def inverse_branch(family, lam, anchor, w):
 # ----------------------------------------------------------------------
 # multiplier distortion
 
-def distortion_profile(family, lam0, lam, w0, n_max, period=1, **kw):
+def distortion_profile(family, lam0, lam, w0, n_max):
     """Multiplier ratios (f_lam^n)'(h(w0)) / (f_lam0^n)'(w0), n = 1..n_max."""
     base = forward_orbit(family, lam0, w0, n_max)
     if base.escaped or len(base) < n_max + 1:
         raise LostHyperbolicity("base orbit escaped; cannot form the ratio")
-    track = continue_orbit(family, lam0, lam, base.points, period=period, **kw)
+    track = continue_orbit(family, lam0, lam, base.points)
     dz0 = np.asarray(family.deriv(lam0, base.points[:-1]), dtype=complex)
     dz1 = np.asarray(family.deriv(np.atleast_1d(np.asarray(lam, dtype=complex)),
                                   track.moved_points[:-1]), dtype=complex)
@@ -222,9 +226,9 @@ def distortion_profile(family, lam0, lam, w0, n_max, period=1, **kw):
     return np.exp(dlog + 1j * darg)
 
 
-def fit_distortion_constant(family, lam0, lams, w0, period=1, n_fit=10):
+def fit_distortion_constant(family, lam0, lams, w0):
     """Largest C needed so that |ratio - 1| <= e^{n C ||lam||} - 1 over
-    the fitting set n <= n_fit and the given parameter list."""
+    the fitting set n <= N_FIT and the given parameter list."""
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=complex))
     C = 0.0
     for lam in lams:
@@ -232,26 +236,25 @@ def fit_distortion_constant(family, lam0, lams, w0, period=1, n_fit=10):
         norm = float(np.linalg.norm(lam - lam0))
         if norm == 0.0:
             continue
-        ratios = distortion_profile(family, lam0, lam, w0, n_fit, period=period)
+        ratios = distortion_profile(family, lam0, lam, w0, N_FIT)
         for n, r in enumerate(ratios, start=1):
             C = max(C, math.log1p(abs(r - 1.0)) / (n * norm))
     return C
 
 
-def distortion_ratio(family, lam0, lam, w0, n, period=1, C=None, n_fit=10):
+def distortion_ratio(family, lam0, lam, w0, n, C=None):
     """Multiplier ratio along base and moved orbits and the exponential
-    distortion bound check.  When C is None it is fitted on n <= n_fit
+    distortion bound check.  When C is None it is fitted on n <= N_FIT
     at this parameter."""
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=complex))
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     norm = float(np.linalg.norm(lam - lam0))
     if norm == 0.0:
         return 1.0 + 0j, True, 0.0 if C is None else C
-    ratios = distortion_profile(family, lam0, lam, w0, max(n, n_fit if C is None else n),
-                                period=period)
+    ratios = distortion_profile(family, lam0, lam, w0, max(n, N_FIT) if C is None else n)
     if C is None:
         C = max(math.log1p(abs(ratios[k] - 1.0)) / ((k + 1) * norm)
-                for k in range(min(n_fit, len(ratios))))
+                for k in range(min(N_FIT, len(ratios))))
     ratio = complex(ratios[n - 1])
     bound_ok = abs(ratio - 1.0) <= math.expm1(n * C * norm) + 1e-12
     return ratio, bound_ok, C
@@ -310,8 +313,7 @@ def _backward_extend(family, lam, start, tail):
     return out
 
 
-def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, rho0=None,
-                    forward_points=None, residual_tol=1e-8, max_halvings=20):
+def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None):
     """Truncated conjugacy pair (psi0, psi1) for f^n along the repelling
     orbit of w, with domain radius rho, per-depth radii rho_n and
     quadratic-error constant C.
@@ -357,8 +359,6 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, rho0=None,
         for k in range(2, len(loc)):
             if abs(loc[k]) > 1e-300:
                 scale = min(scale, (abs(loc[1]) / abs(loc[k])) ** (1.0 / (k - 1)))
-    if rho0 is None:
-        rho0 = 0.25 * scale if math.isfinite(scale) else 1.0
     m_logmod = float(np.sum(np.log(mags[:n])))
     m_arg = float(np.sum(np.angle(lin[:n])))
     theta32 = np.exp(2j * np.pi * np.arange(32) / 32)
@@ -382,9 +382,9 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, rho0=None,
         psi0_raw[1] = 1.0
     psi1_raw = _series_invert(phi, N_trunc)
 
-    rho = float(rho0)
+    rho = float(0.25 * scale if math.isfinite(scale) else 1.0)
     last_err = None
-    for _ in range(max_halvings + 1):
+    for _ in range(RHO_HALVINGS + 1):
         try:
             pows = rho ** (np.arange(N_trunc + 1, dtype=float) - 1.0)
             psi0 = psi0_raw * pows
@@ -411,8 +411,8 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, rho0=None,
                               if p != 0 else 0j for p in p0])
             pred = rho * npoly.polyval(svals, psi1)
             residual = float(np.max(np.abs(D - pred)))
-            if residual > residual_tol * rho:
-                raise ChainDivergence(f"residual {residual:.3g} > {residual_tol * rho:.3g}")
+            if residual > LIN_RESIDUAL_TOL * rho:
+                raise ChainDivergence(f"residual {residual:.3g} > {LIN_RESIDUAL_TOL * rho:.3g}")
             rho_seq = (rho / 2.0) * np.exp(-np.cumsum(
                 np.concatenate([[0.0], np.log(mags[:n][::-1])])))
             return ChainLinearization(
@@ -421,7 +421,7 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, rho0=None,
         except ChainDivergence as err:
             last_err = err
             rho /= 2.0
-    raise ChainDivergence(f"no admissible rho after {max_halvings} halvings: {last_err}")
+    raise ChainDivergence(f"no admissible rho after {RHO_HALVINGS} halvings: {last_err}")
 
 
 # ----------------------------------------------------------------------
@@ -486,6 +486,8 @@ def build_cantor(family, lam, anchors, depth, period=1, eta=None):
         raise ValueError(f"depth must be >= 0, got {depth}")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     anchors = [complex(a) for a in anchors]
+    if len(anchors) < 2:
+        raise ValueError(f"a Cantor cloud needs at least two anchors, got {len(anchors)}")
     specs = []
     for a in anchors:
         r, K, B = branch_radius(family, lam, a)
@@ -591,24 +593,22 @@ class HolderBand:
     n_pairs: int
 
 
-def holder_exponents(family, lam0, lam1, cantor, sep=None, steps=8):
-    """Bi-Hoelder exponent band of the motion measured on cloud pairs.
+def holder_exponents(cantor, lam1):
+    """Bi-Hoelder exponent band of the motion from the cloud's parameter
+    to lam1, measured on cloud pairs.
 
     Per-pair exponents log(moved distance)/log(base distance) over all
-    pairs closer than ``sep`` (default: ``min(cantor.eta, 0.99)``, the
-    generator disk radius kept below 1 so that every log distance is
-    negative), plus the least-squares slope of log-moved vs log-base
-    distances.
+    pairs closer than ``min(cantor.eta, 0.99)`` (the generator disk
+    radius, kept below 1 so that every log distance is negative), plus
+    the least-squares slope of log-moved vs log-base distances.
     """
-    moved, _ = continue_cantor(cantor, lam1, steps=steps)
+    moved, _ = continue_cantor(cantor, lam1)
     base = cantor.cloud
     n = len(base)
     iu = np.triu_indices(n, k=1)
     db = np.abs(base[iu[0]] - base[iu[1]])
     dm = np.abs(moved[iu[0]] - moved[iu[1]])
-    if sep is None:
-        sep = min(cantor.eta, 0.99)
-    mask = (db < sep) & (db > 0)
+    mask = (db < min(cantor.eta, 0.99)) & (db > 0)
     db, dm = db[mask], dm[mask]
     if len(db) == 0:
         raise ValueError("no cloud pairs below the separation cut")

@@ -23,6 +23,8 @@ from .families import family_to_json, multiplier as segment_multiplier, orbit
 DELTA_REP = 1e-3
 N_CERT = 60
 FD_STEP = 1e-7
+SOLVE_MAXITER = 60
+CLOSURE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def _iterate(family, lam, z, n):
     return z
 
 
-def activity_chi(family, lam, spec, steps=8):
+def activity_chi(family, lam, spec):
     """Activity vector chi in C^k at the parameter lam (shape (m,)), or
     one row per parameter of a stack lam of shape (P, m), shape (P, k).
 
@@ -113,8 +115,7 @@ def activity_chi(family, lam, spec, steps=8):
                     start = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
                     base_orbits[i] = start, orbit(family, start, complex(pat.base_point), pat.p)
                 start, seg = base_orbits[i]
-                track = continue_orbit(family, start, row, seg.points,
-                                       period=pat.p, steps=steps)
+                track = continue_orbit(family, start, row, seg.points, period=pat.p)
                 target[i, r] = track.moved_points[0]
             elif not isinstance(pat, Preperiodic):
                 raise TypeError(f"unknown pattern {pat!r}")
@@ -170,7 +171,7 @@ def _landing_multiplier(family, lam, spec, i):
     return segment_multiplier(family, lam, seg.points[:-1])
 
 
-def _m_plus(family, lam, spec, n_max=N_CERT):
+def _m_plus(family, lam, spec):
     """log m_n^+ = log max_i |(f^n)'(f^{k0}(c_i))| over tracked indices.
 
     The landing point is periodic at a certified parameter, so the
@@ -178,7 +179,7 @@ def _m_plus(family, lam, spec, n_max=N_CERT):
     iteration would amplify roundoff by the repelling multiplier per
     step and lose the orbit within a few dozen steps.
     """
-    logs = np.full((len(spec.tracked), n_max), -math.inf)
+    logs = np.full((len(spec.tracked), N_CERT), -math.inf)
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
         c = _critical_point(family.marked_critical_points(lam), idx)
@@ -186,17 +187,28 @@ def _m_plus(family, lam, spec, n_max=N_CERT):
         q = pat.n if isinstance(pat, Preperiodic) else pat.p
         ob = orbit(family, lam, land, q)
         step = np.diff(ob.log_deriv[: q + 1])
-        reps = -(-n_max // q)
-        logs[i] = np.cumsum(np.tile(step, reps))[:n_max]
+        reps = -(-N_CERT // q)
+        logs[i] = np.cumsum(np.tile(step, reps))[:N_CERT]
     return np.max(logs, axis=0)
 
 
-def solve_misiurewicz(family, seed, spec, tol=1e-12, maxiter=60,
-                      delta_rep=DELTA_REP):
+def _closure_gap(family, lam, spec):
+    """Largest |f^p(z) - z| over the tracked landing points z."""
+    worst = 0.0
+    for idx, pat in zip(spec.tracked, spec.patterns):
+        c = _critical_point(family.marked_critical_points(lam), idx)
+        z = _iterate(family, lam, c, spec.k0 + (pat.n if isinstance(pat, Preperiodic) else 0))
+        worst = max(worst, abs(_iterate(family, lam, z, pat.p) - z))
+    return worst
+
+
+def solve_misiurewicz(family, seed, spec):
     """Damped Newton on chi = 0 from the seed, followed by certification.
 
     The parameter slice must be square (k tracked points, k coordinates).
-    Landing cycles with |multiplier| <= 1 + delta_rep are refused
+    A landing point that does not close under f^p (gap above CLOSURE_TOL)
+    is refused (NoConvergence): its pattern's period is wrong.  Landing
+    cycles with |multiplier| <= 1 + DELTA_REP are refused
     (NonRepellingTarget) rather than certified.
     """
     lam = np.atleast_1d(np.asarray(seed, dtype=complex)).copy()
@@ -210,8 +222,8 @@ def solve_misiurewicz(family, seed, spec, tol=1e-12, maxiter=60,
         # No early exit on a non-finite starting residual: such a seed
         # fails below, on the Jacobian check or in the damping loop.
         res = float(np.linalg.norm(chi))
-        for _ in range(maxiter):
-            if res <= tol:
+        for _ in range(SOLVE_MAXITER):
+            if res <= 1e-12:
                 break
             J = _chi_jacobian(family, lam, spec)
             if not np.all(np.isfinite(J)):
@@ -230,16 +242,19 @@ def solve_misiurewicz(family, seed, spec, tol=1e-12, maxiter=60,
             else:
                 raise NoConvergence(f"damped Newton stalled at residual {res:.3g}")
     if not res <= 1e-10:  # also refuses a nan residual
-        raise NoConvergence(f"residual {res:.3g} > 1e-10 after {maxiter} iterations")
+        raise NoConvergence(f"residual {res:.3g} > 1e-10 after {SOLVE_MAXITER} iterations")
+    gap = _closure_gap(family, lam, spec)
+    if not gap <= CLOSURE_TOL:
+        raise NoConvergence(f"landing point does not close under f^p: gap {gap:.3g} > {CLOSURE_TOL}")
     mults = []
     for i in range(k):
         try:
             ml = _landing_multiplier(family, lam, spec, i)
         except CriticalOnOrbit as exc:
             raise NonRepellingTarget(f"landing cycle passes through a critical point: {exc}") from exc
-        if ml[0] <= math.log1p(delta_rep):
+        if ml[0] <= math.log1p(DELTA_REP):
             raise NonRepellingTarget(
-                f"landing cycle multiplier {math.exp(ml[0]):.6g} <= 1 + {delta_rep}")
+                f"landing cycle multiplier {math.exp(ml[0]):.6g} <= 1 + {DELTA_REP}")
         mults.append(ml)
     sigma = transversality(family, lam, spec)
     return MisiurewiczCertificate(
@@ -247,25 +262,14 @@ def solve_misiurewicz(family, seed, spec, tol=1e-12, maxiter=60,
         m_plus=_m_plus(family, lam, spec), spec=spec)
 
 
-def verify_certificate(cert, family, spec=None, closure_tol=1e-8,
-                       delta_rep=DELTA_REP):
+def verify_certificate(cert, family):
     """Independent re-check of a certificate: orbit closure, repelling
     multipliers, transversality (fresh finite-difference step) and the
     m_n^+ profile.  Failures land in the report, never as exceptions."""
-    spec = cert.spec if spec is None else spec
-    lam = cert.lam
+    spec, lam = cert.spec, cert.lam
     checks = {}
-    worst = 0.0
-    for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
-        c = _critical_point(family.marked_critical_points(lam), idx)
-        if isinstance(pat, Preperiodic):
-            z = _iterate(family, lam, c, spec.k0 + pat.n)
-            gap = abs(_iterate(family, lam, z, pat.p) - z)
-        else:
-            z = _iterate(family, lam, c, spec.k0)
-            gap = abs(_iterate(family, lam, z, pat.p) - z)
-        worst = max(worst, gap)
-    checks["orbit_closure"] = worst <= closure_tol
+    worst = _closure_gap(family, lam, spec)
+    checks["orbit_closure"] = worst <= CLOSURE_TOL
     repelling = True
     drift = 0.0
     for i in range(len(spec.tracked)):
@@ -274,7 +278,7 @@ def verify_certificate(cert, family, spec=None, closure_tol=1e-8,
         except (BiflabError, ArithmeticError, np.linalg.LinAlgError):
             repelling = False
             break
-        if ml[0] <= math.log1p(delta_rep):
+        if ml[0] <= math.log1p(DELTA_REP):
             repelling = False
         drift = max(drift, abs(ml[0] - cert.multipliers[i][0]))
     checks["repelling_landing"] = repelling

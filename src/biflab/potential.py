@@ -111,11 +111,11 @@ class LiftVector:
     log_scale: float = 0.0
 
     @staticmethod
-    def of(u, v, log_scale=0.0):
+    def of(u, v):
         s = max(abs(u), abs(v))
         if s == 0.0:
             raise ValueError("lift vector cannot be (0, 0)")
-        return LiftVector(u / s, v / s, log_scale + math.log(s))
+        return LiftVector(u / s, v / s, math.log(s))
 
 
 @dataclass(frozen=True)
@@ -174,14 +174,14 @@ def green_at(family, lam, v: LiftVector, tol=1e-12):
     return GreenValue(value=G, iterations=n + 1, converged=converged)
 
 
-def escape_rate(z0, step, degree, gamma, maxiter, args=(), big=PLANE_BIG):
+def escape_rate(z0, step, degree, gamma, maxiter, args=()):
     """Escape-rate values g = d^{-n} (log|z_n| + gamma) at the first n
-    with |z_n| > big, for every orbit z_0 = z0[i], z_{n+1} = step(z_n).
+    with |z_n| > PLANE_BIG, for every orbit z_0 = z0[i], z_{n+1} = step(z_n).
 
     ``step(z, *args)`` returns the images of the points z that are still
     iterated; ``args`` are per-point flat arrays (parameters of the step),
     the size of z0, and reach the step compacted together with z.  Returns
-    g (shape of z0, 0 where the orbit never passes ``big`` within
+    g (shape of z0, 0 where the orbit never passes PLANE_BIG within
     ``maxiter`` steps) and the sorted flat indices of those non-escaping
     points.
 
@@ -190,8 +190,8 @@ def escape_rate(z0, step, degree, gamma, maxiter, args=(), big=PLANE_BIG):
     power-of-two step n >= 8, and on every 8th step a point with z equal
     to that copy leaves with g = 0.  This changes no bit of g.  The step
     is a pure function of (z, the point's args), so z_n == z_m with m < n
-    makes the float orbit periodic from step m on; it stayed <= ``big``
-    from m to n and so never passes ``big``, which is g = 0 at
+    makes the float orbit periodic from step m on; it stayed <= PLANE_BIG
+    from m to n and so never passes PLANE_BIG, which is g = 0 at
     ``maxiter``.  NaN never compares equal, so NaN orbits keep iterating;
     orbits that differ only in the sign of a zero have equal magnitudes.
 
@@ -211,7 +211,7 @@ def escape_rate(z0, step, degree, gamma, maxiter, args=(), big=PLANE_BIG):
         saved = None
         retired = []
         for n in range(maxiter + 1):
-            leave = np.abs(z) > big
+            leave = np.abs(z) > PLANE_BIG
             if np.any(leave):
                 hit = idx[leave]
                 g[hit] = degree ** (-float(n)) * (np.log(np.abs(z[leave])) + gamma)
@@ -237,7 +237,7 @@ def escape_rate(z0, step, degree, gamma, maxiter, args=(), big=PLANE_BIG):
     return g.reshape(z0.shape), bounded
 
 
-def plane_green(family, lam, z, big=PLANE_BIG, maxiter=PLANE_MAXITER):
+def plane_green(family, lam, z, maxiter=PLANE_MAXITER):
     """Escape-rate Green function g(z) = lim d^{-n} log|f^n(z)| in the
     affine chart, vectorized over z (polynomial kinds only).
 
@@ -249,8 +249,7 @@ def plane_green(family, lam, z, big=PLANE_BIG, maxiter=PLANE_MAXITER):
     coef = family.poly_coeffs(lam)
     gamma = math.log(abs(coef[d])) / (d - 1)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g, bounded = escape_rate(z, lambda zz: npoly.polyval(zz, coef), d, gamma,
-                             maxiter, big=big)
+    g, bounded = escape_rate(z, lambda zz: npoly.polyval(zz, coef), d, gamma, maxiter)
     escaped = np.ones(z.shape, dtype=bool)
     escaped.ravel()[bounded] = False
     return g, escaped

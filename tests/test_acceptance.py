@@ -34,6 +34,7 @@ from biflab.misiurewicz import (
     activity_chi,
     solve_misiurewicz,
     transversality,
+    verify_certificate,
 )
 from biflab.potential import (
     LiftVector,
@@ -169,7 +170,7 @@ def test_c09_distortion_constant_grid():
         beta = (1 + (1 - 4 * lam) ** 0.5) / 2
         assert abs(track.moved_points[0] - beta) < 1e-10
     C = fit_distortion_constant(
-        QUAD, lam0, [[-2.0 + 1e-3j], [-2.0 + 1e-3 + 0j]], 2.0 + 0j, n_fit=10)
+        QUAD, lam0, [[-2.0 + 1e-3j], [-2.0 + 1e-3 + 0j]], 2.0 + 0j)
     assert C > 0
     for eps in (1e-5, 1e-4, 1e-3):
         for n in (5, 10, 20, 40):
@@ -220,7 +221,7 @@ def test_c11_self_wedge_against_mixed_mass():
 
 def test_c12_cubic_transversality_hunt():
     combos = [(Preperiodic(1, 1), Preperiodic(2, 2)),
-              (Preperiodic(2, 1), Preperiodic(1, 1))]
+              (Preperiodic(2, 2), Preperiodic(1, 1))]
     found = {}
     for pats in combos:
         spec = ActivitySpec((0, 1), 2, pats)
@@ -243,6 +244,7 @@ def test_c12_cubic_transversality_hunt():
                         found.setdefault(key, cert)
     assert len(found) >= 5
     for cert in found.values():
+        assert verify_certificate(cert, CUBIC)["passed"]
         assert cert.residual <= 1e-10
         assert all(lm > math.log1p(1e-3) for lm, _ in cert.multipliers)
         assert cert.sigma_min > 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biflab.bifgrid import (
     Box,
@@ -113,6 +114,30 @@ class TestDdc:
         assert np.all(mu.cell_mass >= 0)
         assert abs(mu.clamp_total
                    - float(np.sum(np.maximum(mu.raw_mass, 0) - mu.raw_mass))) < 1e-14
+
+    # coefficients stay far from underflow, where roundoff is not relative
+    COEF = st.floats(-100, 100).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), res=st.integers(3, 40),
+           log_half=st.floats(-3, 2), log_aspect=st.floats(-1.5, 1.5), a=COEF, b=COEF)
+    def test_linearity_random_fields(self, seed, res, log_half, log_aspect, a, b):
+        # raw(a u + b v) = a raw(u) + b raw(v) up to roundoff: each side's
+        # stencil reads 5 values of size <= M = |a| max|u| + |b| max|v|,
+        # so they differ by a few eps (w_x + w_y) M / 2pi; 32 such units
+        # leave about 5x margin over the worst case seen
+        rng = np.random.default_rng(seed)
+        half = 10.0 ** log_half
+        box = Box((complex(*rng.standard_normal(2)),), (half,), (half * 10.0 ** log_aspect,))
+        u, v = (rng.standard_normal((res, res)) * 10.0 ** rng.uniform(-5, 5) for _ in "uv")
+
+        def raw(values):
+            return ddc(GridField(box=box, resolution=res, values=values)).raw_mass
+
+        hx, hy = box.cell_widths(res)[0], box.cell_heights(res)[0]
+        unit = (np.finfo(float).eps * (hy / hx + hx / hy)
+                * (abs(a) * np.max(np.abs(u)) + abs(b) * np.max(np.abs(v))) / (2 * math.pi))
+        assert np.max(np.abs(raw(a * u + b * v) - (a * raw(u) + b * raw(v)))) <= 32 * unit
 
     def test_requires_one_parameter(self):
         box = Box((0j, 0j), (1.0, 1.0))

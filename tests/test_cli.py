@@ -210,6 +210,8 @@ class TestDimensionScaling:
 
 
 class TestWedgeCommand:
+    # 0.66% of this wedge's absolute mass is clamped, below the warning share
+    @pytest.mark.filterwarnings("error::biflab.errors.NotPlurisubharmonic")
     def test_mixed_wedge_runs(self, tmp_path):
         out = tmp_path / "ma2"
         rc = main(["ma2", "--family", "bh3",
@@ -324,6 +326,14 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(argv + ["--family", "unicritical2", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_anchor(self, tmp_path, capsys):
+        # used to exit 2 with "min() arg is an empty sequence"
+        out = tmp_path / "run"
+        assert main(["cantor", "--family", "unicritical2", "--param", "-6,0",
+                     "--anchors", "3,0", "--depth", "2", "--out", str(out)]) == 2
+        assert "a Cantor cloud needs at least two anchors, got 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("doc, key", [

@@ -313,9 +313,9 @@ class TestCoefficientMemo:
     @pytest.mark.parametrize("pats, seed", [
         ((misiurewicz.Preperiodic(1, 1), misiurewicz.Preperiodic(2, 2)),
          [-0.375 + 0.8j, 1.3 + 0.5j]),
-        ((misiurewicz.Preperiodic(2, 1), misiurewicz.Preperiodic(1, 1)),
+        ((misiurewicz.Preperiodic(2, 2), misiurewicz.Preperiodic(1, 1)),
          [0.4j, 1.3 + 0.5j]),
-        ((misiurewicz.Preperiodic(2, 1), misiurewicz.Preperiodic(1, 1)),
+        ((misiurewicz.Preperiodic(2, 2), misiurewicz.Preperiodic(1, 1)),
          [1.125 + 0j, 1.3 + 0.5j]),
     ])
     def test_hunt_certificates_match_per_call_coefficients(self, monkeypatch, pats, seed):

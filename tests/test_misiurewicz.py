@@ -312,3 +312,14 @@ def test_two_critical_certificate_in_cubic_family():
     assert cert.residual <= 1e-10
     assert cert.sigma_min >= 1e-4 and abs(cert.lam[0]) >= 1e-3
     assert verify_certificate(cert, CUBIC)["passed"]
+
+
+def test_landing_point_off_its_period_is_refused():
+    # chi depends on n alone, so both labels solve to the same parameter;
+    # its first landing point lies on a 2-cycle, which p = 1 misnames
+    seed = [0.4j, 1.3 + 0.5j]
+    wrong = ActivitySpec((0, 1), 2, (Preperiodic(2, 1), Preperiodic(1, 1)))
+    with pytest.raises(NoConvergence, match="does not close under f\\^p: gap"):
+        solve_misiurewicz(CUBIC, seed, wrong)
+    right = ActivitySpec((0, 1), 2, (Preperiodic(2, 2), Preperiodic(1, 1)))
+    assert verify_certificate(solve_misiurewicz(CUBIC, seed, right), CUBIC)["passed"]
