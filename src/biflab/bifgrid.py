@@ -139,37 +139,19 @@ class MassScalingResult:
 # ----------------------------------------------------------------------
 # vectorized polynomial iteration over parameter grids
 
-def _sigma_arrays(cs):
-    """Elementary symmetric functions sigma_0..sigma_k of the arrays cs."""
-    sig = [np.ones_like(cs[0])] if cs else [np.array(1.0 + 0j)]
-    for c in cs:
-        new = [sig[0]]
-        for k in range(1, len(sig) + 1):
-            prev = sig[k] if k < len(sig) else 0.0
-            new.append(prev + c * sig[k - 1])
-        sig = new
-    return sig
-
-
-def _grid_apply(family, lams, z, sig=None, top=None):
-    """f applied cellwise: z and every entry of lams share a shape.
-
-    For Branner-Hubbard, ``sig`` (the ``_sigma_arrays`` of lams[:-1]) and
-    ``top`` (lams[-1] ** d) are the terms that do not depend on z; they
-    are computed here unless a caller that iterates passes them."""
+def _grid_apply(family, rows, z):
+    """f applied cellwise in power form.  ``rows`` are the entries of
+    ``family.coeff_rows`` at the cells' parameters that depend on lambda,
+    in order: c for unicritical; a^d, then the rows of z^2..z^(d-1) for
+    Branner-Hubbard.  ``np.multiply`` keeps each product's operand order,
+    which the elided ``row * z ** j`` would not (see ``families``)."""
     d = family.degree
     if family.kind == "unicritical":
-        return z ** d + lams[0]
-    if family.kind == "branner_hubbard":
-        if sig is None:
-            sig = _sigma_arrays(lams[:-1])
-        if top is None:
-            top = lams[-1] ** d
-        out = z ** d / d + top
-        for j in range(2, d):
-            out = out + ((-1.0) ** (d - j)) * sig[d - j] / j * z ** j
-        return out
-    raise ValueError(f"grid scans require a polynomial kind, got {family.kind!r}")
+        return z ** d + rows[0]
+    out = z ** d / d + rows[0]
+    for j in range(2, d):
+        out = out + np.multiply(rows[j - 1], z ** j)
+    return out
 
 
 def _grid_critical(family, lams, index):
@@ -183,22 +165,10 @@ def _grid_critical(family, lams, index):
 def _grid_green(family, lams, z0, maxiter=SCAN_MAXITER):
     """Escape-rate Green value of the orbit of z0, cellwise."""
     d = family.degree
-    lead = 1.0 / d if family.kind == "branner_hubbard" else 1.0
-    gamma = math.log(abs(lead)) / (d - 1)
-    args = [l.ravel() for l in lams]
-    if family.kind != "branner_hubbard":
-        return escape_rate(z0, lambda z, *cur: _grid_apply(family, cur, z), d, gamma,
-                           maxiter, args=args)[0]
-    # the z-free terms are per-cell constants: computed once, compacted
-    # by escape_rate along with the parameters
-    n_lam = len(args)
-    args += [np.broadcast_to(s, args[0].shape) for s in _sigma_arrays(args[:-1])]
-    args.append(args[n_lam - 1] ** d)
-
-    def step(z, *cur):
-        return _grid_apply(family, cur[:n_lam], z, sig=cur[n_lam:-1], top=cur[-1])
-
-    return escape_rate(z0, step, d, gamma, maxiter, args=args)[0]
+    rows = family.coeff_rows([l.ravel() for l in lams])
+    gamma = math.log(abs(rows[d])) / (d - 1)
+    return escape_rate(z0, lambda z, *cur: _grid_apply(family, cur, z), d, gamma,
+                       maxiter, args=[row for row in rows if np.ndim(row)])[0]
 
 
 def _second_difference(u, ax, others, ay=None):
@@ -252,8 +222,8 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
     meta = {"which": which, "maxiter": maxiter}
 
     def green_field(j):
-        c = _grid_critical(family, lams, j)
-        cv = _grid_apply(family, lams, c)
+        rows = [row for row in family.coeff_rows(lams) if np.ndim(row)]
+        cv = _grid_apply(family, rows, _grid_critical(family, lams, j))
         return _grid_green(family, lams, cv, maxiter=maxiter)
 
     if which == "L":
@@ -361,7 +331,17 @@ def wedge_pair(field_a, field_b, mollify_radius=None):
     clamped = np.maximum(raw, 0.0)
     clamp_total = float(np.sum(clamped - raw))
     absolute = float(np.sum(clamped)) + clamp_total
-    if clamp_total > CLAMP_WARN_SHARE * absolute:
+    # Roundoff moves a Hessian entry of u by up to about 16 eps max|u| / h^2,
+    # and M is bilinear in the entries of A and B; a clamped mass below the
+    # mass that this can move over the valid cells is roundoff, as in a
+    # pluriharmonic or rank-one field, and shows no loss of plurisubharmonicity
+    err_a, err_b = (16.0 * np.finfo(float).eps * float(np.max(np.abs(u))) / min(h1, h2) ** 2
+                    for u in (ua, ub))
+    size_a, size_b = (max(float(np.max(np.abs(e))) for e in entries)
+                      for entries in ((A11, A22, A12), (B11, B22, B12)))
+    roundoff = ((8.0 / math.pi ** 2) * (h1 * h2) ** 2 * int(np.sum(valid))
+                * (size_a * err_b + size_b * err_a + err_a * err_b))
+    if clamp_total > max(CLAMP_WARN_SHARE * absolute, roundoff):
         warnings.warn(f"clamped mass {clamp_total:.3g} is {clamp_total / absolute:.1%} "
                       f"of the absolute mass {absolute:.3g}", NotPlurisubharmonic)
     return MeasureField(box=box, resolution=res, cell_mass=clamped,

@@ -17,18 +17,26 @@ f^p(z) = target, or f^p(z) = z for a cycle, and serves ``find_periodic``
 and the continuation, inverse-branch and Cantor code of ``hyperbolic``
 (``misiurewicz`` runs a damped Newton in parameter space).
 
+``coeff_rows`` is the one coefficient builder of the polynomial kinds:
+scalar evaluation, the stacked activity maps of ``misiurewicz`` and the
+parameter-grid scans of ``bifgrid`` all read their coefficients from
+it, so each gets the same bits at the same parameter.  It works on
+arrays of parameter coordinates, one entry per cell or row, and leaves
+a coefficient that does not depend on lambda (1, 1/d or 0) a plain
+float, so a grid never holds a per-cell array of a constant.
+
 Scalar orbits and Newton call ``eval``/``deriv`` one point at a time at
 a fixed parameter, so a polynomial family keeps the coefficient vector
 (and its derivative) of the last parameter it saw and rebuilds them only
-when the parameter changes.  The activity maps of ``misiurewicz``
-evaluate a stack of parameters at once instead: one ``poly_coeffs``
-column per parameter and a column-wise
-``npoly.polyval(z, coef, tensor=False)``.  Evaluation stays
-``npoly.polyval`` on an ndarray ``z`` everywhere: its array loops round
-each multiply and add as its 0-d path does, while a hand-written Horner
-loop in Python ``complex`` arithmetic rounds differently from numpy's
-complex multiply (which may fuse multiply and add), and results must
-keep their bits.
+when the parameter changes; they evaluate with ``npoly.polyval`` on an
+ndarray ``z``, whose array loops round each multiply and add as its 0-d
+path does.  The activity maps evaluate a stack of parameters at once:
+one ``poly_coeffs`` call for the whole stack and a column-wise
+``npoly.polyval(z, coef, tensor=False)``.  The grid scans keep the power
+form z^d + c and z^d/d + a^d + sum_j coef_j z^j, and write each product
+as ``np.multiply(coef_j, z ** j)``: on arrays of 256 KiB or more numpy's
+temporary elision evaluates ``coef_j * z ** j`` as ``z ** j * coef_j``,
+and the fused complex multiply is not bitwise commutative.
 """
 
 from __future__ import annotations
@@ -89,14 +97,6 @@ def _cluster(values, tol):
     return [(complex(v), k) for v, k in out]
 
 
-def _elementary_symmetric(c):
-    """sigma_0..sigma_n of the tuple c."""
-    # prod (x - c_i) has coefficient (-1)^k sigma_k on x^{n-k}
-    coeffs = npoly.polyfromroots(c) if len(c) else np.array([1.0 + 0j])
-    n = len(c)
-    return [coeffs[n - k] * (-1) ** k for k in range(n + 1)]
-
-
 class MapFamily:
     """A holomorphic family f_lambda of degree-d maps."""
 
@@ -129,25 +129,40 @@ class MapFamily:
     # ------------------------------------------------------------------
     # coefficients
 
-    def poly_coeffs(self, lam):
-        """z-coefficients (lowest first) for the polynomial kinds."""
-        lam = np.asarray(lam, dtype=complex).ravel()
+    def coeff_rows(self, lams):
+        """z-coefficients c_0..c_d (lowest first) of the polynomial kinds at
+        the parameter coordinates ``lams``, m arrays of one shape.
+
+        A coefficient that depends on lambda is an array of that shape,
+        one that does not (1, 1/d or 0) a plain float.  Branner-Hubbard
+        coefficients come from the elementary symmetric functions
+        sigma_k of c_1..c_{d-2}, taking in one c at a time
+        (sigma_k += c sigma_{k-1}).
+        """
         d = self.degree
         if self.kind == "unicritical":
-            coef = np.zeros(d + 1, dtype=complex)
-            coef[d] = 1.0
-            coef[0] = lam[0]
-            return coef
-        if self.kind == "branner_hubbard":
-            c, a = lam[: d - 2], lam[d - 2]
-            sig = _elementary_symmetric(tuple(c))
-            coef = np.zeros(d + 1, dtype=complex)
-            coef[d] = 1.0 / d
-            for j in range(2, d):
-                coef[j] = (-1) ** (d - j) * sig[d - j] / j
-            coef[0] = a ** d
-            return coef
-        raise ValueError("rational kind has no single coefficient vector")
+            return [lams[0]] + [0.0] * (d - 1) + [1.0]
+        if self.kind != "branner_hubbard":
+            raise ValueError("rational kind has no single coefficient vector")
+        sig = [1.0]
+        for c in lams[: d - 2]:
+            sig = [1.0] + [(sig[k] if k < len(sig) else 0.0) + c * sig[k - 1]
+                           for k in range(1, len(sig) + 1)]
+        return ([lams[d - 2] ** d, 0.0]
+                + [(-1.0) ** (d - j) * sig[d - j] / j for j in range(2, d)]
+                + [1.0 / d])
+
+    def poly_coeffs(self, lam):
+        """z-coefficients (lowest first) for the polynomial kinds: shape
+        (d+1,) for one parameter of shape (m,), or (d+1, P) for a stack of
+        shape (P, m), column r being the coefficients at lam[r]."""
+        lam = np.asarray(lam, dtype=complex)
+        stack = np.atleast_2d(lam)
+        rows = self.coeff_rows(list(np.ascontiguousarray(stack.T)))
+        coef = np.empty((self.degree + 1, len(stack)), dtype=complex)
+        for j, row in enumerate(rows):
+            coef[j] = row
+        return coef if lam.ndim == 2 else coef[:, 0]
 
     def _coeffs(self, lam, with_deriv=False):
         """Read-only (coef, dcoef) of a polynomial kind, rebuilt only when

@@ -90,14 +90,16 @@ def activity_chi(family, lam, spec):
     """Activity vector chi in C^k at the parameter lam (shape (m,)), or
     one row per parameter of a stack lam of shape (P, m), shape (P, k).
 
-    All rows' tracked critical orbits run together as arrays: one step is
-    one column-wise Horner pass ``npoly.polyval(z, coef, tensor=False)``
-    with column r of ``coef`` equal to ``family.poly_coeffs(lam[r])``.
-    That is the multiply-and-add sequence of ``family.eval`` at one point,
-    and numpy's array loops round each operation as its 0-d path does, so
-    every row keeps the bits of chi at that row alone.  Critical points,
-    and the continued landing points of motion patterns, are taken one
-    row at a time, in the order the rows and tracked points are given.
+    All rows' tracked critical orbits run together as arrays: one
+    ``family.poly_coeffs`` call gives the coefficients of every row, and
+    one step is one column-wise Horner pass
+    ``npoly.polyval(z, coef, tensor=False)``.  Column r of that stack
+    has the bits of ``family.poly_coeffs(lam[r])``, and the pass is the
+    multiply-and-add sequence of ``family.eval`` at one point, which
+    numpy's array loops round as its 0-d path does, so every row keeps
+    the bits of chi at that row alone.  Critical points, and the
+    continued landing points of motion patterns, are taken one row at a
+    time, in the order the rows and tracked points are given.
     """
     lam = np.asarray(lam, dtype=complex)
     lams = np.atleast_2d(lam)
@@ -119,7 +121,7 @@ def activity_chi(family, lam, spec):
                 target[i, r] = track.moved_points[0]
             elif not isinstance(pat, Preperiodic):
                 raise TypeError(f"unknown pattern {pat!r}")
-    coef = np.stack([family.poly_coeffs(row) for row in lams], axis=1)
+    coef = family.poly_coeffs(lams)
     for _ in range(spec.k0):
         z = npoly.polyval(z, coef, tensor=False)
     out = np.empty((rows, k), dtype=complex)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from biflab import cli, io as bio
 from biflab.cli import main
+from biflab.errors import NotPlurisubharmonic
 from biflab.families import MapFamily
 from biflab.misiurewicz import (
     ActivitySpec,
@@ -470,7 +472,10 @@ class TestManifest:
         bio.write_cloud_csv(tmp_path / "cloud.csv",
                             np.exp(2j * np.pi * np.arange(2000) / 2000))
         out = tmp_path / "run"
-        assert main([fill(a) for a in argv] + ["--out", str(out)]) == 0
+        # the 8^4 wedge clamps 59% of its absolute mass
+        with (pytest.warns(NotPlurisubharmonic) if case == "ma2-wedge"
+              else contextlib.nullcontext()):
+            assert main([fill(a) for a in argv] + ["--out", str(out)]) == 0
         man = read_json(out / "manifest.json")
         assert man["config"] == {"out": str(out), **{k: fill(v) for k, v in config.items()}}
         assert {p.name for p in out.iterdir()} == names | {"manifest.json"}

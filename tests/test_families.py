@@ -250,6 +250,51 @@ def _old_deriv(self, lam, z):
     return npoly.polyval(z, npoly.polyder(self.poly_coeffs(lam)))
 
 
+NAN, INF = float("nan"), float("inf")
+SPECIAL_COORDS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                  complex(NAN, 0.0), complex(0.0, NAN), complex(INF, 0.0),
+                  complex(-INF, 0.0), complex(0.0, INF), complex(0.0, -INF)]
+
+
+def _bits_any_nan(a):
+    """uint64 words of a complex array with every NaN part made the same
+    NaN: numpy's complex add and multiply give a NaN result another sign
+    on arrays of fewer than four elements than on longer ones."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(float).copy()
+    parts[np.isnan(parts)] = NAN
+    return parts.view(np.uint64)
+
+
+class TestCoefficientRows:
+    @pytest.mark.parametrize("fam", [MapFamily("unicritical", 2), MapFamily("unicritical", 3)]
+                             + [MapFamily("branner_hubbard", d) for d in (2, 3, 4, 5)],
+                             ids=lambda f: f"{f.kind}{f.degree}")
+    def test_scalar_stack_and_grid_share_bits(self, fam):
+        # one parameter, a column of a stack and a grid cell get the same
+        # coefficients, on random rows and on rows of signed zeros, nan
+        # and inf coordinates
+        rng = np.random.default_rng(29 + fam.degree)
+        m, d = fam.param_dim, fam.degree
+        stack = np.concatenate([
+            _random_complex(rng, (200, m), scale=1.5),
+            np.array(SPECIAL_COORDS)[rng.integers(0, len(SPECIAL_COORDS), (100, m))]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            coef = fam.poly_coeffs(stack)
+            single = np.stack([fam.poly_coeffs(row) for row in stack], axis=1)
+            # a grid scan passes one array of the grid's shape per coordinate
+            rows = fam.coeff_rows([col.reshape(30, 10) for col in stack.T.copy()])
+        assert coef.shape == (d + 1, len(stack)) and single.shape == coef.shape
+        assert np.array_equal(_bits_any_nan(coef), _bits_any_nan(single))
+        assert len(rows) == d + 1
+        for j, row in enumerate(rows):
+            assert np.array_equal(_bits_any_nan(np.broadcast_to(row, (30, 10)).ravel()),
+                                  _bits_any_nan(coef[j]))
+        # a coefficient that does not depend on lambda is a plain float
+        constant = [type(row) is float for row in rows]
+        assert sum(constant) == (d if fam.kind == "unicritical" else 2)
+        assert all(c or row.shape == (30, 10) for c, row in zip(constant, rows))
+
+
 class TestCoefficientMemo:
     @pytest.mark.parametrize("fam", POLY_FAMILIES, ids=lambda f: f"{f.kind}{f.degree}")
     def test_bits_match_polyval_for_every_shape(self, fam):

@@ -124,6 +124,40 @@ class TestCsv:
         _savetxt_field_csv(old, box, res, values, "mass")
         assert new.read_bytes() == old.read_bytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 2), res=st.integers(1, 3), data=st.data())
+    def test_field_round_trip_bits(self, tmp_path_factory, m, res, data):
+        # st.floats() draws +-0, +-inf, NaN and subnormals; the sampled
+        # values put the extremes in most examples
+        value = st.one_of(st.floats(), st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308]))
+        n = res ** (2 * m)
+        values = np.array(data.draw(st.lists(value, min_size=n, max_size=n)),
+                          dtype=float).reshape((res,) * (2 * m))
+        finite = st.floats(-1e3, 1e3)
+        half = st.floats(1e-6, 1e3)
+        box = Box(tuple(complex(data.draw(finite), data.draw(finite)) for _ in range(m)),
+                  tuple(data.draw(half) for _ in range(m)),
+                  tuple(data.draw(half) for _ in range(m)))
+        path = tmp_path_factory.getbasetemp() / "field_round_trip.csv"
+        bio.write_field_csv(path, box, res, values, "g")
+        lines = path.read_bytes().decode("ascii").split("\r\n")
+        assert lines[-1] == "" and len(lines) == n + 2
+        assert lines[0].split(",")[-1] == "g"
+        table = [line.split(",") for line in lines[1:-1]]
+        idx = np.array([[int(f) for f in row[: 2 * m]] for row in table], dtype=int)
+        coords = np.array([[float(f) for f in row[2 * m: 4 * m]] for row in table])
+        back = np.array([float(row[4 * m]) for row in table])
+        assert all(len(row) == 4 * m + 1 for row in table)
+        assert np.array_equal(idx.T, np.indices(values.shape).reshape(2 * m, -1))
+        axes = [a for pair in box.axes(res) for a in pair]
+        for k, axis in enumerate(axes):
+            assert np.array_equal(coords[:, k].view(np.uint64), axis[idx[:, k]].view(np.uint64))
+        flat = values.reshape(-1)
+        nan = np.isnan(flat)
+        assert np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(back[~nan].view(np.uint64), flat[~nan].view(np.uint64))
+
     @pytest.mark.parametrize("n", [0, 1, 10000])
     def test_cloud_bytes_match_csv_writer(self, tmp_path, n):
         rng = np.random.default_rng(n)

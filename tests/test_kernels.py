@@ -4,7 +4,8 @@ replaced.
 Each reference below is the earlier implementation, kept verbatim as the
 oracle: the four Newton loops (``find_periodic``, the cycle and preimage
 helpers of the continuation code, the Newton branch of ``_branch_apply``),
-the two escape-rate loops (``plane_green`` and the grid scan's), the two
+the two escape-rate loops (``plane_green`` and the grid scan's, with the
+scan's old coefficient recurrence and power-form step), the two
 second-difference stencils (``_local_mass`` and the Hessian's ``d2``
 and ``dxy``) and the wedge measure with its cell-count warning,
 the rational chart and Taylor-shift code, the per-point Cantor cloud loop,
@@ -579,6 +580,39 @@ def old_plane_green(family, lam, z, big=1e12, maxiter=2048):
     return g, escaped
 
 
+def old_sigma_arrays(cs):
+    """Elementary symmetric functions sigma_0..sigma_k of the arrays cs."""
+    sig = [np.ones_like(cs[0])] if cs else [np.array(1.0 + 0j)]
+    for c in cs:
+        new = [sig[0]]
+        for k in range(1, len(sig) + 1):
+            prev = sig[k] if k < len(sig) else 0.0
+            new.append(prev + c * sig[k - 1])
+        sig = new
+    return sig
+
+
+def old_grid_apply(family, lams, z, sig=None, top=None):
+    """f applied cellwise: z and every entry of lams share a shape.
+
+    For Branner-Hubbard, ``sig`` (the ``_sigma_arrays`` of lams[:-1]) and
+    ``top`` (lams[-1] ** d) are the terms that do not depend on z; they
+    are computed here unless a caller that iterates passes them."""
+    d = family.degree
+    if family.kind == "unicritical":
+        return z ** d + lams[0]
+    if family.kind == "branner_hubbard":
+        if sig is None:
+            sig = old_sigma_arrays(lams[:-1])
+        if top is None:
+            top = lams[-1] ** d
+        out = z ** d / d + top
+        for j in range(2, d):
+            out = out + ((-1.0) ** (d - j)) * sig[d - j] / j * z ** j
+        return out
+    raise ValueError(f"grid scans require a polynomial kind, got {family.kind!r}")
+
+
 def old_grid_green(family, lams, z0, maxiter=512, big=1e12):
     d = family.degree
     lead = 1.0 / d if family.kind == "branner_hubbard" else 1.0
@@ -587,7 +621,7 @@ def old_grid_green(family, lams, z0, maxiter=512, big=1e12):
     g = np.zeros(shape, dtype=float).ravel()
     z = z0.ravel().copy()
     lam_flat = [l.ravel() for l in lams]
-    sig_flat = (bifgrid._sigma_arrays(lam_flat[:-1])
+    sig_flat = (old_sigma_arrays(lam_flat[:-1])
                 if family.kind == "branner_hubbard" else None)
     active = np.arange(z.size)
     for n in range(maxiter + 1):
@@ -601,7 +635,7 @@ def old_grid_green(family, lams, z0, maxiter=512, big=1e12):
         cur = [l[active] for l in lam_flat]
         sig = ([s[active] if np.ndim(s) else s for s in sig_flat]
                if sig_flat is not None else None)
-        z[active] = bifgrid._grid_apply(family, cur, z[active], sig=sig)
+        z[active] = old_grid_apply(family, cur, z[active], sig=sig)
     return g.reshape(shape)
 
 
@@ -680,6 +714,18 @@ class TestEscapeRate:
         for a, b in zip(new, old):
             assert same_bits(a, b)
 
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_bh3_scan_past_the_elision_size(self, split, j):
+        # 14^4 = 38,416 cells on one worker: the step arrays pass numpy's
+        # 256 KiB threshold for temporary elision, which would swap the
+        # operands of ``row * z ** j``
+        box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.8, 0.8))
+        lams = box.param_grids(14)
+        split(1, potential._BLOCK)
+        new = scan_field(BH3, box, 14, f"G{j}", maxiter=512).values
+        old = old_grid_green(BH3, lams, old_critical_values(BH3, lams, j), maxiter=512)
+        assert same_bits(new, old)
+
     def test_special_parameters(self):
         quad_lams, bh3_lams = special_lams()
         with np.errstate(invalid="ignore", over="ignore"):
@@ -725,12 +771,17 @@ class TestEscapeRate:
         assert same_bits(g, np.zeros(1)) and esc.tolist() == [False]
 
 
+def old_critical_values(fam, lams, j):
+    return old_grid_apply(fam, lams, bifgrid._grid_critical(fam, lams, j))
+
+
 def grid_green_pair(fam, lams, j, maxiter):
     """Escape-rate field of critical point j over the parameter grids
-    ``lams``, from the current loop and from the old one."""
-    cv = bifgrid._grid_apply(fam, lams, bifgrid._grid_critical(fam, lams, j))
+    ``lams``, from the current step and loop and from the old ones."""
+    rows = [row for row in fam.coeff_rows(lams) if np.ndim(row)]
+    cv = bifgrid._grid_apply(fam, rows, bifgrid._grid_critical(fam, lams, j))
     return (bifgrid._grid_green(fam, lams, cv, maxiter=maxiter),
-            old_grid_green(fam, lams, cv, maxiter=maxiter))
+            old_grid_green(fam, lams, old_critical_values(fam, lams, j), maxiter=maxiter))
 
 
 class TestEndToEnd:
@@ -907,7 +958,7 @@ class TestBlockSplit:
         quad_lams, bh3_lams = special_lams()
         with np.errstate(invalid="ignore", over="ignore"):
             for fam, lams, j in [(QUAD, quad_lams, 0), (BH3, bh3_lams, 0), (BH3, bh3_lams, 1)]:
-                cv = bifgrid._grid_apply(fam, lams, bifgrid._grid_critical(fam, lams, j))
+                cv = old_critical_values(fam, lams, j)
                 for maxiter in (8, 17, 512):
                     ref = old_grid_green(fam, lams, cv, maxiter=maxiter)
                     for g in each_worker_count(split, 16, lambda: bifgrid._grid_green(
@@ -963,7 +1014,7 @@ class TestBlockSplit:
         # warns, which a pool thread outside the caller's context would
         _, lams = special_lams()
         with np.errstate(invalid="ignore", over="ignore"):
-            cv = bifgrid._grid_apply(BH3, lams, bifgrid._grid_critical(BH3, lams, 1))
+            cv = old_critical_values(BH3, lams, 1)
         for k in (1, 2):
             split(k, 16)
             with np.errstate(invalid="raise", over="ignore"):
