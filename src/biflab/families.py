@@ -261,7 +261,7 @@ class MapFamily:
     def local_series(self, lam, w, order):
         """Taylor coefficients b_0..b_order of f at the point w."""
         if self.kind != "rational":
-            return _taylor_shift(self.poly_coeffs(lam), w, order)
+            return _taylor_shift(self._coeffs(lam)[0], w, order)
         n, d = self._rat_coeffs(lam)
         ns, ds = _taylor_shift(n, w, order), _taylor_shift(d, w, order)
         if abs(ds[0]) < 1e-300:
@@ -316,7 +316,7 @@ class MapFamily:
     def escape_radius(self, lam):
         if self.kind == "rational":
             return math.inf
-        coef = self.poly_coeffs(lam)
+        coef = self._coeffs(lam)[0]
         return max(10.0, 2.0 * float(np.max(np.abs(coef))))
 
     def marked_critical_points(self, lam):

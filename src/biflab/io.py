@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -41,10 +42,14 @@ def write_pgm(path, values, sidecar=None):
     finite = img[np.isfinite(img)]
     vmin = float(np.min(finite)) if finite.size else 0.0
     vmax = float(np.max(finite)) if finite.size else 1.0
-    span = vmax - vmin if vmax > vmin else 1.0
+    # a span past the largest float64 is scaled in halves; any other
+    # span is scaled as it is (a factor of 1.0 changes no bit)
+    half = 0.5 if vmax - vmin == math.inf else 1.0
+    span = vmax * half - vmin * half if vmax > vmin else 1.0
     scaled = np.zeros(img.shape, dtype=np.uint16)
     ok = np.isfinite(img)
-    scaled[ok] = np.clip((img[ok] - vmin) / span * 65535.0, 0, 65535).astype(np.uint16)
+    scaled[ok] = np.clip((img[ok] * half - vmin * half) / span * 65535.0,
+                         0, 65535).astype(np.uint16)
     h, w = img.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))

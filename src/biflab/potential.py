@@ -274,8 +274,11 @@ def sample_mu_f(family, lam, n_points, depth, seed):
     ``depth`` from the fixed generic start 1+i, choosing uniformly among
     the d preimages with a counter-based RNG keyed by (seed, index,
     step).  The index range is split into blocks that run their orbits
-    on separate threads (``_blocks``); every draw depends on its key
-    alone, so the samples do not depend on the split.
+    on separate threads (``_blocks``).  Within a block, samples whose
+    choices so far agree sit on one point, whose preimages are solved
+    once for all of them (``_backward_orbits``).  Every draw depends on
+    its key alone and every preimage on its point's bits alone, so each
+    sample has the bits of its own orbit whatever the split.
     """
     if n_points < 0:
         raise ValueError(f"n_points must be >= 0, got {n_points}")
@@ -285,19 +288,46 @@ def sample_mu_f(family, lam, n_points, depth, seed):
 
 
 def _backward_orbits(family, lam, idx, depth, seed):
-    """Endpoints of the random backward orbits of sample indices ``idx``."""
+    """Endpoints of the random backward orbits of sample indices ``idx``.
+
+    Every orbit starts at 1+i, so after s steps a block's samples sit on
+    at most d^s points, one per distinct prefix of choices.  Each block
+    keeps those points ``vals`` and the point ``inv[i]`` of each sample,
+    and solves the preimages of each point once per step: the pair
+    (choice k, point j) names the point's k-th preimage, column j of row
+    k of ``preimages``.  A mark array over the d |vals| pairs, read in
+    order, numbers the pairs in use, which gives the next ``vals`` and
+    ``inv``.  Once ``vals`` has as many points as the block has samples,
+    the block goes on one point per sample.  The preimages of a point
+    are a function of its bits, so each sample ends with the bits of its
+    own orbit.
+    """
     d = family.degree
     out = np.empty(len(idx), dtype=complex)
 
+    def solve(z):
+        pre = family.preimages(lam, z)
+        if pre.shape[0] != d:
+            raise PreimageFailure(f"expected {d} preimages, got {pre.shape[0]}")
+        return pre
+
     def run(lo, hi):
         keys = idx[lo:hi]
+        vals = np.array([1.0 + 1.0j])
+        inv = np.zeros(hi - lo, dtype=np.intp)
+        s = 0
+        while s < depth and vals.size < hi - lo:
+            pre = solve(vals)
+            pair = counter_choice(seed, keys, s, d) * vals.size + inv
+            used = np.zeros(d * vals.size, dtype=bool)
+            used[pair] = True
+            vals = pre.reshape(-1)[used]
+            inv = np.cumsum(used)[pair] - 1
+            s += 1
+        z = vals[inv]
         cols = np.arange(hi - lo)
-        z = np.full(hi - lo, 1.0 + 1.0j, dtype=complex)
-        for s in range(depth):
-            pre = family.preimages(lam, z)
-            if pre.shape[0] != d:
-                raise PreimageFailure(f"expected {d} preimages, got {pre.shape[0]}")
-            z = pre[counter_choice(seed, keys, s, d), cols]
+        for s in range(s, depth):
+            z = solve(z)[counter_choice(seed, keys, s, d), cols]
         out[lo:hi] = z
 
     _blocks(run, len(idx))

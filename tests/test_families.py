@@ -5,7 +5,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from biflab import misiurewicz
+from biflab import families, misiurewicz
 from biflab.errors import CriticalOnOrbit, DegenerateMap
 from biflab.families import (
     MapFamily,
@@ -342,6 +342,33 @@ class TestCoefficientMemo:
         assert _same_bits(after[0], fresh.eval(lam.copy(), z))
         assert _same_bits(after[1], fresh.deriv(lam.copy(), z))
         assert not _same_bits(before[0], after[0])
+
+    @pytest.mark.parametrize("fam", POLY_FAMILIES, ids=lambda f: f"{f.kind}{f.degree}")
+    def test_escape_radius_and_local_series_read_the_memo(self, fam, monkeypatch):
+        # the bits of the old formulas on a fresh poly_coeffs, with an
+        # eval at another parameter in between so the memo must refill
+        rng = np.random.default_rng(29 + fam.degree)
+        other = _random_complex(rng, fam.param_dim)
+        for trial in range(30):
+            lam = _random_complex(rng, fam.param_dim, scale=2.0 ** (trial % 5 - 2))
+            w = complex(_random_complex(rng, ()))
+            coef = fam.poly_coeffs(lam)
+            fam.eval(other, 0.5j)
+            radius = fam.escape_radius(lam)
+            assert _same_bits(radius, max(10.0, 2.0 * float(np.max(np.abs(coef)))))
+            fam.eval(other, 0.5j)
+            for order in (0, 2, fam.degree + 2):
+                assert _same_bits(fam.local_series(lam, w, order),
+                                  families._taylor_shift(coef, w, order))
+        # a whole orbit at one parameter builds its coefficients once
+        lam = _random_complex(rng, fam.param_dim, scale=0.5)
+        built = []
+        real = MapFamily.poly_coeffs
+        monkeypatch.setattr(MapFamily, "poly_coeffs",
+                            lambda self, lam: built.append(1) or real(self, lam))
+        orbit(fam, lam, 0.1 + 0.1j, 12)
+        orbit(fam, lam, 0.2 - 0.1j, 12)
+        assert len(built) == 1
 
     def test_poly_coeffs_returns_a_fresh_writable_array(self):
         fam = MapFamily("branner_hubbard", 3)

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +87,54 @@ class TestPgm:
         bio.write_pgm(p2, values)
         assert p1.read_bytes() == p2.read_bytes()
         assert bio.sha256_file(p1) == bio.sha256_file(p2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=st.integers(1, 3), nx=st.integers(1, 6), ny=st.integers(1, 6),
+           four=st.booleans(), constant=st.booleans(), data=st.data())
+    def test_round_trip(self, tmp_path_factory, r, nx, ny, four, constant, data):
+        # st.floats() draws +-0, +-inf, NaN, subnormals and pairs whose
+        # difference overflows; a constant field keeps one finite value
+        # and may hold non-finite cells
+        shape = (r,) * 4 if four else (nx, ny)
+        value = st.floats()
+        if constant:
+            value = st.sampled_from([data.draw(st.floats(allow_nan=False, allow_infinity=False)),
+                                     np.nan, np.inf, -np.inf])
+        n = math.prod(shape)
+        values = np.array(data.draw(st.lists(value, min_size=n, max_size=n)),
+                          dtype=float).reshape(shape)
+        path = tmp_path_factory.getbasetemp() / "round_trip.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            side = bio.write_pgm(path, values)
+        magic, size, maxval, payload = path.read_bytes().split(b"\n", 3)
+        assert magic == b"P5" and maxval == b"65535"
+        w, h = (int(t) for t in size.split(b" "))
+        assert (w, h) == ((r * r, r * r) if four else (nx, ny))
+        assert len(payload) == 2 * w * h
+        image = np.frombuffer(payload, dtype=">u2").reshape(h, w)
+        # the pixel of each cell: x to columns, y to rows with max y on
+        # top; a 4D cell (x1, y1, x2, y2) sits in the pane of (x1, y1)
+        cell = np.indices(shape)
+        if four:
+            rows = (r - 1 - cell[1]) * r + (r - 1 - cell[3])
+            cols = cell[0] * r + cell[2]
+        else:
+            rows, cols = ny - 1 - cell[1], cell[0]
+        pix = image[rows, cols]
+        doc = json.loads(open(side).read())
+        ok = np.isfinite(values)
+        lo, hi = (values[ok].min(), values[ok].max()) if ok.any() else (0.0, 1.0)
+        assert doc["min"] == lo and doc["max"] == hi and doc["gamma"] == 1.0
+        assert np.all(pix[~ok] == 0)
+        for x, p in zip(values[ok].tolist(), pix[ok].tolist()):
+            if hi == lo:
+                assert p == 0
+            else:
+                exact = (Fraction(x) - Fraction(lo)) / (Fraction(hi) - Fraction(lo)) * 65535
+                assert abs(p - exact) < 1
+                if x in (lo, hi):
+                    assert p == (0 if x == lo else 65535)
 
 
 class TestCsv:

@@ -17,7 +17,9 @@ repeating orbits early, and they, the Cantor and the activity references
 pin the files the CLI writes; the activity references also pin the
 c05 and c12 certificates.  The block-split tests run the sampler and the
 escape-rate loop on 1, 2 and 3 CPUs with blocks shrunk so that small
-inputs split, against the same references.
+inputs split, against the same references; the sampler's reference is
+the loop that solved the preimages of every sample at every step, and
+the shared-prefix tests also count the points the sampler solves.
 Results are compared through ``uint64`` views, so a changed last bit,
 sign of zero or NaN fails.
 """
@@ -1041,6 +1043,70 @@ class TestBlockSplit:
             potential.lyapunov_mc(QUAD, [-2.0 + 0j], 5, 4, 0)
         assert main(["lyap", "--family", "unicritical2", "--param", "-2,0", "--samples", "5",
                      "--depth", "4", "--out", str(tmp_path)]) == 3
+
+
+# ----------------------------------------------------------------------
+# shared choice prefixes: each distinct point's preimages solved once
+
+# (family, lam, samples, depth, seed): at these sizes one block of all
+# the samples hands over from the shared points to one point per sample
+# a few steps before the end, and so do the blocks of 2 and 3 workers
+SHARED_CASES = {
+    "unicritical2": (QUAD, [-2.0 + 0j], 3000, 30, 5),
+    "bh3": (BH3, [0.3 + 0.2j, 0.5 - 0.1j], 3000, 20, 6),
+    "lattes": (lattes_family(), [0j], 3000, 14, 7),
+}
+
+
+def prefix_counts(seed, keys, depth, d):
+    """Distinct prefixes of s choices among the samples ``keys``, for
+    s = 0..depth-1, from the counter draws alone."""
+    choices = np.stack([counter_choice(seed, keys, s, d) for s in range(depth)], axis=1)
+    return [min(1, len(keys))] + [len(np.unique(choices[:, :s], axis=0))
+                                  for s in range(1, depth)]
+
+
+class TestSharedPrefixes:
+    @pytest.mark.parametrize("name", list(SHARED_CASES))
+    def test_samples_and_lyapunov_match_per_sample_loop(self, split, name):
+        fam, lam, n, depth, seed = SHARED_CASES[name]
+        counts = prefix_counts(seed, np.arange(n, dtype=np.uint64), depth, fam.degree)
+        assert 2 < counts.index(n) < depth - 1
+        ref_z = old_sample_mu_f(fam, lam, n, depth, seed)
+        ref = old_lyapunov_mc(fam, lam, n, depth, seed)
+        for z, res in each_worker_count(split, 1 << 16, lambda: (
+                potential.sample_mu_f(fam, lam, n, depth, seed),
+                potential.lyapunov_mc(fam, lam, n, depth, seed))):
+            assert same_bits(z, ref_z)
+            assert res == ref and same_bits([res.value, res.stderr], [ref.value, ref.stderr])
+
+    @pytest.mark.parametrize("name", list(SHARED_CASES))
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_points_solved_are_distinct_prefixes(self, split, monkeypatch, name, cpus):
+        # each block solves, at step s, one point per distinct prefix of
+        # s choices among its samples, and all of its samples once every
+        # prefix is distinct
+        fam, lam, n, depth, seed = SHARED_CASES[name]
+        split(cpus, 1 << 16)
+        sizes = []
+        lock = threading.Lock()
+        real = fam.preimages
+
+        def counted(lam, w):
+            with lock:
+                sizes.append(len(w))
+            return real(lam, w)
+
+        monkeypatch.setattr(fam, "preimages", counted)
+        potential.sample_mu_f(fam, lam, n, depth, seed)
+        keys = np.arange(n, dtype=np.uint64)
+        want = [prefix_counts(seed, keys[lo:hi], depth, fam.degree)
+                for lo, hi in potential._blocks(lambda lo, hi: (lo, hi), n)]
+        assert len(want) == cpus
+        assert sorted(sizes) == sorted(k for block in want for k in block)
+        if cpus == 1:
+            assert sizes == want[0]
+        assert sum(sizes) < n * depth
 
 
 # ----------------------------------------------------------------------
