@@ -297,10 +297,10 @@ def _backward_orbits(family, lam, idx, depth, seed):
     (choice k, point j) names the point's k-th preimage, column j of row
     k of ``preimages``.  A mark array over the d |vals| pairs, read in
     order, numbers the pairs in use, which gives the next ``vals`` and
-    ``inv``.  Once ``vals`` has as many points as the block has samples,
-    the block goes on one point per sample.  The preimages of a point
-    are a function of its bits, so each sample ends with the bits of its
-    own orbit.
+    ``inv``; once every sample has a point of its own, ``inv`` is a
+    permutation and each step solves one point per sample.  The
+    preimages of a point are a function of its bits, so each sample ends
+    with the bits of its own orbit.
     """
     d = family.degree
     out = np.empty(len(idx), dtype=complex)
@@ -315,20 +315,14 @@ def _backward_orbits(family, lam, idx, depth, seed):
         keys = idx[lo:hi]
         vals = np.array([1.0 + 1.0j])
         inv = np.zeros(hi - lo, dtype=np.intp)
-        s = 0
-        while s < depth and vals.size < hi - lo:
+        for s in range(depth):
             pre = solve(vals)
             pair = counter_choice(seed, keys, s, d) * vals.size + inv
             used = np.zeros(d * vals.size, dtype=bool)
             used[pair] = True
             vals = pre.reshape(-1)[used]
             inv = np.cumsum(used)[pair] - 1
-            s += 1
-        z = vals[inv]
-        cols = np.arange(hi - lo)
-        for s in range(s, depth):
-            z = solve(z)[counter_choice(seed, keys, s, d), cols]
-        out[lo:hi] = z
+        out[lo:hi] = vals[inv]
 
     _blocks(run, len(idx))
     return out

@@ -1048,9 +1048,9 @@ class TestBlockSplit:
 # ----------------------------------------------------------------------
 # shared choice prefixes: each distinct point's preimages solved once
 
-# (family, lam, samples, depth, seed): at these sizes one block of all
-# the samples hands over from the shared points to one point per sample
-# a few steps before the end, and so do the blocks of 2 and 3 workers
+# (family, lam, samples, depth, seed): at these sizes every sample of one
+# block of all the samples has a point of its own a few steps before the
+# end, and so has every sample of the blocks of 2 and 3 workers
 SHARED_CASES = {
     "unicritical2": (QUAD, [-2.0 + 0j], 3000, 30, 5),
     "bh3": (BH3, [0.3 + 0.2j, 0.5 - 0.1j], 3000, 20, 6),
