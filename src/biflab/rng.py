@@ -17,7 +17,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix(x):
-    x = np.uint64(x) if np.isscalar(x) else x.astype(np.uint64, copy=False)
+    x = np.uint64(x) if np.isscalar(x) else x.astype(np.uint64)
     x = (x ^ (x >> np.uint64(30))) * _MIX1
     x = (x ^ (x >> np.uint64(27))) * _MIX2
     return x ^ (x >> np.uint64(31))
@@ -41,20 +41,6 @@ def counter_uniform(seed, index, step):
 
 
 def counter_choice(seed, index, step, n_choices):
-    """Uniform integer in [0, n_choices) keyed by (seed, index, step).
-
-    The choice is floor(u n) for u = ``counter_uniform``, capped at n - 1
-    where u n rounds up to n.  For n = 2^k with 1 <= k <= 53 it is the
-    top k of the 64 bits, with the same value: u = b 2^-53 for the
-    53-bit integer b = bits >> 11, so u 2^k = b 2^(k-53) is exact, its
-    floor is b >> (53 - k) = bits >> (64 - k), and it is below 2^k, so
-    the cap never acts.  Every other n, n = 1 included (a uint64 shift
-    by 64 is undefined), takes the float path.
-    """
-    n = int(n_choices)
-    k = n.bit_length() - 1
-    if 1 <= k <= 53 and n == 1 << k:
-        bits = counter_bits(seed, index, step)
-        return (bits >> np.uint64(64 - k)).astype(np.int64)
+    """Uniform integer in [0, n_choices) keyed by (seed, index, step)."""
     u = counter_uniform(seed, index, step)
     return np.minimum((u * n_choices).astype(np.int64), n_choices - 1)

@@ -45,21 +45,3 @@ def test_keys_decorrelate():
     idx = np.arange(5000, dtype=np.uint64)
     assert not np.array_equal(counter_bits(1, idx, 0), counter_bits(2, idx, 0))
     assert not np.array_equal(counter_bits(1, idx, 0), counter_bits(1, idx, 1))
-
-
-def _float_choice(seed, index, step, n_choices):
-    # the floor(u n) path that every n took before the shift for 2^k
-    u = counter_uniform(seed, index, step)
-    return np.minimum((u * n_choices).astype(np.int64), n_choices - 1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 64 - 1), start=st.integers(0, 2 ** 63),
-       step=st.integers(0, 2 ** 64 - 1), k=st.integers(1, 53))
-def test_power_of_two_choice_is_the_float_choice(seed, start, step, k):
-    # the top k bits equal floor(u 2^k) exactly for 1 <= k <= 53; n = 1
-    # and the other n keep the float path
-    idx = np.arange(start, start + 2000, dtype=np.uint64)
-    for n in (1 << k, 1, 3, 5, (1 << k) + 1, 3 << k):
-        got, ref = counter_choice(seed, idx, step, n), _float_choice(seed, idx, step, n)
-        assert got.dtype == ref.dtype == np.int64 and np.array_equal(got, ref)
