@@ -25,18 +25,24 @@ arrays of parameter coordinates, one entry per cell or row, and leaves
 a coefficient that does not depend on lambda (1, 1/d or 0) a plain
 float, so a grid never holds a per-cell array of a constant.
 
-Scalar orbits and Newton call ``eval``/``deriv`` one point at a time at
-a fixed parameter, so a polynomial family keeps the coefficient vector
-(and its derivative) of the last parameter it saw and rebuilds them only
-when the parameter changes; they evaluate with ``npoly.polyval`` on an
-ndarray ``z``, whose array loops round each multiply and add as its 0-d
-path does.  The activity maps evaluate a stack of parameters at once:
-one ``poly_coeffs`` call for the whole stack and a column-wise
-``npoly.polyval(z, coef, tensor=False)``.  The grid scans keep the power
-form z^d + c and z^d/d + a^d + sum_j coef_j z^j, and write each product
-as ``np.multiply(coef_j, z ** j)``: on arrays of 256 KiB or more numpy's
-temporary elision evaluates ``coef_j * z ** j`` as ``z ** j * coef_j``,
-and the fused complex multiply is not bitwise commutative.
+The scalar loops that step one parameter many times (``orbit``,
+``newton`` and ``find_periodic``) take ``map_and_deriv`` once per call:
+its two functions of z hold the coefficients (and their derivative)
+built at that parameter, and ``eval``/``deriv`` are its one-point calls.
+A family keeps no state between calls.  Each step evaluates with
+``npoly.polyval`` on ``np.asarray(z)``, a 0-d array for a scalar z,
+whose array loops round each multiply and add as the batched path does;
+numpy's scalar complex arithmetic, which ``polyval`` would run on the
+numpy scalar it returns, rounds differently.
+
+The activity maps evaluate a stack of parameters at once: one
+``poly_coeffs`` call for the whole stack and a column-wise
+``npoly.polyval(z, coef, tensor=False)``.  The grid scans keep the
+power form z^d + c and z^d/d + a^d + sum_j coef_j z^j, and write each
+product as ``np.multiply(coef_j, z ** j)``: on arrays of 256 KiB or
+more numpy's temporary elision evaluates ``coef_j * z ** j`` as
+``z ** j * coef_j``, and the fused complex multiply is not bitwise
+commutative.
 """
 
 from __future__ import annotations
@@ -122,9 +128,6 @@ class MapFamily:
             if max(len(self.num), len(self.den)) - 1 != degree:
                 raise ValueError("rational degree must match max(deg N, deg D)")
             self.param_dim = 1
-        # (parameter bytes, coefficients, derivative coefficients or None),
-        # replaced as one tuple so key and arrays always belong together
-        self._memo = None
 
     # ------------------------------------------------------------------
     # coefficients
@@ -164,22 +167,6 @@ class MapFamily:
             coef[j] = row
         return coef if lam.ndim == 2 else coef[:, 0]
 
-    def _coeffs(self, lam, with_deriv=False):
-        """Read-only (coef, dcoef) of a polynomial kind, rebuilt only when
-        lam differs from the previous call; dcoef is None unless asked."""
-        key = np.asarray(lam, dtype=complex).ravel().tobytes()
-        memo = self._memo
-        if memo is None or memo[0] != key:
-            coef = self.poly_coeffs(lam)
-            coef.flags.writeable = False
-            memo = (key, coef, None)
-        if with_deriv and memo[2] is None:
-            dcoef = npoly.polyder(memo[1])
-            dcoef.flags.writeable = False
-            memo = (key, memo[1], dcoef)
-        self._memo = memo
-        return memo[1], memo[2]
-
     def _rat_coeffs(self, lam):
         """Numerator and denominator z-coefficients at lam, both padded
         with zeros to degree + 1 entries."""
@@ -216,52 +203,27 @@ class MapFamily:
     # ------------------------------------------------------------------
     # evaluation
 
-    def eval(self, lam, z):
-        z = np.asarray(z, dtype=complex)
+    def map_and_deriv(self, lam):
+        """(f, f') of f_lambda as two functions of z, the coefficients
+        built once, here; a scalar z is evaluated as a 0-d array."""
         if self.kind == "rational":
-            return self._rat_eval(lam, z)
-        return npoly.polyval(z, self._coeffs(lam)[0])
+            n, d = self._rat_coeffs(lam)
+            return lambda z: _rat_chart(n, d, z, False), lambda z: _rat_chart(n, d, z, True)
+        coef = self.poly_coeffs(lam)
+        dcoef = npoly.polyder(coef)
+        return (lambda z: npoly.polyval(np.asarray(z, dtype=complex), coef),
+                lambda z: npoly.polyval(np.asarray(z, dtype=complex), dcoef))
+
+    def eval(self, lam, z):
+        return self.map_and_deriv(lam)[0](z)
 
     def deriv(self, lam, z):
-        z = np.asarray(z, dtype=complex)
-        if self.kind == "rational":
-            return self._rat_deriv(lam, z)
-        return npoly.polyval(z, self._coeffs(lam, with_deriv=True)[1])
-
-    def _rat_chart(self, lam, z, value):
-        """value(x, n, d, far) over z: x = z with the coefficients n, d
-        where |z| <= 1, and x = 1/z with reversed coefficients (far=True)
-        where |z| > 1, so no power of a large z is formed."""
-        n, d = self._rat_coeffs(lam)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        out = np.empty_like(z)
-        big = np.abs(z) > 1.0
-        out[~big] = value(z[~big], n, d, False)
-        out[big] = value(1.0 / z[big], n[::-1], d[::-1], True)
-        return out[0] if scalar else out
-
-    def _rat_eval(self, lam, z):
-        return self._rat_chart(
-            lam, z, lambda x, n, d, far: npoly.polyval(x, n) / npoly.polyval(x, d))
-
-    def _rat_deriv(self, lam, z):
-        def quotient_rule(x, n, d, far):
-            nv = npoly.polyval(x, n)
-            dv = npoly.polyval(x, d)
-            top = (npoly.polyval(x, npoly.polyder(n)) * dv
-                   - nv * npoly.polyval(x, npoly.polyder(d)))
-            # d/dz of R(1/z) is -R'(1/z)/z^2
-            if far:
-                top = -x ** 2 * top
-            return top / dv ** 2
-
-        return self._rat_chart(lam, z, quotient_rule)
+        return self.map_and_deriv(lam)[1](z)
 
     def local_series(self, lam, w, order):
         """Taylor coefficients b_0..b_order of f at the point w."""
         if self.kind != "rational":
-            return _taylor_shift(self._coeffs(lam)[0], w, order)
+            return _taylor_shift(self.poly_coeffs(lam), w, order)
         n, d = self._rat_coeffs(lam)
         ns, ds = _taylor_shift(n, w, order), _taylor_shift(d, w, order)
         if abs(ds[0]) < 1e-300:
@@ -316,7 +278,7 @@ class MapFamily:
     def escape_radius(self, lam):
         if self.kind == "rational":
             return math.inf
-        coef = self._coeffs(lam)[0]
+        coef = self.poly_coeffs(lam)
         return max(10.0, 2.0 * float(np.max(np.abs(coef))))
 
     def marked_critical_points(self, lam):
@@ -346,6 +308,31 @@ class MapFamily:
             return np.sum(n * powsu * powsv), second
 
         return F
+
+
+def _rat_chart(n, d, z, deriv):
+    """N/D at z, or its derivative when ``deriv``, from the coefficients
+    n, d: in x = z where |z| <= 1, and in x = 1/z with reversed
+    coefficients where |z| > 1, so no power of a large z is formed."""
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    out = np.empty_like(z)
+    big = np.abs(z) > 1.0
+    for part, x, nc, dc, far in ((~big, z[~big], n, d, False),
+                                 (big, 1.0 / z[big], n[::-1], d[::-1], True)):
+        nv = npoly.polyval(x, nc)
+        dv = npoly.polyval(x, dc)
+        if not deriv:
+            out[part] = nv / dv
+            continue
+        top = (npoly.polyval(x, npoly.polyder(nc)) * dv
+               - nv * npoly.polyval(x, npoly.polyder(dc)))
+        # d/dz of R(1/z) is -R'(1/z)/z^2
+        if far:
+            top = -x ** 2 * top
+        out[part] = top / dv ** 2
+    return out[0] if scalar else out
 
 
 def _taylor_shift(coef, w, order):
@@ -378,6 +365,7 @@ def orbit(family, lam, z0, n):
     if n < 0:
         raise ValueError("orbit length must be >= 0")
     r_esc = family.escape_radius(lam)
+    f, df = family.map_and_deriv(lam)
     pts = [complex(z0)]
     logs = [0.0]
     args = [0.0]
@@ -389,8 +377,8 @@ def orbit(family, lam, z0, n):
             escaped = True
             esc_idx = k
             break
-        dz = complex(family.deriv(lam, z))
-        z = complex(family.eval(lam, z))
+        dz = complex(df(z))
+        z = complex(f(z))
         mag = abs(dz)
         logs.append(logs[-1] + (math.log(mag) if mag > 0 else -math.inf))
         args.append(args[-1] + cmath.phase(dz))
@@ -436,12 +424,14 @@ def critical_points(family, lam):
     return out
 
 
-def _iterate(family, lam, z, period):
-    """(f^period(z), (f^period)'(z)), the derivative by the chain rule."""
+def _iterate(maps, z, period):
+    """(f^period(z), (f^period)'(z)), the derivative by the chain rule;
+    ``maps`` is the pair (f, f') of ``MapFamily.map_and_deriv``."""
+    f, df = maps
     w, dw = z, 1.0 + 0j
     for _ in range(period):
-        dw *= complex(family.deriv(lam, w))
-        w = complex(family.eval(lam, w))
+        dw *= complex(df(w))
+        w = complex(f(w))
     return w, dw
 
 
@@ -453,9 +443,10 @@ def newton(family, lam, seed, period=1, target=None, maxiter=NEWTON_MAXITER):
     max(1, |z|), or (None, iterations) when the derivative vanishes
     (|dg| < 1e-300) or ``maxiter`` runs out.
     """
+    maps = family.map_and_deriv(lam)
     z = complex(seed)
     for it in range(1, maxiter + 1):
-        w, dw = _iterate(family, lam, z, period)
+        w, dw = _iterate(maps, z, period)
         if target is None:
             g, dg = w - z, dw - 1.0
         else:
@@ -481,14 +472,15 @@ def find_periodic(family, lam, period, seed):
     if z is None:
         raise NoConvergence(f"find_periodic: Newton derivative vanished or no convergence "
                             f"after {it} iterations")
+    maps = family.map_and_deriv(lam)
     tol = NEWTON_TOL * max(1.0, abs(z)) * 10
     minimal = period
     for q in range(1, period):
-        if period % q == 0 and abs(_iterate(family, lam, z, q)[0] - z) <= tol:
+        if period % q == 0 and abs(_iterate(maps, z, q)[0] - z) <= tol:
             minimal = q
             break
     return PeriodicPoint(location=z, period=minimal,
-                         multiplier=_iterate(family, lam, z, minimal)[1])
+                         multiplier=_iterate(maps, z, minimal)[1])
 
 
 def multiplier(family, lam, segment):

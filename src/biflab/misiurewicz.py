@@ -19,6 +19,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .errors import BiflabError, CriticalOnOrbit, NoConvergence, NonRepellingTarget
 from .families import family_to_json, multiplier as segment_multiplier, orbit
+from .hyperbolic import continue_orbit
 
 DELTA_REP = 1e-3
 N_CERT = 60
@@ -80,12 +81,6 @@ def _critical_point(marked, index):
     return complex(marked[index][0])
 
 
-def _iterate(family, lam, z, n):
-    for _ in range(n):
-        z = complex(family.eval(lam, z))
-    return z
-
-
 def activity_chi(family, lam, spec):
     """Activity vector chi in C^k at the parameter lam (shape (m,)), or
     one row per parameter of a stack lam of shape (P, m), shape (P, k).
@@ -112,7 +107,6 @@ def activity_chi(family, lam, spec):
         for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
             z[i, r] = _critical_point(marked, idx)
             if isinstance(pat, MotionTarget):
-                from .hyperbolic import continue_orbit
                 if i not in base_orbits:
                     start = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
                     base_orbits[i] = start, orbit(family, start, complex(pat.base_point), pat.p)
@@ -165,43 +159,44 @@ def transversality(family, lam, spec, step=FD_STEP):
     return float(np.linalg.svd(J, compute_uv=False)[-1])
 
 
-def _landing_multiplier(family, lam, spec, i):
-    idx, pat = spec.tracked[i], spec.patterns[i]
-    c = _critical_point(family.marked_critical_points(lam), idx)
-    land = _iterate(family, lam, c, spec.k0 + (pat.n if isinstance(pat, Preperiodic) else 0))
-    seg = orbit(family, lam, land, pat.p)
-    return segment_multiplier(family, lam, seg.points[:-1])
+def _landing_walk(family, lam, spec):
+    """The landing checks' readings off one forward orbit per tracked
+    critical point c_i: q + p steps from f^{k0}(c_i), with q = n for a
+    Preperiodic pattern and q = 0 for a motion, so z_q is the landing
+    point.
 
-
-def _m_plus(family, lam, spec):
-    """log m_n^+ = log max_i |(f^n)'(f^{k0}(c_i))| over tracked indices.
-
-    The landing point is periodic at a certified parameter, so the
-    per-step log-derivatives are folded over one period; naive forward
-    iteration would amplify roundoff by the repelling multiplier per
-    step and lose the orbit within a few dozen steps.
+    Returns (gap, cycles, m_plus): the largest closure gap
+    |z_{q+p} - z_q|, the cycles z_q..z_{q+p-1}, and log m_n^+ =
+    log max_i |(f^n)'(f^{k0}(c_i))| for n = 1..N_CERT.  The landing
+    point is periodic at a certified parameter, so m_n^+ folds the
+    per-step log|f'| of the first n steps (p for a motion) over one
+    period; naive forward iteration would amplify roundoff by the
+    repelling multiplier per step and lose the orbit within a few dozen
+    steps.  An orbit that escapes before its last step has an infinite
+    gap and an empty cycle (multiplier 1); one that escapes within its
+    fold leaves m_plus None.
     """
-    logs = np.full((len(spec.tracked), N_CERT), -math.inf)
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
-        c = _critical_point(family.marked_critical_points(lam), idx)
-        land = _iterate(family, lam, c, spec.k0)
-        q = pat.n if isinstance(pat, Preperiodic) else pat.p
-        ob = orbit(family, lam, land, q)
-        step = np.diff(ob.log_deriv[: q + 1])
-        reps = -(-N_CERT // q)
-        logs[i] = np.cumsum(np.tile(step, reps))[:N_CERT]
-    return np.max(logs, axis=0)
-
-
-def _closure_gap(family, lam, spec):
-    """Largest |f^p(z) - z| over the tracked landing points z."""
-    worst = 0.0
+    f, _ = family.map_and_deriv(lam)
+    marked = family.marked_critical_points(lam)
+    gap, cycles, folds = 0.0, [], []
     for idx, pat in zip(spec.tracked, spec.patterns):
-        c = _critical_point(family.marked_critical_points(lam), idx)
-        z = _iterate(family, lam, c, spec.k0 + (pat.n if isinstance(pat, Preperiodic) else 0))
-        worst = max(worst, abs(_iterate(family, lam, z, pat.p) - z))
-    return worst
+        z = _critical_point(marked, idx)
+        for _ in range(spec.k0):
+            z = complex(f(z))
+        q, fold = (pat.n, pat.n) if isinstance(pat, Preperiodic) else (0, pat.p)
+        end = q + pat.p
+        ob = orbit(family, lam, z, end)
+        if len(ob) > end:
+            gap = max(gap, abs(complex(ob.points[end]) - complex(ob.points[q])))
+            cycles.append(ob.points[q:end])
+        else:
+            gap = math.inf
+            cycles.append(ob.points[:0])
+        step = np.diff(ob.log_deriv[: fold + 1])
+        folds.append(np.cumsum(np.tile(step, -(-N_CERT // fold)))[:N_CERT]
+                     if len(step) == fold else None)
+    m_plus = None if any(row is None for row in folds) else np.max(folds, axis=0)
+    return gap, cycles, m_plus
 
 
 def solve_misiurewicz(family, seed, spec):
@@ -245,13 +240,13 @@ def solve_misiurewicz(family, seed, spec):
                 raise NoConvergence(f"damped Newton stalled at residual {res:.3g}")
     if not res <= 1e-10:  # also refuses a nan residual
         raise NoConvergence(f"residual {res:.3g} > 1e-10 after {SOLVE_MAXITER} iterations")
-    gap = _closure_gap(family, lam, spec)
+    gap, cycles, m_plus = _landing_walk(family, lam, spec)
     if not gap <= CLOSURE_TOL:
         raise NoConvergence(f"landing point does not close under f^p: gap {gap:.3g} > {CLOSURE_TOL}")
     mults = []
-    for i in range(k):
+    for cycle in cycles:
         try:
-            ml = _landing_multiplier(family, lam, spec, i)
+            ml = segment_multiplier(family, lam, cycle)
         except CriticalOnOrbit as exc:
             raise NonRepellingTarget(f"landing cycle passes through a critical point: {exc}") from exc
         if ml[0] <= math.log1p(DELTA_REP):
@@ -261,22 +256,28 @@ def solve_misiurewicz(family, seed, spec):
     sigma = transversality(family, lam, spec)
     return MisiurewiczCertificate(
         lam=lam, residual=res, multipliers=mults, sigma_min=sigma,
-        m_plus=_m_plus(family, lam, spec), spec=spec)
+        m_plus=m_plus, spec=spec)
 
 
 def verify_certificate(cert, family):
     """Independent re-check of a certificate: orbit closure, repelling
     multipliers, transversality (fresh finite-difference step) and the
-    m_n^+ profile.  Failures land in the report, never as exceptions."""
+    m_n^+ profile, the landing checks read off ``_landing_walk``.
+
+    A landing orbit that escapes, or a cycle multiplier that fails
+    numerically, is a failed check in the report.  Errors of the
+    transversality Jacobian (a critical index out of range, a motion
+    target that does not continue) and programming errors propagate.
+    """
     spec, lam = cert.spec, cert.lam
     checks = {}
-    worst = _closure_gap(family, lam, spec)
+    worst, cycles, mp = _landing_walk(family, lam, spec)
     checks["orbit_closure"] = worst <= CLOSURE_TOL
     repelling = True
     drift = 0.0
-    for i in range(len(spec.tracked)):
+    for i, cycle in enumerate(cycles):
         try:
-            ml = _landing_multiplier(family, lam, spec, i)
+            ml = segment_multiplier(family, lam, cycle)
         except (BiflabError, ArithmeticError, np.linalg.LinAlgError):
             repelling = False
             break
@@ -287,8 +288,8 @@ def verify_certificate(cert, family):
     checks["multiplier_match"] = repelling and drift <= 1e-6
     sigma = transversality(family, lam, spec, step=2e-7)
     checks["sigma_min_match"] = abs(sigma - cert.sigma_min) <= 1e-4 * max(1.0, cert.sigma_min)
-    mp = _m_plus(family, lam, spec)
-    checks["m_plus_match"] = bool(np.max(np.abs(mp - cert.m_plus)) <= 1e-8 * max(1.0, float(np.max(np.abs(mp)))))
+    checks["m_plus_match"] = mp is not None and bool(
+        np.max(np.abs(mp - cert.m_plus)) <= 1e-8 * max(1.0, float(np.max(np.abs(mp)))))
     return {
         "passed": all(checks.values()),
         "checks": checks,

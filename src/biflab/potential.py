@@ -23,6 +23,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import CriticalOnOrbit, DegenerateLift, PreimageFailure
+from .families import critical_points
 from .rng import counter_choice
 
 GREEN_MAXITER = 200
@@ -384,5 +385,4 @@ def _near_critical(z, crit):
 
 
 def _finite_critical(family, lam):
-    from .families import critical_points
     return [(c, m) for c, m in critical_points(family, lam) if np.isfinite(c)]

@@ -120,6 +120,25 @@ class TestMisiurewicz:
                    "--out", str(tmp_path / "cert")])
         assert rc == 3
 
+    def test_escaping_certificate_fails(self, tmp_path, capsys):
+        # the critical orbit at c = 5 escapes: a FAIL report, not a crash
+        out = tmp_path / "mis"
+        main(["misiurewicz", "--family", "unicritical2", "--seed", "-1.95,0",
+              "--pattern", "k0=2,n=1,p=1", "--out", str(out)])
+        docs = bio.read_ndjson(out / "certificates.ndjson")
+        docs[0]["lambda"] = [[5, 0]]
+        bad = tmp_path / "bad.ndjson"
+        bio.write_ndjson(bad, docs)
+        capsys.readouterr()
+        rc = main(["certify", "--family", "unicritical2", "--certs", str(bad),
+                   "--out", str(tmp_path / "cert")])
+        assert rc == 3
+        summary = capsys.readouterr().out
+        assert summary.startswith("FAIL") and "'orbit_closure'" in summary
+        assert "'m_plus_match'" in summary
+        [report] = read_json(tmp_path / "cert" / "certify_report.json")["reports"]
+        assert not report["passed"] and report["closure_gap"] == math.inf
+
     def test_certify_motion_pattern(self, tmp_path):
         # the motion form at c = -2 must read back with its base parameter
         # and base point, not as an algebraic pattern

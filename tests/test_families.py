@@ -15,6 +15,7 @@ from biflab.families import (
     family_to_json,
     find_periodic,
     multiplier,
+    newton,
     orbit,
 )
 
@@ -343,32 +344,41 @@ class TestCoefficientMemo:
         assert _same_bits(after[1], fresh.deriv(lam.copy(), z))
         assert not _same_bits(before[0], after[0])
 
+    def test_parameter_shape_is_never_stale(self):
+        # a memo keyed on the parameter's bytes alone kept the (d+1, 1)
+        # coefficients of a (1, 1) stack for the one-point call after it
+        for method, value in (("eval", 1.5), ("deriv", 2.0)):
+            fam = MapFamily("unicritical", 2)
+            getattr(fam, method)(np.array([[0.5]]), 1.0)
+            out = getattr(fam, method)([0.5], 1.0)
+            assert np.ndim(out) == 0 and out == value
+
     @pytest.mark.parametrize("fam", POLY_FAMILIES, ids=lambda f: f"{f.kind}{f.degree}")
-    def test_escape_radius_and_local_series_read_the_memo(self, fam, monkeypatch):
-        # the bits of the old formulas on a fresh poly_coeffs, with an
-        # eval at another parameter in between so the memo must refill
+    def test_radius_and_series_read_poly_coeffs(self, fam, monkeypatch):
+        # the bits of the old formulas on a fresh poly_coeffs
         rng = np.random.default_rng(29 + fam.degree)
-        other = _random_complex(rng, fam.param_dim)
         for trial in range(30):
             lam = _random_complex(rng, fam.param_dim, scale=2.0 ** (trial % 5 - 2))
             w = complex(_random_complex(rng, ()))
             coef = fam.poly_coeffs(lam)
-            fam.eval(other, 0.5j)
             radius = fam.escape_radius(lam)
             assert _same_bits(radius, max(10.0, 2.0 * float(np.max(np.abs(coef)))))
-            fam.eval(other, 0.5j)
             for order in (0, 2, fam.degree + 2):
                 assert _same_bits(fam.local_series(lam, w, order),
                                   families._taylor_shift(coef, w, order))
-        # a whole orbit at one parameter builds its coefficients once
+        # a scalar loop builds its coefficients per call, not per step: an
+        # orbit for its escape radius and for (f, f'), Newton for (f, f')
         lam = _random_complex(rng, fam.param_dim, scale=0.5)
         built = []
         real = MapFamily.poly_coeffs
         monkeypatch.setattr(MapFamily, "poly_coeffs",
                             lambda self, lam: built.append(1) or real(self, lam))
         orbit(fam, lam, 0.1 + 0.1j, 12)
-        orbit(fam, lam, 0.2 - 0.1j, 12)
-        assert len(built) == 1
+        assert len(built) == 2
+        orbit(fam, lam, 0.2 - 0.1j, 24)
+        assert len(built) == 4
+        newton(fam, lam, 0.3 + 0.2j, period=3)
+        assert len(built) == 5
 
     def test_poly_coeffs_returns_a_fresh_writable_array(self):
         fam = MapFamily("branner_hubbard", 3)

@@ -11,7 +11,12 @@ code are pasted in verbatim, and such copies bring stray imports along.
 The unused-parameter check covers ``src/biflab`` only: a parameter that
 no call needs and the body never reads is an option that does nothing.
 ``self`` is exempt, and so are lambdas, whose signature is often fixed
-by the caller (the rational chart's callbacks share one).
+by the caller.
+
+Inside ``src/biflab`` a module imports the other biflab modules at the
+top: a relative import in a function body hides a dependency and runs
+again on every call.  Lazy imports of third-party packages (such as
+``scipy.spatial``) stay allowed.
 """
 
 import ast
@@ -87,3 +92,23 @@ def test_checker_finds_unused_parameters():
               "    def g(d):\n        return a\n    return lambda e: c\n")
     assert unused_parameters(source) == [(2, "m", "rest"), (2, "m", "x"),
                                          (4, "f", "b"), (7, "g", "d")]
+
+
+def function_level_relative_imports(source):
+    """Lines of the relative imports inside a function body."""
+    return sorted({n.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for n in ast.walk(node) if isinstance(n, ast.ImportFrom) and n.level > 0})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_level_relative_imports(path):
+    assert function_level_relative_imports(path.read_text()) == []
+
+
+def test_checker_finds_function_level_relative_imports():
+    source = ("from .errors import A\nimport math\n"
+              "def f():\n    from scipy.spatial import cKDTree\n    import os\n"
+              "    for _ in range(2):\n        from .hyperbolic import g\n"
+              "    def h():\n        from . import io\n    return A, math\n")
+    assert function_level_relative_imports(source) == [7, 9]

@@ -11,11 +11,14 @@ and ``dxy``) and the wedge measure with its cell-count warning,
 the rational chart and Taylor-shift code, the per-point Cantor cloud loop,
 coverage check and coded orbit, the ``csv``-module cloud reader, the
 ``np.unique`` box count, and the activity map and finite-difference
-Jacobian that ran one chain of scalar ``eval`` calls per parameter.  The
+Jacobian that ran one chain of scalar ``eval`` calls per parameter, and
+the Misiurewicz landing checks (closure gap, cycle multiplier and
+m_n^+ profile) that each walked the critical orbit from scratch.  The
 escape-rate references also pin the compacted loop that retires exactly
 repeating orbits early, and they, the Cantor and the activity references
 pin the files the CLI writes; the activity references also pin the
-c05 and c12 certificates.  The block-split tests run the sampler and the
+c05 and c12 certificates, and the landing references pin them with
+their verify reports.  The block-split tests run the sampler and the
 escape-rate loop on 1, 2 and 3 CPUs with blocks shrunk so that small
 inputs split, against the same references; the sampler's reference is
 the loop that solved the preimages of every sample at every step, and
@@ -25,6 +28,7 @@ sign of zero or NaN fails.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -46,11 +50,20 @@ from biflab.errors import (
     BiflabError,
     CriticalOnOrbit,
     NoConvergence,
+    NonRepellingTarget,
     NotPlurisubharmonic,
     PreimageFailure,
     RootFindingFailure,
 )
-from biflab.families import NEWTON_TOL, MapFamily, PeriodicPoint, find_periodic, newton, orbit
+from biflab.families import (
+    NEWTON_TOL,
+    MapFamily,
+    PeriodicPoint,
+    find_periodic,
+    multiplier as segment_multiplier,
+    newton,
+    orbit,
+)
 from biflab.misiurewicz import FD_STEP, ActivitySpec, MotionTarget, Preperiodic
 from biflab.potential import plane_green
 from biflab.rng import counter_choice
@@ -1679,3 +1692,187 @@ class TestActivityCertificates:
         monkeypatch.setattr(misiurewicz, "_chi_jacobian", old_chi_jacobian)
         old = run("old")
         assert len(new) == 4 and new == old
+
+
+# ----------------------------------------------------------------------
+# reference landing checks: each walked the critical orbit from scratch,
+# the closure gap and multiplier through ``old_iterate``
+
+def old_landing_multiplier(family, lam, spec, i):
+    idx, pat = spec.tracked[i], spec.patterns[i]
+    c = misiurewicz._critical_point(family.marked_critical_points(lam), idx)
+    land = old_iterate(family, lam, c, spec.k0 + (pat.n if isinstance(pat, Preperiodic) else 0))
+    seg = orbit(family, lam, land, pat.p)
+    return segment_multiplier(family, lam, seg.points[:-1])
+
+
+def old_m_plus(family, lam, spec):
+    logs = np.full((len(spec.tracked), misiurewicz.N_CERT), -math.inf)
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
+        c = misiurewicz._critical_point(family.marked_critical_points(lam), idx)
+        land = old_iterate(family, lam, c, spec.k0)
+        q = pat.n if isinstance(pat, Preperiodic) else pat.p
+        ob = orbit(family, lam, land, q)
+        step = np.diff(ob.log_deriv[: q + 1])
+        reps = -(-misiurewicz.N_CERT // q)
+        logs[i] = np.cumsum(np.tile(step, reps))[:misiurewicz.N_CERT]
+    return np.max(logs, axis=0)
+
+
+def old_closure_gap(family, lam, spec):
+    worst = 0.0
+    for idx, pat in zip(spec.tracked, spec.patterns):
+        c = misiurewicz._critical_point(family.marked_critical_points(lam), idx)
+        z = old_iterate(family, lam, c, spec.k0 + (pat.n if isinstance(pat, Preperiodic) else 0))
+        worst = max(worst, abs(old_iterate(family, lam, z, pat.p) - z))
+    return worst
+
+
+def old_solve_misiurewicz(family, seed, spec):
+    lam = np.atleast_1d(np.asarray(seed, dtype=complex)).copy()
+    k = len(spec.tracked)
+    if k != len(lam):
+        raise ValueError(f"square solve requires {k} parameter coordinates, got {len(lam)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = misiurewicz.activity_chi(family, lam, spec)
+        res = float(np.linalg.norm(chi))
+        for _ in range(misiurewicz.SOLVE_MAXITER):
+            if res <= 1e-12:
+                break
+            J = misiurewicz._chi_jacobian(family, lam, spec)
+            if not np.all(np.isfinite(J)):
+                raise NoConvergence(f"Newton: activity Jacobian is not finite at lambda={lam}")
+            try:
+                step = np.linalg.solve(J, chi)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(f"singular activity Jacobian: {exc}") from exc
+            for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
+                trial = lam - damping * step
+                chi_t = misiurewicz.activity_chi(family, trial, spec)
+                res_t = float(np.linalg.norm(chi_t))
+                if math.isfinite(res_t) and res_t < res:
+                    lam, chi, res = trial, chi_t, res_t
+                    break
+            else:
+                raise NoConvergence(f"damped Newton stalled at residual {res:.3g}")
+    if not res <= 1e-10:
+        raise NoConvergence(f"residual {res:.3g} > 1e-10 after {misiurewicz.SOLVE_MAXITER} iterations")
+    gap = old_closure_gap(family, lam, spec)
+    if not gap <= misiurewicz.CLOSURE_TOL:
+        raise NoConvergence(f"landing point does not close under f^p: gap {gap:.3g} > "
+                            f"{misiurewicz.CLOSURE_TOL}")
+    mults = []
+    for i in range(k):
+        try:
+            ml = old_landing_multiplier(family, lam, spec, i)
+        except CriticalOnOrbit as exc:
+            raise NonRepellingTarget(f"landing cycle passes through a critical point: {exc}") from exc
+        if ml[0] <= math.log1p(misiurewicz.DELTA_REP):
+            raise NonRepellingTarget(
+                f"landing cycle multiplier {math.exp(ml[0]):.6g} <= 1 + {misiurewicz.DELTA_REP}")
+        mults.append(ml)
+    sigma = misiurewicz.transversality(family, lam, spec)
+    return misiurewicz.MisiurewiczCertificate(
+        lam=lam, residual=res, multipliers=mults, sigma_min=sigma,
+        m_plus=old_m_plus(family, lam, spec), spec=spec)
+
+
+def old_verify_certificate(cert, family):
+    spec, lam = cert.spec, cert.lam
+    checks = {}
+    worst = old_closure_gap(family, lam, spec)
+    checks["orbit_closure"] = worst <= misiurewicz.CLOSURE_TOL
+    repelling = True
+    drift = 0.0
+    for i in range(len(spec.tracked)):
+        try:
+            ml = old_landing_multiplier(family, lam, spec, i)
+        except (BiflabError, ArithmeticError, np.linalg.LinAlgError):
+            repelling = False
+            break
+        if ml[0] <= math.log1p(misiurewicz.DELTA_REP):
+            repelling = False
+        drift = max(drift, abs(ml[0] - cert.multipliers[i][0]))
+    checks["repelling_landing"] = repelling
+    checks["multiplier_match"] = repelling and drift <= 1e-6
+    sigma = misiurewicz.transversality(family, lam, spec, step=2e-7)
+    checks["sigma_min_match"] = abs(sigma - cert.sigma_min) <= 1e-4 * max(1.0, cert.sigma_min)
+    mp = old_m_plus(family, lam, spec)
+    checks["m_plus_match"] = bool(np.max(np.abs(mp - cert.m_plus)) <= 1e-8 * max(1.0, float(np.max(np.abs(mp)))))
+    return {
+        "passed": all(checks.values()),
+        "checks": checks,
+        "closure_gap": worst,
+        "sigma_min": sigma,
+    }
+
+
+def use_old_landing_checks(monkeypatch):
+    """Route the library and the command line through the references."""
+    for mod in (misiurewicz, cli):
+        monkeypatch.setattr(mod, "solve_misiurewicz", old_solve_misiurewicz)
+        monkeypatch.setattr(mod, "verify_certificate", old_verify_certificate)
+
+
+class TestLandingWalk:
+    # c05 at c = -2 in both pattern kinds, and its preperiodic certificate
+    # moved to c = -1 (a superattracting 2-cycle) and c = 0.3 (outside
+    # the Mandelbrot set, but no escape within the walk)
+    C05 = [(QUAD, [-1.95 + 0j], activity_case("unicritical2")[2]["preperiodic"]),
+           (QUAD, [-1.99 + 0j], activity_case("unicritical2")[2]["motion"])]
+    TAMPERED = ([-1.0 + 0j], [0.3 + 0j])
+
+    def records(self):
+        cases = list(self.C05)
+        seeds = c12_seeds()
+        failing = seeds.pop("failing")
+        for pats, certified in seeds.items():
+            spec = ActivitySpec((0, 1), 2, pats)
+            cases += [(BH3, seed, spec) for seed in certified + failing]
+        out = [hunt_record(*case) for case in cases]
+        cert = misiurewicz.solve_misiurewicz(*self.C05[0])
+        for lam in self.TAMPERED:
+            report = run_outcome(misiurewicz.verify_certificate,
+                                 dataclasses.replace(cert, lam=np.array(lam)), QUAD)
+            out.append(report if isinstance(report, str) else json.dumps(report))
+        return out
+
+    def test_certificates_and_reports_match_old_code(self, monkeypatch):
+        new = self.records()
+        assert sum(r.startswith("[") for r in new) >= 10
+        assert all('"orbit_closure": false' in r for r in new[-2:])
+        use_old_landing_checks(monkeypatch)
+        assert new == self.records()
+
+    def test_cli_outputs_match_old_code(self, tmp_path, monkeypatch):
+        runs = [["--family", "unicritical2", "--seed", "-1.95,0", "--pattern", "k0=2,n=1,p=1"],
+                ["--family", "bh3", "--tracked", "0,1", "--seed",
+                 "-0.375,0.8;1.3,0.5|1.125,0;1.3,0.5", "--pattern", "k0=2,n=1,p=1,n=2,p=2"],
+                ["--family", "bh3", "--tracked", "0,1", "--seed",
+                 "0,0.4;1.3,0.5|1.125,0;1.3,0.5",
+                 "--pattern", "k0=2,n=2,p=2,n=1,p=1"]]
+
+        def run(side):
+            for i, argv in enumerate(runs):
+                out = tmp_path / side / str(i)
+                assert main(["misiurewicz"] + argv + ["--out", str(out / "solve")]) == 0
+                assert main(["certify", argv[0], argv[1],
+                             "--certs", str(out / "solve" / "certificates.ndjson"),
+                             "--out", str(out / "certify")]) == 0
+            docs = bio.read_ndjson(tmp_path / side / "0" / "solve" / "certificates.ndjson")
+            for lam in self.TAMPERED:
+                docs[0]["lambda"] = [[lam[0].real, lam[0].imag]]
+                out = tmp_path / side / f"tampered{lam[0].real}"
+                out.mkdir()
+                bio.write_ndjson(out / "certs.ndjson", docs)
+                assert main(["certify", "--family", "unicritical2", "--certs",
+                             str(out / "certs.ndjson"), "--out", str(out / "certify")]) == 3
+            return {str(p.relative_to(tmp_path / side)): bio.sha256_file(p)
+                    for p in sorted((tmp_path / side).rglob("*"))
+                    if p.is_file() and p.name != "manifest.json"}
+
+        new = run("new")
+        use_old_landing_checks(monkeypatch)
+        old = run("old")
+        assert len(new) == 10 and new == old

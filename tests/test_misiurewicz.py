@@ -203,6 +203,18 @@ class TestVerification:
         assert not report["passed"]
         assert not report["checks"]["orbit_closure"]
 
+    def test_escaping_orbit_fails_in_the_report(self):
+        # at c = 5 the critical orbit 0, 5, 30, ... is past the escape
+        # radius when the walk from f^2(0) starts: its gap is infinite and
+        # there is no m_n^+ fold to compare; this used to raise
+        cert = solve_misiurewicz(QUAD, [-1.95 + 0j], CHEB_SPEC)
+        cert.lam = np.array([5.0 + 0j])
+        report = verify_certificate(cert, QUAD)
+        assert not report["passed"]
+        assert not report["checks"]["orbit_closure"]
+        assert not report["checks"]["m_plus_match"]
+        assert report["closure_gap"] == math.inf
+
     def test_json_record(self):
         cert = solve_misiurewicz(QUAD, [0.1 + 1.05j], I_SPEC)
         doc = certificate_to_json(cert, QUAD)
@@ -286,7 +298,7 @@ class TestVerification:
         def on_critical(*args):
             raise CriticalOnOrbit("derivative below 1e-14 on the segment")
 
-        monkeypatch.setattr(misiurewicz, "_landing_multiplier", on_critical)
+        monkeypatch.setattr(misiurewicz, "segment_multiplier", on_critical)
         report = verify_certificate(cert, QUAD)
         assert not report["passed"]
         assert not report["checks"]["repelling_landing"]
@@ -297,7 +309,7 @@ class TestVerification:
         def broken(*args):
             raise TypeError("not a numerical failure")
 
-        monkeypatch.setattr(misiurewicz, "_landing_multiplier", broken)
+        monkeypatch.setattr(misiurewicz, "segment_multiplier", broken)
         with pytest.raises(TypeError):
             verify_certificate(cert, QUAD)
 
