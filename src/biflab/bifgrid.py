@@ -154,14 +154,6 @@ def _grid_apply(family, rows, z):
     return out
 
 
-def _grid_critical(family, lams, index):
-    if index == 0:
-        return np.zeros_like(lams[0])
-    if family.kind == "branner_hubbard" and index <= family.degree - 2:
-        return lams[index - 1]
-    raise ValueError(f"critical index {index} out of range")
-
-
 def _grid_green(family, lams, z0, maxiter=SCAN_MAXITER):
     """Escape-rate Green value of the orbit of z0, cellwise."""
     d = family.degree
@@ -218,20 +210,20 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     lams = box.param_grids(resolution)
-    d = family.degree
+    rows = [row for row in family.coeff_rows(lams) if np.ndim(row)]
+    crit = family.critical_rows(lams)
     meta = {"which": which, "maxiter": maxiter}
 
     def green_field(j):
-        rows = [row for row in family.coeff_rows(lams) if np.ndim(row)]
-        cv = _grid_apply(family, rows, _grid_critical(family, lams, j))
+        if not 0 <= j < len(crit):
+            raise ValueError(f"critical index {j} out of range")
+        cv = _grid_apply(family, rows, crit[j][0])
         return _grid_green(family, lams, cv, maxiter=maxiter)
 
     if which == "L":
-        n_marked = 1 if family.kind == "unicritical" else d - 1
-        mults = [d - 1] if family.kind == "unicritical" else [1] * n_marked
-        vals = np.full(lams[0].shape, math.log(d))
-        for j in range(n_marked):
-            vals = vals + mults[j] * green_field(j)
+        vals = np.full(lams[0].shape, math.log(family.degree))
+        for j, (_, mult) in enumerate(crit):
+            vals = vals + mult * green_field(j)
     elif which.startswith("activity"):
         j = int(which[len("activity"):])
         g = green_field(j)

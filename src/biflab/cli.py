@@ -211,7 +211,7 @@ def _dimension(args, family):
 def _scaling(args, family):
     center = _parse_params(args.center, "--center", family.param_dim)
     res = mass_scaling(ddc_op(_grid(args, family)), center, _floats(args.mplus),
-                       q=args.q, d=args.d, eps=args.eps)
+                       q=args.q, d=family.degree, eps=args.eps)
     doc = {"slope": res.slope, "stderr": res.stderr, "expected": res.expected,
            "deviation": res.deviation, "n_used": res.n_used,
            "radii": res.radii.tolist(), "masses": res.masses.tolist(),
@@ -284,7 +284,6 @@ COMMANDS = (
         ("--center", dict(required=True)),
         ("--mplus", dict(required=True, help="comma list of log m_n^+")),
         ("--q", dict(type=int, default=1)),
-        ("--d", dict(type=int, default=2)),
         ("--eps", dict(type=float, default=0.25))), _scaling),
     Command("cantor", "build a certified Cantor cloud", (
         ("--param", dict(required=True)),

@@ -24,6 +24,10 @@ it, so each gets the same bits at the same parameter.  It works on
 arrays of parameter coordinates, one entry per cell or row, and leaves
 a coefficient that does not depend on lambda (1, 1/d or 0) a plain
 float, so a grid never holds a per-cell array of a constant.
+``critical_rows`` is its companion for the marked critical points c_j,
+which the same three callers read.  Index j always names c_j(lambda),
+also where two marked points meet (c_1 = 0 in the cubic family);
+``critical_points`` gives the critical set, which merges such points.
 
 The scalar loops that step one parameter many times (``orbit``,
 ``newton`` and ``find_periodic``) take ``map_and_deriv`` once per call:
@@ -48,7 +52,6 @@ commutative.
 from __future__ import annotations
 
 import json
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,11 +81,10 @@ class Orbit:
     """Forward orbit with its derivative cocycle.
 
     ``log_deriv[k]`` is log|(f^k)'(z0)| in nats (prefix sum of per-step
-    log|f'|), ``arg_deriv[k]`` the accumulated (unwrapped) argument.
+    log|f'|).
     """
     points: np.ndarray
     log_deriv: np.ndarray
-    arg_deriv: np.ndarray
     escaped: bool = False
     escape_index: int | None = None
 
@@ -281,17 +283,23 @@ class MapFamily:
         coef = self.poly_coeffs(lam)
         return max(10.0, 2.0 * float(np.max(np.abs(coef))))
 
-    def marked_critical_points(self, lam):
-        """Marked critical points with multiplicities (polynomial kinds)."""
-        lam = np.asarray(lam, dtype=complex).ravel()
+    def critical_rows(self, lams):
+        """Marked critical points c_j with their multiplicities at the
+        parameter coordinates ``lams`` (as for ``coeff_rows``): [(0, d-1)]
+        for unicritical, [(0, 1), (c_1, 1), ..., (c_{d-2}, 1)] for
+        Branner-Hubbard.  Index j names c_j(lambda) also where two of the
+        points meet.  The fixed point 0 is a plain float."""
         d = self.degree
         if self.kind == "unicritical":
-            return [(0j, d - 1)]
-        if self.kind == "branner_hubbard":
-            pts = [0j] + [complex(v) for v in lam[: d - 2]]
-            scale = max(1.0, max(abs(p) for p in pts))
-            return _cluster(pts, 1e-9 * scale)
-        raise ValueError("rational kind has no marked critical points")
+            return [(0.0, d - 1)]
+        if self.kind != "branner_hubbard":
+            raise ValueError("rational kind has no marked critical points")
+        return [(0.0, 1)] + [(c, 1) for c in lams[: d - 2]]
+
+    def marked_critical_points(self, lam):
+        """``critical_rows`` at the one parameter lam, as complex values."""
+        lam = np.asarray(lam, dtype=complex).ravel()
+        return [(complex(c), k) for c, k in self.critical_rows(list(lam))]
 
     def lift(self, lam):
         """Homogeneous lift F(u, v) of f_lambda on C^2."""
@@ -360,7 +368,7 @@ def orbit(family, lam, z0, n):
     """Forward orbit of z0 with the derivative cocycle.
 
     Stops early (escape flag set) once |z_k| exceeds the family's escape
-    radius; escape is a flagged result, not an error.
+    radius or is not finite; escape is a flagged result, not an error.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
@@ -368,12 +376,11 @@ def orbit(family, lam, z0, n):
     f, df = family.map_and_deriv(lam)
     pts = [complex(z0)]
     logs = [0.0]
-    args = [0.0]
     escaped = False
     esc_idx = None
     z = complex(z0)
     for k in range(n):
-        if abs(z) > r_esc:
+        if not abs(z) <= r_esc:
             escaped = True
             esc_idx = k
             break
@@ -381,30 +388,30 @@ def orbit(family, lam, z0, n):
         z = complex(f(z))
         mag = abs(dz)
         logs.append(logs[-1] + (math.log(mag) if mag > 0 else -math.inf))
-        args.append(args[-1] + cmath.phase(dz))
         pts.append(z)
     else:
-        if abs(z) > r_esc:
+        if not abs(z) <= r_esc:
             escaped = True
             esc_idx = n
     return Orbit(
         points=np.array(pts, dtype=complex),
         log_deriv=np.array(logs),
-        arg_deriv=np.array(args),
         escaped=escaped,
         escape_index=esc_idx,
     )
 
 
 def critical_points(family, lam):
-    """Critical points with multiplicities.
+    """The critical set with multiplicities.
 
-    Polynomial kinds return the marked points (multiplicities summing to
-    d-1); the rational kind solves N'D - ND' = 0 and counts infinity in
-    the reciprocal chart (total 2d-2).
+    Polynomial kinds merge the marked points that lie within 1e-9 of
+    each other, relative to the largest (multiplicities summing to d-1);
+    the rational kind solves N'D - ND' = 0, merges roots within 1e-7 and
+    counts infinity in the reciprocal chart (total 2d-2).
     """
     if family.kind != "rational":
-        return family.marked_critical_points(lam)
+        pts = [c for c, k in family.marked_critical_points(lam) for _ in range(k)]
+        return _cluster(pts, 1e-9 * max(1.0, max(abs(p) for p in pts)))
     family.check_nondegenerate(lam)
     d = family.degree
     n, dd = family._rat_coeffs(lam)

@@ -75,10 +75,11 @@ class MisiurewiczCertificate:
 
 
 def _critical_point(marked, index):
-    """Critical point ``index`` of a ``marked_critical_points`` list."""
-    if index >= len(marked):
+    """Marked critical point ``index`` of a ``critical_rows`` or
+    ``marked_critical_points`` list."""
+    if not 0 <= index < len(marked):
         raise ValueError(f"critical index {index} out of range")
-    return complex(marked[index][0])
+    return marked[index][0]
 
 
 def activity_chi(family, lam, spec):
@@ -86,35 +87,34 @@ def activity_chi(family, lam, spec):
     one row per parameter of a stack lam of shape (P, m), shape (P, k).
 
     All rows' tracked critical orbits run together as arrays: one
-    ``family.poly_coeffs`` call gives the coefficients of every row, and
-    one step is one column-wise Horner pass
+    ``family.critical_rows`` call on the stack's coordinate columns gives
+    every row's critical points, one ``family.poly_coeffs`` call its
+    coefficients, and one step is one column-wise Horner pass
     ``npoly.polyval(z, coef, tensor=False)``.  Column r of that stack
     has the bits of ``family.poly_coeffs(lam[r])``, and the pass is the
     multiply-and-add sequence of ``family.eval`` at one point, which
     numpy's array loops round as its 0-d path does, so every row keeps
-    the bits of chi at that row alone.  Critical points, and the
-    continued landing points of motion patterns, are taken one row at a
-    time, in the order the rows and tracked points are given.
+    the bits of chi at that row alone.  The continued landing points of
+    motion patterns are taken one row at a time, in the order the rows
+    are given, after every tracked index and pattern kind is checked.
     """
     lam = np.asarray(lam, dtype=complex)
     lams = np.atleast_2d(lam)
     k, rows = len(spec.tracked), len(lams)
+    crit = family.critical_rows(list(np.ascontiguousarray(lams.T)))
     z = np.empty((k, rows), dtype=complex)
     target = np.empty((k, rows), dtype=complex)
-    base_orbits = {}
-    for r, row in enumerate(lams):
-        marked = family.marked_critical_points(row)
-        for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
-            z[i, r] = _critical_point(marked, idx)
-            if isinstance(pat, MotionTarget):
-                if i not in base_orbits:
-                    start = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
-                    base_orbits[i] = start, orbit(family, start, complex(pat.base_point), pat.p)
-                start, seg = base_orbits[i]
+    for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
+        z[i] = _critical_point(crit, idx)
+        if not isinstance(pat, (Preperiodic, MotionTarget)):
+            raise TypeError(f"unknown pattern {pat!r}")
+    for i, pat in enumerate(spec.patterns):
+        if isinstance(pat, MotionTarget):
+            start = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
+            seg = orbit(family, start, complex(pat.base_point), pat.p)
+            for r, row in enumerate(lams):
                 track = continue_orbit(family, start, row, seg.points, period=pat.p)
                 target[i, r] = track.moved_points[0]
-            elif not isinstance(pat, Preperiodic):
-                raise TypeError(f"unknown pattern {pat!r}")
     coef = family.poly_coeffs(lams)
     for _ in range(spec.k0):
         z = npoly.polyval(z, coef, tensor=False)
@@ -341,7 +341,7 @@ def certificate_to_json(cert, family):
 
 def certificate_from_json(doc):
     """Inverse of certificate_to_json (the family is not rebuilt); a
-    missing key is a ValueError that names it."""
+    missing key, or a non-finite lambda, is a ValueError that names it."""
     missing = [k for k in ("lambda", "residual", "multipliers", "sigma_min", "m_plus", "pattern")
                if k not in doc]
     missing += [f"pattern.{k}" for k in ("k0", "tracked", "patterns")
@@ -351,8 +351,11 @@ def certificate_from_json(doc):
     pat = doc["pattern"]
     spec = ActivitySpec(tracked=tuple(pat["tracked"]), k0=pat["k0"],
                         patterns=tuple(_pattern_from_json(p) for p in pat["patterns"]))
+    lam = np.array([complex(re, im) for re, im in doc["lambda"]])
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("certificate lambda must be finite")
     return MisiurewiczCertificate(
-        lam=np.array([complex(re, im) for re, im in doc["lambda"]]),
+        lam=lam,
         residual=doc["residual"],
         multipliers=[(m["log_mod"], m["arg"]) for m in doc["multipliers"]],
         sigma_min=doc["sigma_min"],

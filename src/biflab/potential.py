@@ -122,7 +122,6 @@ class LiftVector:
 @dataclass(frozen=True)
 class GreenValue:
     value: float
-    iterations: int
     converged: bool
 
 
@@ -159,7 +158,6 @@ def green_at(family, lam, v: LiftVector, tol=1e-12):
     u, w = v.u, v.v
     prev_inc = math.inf
     converged = False
-    n = 0
     for n in range(GREEN_MAXITER):
         U, V = F(u, w)
         s = max(abs(U), abs(V))
@@ -172,7 +170,7 @@ def green_at(family, lam, v: LiftVector, tol=1e-12):
             converged = True
             break
         prev_inc = inc
-    return GreenValue(value=G, iterations=n + 1, converged=converged)
+    return GreenValue(value=G, converged=converged)
 
 
 def escape_rate(z0, step, degree, gamma, maxiter, args=()):
@@ -345,9 +343,7 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     z = sample_mu_f(family, lam, n_points, depth, seed)
-    crit = ([c for c, _ in family.marked_critical_points(lam)]
-            if family.kind != "rational"
-            else [c for c, _ in _finite_critical(family, lam)])
+    crit = [c for c, _ in critical_points(family, lam) if np.isfinite(c)]
     flagged = 0
     for round_ in range(1, 6):
         bad = _near_critical(z, crit)
@@ -382,7 +378,3 @@ def _near_critical(z, crit):
     for c in crit:
         bad |= np.abs(z - c) < 1e-12
     return bad
-
-
-def _finite_critical(family, lam):
-    return [(c, m) for c, m in critical_points(family, lam) if np.isfinite(c)]

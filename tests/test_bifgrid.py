@@ -178,6 +178,16 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_field(QUAD, Box((0j,), (1.0,)), 8, "G1")
 
+    def test_negative_critical_index_rejected(self):
+        # a negative index names no marked critical point, in the cubic
+        # family (which marks c_0 and c_1) as in the quadratic one
+        cubic = MapFamily("branner_hubbard", 3)
+        for family, box in [(QUAD, Box((0j,), (1.0,))),
+                            (cubic, Box((0.4 + 0j, 1.0 + 0j), (0.5, 0.5)))]:
+            for which in ("G-1", "activity-1"):
+                with pytest.raises(ValueError, match="critical index -1 out of range"):
+                    scan_field(family, box, 8, which)
+
     @pytest.mark.parametrize("maxiter", [0, -1])
     def test_maxiter_below_one_rejected(self, maxiter):
         with pytest.raises(ValueError, match="maxiter"):

@@ -139,6 +139,23 @@ class TestMisiurewicz:
         [report] = read_json(tmp_path / "cert" / "certify_report.json")["reports"]
         assert not report["passed"] and report["closure_gap"] == math.inf
 
+    def test_nan_lambda_is_refused(self, tmp_path, capsys):
+        # a NaN parameter is an input error that names the certificate's
+        # lambda, not a failure of some later check
+        out = tmp_path / "mis"
+        main(["misiurewicz", "--family", "unicritical2", "--seed", "-1.95,0",
+              "--pattern", "k0=2,n=1,p=1", "--out", str(out)])
+        docs = bio.read_ndjson(out / "certificates.ndjson")
+        docs[0]["lambda"] = [[math.nan, 0]]
+        bad = tmp_path / "bad.ndjson"
+        bio.write_ndjson(bad, docs)
+        capsys.readouterr()
+        rc = main(["certify", "--family", "unicritical2", "--certs", str(bad),
+                   "--out", str(tmp_path / "cert")])
+        assert rc == 2
+        assert "invalid input: certificate lambda must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "cert" / "certify_report.json").exists()
+
     def test_certify_motion_pattern(self, tmp_path):
         # the motion form at c = -2 must read back with its base parameter
         # and base point, not as an algebraic pattern
@@ -222,7 +239,7 @@ class TestDimensionScaling:
         mplus = ",".join(str(n * math.log(4)) for n in range(1, 6))
         rc = main(["scaling", "--family", "unicritical2",
                    "--box", "-2,0:0.6x0.6", "--res", "512", "--field", "G0",
-                   "--center", "-2,0", "--mplus", mplus, "--q", "1", "--d", "2",
+                   "--center", "-2,0", "--mplus", mplus, "--q", "1",
                    "--eps", "0.25", "--out", str(out)])
         assert rc == 0
         doc = read_json(out / "scaling.json")
@@ -455,7 +472,7 @@ MANIFEST_CASES = {
          "--field", "G0", "--center", "-2,0", "--mplus", "0,0.5,1"],
         {"command": "scaling", "family": "unicritical2", "box": "-2,0:0.6x0.6",
          "res": 32, "field": "G0", "maxiter": 512, "center": "-2,0", "mplus": "0,0.5,1",
-         "q": 1, "d": 2, "eps": 0.25, "family_resolved": UNI2},
+         "q": 1, "eps": 0.25, "family_resolved": UNI2},
         {"scaling.json"}),
     "cantor": (
         ["cantor", "--family", "unicritical2", "--param", "-6,0",

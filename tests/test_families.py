@@ -90,6 +90,12 @@ class TestOrbit:
         ob = orbit(fam, [0j], 50.0 + 0j, 10)
         assert ob.escaped and ob.escape_index == 0
 
+    def test_nan_point_counts_as_escaped(self):
+        # at a NaN parameter f(0) is NaN, which is not inside any radius
+        fam = MapFamily("unicritical", 2)
+        ob = orbit(fam, [complex(math.nan, 0.0)], 0j, 5)
+        assert ob.escaped and ob.escape_index == 1 and len(ob) == 2
+
     def test_cocycle_additivity(self):
         fam = MapFamily("unicritical", 2)
         rng = np.random.default_rng(5)
@@ -120,6 +126,23 @@ class TestCriticalPoints:
         fam = MapFamily("branner_hubbard", 4)
         pts = critical_points(fam, [1.0 + 0j, 1.0 + 0j, 0j])
         assert sorted(((p.real, p.imag), m) for p, m in pts) == [((0, 0), 1), ((1, 0), 2)]
+
+    @pytest.mark.parametrize("lam", [[0j, 1.0 + 0j], [0.5 - 0.25j, 0.5 - 0.25j, 1.0 + 0j]],
+                             ids=["bh3-c1=0", "bh4-c1=c2"])
+    def test_meeting_marked_points_keep_their_index(self, lam):
+        # where two marked points meet, c_j still names the j-th function
+        # of lambda: d - 1 points in index order, one of a parameter and
+        # of a column of a stack alike; the critical set merges them
+        d = len(lam) + 1
+        fam = MapFamily("branner_hubbard", d)
+        want = [(0j, 1)] + [(c, 1) for c in lam[: d - 2]]
+        assert fam.marked_critical_points(lam) == want
+        stack = np.array([[0.3 + 0.1j] * (d - 1), lam])
+        rows = fam.critical_rows(list(stack.T.copy()))
+        assert [k for _, k in rows] == [1] * (d - 1) and rows[0][0] == 0.0
+        assert [complex(np.broadcast_to(c, 2)[1]) for c, _ in rows] == [c for c, _ in want]
+        assert sum(k for _, k in critical_points(fam, lam)) == d - 1
+        assert len(critical_points(fam, lam)) == d - 2
 
     def test_cubic_derivative_factorization(self):
         # p'(z) = z (z - c1) must hold identically
@@ -239,15 +262,11 @@ def _same_bits(a, b):
 
 def _old_eval(self, lam, z):
     z = np.asarray(z, dtype=complex)
-    if self.kind == "rational":
-        return self._rat_eval(lam, z)
     return npoly.polyval(z, self.poly_coeffs(lam))
 
 
 def _old_deriv(self, lam, z):
     z = np.asarray(z, dtype=complex)
-    if self.kind == "rational":
-        return self._rat_deriv(lam, z)
     return npoly.polyval(z, npoly.polyder(self.poly_coeffs(lam)))
 
 

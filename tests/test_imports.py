@@ -17,6 +17,11 @@ Inside ``src/biflab`` a module imports the other biflab modules at the
 top: a relative import in a function body hides a dependency and runs
 again on every call.  Lazy imports of third-party packages (such as
 ``scipy.spatial``) stay allowed.
+
+Every field of a ``@dataclass`` in ``src/biflab`` is read as an
+attribute (``x.field``) somewhere in a biflab or test module: a field
+that nothing reads is computed and stored for no one.  The check goes
+by name, so a read of the same name on another object also counts.
 """
 
 import ast
@@ -112,3 +117,42 @@ def test_checker_finds_function_level_relative_imports():
               "    for _ in range(2):\n        from .hyperbolic import g\n"
               "    def h():\n        from . import io\n    return A, math\n")
     assert function_level_relative_imports(source) == [7, 9]
+
+
+def dataclass_fields(source):
+    """(line, class, field) of each field of a ``@dataclass`` class."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == "dataclass" for d in node.decorator_list):
+            continue
+        out += [(stmt.lineno, node.name, stmt.target.id) for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def attributes_read(source):
+    """Names read as attributes (``x.name`` in a load) anywhere in a module."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    # a field that no module or test reads is a result nothing looks at
+    read = set().union(*(attributes_read(p.read_text()) for p in MODULES))
+    unread = [(p.name, line, cls, name) for p in SOURCES
+              for line, cls, name in dataclass_fields(p.read_text()) if name not in read]
+    assert unread == []
+
+
+def test_checker_finds_unread_fields():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+              "@dataclass\nclass B:\n    z: float\n    w = 1\n"
+              "class C:\n    v: int\n"
+              "def f(a, b):\n    a.y = b.x\n    return a\n")
+    assert dataclass_fields(source) == [(4, "A", "x"), (5, "A", "y"), (8, "B", "z")]
+    assert attributes_read(source) == {"x"}

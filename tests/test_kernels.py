@@ -59,6 +59,7 @@ from biflab.families import (
     NEWTON_TOL,
     MapFamily,
     PeriodicPoint,
+    critical_points,
     find_periodic,
     multiplier as segment_multiplier,
     newton,
@@ -786,15 +787,23 @@ class TestEscapeRate:
         assert same_bits(g, np.zeros(1)) and esc.tolist() == [False]
 
 
+def old_grid_critical(family, lams, index):
+    if index == 0:
+        return np.zeros_like(lams[0])
+    if family.kind == "branner_hubbard" and index <= family.degree - 2:
+        return lams[index - 1]
+    raise ValueError(f"critical index {index} out of range")
+
+
 def old_critical_values(fam, lams, j):
-    return old_grid_apply(fam, lams, bifgrid._grid_critical(fam, lams, j))
+    return old_grid_apply(fam, lams, old_grid_critical(fam, lams, j))
 
 
 def grid_green_pair(fam, lams, j, maxiter):
     """Escape-rate field of critical point j over the parameter grids
     ``lams``, from the current step and loop and from the old ones."""
     rows = [row for row in fam.coeff_rows(lams) if np.ndim(row)]
-    cv = bifgrid._grid_apply(fam, rows, bifgrid._grid_critical(fam, lams, j))
+    cv = bifgrid._grid_apply(fam, rows, fam.critical_rows(lams)[j][0])
     return (bifgrid._grid_green(fam, lams, cv, maxiter=maxiter),
             old_grid_green(fam, lams, old_critical_values(fam, lams, j), maxiter=maxiter))
 
@@ -833,11 +842,15 @@ def old_sample_mu_f(family, lam, n_points, depth, seed):
     return z
 
 
+def old_finite_critical(family, lam):
+    return [(c, m) for c, m in critical_points(family, lam) if np.isfinite(c)]
+
+
 def old_lyapunov_mc(family, lam, n_points, depth, seed):
     z = old_sample_mu_f(family, lam, n_points, depth, seed)
     crit = ([c for c, _ in family.marked_critical_points(lam)]
             if family.kind != "rational"
-            else [c for c, _ in potential._finite_critical(family, lam)])
+            else [c for c, _ in old_finite_critical(family, lam)])
     flagged = 0
     for round_ in range(1, 6):
         bad = potential._near_critical(z, crit)
@@ -1600,11 +1613,11 @@ class TestActivityMap:
                 assert not np.all(np.isfinite(new[0]))
 
     def test_failures_match(self):
-        # merged critical points (c_1 = 0) leave index 1 out of range; the
-        # beta fixed point of z^2 + c turns parabolic at c = 1/4, so a
-        # motion row past it fails to continue; an unknown pattern is
-        # refused; each fails as the reference does at its first bad row
-        bh3_spec = activity_case("bh3")[2]["preperiodic"]
+        # the cubic family has no critical index 2; the beta fixed point
+        # of z^2 + c turns parabolic at c = 1/4, so a motion row past it
+        # fails to continue; an unknown pattern is refused; each fails as
+        # the reference does at its first bad row
+        bh3_spec = ActivitySpec((0, 2), 2, (Preperiodic(1, 1), Preperiodic(2, 2)))
         motion = activity_case("unicritical2")[2]["motion"]
         bad = ActivitySpec((0,), 2, ("not a pattern",))
         cases = [(BH3, np.array([[0.4 + 0j, 1.0 + 0j], [0j, 1.0 + 0j]]), bh3_spec),
@@ -1615,6 +1628,20 @@ class TestActivityMap:
             assert isinstance(new, str)
             assert new == next(r for r in (run_outcome(old_activity_chi, family, row, spec)
                                            for row in stack) if isinstance(r, str))
+
+    def test_meeting_critical_points_keep_their_row(self):
+        # at c_1 = 0 both tracked critical points of the cubic family are
+        # 0: that row of a stack gets chi of the orbit of 0 in each entry,
+        # with the bits of the row alone, and the other rows are untouched
+        spec = activity_case("bh3")[2]["preperiodic"]
+        stack = np.array([[0.4 + 0j, 1.0 + 0j], [0j, 1.0 + 0j], [-0.3 + 0.2j, 0.9 + 0j]])
+        new = misiurewicz.activity_chi(BH3, stack, spec)
+        land = old_iterate(BH3, stack[1], 0j, spec.k0)
+        want = [old_iterate(BH3, stack[1], land, pat.n) - land for pat in spec.patterns]
+        assert same_bits(new[1], want)
+        for r, row in enumerate(stack):
+            assert same_bits(new[r], misiurewicz.activity_chi(BH3, row, spec))
+        assert same_bits(new[[0, 2]], [old_activity_chi(BH3, stack[r], spec) for r in (0, 2)])
 
     @pytest.mark.parametrize("name", ACTIVITY_NAMES)
     @pytest.mark.parametrize("kind", ["preperiodic", "motion"])
@@ -1631,7 +1658,9 @@ class TestActivityMap:
 # seeds of the c12 hunt grid (tests/test_acceptance.py): the four that
 # certify for each pattern pair, and every 11th of the others, which fail
 # in each of the solver's ways (superattracting target, stalled damping,
-# singular Jacobian, residual above 1e-10, merged critical points)
+# singular Jacobian, residual above 1e-10); grid[144] has c_1 = 0, where
+# both tracked critical points start at 0, and its Newton run ends at a
+# superattracting target
 def c12_seeds():
     grid = [[complex(re1, im1), complex(rea, ima)]
             for re1 in np.linspace(-1.5, 1.5, 9) for im1 in (0.0, 0.4, 0.8)
@@ -1665,7 +1694,7 @@ class TestActivityCertificates:
     def test_c05_and_c12_match_old_code(self, monkeypatch):
         new = self.records()
         assert sum(r.startswith("[") for r in new) >= 10
-        assert len({r.split(":")[0] for r in new if not r.startswith("[")}) == 3
+        assert len({r.split(":")[0] for r in new if not r.startswith("[")}) == 2
         monkeypatch.setattr(misiurewicz, "activity_chi", old_activity_chi)
         monkeypatch.setattr(misiurewicz, "_chi_jacobian", old_chi_jacobian)
         assert new == self.records()

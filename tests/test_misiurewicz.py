@@ -69,6 +69,12 @@ class TestActivity:
         mot = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
         assert abs(activity_chi(QUAD, [-2.0 + 0j], mot)[0]) < 1e-12
 
+    def test_negative_critical_index_rejected(self):
+        # the cubic family marks c_0 and c_1; a negative index names none
+        spec = ActivitySpec((0, -1), 2, (Preperiodic(1, 1), Preperiodic(1, 1)))
+        with pytest.raises(ValueError, match="critical index -1 out of range"):
+            activity_chi(CUBIC, [0.4 + 0j, 1.0 + 0j], spec)
+
 
 class TestTransversality:
     def test_chebyshev_derivative_modulus(self):
@@ -257,6 +263,11 @@ class TestVerification:
         path = tmp_path_factory.getbasetemp() / "certificates.ndjson"
         bio.write_ndjson(path, [certificate_to_json(cert, QUAD)])
         [doc] = bio.read_ndjson(path)
+        if not np.all(np.isfinite(cert.lam)):
+            # a certificate's parameter must be finite; it is refused by name
+            with pytest.raises(ValueError, match="lambda"):
+                certificate_from_json(doc)
+            return
         back = certificate_from_json(doc)
 
         def words(c):
