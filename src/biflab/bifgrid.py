@@ -432,7 +432,7 @@ def pointwise_dimension(profile):
     radii = profile.radii[keep]
     masses = profile.masses[keep]
     if len(radii) < 4:
-        raise DegenerateProfile(f"only {len(radii)} radii with positive mass")
+        raise DegenerateProfile(f"pointwise dimension: only {len(radii)} radii with positive mass")
     slope, stderr = _ols(np.log(radii), np.log(masses))
     return DimensionEstimate(slope=slope, stderr=stderr,
                              fit_range=(float(radii[0]), float(radii[-1])),
@@ -461,7 +461,7 @@ def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
         masses = radial_masses(measure, center, radii).masses
     keep = masses > 0
     if int(np.sum(keep)) < 3:
-        raise DegenerateProfile("fewer than 3 positive masses")
+        raise DegenerateProfile("mass scaling: fewer than 3 positive masses")
     ns = np.arange(1, usable + 1)[keep]
     slope, stderr = _ols(ns, np.log(masses[keep]))
     expected = -q * math.log(d)

@@ -50,8 +50,7 @@ from .potential import lyapunov_mc
 def _parse_family(text):
     if os.path.exists(text):
         with open(text) as f:
-            fam, _ = family_from_json(json.load(f))
-        return fam
+            return family_from_json(json.load(f))
     for prefix, kind in (("unicritical", "unicritical"),
                          ("branner_hubbard", "branner_hubbard"),
                          ("bh", "branner_hubbard")):

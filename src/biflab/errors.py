@@ -52,10 +52,6 @@ class ChainDivergence(BiflabError):
     """Composed linearization series grew beyond the overflow guard."""
 
 
-class OverlapError(BiflabError):
-    """Cantor generator disks intersect."""
-
-
 class CoverageError(BiflabError):
     """A generator disk's image fails to cover the required disks, or a
     branch selection was ambiguous."""

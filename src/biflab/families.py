@@ -30,9 +30,10 @@ also where two marked points meet (c_1 = 0 in the cubic family);
 ``critical_points`` gives the critical set, which merges such points.
 
 The scalar loops that step one parameter many times (``orbit``,
-``newton`` and ``find_periodic``) take ``map_and_deriv`` once per call:
-its two functions of z hold the coefficients (and their derivative)
-built at that parameter, and ``eval``/``deriv`` are its one-point calls.
+``newton`` and ``find_periodic``) build the coefficients once per call:
+``map_and_deriv`` gives two functions of z that hold them (and their
+derivative), ``eval``/``deriv`` are its one-point calls, and ``orbit``
+reads its escape radius off the same build.
 A family keeps no state between calls.  Each step evaluates with
 ``npoly.polyval`` on ``np.asarray(z)``, a 0-d array for a scalar z,
 whose array loops round each multiply and add as the batched path does;
@@ -47,6 +48,9 @@ product as ``np.multiply(coef_j, z ** j)``: on arrays of 256 KiB or
 more numpy's temporary elision evaluates ``coef_j * z ** j`` as
 ``z ** j * coef_j``, and the fused complex multiply is not bitwise
 commutative.
+
+A family's JSON document holds ``kind``, ``degree`` and, for the
+rational kind, the ``num``/``den`` tables.
 """
 
 from __future__ import annotations
@@ -211,10 +215,7 @@ class MapFamily:
         if self.kind == "rational":
             n, d = self._rat_coeffs(lam)
             return lambda z: _rat_chart(n, d, z, False), lambda z: _rat_chart(n, d, z, True)
-        coef = self.poly_coeffs(lam)
-        dcoef = npoly.polyder(coef)
-        return (lambda z: npoly.polyval(np.asarray(z, dtype=complex), coef),
-                lambda z: npoly.polyval(np.asarray(z, dtype=complex), dcoef))
+        return _poly_maps(self.poly_coeffs(lam))
 
     def eval(self, lam, z):
         return self.map_and_deriv(lam)[0](z)
@@ -277,12 +278,6 @@ class MapFamily:
     # ------------------------------------------------------------------
     # structure
 
-    def escape_radius(self, lam):
-        if self.kind == "rational":
-            return math.inf
-        coef = self.poly_coeffs(lam)
-        return max(10.0, 2.0 * float(np.max(np.abs(coef))))
-
     def critical_rows(self, lams):
         """Marked critical points c_j with their multiplicities at the
         parameter coordinates ``lams`` (as for ``coeff_rows``): [(0, d-1)]
@@ -316,6 +311,13 @@ class MapFamily:
             return np.sum(n * powsu * powsv), second
 
         return F
+
+
+def _poly_maps(coef):
+    """(f, f') of the polynomial with z-coefficients coef (lowest first)."""
+    dcoef = npoly.polyder(coef)
+    return (lambda z: npoly.polyval(np.asarray(z, dtype=complex), coef),
+            lambda z: npoly.polyval(np.asarray(z, dtype=complex), dcoef))
 
 
 def _rat_chart(n, d, z, deriv):
@@ -367,13 +369,18 @@ def eval_map(family, lam, z):
 def orbit(family, lam, z0, n):
     """Forward orbit of z0 with the derivative cocycle.
 
-    Stops early (escape flag set) once |z_k| exceeds the family's escape
-    radius or is not finite; escape is a flagged result, not an error.
+    Stops early (escape flag set) once |z_k| exceeds the escape radius
+    (infinite for the rational kind, max(10, 2 max_j |coef_j|) for the
+    polynomial kinds) or is not finite; escape is a flagged result, not
+    an error.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    r_esc = family.escape_radius(lam)
-    f, df = family.map_and_deriv(lam)
+    if family.kind == "rational":
+        r_esc, (f, df) = math.inf, family.map_and_deriv(lam)
+    else:
+        coef = family.poly_coeffs(lam)
+        r_esc, (f, df) = max(10.0, 2.0 * float(np.max(np.abs(coef)))), _poly_maps(coef)
     pts = [complex(z0)]
     logs = [0.0]
     escaped = False
@@ -523,22 +530,13 @@ def family_from_json(doc):
     if kind == "rational":
         num = [[complex(re, im) for re, im in row] for row in doc["num"]]
         den = [[complex(re, im) for re, im in row] for row in doc["den"]]
-        fam = MapFamily(kind, degree, num=num, den=den)
-    else:
-        fam = MapFamily(kind, degree)
-    params = None
-    if "params" in doc:
-        params = np.array([complex(re, im) for re, im in doc["params"]])
-        if len(params) != fam.param_dim:
-            raise ValueError("params length does not match the family's parameter dimension")
-    return fam, params
+        return MapFamily(kind, degree, num=num, den=den)
+    return MapFamily(kind, degree)
 
 
-def family_to_json(family, params=None):
+def family_to_json(family):
     doc = {"kind": family.kind, "degree": family.degree}
     if family.kind == "rational":
         doc["num"] = [[[float(c.real), float(c.imag)] for c in row] for row in family.num]
         doc["den"] = [[[float(c.real), float(c.imag)] for c in row] for row in family.den]
-    if params is not None:
-        doc["params"] = [[float(p.real), float(p.imag)] for p in np.atleast_1d(params)]
     return doc

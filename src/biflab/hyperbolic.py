@@ -5,7 +5,8 @@ around repelling orbits, Cantor hyperbolic sets and bi-Hoelder exponents.
 Continuation follows straight parameter segments with adaptive step
 halving; each accepted step Newton-corrects the tail cycle and recovers
 the earlier orbit points through local inverse branches, so the conjugacy
-residual is at Newton tolerance by construction.
+residual is at Newton tolerance by construction.  A Cantor cloud sizes
+its own generator disks and moves its anchors with ``continue_orbit``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .errors import (
     CoverageError,
     LostHyperbolicity,
     NoConvergence,
-    OverlapError,
     StepFloorReached,
 )
 from .families import multiplier, newton, orbit as forward_orbit
 
 STEP_FLOOR = 1e-12
+# continuation starts with 1/CONTINUATION_STEPS of the parameter segment
+CONTINUATION_STEPS = 8
 # continuation needs per-step |f'| >= 1 + REPEL_MARGIN (half that on the path)
 REPEL_MARGIN = 0.05
 N_FIT = 10
@@ -126,7 +128,7 @@ def _correct_orbit(family, lam, pts, period):
     return new, worst
 
 
-def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8):
+def continue_orbit(family, lam0, lam1, base_points, period=1):
     """Predictor-corrector continuation of a repelling orbit whose tail
     point lies on a cycle of the given period.
 
@@ -136,15 +138,15 @@ def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8):
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=complex))
     lam1 = np.atleast_1d(np.asarray(lam1, dtype=complex))
     pts = np.asarray(base_points, dtype=complex)
-    dz0 = np.abs(np.asarray(family.deriv(lam0, pts[:-1]), dtype=complex)) \
-        if len(pts) > 1 else np.abs(np.atleast_1d(family.deriv(lam0, pts[0])))
+    head = max(len(pts) - 1, 1)     # all but the tail, or the one point
+    dz0 = np.abs(np.asarray(family.deriv(lam0, pts[:head]), dtype=complex))
     if np.any(dz0 < 1.0 + REPEL_MARGIN):
         raise LostHyperbolicity(
             f"base orbit not uniformly repelling: min |f'| = {float(np.min(dz0)):.6g}")
-    mlog0 = multiplier(family, lam0, pts[:-1] if len(pts) > 1 else pts[:1])
+    mlog0 = multiplier(family, lam0, pts[:head])
     if np.array_equal(lam0, lam1):
         return OrbitTrack(lam0, [lam0, lam1], pts, pts.copy(), mlog0, mlog0)
-    t, dt = 0.0, 1.0 / steps
+    t, dt = 0.0, 1.0 / CONTINUATION_STEPS
     cur = pts.copy()
     path = [lam0.copy()]
     while t < 1.0:
@@ -153,7 +155,7 @@ def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8):
         trial, worst = _correct_orbit(family, lam, cur, period)
         ok = trial is not None and worst <= 5
         if ok:
-            dzp = np.abs(np.asarray(family.deriv(lam, trial[:-1] if len(trial) > 1 else trial[:1]), dtype=complex))
+            dzp = np.abs(np.asarray(family.deriv(lam, trial[:head]), dtype=complex))
             if np.any(dzp < 1.0 + REPEL_MARGIN / 2):
                 raise LostHyperbolicity(
                     f"per-step |f'| dropped to {float(np.min(dzp)):.6g} at t={t_next:.4g}")
@@ -163,7 +165,7 @@ def continue_orbit(family, lam0, lam1, base_points, period=1, steps=8):
             dt /= 2.0
             if dt < STEP_FLOOR:
                 raise StepFloorReached("continuation step fell below 1e-12")
-    mlog1 = multiplier(family, lam1, cur[:-1] if len(cur) > 1 else cur[:1])
+    mlog1 = multiplier(family, lam1, cur[:head])
     return OrbitTrack(lam0, path, pts, cur, mlog0, mlog1)
 
 
@@ -242,20 +244,15 @@ def fit_distortion_constant(family, lam0, lams, w0):
     return C
 
 
-def distortion_ratio(family, lam0, lam, w0, n, C=None):
+def distortion_ratio(family, lam0, lam, w0, n, C):
     """Multiplier ratio along base and moved orbits and the exponential
-    distortion bound check.  When C is None it is fitted on n <= N_FIT
-    at this parameter."""
+    distortion bound check for the constant C (``fit_distortion_constant``)."""
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=complex))
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     norm = float(np.linalg.norm(lam - lam0))
     if norm == 0.0:
-        return 1.0 + 0j, True, 0.0 if C is None else C
-    ratios = distortion_profile(family, lam0, lam, w0, max(n, N_FIT) if C is None else n)
-    if C is None:
-        C = max(math.log1p(abs(ratios[k] - 1.0)) / ((k + 1) * norm)
-                for k in range(min(N_FIT, len(ratios))))
-    ratio = complex(ratios[n - 1])
+        return 1.0 + 0j, True, C
+    ratio = complex(distortion_profile(family, lam0, lam, w0, n)[n - 1])
     bound_ok = abs(ratio - 1.0) <= math.expm1(n * C * norm) + 1e-12
     return ratio, bound_ok, C
 
@@ -367,7 +364,7 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
     # and the Koenigs chain phi_i, run from the identity at the far end
     phi = np.zeros(N_trunc + 1, dtype=complex)
     phi[1] = 1.0
-    psi0_raw = phi.copy() if n == len(locs) else None
+    psi0_raw = phi.copy()
     for i in range(len(locs) - 1, -1, -1):
         s = locs[i][: N_trunc + 1].copy()
         s[0] = 0.0
@@ -377,9 +374,6 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
         phi = c1 * _series_compose(phi, g, N_trunc)
         if i == n:
             psi0_raw = phi.copy()
-    if psi0_raw is None:
-        psi0_raw = np.zeros(N_trunc + 1, dtype=complex)
-        psi0_raw[1] = 1.0
     psi1_raw = _series_invert(phi, N_trunc)
 
     rho = float(0.25 * scale if math.isfinite(scale) else 1.0)
@@ -427,29 +421,28 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
 # ----------------------------------------------------------------------
 # Cantor hyperbolic sets
 
-def _branch_apply(family, lam, anchor, w, period, guard=None):
+def _branch_apply(family, lam, anchor, w, period):
     """Inverse branch of f^period at the anchor applied to every point of
-    the 1-d array w, seeded at ``guard`` (defaults to the anchor).
+    the 1-d array w.
 
     For period 1 on a polynomial kind each point takes its preimage
-    nearest the seed, from one batched ``preimages`` call; the call raises
-    CoverageError when, for any point, the second-nearest preimage is
-    within twice the nearest distance.  Otherwise each point runs its own
-    Newton solve of f^period(z) = w from the seed."""
-    seed = anchor if guard is None else guard
+    nearest the anchor, from one batched ``preimages`` call; the call
+    raises CoverageError when, for any point, the second-nearest preimage
+    is within twice the nearest distance.  Otherwise each point runs its
+    own Newton solve of f^period(z) = w from the anchor."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     if period == 1 and family.kind != "rational":
         pre = np.asarray(family.preimages(lam, w), dtype=complex)
-        dist = np.abs(pre - seed)
+        dist = np.abs(pre - anchor)
         order = np.argsort(dist, axis=0)
         cols = np.arange(w.size)
         d0 = dist[order[0], cols]
         if len(order) > 1 and np.any((dist[order[1], cols] < 2.0 * d0) & (d0 > 1e-12)):
-            raise CoverageError(f"ambiguous branch selection near {seed}")
+            raise CoverageError(f"ambiguous branch selection near {anchor}")
         return pre[order[0], cols]
     out = np.empty(w.size, dtype=complex)
     for i, x in enumerate(w.tolist()):
-        z, _ = newton(family, lam, seed, period, target=x, maxiter=60)
+        z, _ = newton(family, lam, anchor, period, target=x, maxiter=60)
         if z is None:
             raise NoConvergence("branch Newton did not converge")
         out[i] = z
@@ -479,9 +472,25 @@ def _build_cloud(family, lam, anchors, depth, period):
     return pts, words
 
 
-def build_cantor(family, lam, anchors, depth, period=1, eta=None):
+def _check_coverage(family, lam, anchors, radius, period):
+    """Raise CoverageError unless every generator branch maps 16 points on
+    the boundary of every generator disk of this radius into its own disk."""
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)
+    targets = np.concatenate([ak + radius * ring for ak in anchors])
+    for j, aj in enumerate(anchors):
+        leaves = np.abs(_branch_apply(family, lam, aj, targets, period) - aj) > radius
+        if np.any(leaves):
+            ak = anchors[int(np.argmax(leaves)) // len(ring)]
+            raise CoverageError(
+                f"branch {j} image of the disk at {ak} leaves its own disk")
+
+
+def build_cantor(family, lam, anchors, depth, period=1):
     """IFS-style hyperbolic Cantor cloud generated by the inverse branches
-    of f^period anchored at two repelling periodic points."""
+    of f^period anchored at two repelling periodic points.  The disks
+    share the largest radius eta in a list of fractions of the anchor
+    separation that passes ``_check_coverage`` (the window is bounded
+    above by disk overlap, below by the coded set's diameter)."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -494,36 +503,16 @@ def build_cantor(family, lam, anchors, depth, period=1, eta=None):
         specs.append(InverseBranchSpec(eta=K * r, K=K, B=B))
     sep = min(abs(anchors[i] - anchors[j])
               for i in range(len(anchors)) for j in range(i + 1, len(anchors)))
-    # coverage: every boundary point of every disk pulls back into each disk
-    ring = np.exp(2j * np.pi * np.arange(16) / 16)
-
-    def _check_coverage(radius):
-        targets = np.concatenate([ak + radius * ring for ak in anchors])
-        for j, aj in enumerate(anchors):
-            leaves = np.abs(_branch_apply(family, lam, aj, targets, period) - aj) > radius
-            if np.any(leaves):
-                ak = anchors[int(np.argmax(leaves)) // len(ring)]
-                raise CoverageError(
-                    f"branch {j} image of the disk at {ak} leaves its own disk")
-
+    eta = last = None
+    for frac in (0.49, 0.45, 0.35, 0.25, 0.15):
+        try:
+            _check_coverage(family, lam, anchors, frac * sep, period)
+            eta = frac * sep
+            break
+        except (CoverageError, BranchAmbiguity, NoConvergence) as err:
+            last = err
     if eta is None:
-        # the feasible radius window is bounded above by disk overlap and
-        # below by the diameter of the coded set around each anchor
-        last = None
-        for frac in (0.49, 0.45, 0.35, 0.25, 0.15):
-            try:
-                _check_coverage(frac * sep)
-                eta = frac * sep
-                break
-            except (CoverageError, BranchAmbiguity, NoConvergence) as err:
-                last = err
-        if eta is None:
-            raise CoverageError(f"no admissible disk radius found: {last}")
-    else:
-        if 2.0 * eta >= sep:
-            raise OverlapError(
-                f"generator disks of radius {eta:.4g} overlap (separation {sep:.4g})")
-        _check_coverage(eta)
+        raise CoverageError(f"no admissible disk radius found: {last}")
     cloud, words = _build_cloud(family, lam, anchors, depth, period)
     mags = np.abs(np.asarray(family.deriv(lam, cloud), dtype=complex))
     K_cloud = float(np.min(mags))
@@ -561,27 +550,18 @@ def coded_orbit(cantor, index, length):
     return suffix_pts[np.minimum(np.arange(length + 1), len(word) - 1)]
 
 
-def continue_cantor(cantor, lam1, steps=8):
-    """Move a Cantor cloud to a nearby parameter: the anchors are tracked
-    by Newton continuation along the segment, then the word cloud is
+def continue_cantor(cantor, lam1):
+    """Move a Cantor cloud to a nearby parameter: ``continue_orbit`` moves
+    each anchor as a one-point orbit on its cycle, then the word cloud is
     rebuilt at the target parameter (the holomorphic motion restricted to
     the cloud, by uniqueness of coded points)."""
-    family = cantor.family
-    lam0 = cantor.lam
+    family, lam0, period = cantor.family, cantor.lam, cantor.period
     lam1 = np.atleast_1d(np.asarray(lam1, dtype=complex))
     if np.array_equal(lam0, lam1):
         return cantor.cloud.copy(), list(cantor.anchors)
-    anchors = list(cantor.anchors)
-    for s in range(1, steps + 1):
-        lam = lam0 + (lam1 - lam0) * (s / steps)
-        new_anchors = []
-        for a in anchors:
-            z, _ = newton(family, lam, a, cantor.period, maxiter=12)
-            if z is None:
-                raise NoConvergence("anchor continuation failed")
-            new_anchors.append(z)
-        anchors = new_anchors
-    cloud, _ = _build_cloud(family, lam1, anchors, cantor.depth, cantor.period)
+    anchors = [complex(continue_orbit(family, lam0, lam1, [a], period).moved_points[0])
+               for a in cantor.anchors]
+    cloud, _ = _build_cloud(family, lam1, anchors, cantor.depth, period)
     return cloud, anchors
 
 

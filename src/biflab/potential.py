@@ -27,6 +27,7 @@ from .families import critical_points
 from .rng import counter_choice
 
 GREEN_MAXITER = 200
+GREEN_TOL = 1e-12
 PLANE_BIG = 1e12
 PLANE_MAXITER = 2048
 
@@ -145,7 +146,7 @@ def apply_lift(family, lam, v: LiftVector) -> LiftVector:
     return LiftVector(U / s, V / s, d * v.log_scale + math.log(s))
 
 
-def green_at(family, lam, v: LiftVector, tol=1e-12):
+def green_at(family, lam, v: LiftVector):
     """Green function G_F of the lift at the given vector.
 
     Telescoping renormalized iteration: G = log_scale +
@@ -166,7 +167,7 @@ def green_at(family, lam, v: LiftVector, tol=1e-12):
         inc = d ** (-(n + 1)) * math.log(s)
         G += inc
         u, w = U / s, V / s
-        if max(abs(inc), abs(prev_inc)) < tol and n >= 2:
+        if max(abs(inc), abs(prev_inc)) < GREEN_TOL and n >= 2:
             converged = True
             break
         prev_inc = inc

@@ -18,6 +18,7 @@ from biflab.bifgrid import (
     wedge_pair,
 )
 from biflab.errors import (
+    DegenerateProfile,
     InsufficientScales,
     NotPlurisubharmonic,
     ResolutionExceeded,
@@ -321,6 +322,11 @@ class TestMassScaling:
         m_plus = np.arange(10, 30) * math.log(2)
         with pytest.raises(ResolutionExceeded):
             mass_scaling(mu, 0j, m_plus, q=2, d=2, eps=0.5)
+
+    def test_massless_law_names_its_stage(self):
+        m_plus = np.arange(1, 11) * math.log(2)
+        with pytest.raises(DegenerateProfile, match="^mass scaling: fewer than 3 positive"):
+            mass_scaling(lambda r: 0.0, 0j, m_plus, q=1, d=2)
 
 
 class TestBoxDimension:

@@ -403,6 +403,17 @@ class TestExitCodes:
         assert main(["linearize", "--family", "unicritical2", "--param", "0,0",
                      "--w", "0,0", "--n", "5", "--out", str(tmp_path)]) == 3
 
+    def test_degenerate_profile_names_its_stage(self, tmp_path, capsys):
+        # the G0 field of z^2 + c vanishes on this box inside the Mandelbrot
+        # set, so no ball around 0 carries mass
+        out = tmp_path / "dim"
+        assert main(["dimension", "--family", "unicritical2", "--box", "0,0:0.4x0.4",
+                     "--res", "64", "--field", "G0", "--center", "0,0",
+                     "--radii", "0.15,0.1,0.05,0.03", "--out", str(out)]) == 3
+        assert "numerical failure: pointwise dimension: only 0 radii with positive mass" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 UNI2 = {"degree": 2, "kind": "unicritical"}
 BH3 = {"degree": 3, "kind": "branner_hubbard"}

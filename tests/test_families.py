@@ -221,15 +221,14 @@ class TestMultiplier:
 
 def test_family_json_roundtrip():
     fam = lattes_family()
-    doc = family_to_json(fam, params=[0.5 + 0.25j])
-    fam2, params = family_from_json(json.loads(json.dumps(doc)))
+    doc = family_to_json(fam)
+    fam2 = family_from_json(json.loads(json.dumps(doc)))
     assert fam2.kind == "rational" and fam2.degree == 4
-    assert np.allclose(params, [0.5 + 0.25j])
     z = 0.4 + 0.2j
     assert abs(complex(fam.eval([0j], z)) - complex(fam2.eval([0j], z))) < 1e-14
 
-    fam3, params3 = family_from_json({"kind": "branner_hubbard", "degree": 3})
-    assert fam3.param_dim == 2 and params3 is None
+    fam3 = family_from_json({"kind": "branner_hubbard", "degree": 3})
+    assert fam3.param_dim == 2
 
 
 @pytest.mark.parametrize("drop", ["kind", "degree", "num", "den"])
@@ -380,24 +379,26 @@ class TestCoefficientMemo:
             lam = _random_complex(rng, fam.param_dim, scale=2.0 ** (trial % 5 - 2))
             w = complex(_random_complex(rng, ()))
             coef = fam.poly_coeffs(lam)
-            radius = fam.escape_radius(lam)
-            assert _same_bits(radius, max(10.0, 2.0 * float(np.max(np.abs(coef)))))
+            # an orbit escapes exactly above the old formula's radius
+            radius = max(10.0, 2.0 * float(np.max(np.abs(coef))))
+            assert not orbit(fam, lam, radius, 0).escaped
+            assert orbit(fam, lam, np.nextafter(radius, np.inf), 0).escaped
             for order in (0, 2, fam.degree + 2):
                 assert _same_bits(fam.local_series(lam, w, order),
                                   families._taylor_shift(coef, w, order))
-        # a scalar loop builds its coefficients per call, not per step: an
-        # orbit for its escape radius and for (f, f'), Newton for (f, f')
+        # a scalar loop builds its coefficients once per call, not per
+        # step: an orbit reads its escape radius and (f, f') off one build
         lam = _random_complex(rng, fam.param_dim, scale=0.5)
         built = []
         real = MapFamily.poly_coeffs
         monkeypatch.setattr(MapFamily, "poly_coeffs",
                             lambda self, lam: built.append(1) or real(self, lam))
         orbit(fam, lam, 0.1 + 0.1j, 12)
-        assert len(built) == 2
+        assert len(built) == 1
         orbit(fam, lam, 0.2 - 0.1j, 24)
-        assert len(built) == 4
+        assert len(built) == 2
         newton(fam, lam, 0.3 + 0.2j, period=3)
-        assert len(built) == 5
+        assert len(built) == 3
 
     def test_poly_coeffs_returns_a_fresh_writable_array(self):
         fam = MapFamily("branner_hubbard", 3)

@@ -91,7 +91,7 @@ class TestInverseBranch:
 
 class TestDistortion:
     def test_trivial_ratio(self):
-        ratio, ok, C = distortion_ratio(QUAD, [-2.0 + 0j], [-2.0 + 0j], 2.0 + 0j, 10)
+        ratio, ok, C = distortion_ratio(QUAD, [-2.0 + 0j], [-2.0 + 0j], 2.0 + 0j, 10, C=0.0)
         assert ratio == 1.0 and ok and C == 0.0
 
     def test_single_constant_covers_grid(self):
@@ -112,7 +112,7 @@ class TestDistortion:
         devs = []
         for eps in (1e-5, 1e-4, 1e-3):
             ratio, _, _ = distortion_ratio(QUAD, lam0, [-2.0 + eps + 0j],
-                                           2.0 + 0j, 20)
+                                           2.0 + 0j, 20, C=0.0)
             devs.append(abs(ratio - 1.0))
         assert devs[0] < devs[1] < devs[2]
 
@@ -194,8 +194,7 @@ class TestCantor:
     def test_vanishing_branch_derivative_is_no_convergence(self):
         # (f^2)'(0) = 0: the Newton step of the period-2 branch would divide by 0
         with pytest.raises(NoConvergence):
-            _branch_apply(MapFamily("unicritical", 2), [-6 + 0j], 3 + 0j, 3 + 0j,
-                          period=2, guard=0j)
+            _branch_apply(MapFamily("unicritical", 2), [-6 + 0j], 0j, 3 + 0j, period=2)
 
     def test_depth_ten_cloud(self):
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
@@ -246,6 +245,14 @@ class TestCantor:
         assert abs(anchors[0] - beta(c1)) < 1e-10
         assert abs(anchors[1] - (1 - (1 - 4 * c1) ** 0.5) / 2) < 1e-10
         assert len(cloud) == len(cs.cloud)
+
+    def test_continue_cantor_loses_an_attracting_anchor(self):
+        # on the way to c = -0.7 the anchor that starts at -2 becomes the
+        # attracting fixed point near -0.47; the orbit continuation stops
+        # there instead of rebuilding a cloud around it
+        cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 4)
+        with pytest.raises(LostHyperbolicity, match="per-step .f'. dropped to 0.949359 at t=1"):
+            continue_cantor(cs, [-0.7 + 0j])
 
 
 class TestHolder:

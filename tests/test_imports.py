@@ -22,6 +22,10 @@ Every field of a ``@dataclass`` in ``src/biflab`` is read as an
 attribute (``x.field``) somewhere in a biflab or test module: a field
 that nothing reads is computed and stored for no one.  The check goes
 by name, so a read of the same name on another object also counts.
+
+Every class in ``errors.py`` other than the base ``BiflabError`` is
+named by another ``src/biflab`` module (raised, caught or warned with):
+an error type goes when its last raise goes.
 """
 
 import ast
@@ -156,3 +160,31 @@ def test_checker_finds_unread_fields():
               "def f(a, b):\n    a.y = b.x\n    return a\n")
     assert dataclass_fields(source) == [(4, "A", "x"), (5, "A", "y"), (8, "B", "z")]
     assert attributes_read(source) == {"x"}
+
+
+def unnamed_error_types(errors_source, sources):
+    """(line, class) of each class of the errors module, other than
+    ``BiflabError``, that none of the other modules' sources names."""
+    named = {n.id if isinstance(n, ast.Name) else n.attr
+             for source in sources for n in ast.walk(ast.parse(source))
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    return [(node.lineno, node.name) for node in ast.parse(errors_source).body
+            if isinstance(node, ast.ClassDef) and node.name != "BiflabError"
+            and node.name not in named]
+
+
+def test_every_error_type_is_named():
+    errors = ROOT / "src" / "biflab" / "errors.py"
+    assert unnamed_error_types(errors.read_text(),
+                               [p.read_text() for p in SOURCES if p != errors]) == []
+
+
+def test_checker_finds_unnamed_error_types():
+    errors_source = ("class BiflabError(Exception):\n    pass\n"
+                     "class A(BiflabError):\n    pass\n"
+                     "class B(A):\n    pass\n"
+                     "class W(UserWarning):\n    pass\n")
+    sources = ["from .errors import A\nraise A('x')\n",
+               "from . import errors\nwarn('w', errors.W)\n"]
+    assert unnamed_error_types(errors_source, sources) == [(5, "B")]
+    assert unnamed_error_types(errors_source, sources[:1]) == [(5, "B"), (7, "W")]

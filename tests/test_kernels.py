@@ -283,7 +283,8 @@ class TestNewton:
                               guard if _ % 2 else None))
         for fam, lam, anchor, w, period, guard in cases:
             old = outcome(old_branch_apply, fam, lam, anchor, w, period, guard)
-            new = outcome(hyperbolic._branch_apply, fam, lam, anchor, w, period, guard)
+            new = outcome(hyperbolic._branch_apply, fam, lam,
+                          anchor if guard is None else guard, w, period)
             if isinstance(old, type):
                 assert new is old
             else:
@@ -291,13 +292,13 @@ class TestNewton:
 
     def test_cantor_cloud_and_motion(self, monkeypatch):
         cs = hyperbolic.build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6, period=2)
-        moved, anchors = hyperbolic.continue_cantor(cs, [-6.1 + 0.05j], steps=4)
+        moved, anchors = hyperbolic.continue_cantor(cs, [-6.1 + 0.05j])
         monkeypatch.setattr(hyperbolic, "_branch_apply", old_branch_map)
         monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
         monkeypatch.setattr(hyperbolic, "newton", lambda fam, lam, seed, period, maxiter:
                             old_newton_cycle(fam, lam, seed, period, maxiter=maxiter))
         cs_old = hyperbolic.build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6, period=2)
-        moved_old, anchors_old = hyperbolic.continue_cantor(cs_old, [-6.1 + 0.05j], steps=4)
+        moved_old, anchors_old = hyperbolic.continue_cantor(cs_old, [-6.1 + 0.05j])
         assert same_bits(cs.cloud, cs_old.cloud)
         assert same_bits(moved, moved_old)
         assert same_bits(np.array(anchors), np.array(anchors_old))
@@ -477,7 +478,7 @@ class TestCantorCloud:
             except hyperbolic.CoverageError as exc:
                 old = str(exc)
             try:
-                hyperbolic.build_cantor(QUAD, lam, anchors, 1, eta=radius)
+                hyperbolic._check_coverage(QUAD, lam, anchors, radius, 1)
                 new = None
             except hyperbolic.CoverageError as exc:
                 new = str(exc)
@@ -501,9 +502,9 @@ class TestCantorCloud:
         fam, lam, anchors = cantor_case(name)
         lam1 = [lam[0] + 0.02 - 0.01j] + lam[1:]
         cs = hyperbolic.build_cantor(fam, lam, anchors, 8)
-        new = hyperbolic.continue_cantor(cs, lam1, steps=4)
+        new = hyperbolic.continue_cantor(cs, lam1)
         monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
-        old = hyperbolic.continue_cantor(cs, lam1, steps=4)
+        old = hyperbolic.continue_cantor(cs, lam1)
         assert same_bits(new[0], old[0])
         assert same_bits(np.array(new[1]), np.array(old[1]))
 
@@ -1492,7 +1493,7 @@ def old_iterate(family, lam, z, n):
     return z
 
 
-def old_activity_chi(family, lam, spec, steps=8):
+def old_activity_chi(family, lam, spec):
     """Activity vector chi in C^k at the parameter lam."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     out = np.empty(len(spec.tracked), dtype=complex)
@@ -1505,8 +1506,7 @@ def old_activity_chi(family, lam, spec, steps=8):
             from biflab.hyperbolic import continue_orbit
             base = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
             seg = orbit(family, base, complex(pat.base_point), pat.p)
-            track = continue_orbit(family, base, lam, seg.points,
-                                   period=pat.p, steps=steps)
+            track = continue_orbit(family, base, lam, seg.points, period=pat.p)
             out[i] = land - track.moved_points[0]
         else:
             raise TypeError(f"unknown pattern {pat!r}")

@@ -37,11 +37,11 @@ class TestGreen:
             if max(abs(u), abs(w)) < 1e-3:
                 continue
             v = LiftVector.of(u, w)
-            g = green_at(QUAD, [c], v, tol=tol)
+            g = green_at(QUAD, [c], v)
             t = 3.0
-            gt = green_at(QUAD, [c], LiftVector.of(t * u, t * w), tol=tol)
+            gt = green_at(QUAD, [c], LiftVector.of(t * u, t * w))
             assert abs(gt.value - g.value - math.log(t)) < 10 * tol
-            gf = green_at(QUAD, [c], apply_lift(QUAD, [c], v), tol=tol)
+            gf = green_at(QUAD, [c], apply_lift(QUAD, [c], v))
             assert abs(gf.value - 2 * g.value) < 10 * tol
 
     def test_nonnegative_iff_bounded(self):
