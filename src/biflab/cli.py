@@ -61,11 +61,15 @@ def _parse_family(text):
 
 def _parse_params(text, flag, count=None):
     """`re,im[;re,im...]` as complex numbers; with ``count``, exactly
-    that many, else a ValueError naming the flag."""
+    that many.  A malformed point or count is a ValueError naming the
+    flag."""
     out = []
     for part in text.split(";"):
-        re_s, im_s = part.split(",")
-        out.append(float(re_s) + 1j * float(im_s))
+        try:
+            re_s, im_s = part.split(",")
+            out.append(float(re_s) + 1j * float(im_s))
+        except ValueError:
+            raise ValueError(f"{flag} needs re,im point(s), got {part!r}") from None
     if count is not None and len(out) != count:
         raise ValueError(f"{flag} needs {count} re,im point(s), got {len(out)}")
     return out
@@ -79,9 +83,12 @@ def _parse_box(text):
     """`cx,cy:WxH[;cx,cy:WxH]`; sizes are full widths in parameter units."""
     centers, halves_w, halves_h = [], [], []
     for part in text.split(";"):
-        c_s, size_s = part.split(":")
-        cx, cy = (float(v) for v in c_s.split(","))
-        w, h = (float(v) for v in size_s.lower().split("x"))
+        try:
+            c_s, size_s = part.split(":")
+            cx, cy = (float(v) for v in c_s.split(","))
+            w, h = (float(v) for v in size_s.lower().split("x"))
+        except ValueError:
+            raise ValueError(f"--box needs cx,cy:WxH box(es), got {part!r}") from None
         centers.append(cx + 1j * cy)
         halves_w.append(w / 2.0)
         halves_h.append(h / 2.0)

@@ -44,10 +44,6 @@ class StepFloorReached(BiflabError):
     """Continuation step size fell below the floor without converging."""
 
 
-class BranchAmbiguity(BiflabError):
-    """Inverse-branch Newton landed outside the certified disk."""
-
-
 class ChainDivergence(BiflabError):
     """Composed linearization series grew beyond the overflow guard."""
 

@@ -1,4 +1,4 @@
-"""Map families, orbits, derivative cocycles and periodic points.
+"""Map families, orbits, derivative cocycles and dynamical-plane Newton.
 
 Everything downstream (Green functions, continuation, Misiurewicz solving,
 parameter scans) consumes the three family kinds defined here:
@@ -13,8 +13,8 @@ Derivatives in z are analytic (from the coefficient formulas), never
 numerical.  Derivatives in lambda are the callers' concern.
 
 ``newton`` is the one Newton routine in the dynamical plane: it solves
-f^p(z) = target, or f^p(z) = z for a cycle, and serves ``find_periodic``
-and the continuation, inverse-branch and Cantor code of ``hyperbolic``
+f^p(z) = target, or f^p(z) = z for a cycle, and serves the orbit
+continuation, backward extension and Cantor branches of ``hyperbolic``
 (``misiurewicz`` runs a damped Newton in parameter space).
 
 ``coeff_rows`` is the one coefficient builder of the polynomial kinds:
@@ -29,8 +29,8 @@ which the same three callers read.  Index j always names c_j(lambda),
 also where two marked points meet (c_1 = 0 in the cubic family);
 ``critical_points`` gives the critical set, which merges such points.
 
-The scalar loops that step one parameter many times (``orbit``,
-``newton`` and ``find_periodic``) build the coefficients once per call:
+The scalar loops that step one parameter many times (``orbit`` and
+``newton``) build the coefficients once per call:
 ``map_and_deriv`` gives two functions of z that hold them (and their
 derivative), ``eval``/``deriv`` are its one-point calls, and ``orbit``
 reads its escape radius off the same build.
@@ -65,19 +65,11 @@ import numpy.polynomial.polynomial as npoly
 from .errors import (
     CriticalOnOrbit,
     DegenerateMap,
-    NoConvergence,
     RootFindingFailure,
 )
 
 NEWTON_TOL = 1e-13
 NEWTON_MAXITER = 100
-
-
-@dataclass(frozen=True)
-class PeriodicPoint:
-    location: complex
-    period: int
-    multiplier: complex
 
 
 @dataclass
@@ -89,8 +81,7 @@ class Orbit:
     """
     points: np.ndarray
     log_deriv: np.ndarray
-    escaped: bool = False
-    escape_index: int | None = None
+    escaped: bool
 
     def __len__(self):
         return len(self.points)
@@ -360,12 +351,6 @@ def _taylor_shift(coef, w, order):
 # ----------------------------------------------------------------------
 # module-level operations
 
-def eval_map(family, lam, z):
-    """f_lambda(z); rational kinds switch to the 1/z chart for |z| > 1."""
-    family.check_nondegenerate(lam)
-    return family.eval(lam, z)
-
-
 def orbit(family, lam, z0, n):
     """Forward orbit of z0 with the derivative cocycle.
 
@@ -383,29 +368,18 @@ def orbit(family, lam, z0, n):
         r_esc, (f, df) = max(10.0, 2.0 * float(np.max(np.abs(coef)))), _poly_maps(coef)
     pts = [complex(z0)]
     logs = [0.0]
-    escaped = False
-    esc_idx = None
     z = complex(z0)
-    for k in range(n):
+    for _ in range(n):
         if not abs(z) <= r_esc:
-            escaped = True
-            esc_idx = k
             break
         dz = complex(df(z))
         z = complex(f(z))
         mag = abs(dz)
         logs.append(logs[-1] + (math.log(mag) if mag > 0 else -math.inf))
         pts.append(z)
-    else:
-        if not abs(z) <= r_esc:
-            escaped = True
-            esc_idx = n
-    return Orbit(
-        points=np.array(pts, dtype=complex),
-        log_deriv=np.array(logs),
-        escaped=escaped,
-        escape_index=esc_idx,
-    )
+    # the last point is the first one outside the radius, if any is
+    return Orbit(points=np.array(pts, dtype=complex), log_deriv=np.array(logs),
+                 escaped=not abs(z) <= r_esc)
 
 
 def critical_points(family, lam):
@@ -472,29 +446,6 @@ def newton(family, lam, seed, period=1, target=None, maxiter=NEWTON_MAXITER):
         if abs(step) < NEWTON_TOL * max(1.0, abs(z)):
             return z, it
     return None, maxiter
-
-
-def find_periodic(family, lam, period, seed):
-    """Newton-solve f^p(z) = z from the seed; reports the minimal period.
-
-    A cycle that closes under a proper divisor of p at our tolerance is
-    reported as that divisor's cycle (not an error).
-    """
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    z, it = newton(family, lam, seed, period)
-    if z is None:
-        raise NoConvergence(f"find_periodic: Newton derivative vanished or no convergence "
-                            f"after {it} iterations")
-    maps = family.map_and_deriv(lam)
-    tol = NEWTON_TOL * max(1.0, abs(z)) * 10
-    minimal = period
-    for q in range(1, period):
-        if period % q == 0 and abs(_iterate(maps, z, q)[0] - z) <= tol:
-            minimal = q
-            break
-    return PeriodicPoint(location=z, period=minimal,
-                         multiplier=_iterate(maps, z, minimal)[1])
 
 
 def multiplier(family, lam, segment):

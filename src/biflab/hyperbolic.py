@@ -1,12 +1,13 @@
-"""Holomorphic-motion continuation of repelling orbits, inverse branches
-with contraction certificates, multiplier distortion, chain linearization
-around repelling orbits, Cantor hyperbolic sets and bi-Hoelder exponents.
+"""Holomorphic-motion continuation of repelling orbits, multiplier
+distortion, chain linearization around repelling orbits and Cantor
+hyperbolic sets.
 
 Continuation follows straight parameter segments with adaptive step
 halving; each accepted step Newton-corrects the tail cycle and recovers
 the earlier orbit points through local inverse branches, so the conjugacy
 residual is at Newton tolerance by construction.  A Cantor cloud sizes
-its own generator disks and moves its anchors with ``continue_orbit``.
+its own generator disks; its anchors are periodic points, so
+``continue_orbit`` moves them as one-point orbits on their cycle.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import (
-    BranchAmbiguity,
     ChainDivergence,
     CoverageError,
     LostHyperbolicity,
     NoConvergence,
     StepFloorReached,
 )
-from .families import multiplier, newton, orbit as forward_orbit
+from .families import newton, orbit as forward_orbit
 
 STEP_FLOOR = 1e-12
 # continuation starts with 1/CONTINUATION_STEPS of the parameter segment
@@ -36,16 +36,6 @@ REPEL_MARGIN = 0.05
 N_FIT = 10
 LIN_RESIDUAL_TOL = 1e-8
 RHO_HALVINGS = 20
-
-
-@dataclass
-class OrbitTrack:
-    base_param: np.ndarray
-    path: list
-    base_points: np.ndarray
-    moved_points: np.ndarray
-    multiplier_log_base: tuple
-    multiplier_log_moved: tuple
 
 
 @dataclass(frozen=True)
@@ -130,25 +120,25 @@ def _correct_orbit(family, lam, pts, period):
 
 def continue_orbit(family, lam0, lam1, base_points, period=1):
     """Predictor-corrector continuation of a repelling orbit whose tail
-    point lies on a cycle of the given period.
+    point lies on a cycle of the given period: the orbit's points moved
+    from lam0 to lam1, an array of the shape of ``base_points``.
 
     Step size halves whenever Newton needs more than 5 iterations; fails
     (StepFloorReached) rather than jumping branches.
     """
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=complex))
     lam1 = np.atleast_1d(np.asarray(lam1, dtype=complex))
-    pts = np.asarray(base_points, dtype=complex)
+    pts = np.array(base_points, dtype=complex)
     head = max(len(pts) - 1, 1)     # all but the tail, or the one point
     dz0 = np.abs(np.asarray(family.deriv(lam0, pts[:head]), dtype=complex))
-    if np.any(dz0 < 1.0 + REPEL_MARGIN):
+    # also refuses a non-finite point, whose |f'| compares false
+    if not np.all(dz0 >= 1.0 + REPEL_MARGIN):
         raise LostHyperbolicity(
             f"base orbit not uniformly repelling: min |f'| = {float(np.min(dz0)):.6g}")
-    mlog0 = multiplier(family, lam0, pts[:head])
     if np.array_equal(lam0, lam1):
-        return OrbitTrack(lam0, [lam0, lam1], pts, pts.copy(), mlog0, mlog0)
+        return pts
     t, dt = 0.0, 1.0 / CONTINUATION_STEPS
-    cur = pts.copy()
-    path = [lam0.copy()]
+    cur = pts
     while t < 1.0:
         t_next = min(1.0, t + dt)
         lam = lam0 + (lam1 - lam0) * t_next
@@ -160,13 +150,11 @@ def continue_orbit(family, lam0, lam1, base_points, period=1):
                 raise LostHyperbolicity(
                     f"per-step |f'| dropped to {float(np.min(dzp)):.6g} at t={t_next:.4g}")
             cur, t = trial, t_next
-            path.append(lam.copy())
         else:
             dt /= 2.0
             if dt < STEP_FLOOR:
                 raise StepFloorReached("continuation step fell below 1e-12")
-    mlog1 = multiplier(family, lam1, cur[:head])
-    return OrbitTrack(lam0, path, pts, cur, mlog0, mlog1)
+    return cur
 
 
 # ----------------------------------------------------------------------
@@ -191,26 +179,6 @@ def branch_radius(family, lam, anchor):
     raise LostHyperbolicity(f"no expanding disk found at anchor {anchor}")
 
 
-def inverse_branch(family, lam, anchor, w):
-    """Preimage of w near the anchor, plus its (eta, K, B) certificate.
-
-    The branch is certified on the target disk |w - f(anchor)| < eta with
-    two-sided contraction constants 1/B <= |branch'| <= 1/K.
-    """
-    r, K, B = branch_radius(family, lam, anchor)
-    eta = K * r
-    fa = complex(family.eval(lam, anchor))
-    if abs(w - fa) >= eta:
-        raise ValueError(f"target {w} outside the certified disk of radius {eta:.6g}")
-    z, _ = newton(family, lam, anchor, target=complex(w), maxiter=40)
-    if z is None:
-        raise NoConvergence("inverse-branch Newton did not converge")
-    if abs(z - anchor) > eta / K:
-        raise BranchAmbiguity(
-            f"Newton result {z} farther than eta/K = {eta / K:.6g} from the anchor")
-    return z, InverseBranchSpec(eta=eta, K=K, B=B)
-
-
 # ----------------------------------------------------------------------
 # multiplier distortion
 
@@ -219,10 +187,10 @@ def distortion_profile(family, lam0, lam, w0, n_max):
     base = forward_orbit(family, lam0, w0, n_max)
     if base.escaped or len(base) < n_max + 1:
         raise LostHyperbolicity("base orbit escaped; cannot form the ratio")
-    track = continue_orbit(family, lam0, lam, base.points)
+    moved = continue_orbit(family, lam0, lam, base.points)
     dz0 = np.asarray(family.deriv(lam0, base.points[:-1]), dtype=complex)
     dz1 = np.asarray(family.deriv(np.atleast_1d(np.asarray(lam, dtype=complex)),
-                                  track.moved_points[:-1]), dtype=complex)
+                                  moved[:-1]), dtype=complex)
     dlog = np.cumsum(np.log(np.abs(dz1)) - np.log(np.abs(dz0)))
     darg = np.cumsum(np.angle(dz1) - np.angle(dz0))
     return np.exp(dlog + 1j * darg)
@@ -245,16 +213,16 @@ def fit_distortion_constant(family, lam0, lams, w0):
 
 
 def distortion_ratio(family, lam0, lam, w0, n, C):
-    """Multiplier ratio along base and moved orbits and the exponential
-    distortion bound check for the constant C (``fit_distortion_constant``)."""
+    """(ratio, ok): the multiplier ratio along base and moved orbits, and
+    whether it meets the exponential distortion bound for the constant C
+    (``fit_distortion_constant``)."""
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=complex))
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     norm = float(np.linalg.norm(lam - lam0))
     if norm == 0.0:
-        return 1.0 + 0j, True, C
+        return 1.0 + 0j, True
     ratio = complex(distortion_profile(family, lam0, lam, w0, n)[n - 1])
-    bound_ok = abs(ratio - 1.0) <= math.expm1(n * C * norm) + 1e-12
-    return ratio, bound_ok, C
+    return ratio, abs(ratio - 1.0) <= math.expm1(n * C * norm) + 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +295,10 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     if n < 1:
         raise ValueError("n must be >= 1")
+    if N_trunc < 1:
+        raise ValueError(f"N_trunc must be >= 1, got {N_trunc}")
+    if tail < 0:
+        raise ValueError(f"tail must be >= 0, got {tail}")
     if forward_points is None:
         ob = forward_orbit(family, lam, w, n)
         if ob.escaped or len(ob) < n + 1:
@@ -493,6 +465,8 @@ def build_cantor(family, lam, anchors, depth, period=1):
     above by disk overlap, below by the coded set's diameter)."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     anchors = [complex(a) for a in anchors]
     if len(anchors) < 2:
@@ -509,7 +483,7 @@ def build_cantor(family, lam, anchors, depth, period=1):
             _check_coverage(family, lam, anchors, frac * sep, period)
             eta = frac * sep
             break
-        except (CoverageError, BranchAmbiguity, NoConvergence) as err:
+        except (CoverageError, NoConvergence) as err:
             last = err
     if eta is None:
         raise CoverageError(f"no admissible disk radius found: {last}")
@@ -549,53 +523,3 @@ def coded_orbit(cantor, index, length):
                                       suffix_pts[t + 1:t + 2], period)[0]
     return suffix_pts[np.minimum(np.arange(length + 1), len(word) - 1)]
 
-
-def continue_cantor(cantor, lam1):
-    """Move a Cantor cloud to a nearby parameter: ``continue_orbit`` moves
-    each anchor as a one-point orbit on its cycle, then the word cloud is
-    rebuilt at the target parameter (the holomorphic motion restricted to
-    the cloud, by uniqueness of coded points)."""
-    family, lam0, period = cantor.family, cantor.lam, cantor.period
-    lam1 = np.atleast_1d(np.asarray(lam1, dtype=complex))
-    if np.array_equal(lam0, lam1):
-        return cantor.cloud.copy(), list(cantor.anchors)
-    anchors = [complex(continue_orbit(family, lam0, lam1, [a], period).moved_points[0])
-               for a in cantor.anchors]
-    cloud, _ = _build_cloud(family, lam1, anchors, cantor.depth, period)
-    return cloud, anchors
-
-
-@dataclass(frozen=True)
-class HolderBand:
-    alpha_low: float
-    alpha_high: float
-    slope: float
-    n_pairs: int
-
-
-def holder_exponents(cantor, lam1):
-    """Bi-Hoelder exponent band of the motion from the cloud's parameter
-    to lam1, measured on cloud pairs.
-
-    Per-pair exponents log(moved distance)/log(base distance) over all
-    pairs closer than ``min(cantor.eta, 0.99)`` (the generator disk
-    radius, kept below 1 so that every log distance is negative), plus
-    the least-squares slope of log-moved vs log-base distances.
-    """
-    moved, _ = continue_cantor(cantor, lam1)
-    base = cantor.cloud
-    n = len(base)
-    iu = np.triu_indices(n, k=1)
-    db = np.abs(base[iu[0]] - base[iu[1]])
-    dm = np.abs(moved[iu[0]] - moved[iu[1]])
-    mask = (db < min(cantor.eta, 0.99)) & (db > 0)
-    db, dm = db[mask], dm[mask]
-    if len(db) == 0:
-        raise ValueError("no cloud pairs below the separation cut")
-    alphas = np.log(dm) / np.log(db)
-    x, y = np.log(db), np.log(dm)
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2)) \
-        if len(x) > 1 and np.ptp(x) > 0 else 1.0
-    return HolderBand(alpha_low=float(np.min(alphas)),
-                      alpha_high=float(np.max(alphas)),
-                      slope=slope, n_pairs=int(len(db)))

@@ -50,6 +50,14 @@ class MotionTarget:
     base_point: complex
     p: int
 
+    def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"motion pattern requires p >= 1, got {self.p}")
+        if not np.all(np.isfinite(np.asarray(self.base_param, dtype=complex))):
+            raise ValueError("motion pattern base_param must be finite")
+        if not np.isfinite(complex(self.base_point)):
+            raise ValueError("motion pattern base_point must be finite")
+
 
 @dataclass(frozen=True)
 class ActivitySpec:
@@ -113,8 +121,8 @@ def activity_chi(family, lam, spec):
             start = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
             seg = orbit(family, start, complex(pat.base_point), pat.p)
             for r, row in enumerate(lams):
-                track = continue_orbit(family, start, row, seg.points, period=pat.p)
-                target[i, r] = track.moved_points[0]
+                target[i, r] = continue_orbit(family, start, row, seg.points,
+                                              period=pat.p)[0]
     coef = family.poly_coeffs(lams)
     for _ in range(spec.k0):
         z = npoly.polyval(z, coef, tensor=False)

@@ -170,6 +170,25 @@ class TestMisiurewicz:
         report = read_json(tmp_path / "cert" / "certify_report.json")
         assert report["reports"][0]["passed"]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("p", 0, "motion pattern requires p >= 1, got 0"),
+        ("p", -1, "motion pattern requires p >= 1, got -1"),
+        ("base_point", [math.nan, 0.0], "motion pattern base_point must be finite"),
+    ], ids=["p-0", "p-minus-1", "nan-base-point"])
+    def test_malformed_motion_pattern_is_refused(self, tmp_path, capsys, key, value, message):
+        # p = 0 used to crash with ZeroDivisionError; a NaN base point
+        # reached the orbit continuation
+        spec = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
+        quad = MapFamily("unicritical", 2)
+        doc = certificate_to_json(solve_misiurewicz(quad, [-1.99 + 0j], spec), quad)
+        doc["pattern"]["patterns"][0][key] = value
+        bad = tmp_path / "bad.ndjson"
+        bio.write_ndjson(bad, [doc])
+        assert main(["certify", "--family", "unicritical2", "--certs", str(bad),
+                     "--out", str(tmp_path / "cert")]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cert").exists()
+
     def test_multiple_seeds(self, tmp_path):
         out = tmp_path / "mis2"
         rc = main(["misiurewicz", "--family", "unicritical2",
@@ -364,6 +383,39 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(argv + ["--family", "unicritical2", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["linearize", "--param", "-2,0", "--w", "2,0", "--n", "3", "--ntrunc", "0"],
+         "N_trunc must be >= 1, got 0"),
+        (["linearize", "--param", "-2,0", "--w", "2,0", "--n", "3", "--tail", "-1"],
+         "tail must be >= 0, got -1"),
+        (["cantor", "--param", "-6,0", "--anchors", "3,0;-2,0", "--period", "0"],
+         "period must be >= 1, got 0"),
+        (["cantor", "--param", "-6,0", "--anchors", "3,0;-2,0", "--period", "-1"],
+         "period must be >= 1, got -1"),
+    ], ids=["ntrunc-0", "tail-minus-1", "period-0", "period-minus-1"])
+    def test_count_below_its_floor(self, tmp_path, capsys, argv, message):
+        # --ntrunc 0 used to raise IndexError, --tail -1 a broadcast error,
+        # and a period below 1 failed every disk radius with exit 3
+        out = tmp_path / "run"
+        assert main(argv + ["--family", "unicritical2", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lyap", "--param", "1"], "--param needs re,im point(s), got '1'"),
+        (["cantor", "--param", "-6,0", "--anchors", "3,0;-2"],
+         "--anchors needs re,im point(s), got '-2'"),
+        (["scan", "--box", "0,0", "--res", "8"], "--box needs cx,cy:WxH box(es), got '0,0'"),
+        (["scan", "--box", "0,0:1x1;0:1x1", "--res", "8"],
+         "--box needs cx,cy:WxH box(es), got '0:1x1'"),
+    ], ids=["param", "anchors", "box", "second-box"])
+    def test_malformed_point_names_its_flag(self, tmp_path, capsys, argv, message):
+        # used to print "not enough values to unpack (expected 2, got 1)"
+        out = tmp_path / "run"
+        assert main(argv + ["--family", "unicritical2", "--out", str(out)]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_anchor(self, tmp_path, capsys):

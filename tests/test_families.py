@@ -10,10 +10,8 @@ from biflab.errors import CriticalOnOrbit, DegenerateMap
 from biflab.families import (
     MapFamily,
     critical_points,
-    eval_map,
     family_from_json,
     family_to_json,
-    find_periodic,
     multiplier,
     newton,
     orbit,
@@ -28,25 +26,31 @@ def lattes_family():
                      den=[[0], [-4], [0], [4], [0]])
 
 
+def eval_checked(fam, lam, z):
+    """f_lambda(z) at a parameter that passes the degeneracy check."""
+    fam.check_nondegenerate(lam)
+    return fam.eval(lam, z)
+
+
 class TestEval:
     def test_quadratic_at_zero(self):
         fam = MapFamily("unicritical", 2)
-        assert eval_map(fam, [-2.0 + 0j], 0j) == -2.0 + 0j
+        assert eval_checked(fam, [-2.0 + 0j], 0j) == -2.0 + 0j
 
     def test_cubic_pure_power(self):
         fam = MapFamily("branner_hubbard", 3)
-        assert abs(eval_map(fam, [0j, 0j], 3.0 + 0j) - 9.0) < 1e-12
+        assert abs(eval_checked(fam, [0j, 0j], 3.0 + 0j) - 9.0) < 1e-12
 
     def test_cubic_with_second_critical_point(self):
         fam = MapFamily("branner_hubbard", 3)
         # p(z) = z^3/3 - z^2/2 with c1 = 1, a = 0
-        assert abs(eval_map(fam, [1.0 + 0j, 0j], 2.0 + 0j) - 2.0 / 3.0) < 1e-12
+        assert abs(eval_checked(fam, [1.0 + 0j, 0j], 2.0 + 0j) - 2.0 / 3.0) < 1e-12
 
     def test_rational_matches_direct_formula(self):
         fam = lattes_family()
         for z in (0.3 + 0.7j, 1.7 - 0.4j, 0.9 + 0.1j):
             direct = (z ** 2 + 1) ** 2 / (4 * z * (z ** 2 - 1))
-            assert abs(eval_map(fam, [0j], z) - direct) < 1e-12 * max(1, abs(direct))
+            assert abs(eval_checked(fam, [0j], z) - direct) < 1e-12 * max(1, abs(direct))
 
     def test_rational_chart_consistency(self):
         # the reciprocal chart takes over at |z| > 1; values must agree
@@ -56,7 +60,7 @@ class TestEval:
         for _ in range(50):
             z = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
             direct = (z ** 2 + 1) ** 2 / (4 * z * (z ** 2 - 1))
-            got = complex(eval_map(fam, [0j], z))
+            got = complex(eval_checked(fam, [0j], z))
             assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
 
     def test_degenerate_rational_rejected(self):
@@ -65,7 +69,7 @@ class TestEval:
                         num=[[0, -1], [1]],   # z - lam
                         den=[[-1], [0], [1]])  # z^2 - 1
         with pytest.raises(DegenerateMap):
-            eval_map(fam, [1.0 + 0j], 0.5 + 0j)
+            eval_checked(fam, [1.0 + 0j], 0.5 + 0j)
 
 
 class TestOrbit:
@@ -88,13 +92,13 @@ class TestOrbit:
     def test_escape_is_flagged_not_raised(self):
         fam = MapFamily("unicritical", 2)
         ob = orbit(fam, [0j], 50.0 + 0j, 10)
-        assert ob.escaped and ob.escape_index == 0
+        assert ob.escaped and len(ob) == 1
 
     def test_nan_point_counts_as_escaped(self):
         # at a NaN parameter f(0) is NaN, which is not inside any radius
         fam = MapFamily("unicritical", 2)
         ob = orbit(fam, [complex(math.nan, 0.0)], 0j, 5)
-        assert ob.escaped and ob.escape_index == 1 and len(ob) == 2
+        assert ob.escaped and len(ob) == 2
 
     def test_cocycle_additivity(self):
         fam = MapFamily("unicritical", 2)
@@ -161,39 +165,41 @@ class TestCriticalPoints:
 
 
 class TestPeriodic:
+    # cycles from ``newton`` on f^p(z) = z, with their multipliers
     def test_chebyshev_beta(self):
         fam = MapFamily("unicritical", 2)
-        pp = find_periodic(fam, [-2.0 + 0j], 1, 1.9 + 0j)
-        assert abs(pp.location - 2) < 1e-12
-        assert abs(pp.multiplier - 4) < 1e-10
-        assert pp.period == 1
+        z, _ = newton(fam, [-2.0 + 0j], 1.9 + 0j)
+        assert abs(z - 2) < 1e-12
+        assert abs(complex(fam.deriv([-2.0 + 0j], z)) - 4) < 1e-10
 
     def test_squaring_map(self):
         fam = MapFamily("unicritical", 2)
-        pp = find_periodic(fam, [0j], 1, 0.9 + 0j)
-        assert abs(pp.location - 1) < 1e-12 and abs(pp.multiplier - 2) < 1e-10
+        z, _ = newton(fam, [0j], 0.9 + 0j)
+        assert abs(z - 1) < 1e-12 and abs(complex(fam.deriv([0j], z)) - 2) < 1e-10
 
     def test_period_two_at_i(self):
         fam = MapFamily("unicritical", 2)
-        pp = find_periodic(fam, [1j], 2, -1.1 + 0.9j)
-        assert abs(pp.location - (-1 + 1j)) < 1e-10
-        assert pp.period == 2
-        assert abs(pp.multiplier - 4 * (1 + 1j)) < 1e-9
-        assert abs(abs(pp.multiplier) - 4 * math.sqrt(2)) < 1e-9
+        z, _ = newton(fam, [1j], -1.1 + 0.9j, 2)
+        assert abs(z - (-1 + 1j)) < 1e-10
+        w = complex(fam.eval([1j], z))
+        assert abs(w - z) > 1.0          # a proper 2-cycle
+        mult = complex(fam.deriv([1j], z)) * complex(fam.deriv([1j], w))
+        assert abs(mult - 4 * (1 + 1j)) < 1e-9
+        assert abs(multiplier(fam, [1j], [z, w])[0] - math.log(4 * math.sqrt(2))) < 1e-9
 
     def test_minimal_period_reduction(self):
-        # a fixed point found through the period-4 equation reports period 1
+        # the period-4 equation from near 2 lands on the fixed point 2
         fam = MapFamily("unicritical", 2)
-        pp = find_periodic(fam, [-2.0 + 0j], 4, 2.05 + 0j)
-        assert pp.period == 1 and abs(pp.location - 2) < 1e-10
+        z, _ = newton(fam, [-2.0 + 0j], 2.05 + 0j, 4)
+        assert abs(z - 2) < 1e-10 and abs(complex(fam.eval([-2.0 + 0j], z)) - z) < 1e-10
 
     def test_closure_residual(self):
         fam = MapFamily("unicritical", 2)
-        pp = find_periodic(fam, [0.21 + 0.3j], 3, 0.5 + 0.4j)
-        z = pp.location
-        for _ in range(pp.period):
+        z0, _ = newton(fam, [0.21 + 0.3j], 0.5 + 0.4j, 3)
+        z = z0
+        for _ in range(3):
             z = complex(fam.eval([0.21 + 0.3j], z))
-        assert abs(z - pp.location) < 1e-12
+        assert abs(z - z0) < 1e-12
 
 
 class TestMultiplier:

@@ -26,6 +26,12 @@ by name, so a read of the same name on another object also counts.
 Every class in ``errors.py`` other than the base ``BiflabError`` is
 named by another ``src/biflab`` module (raised, caught or warned with):
 an error type goes when its last raise goes.
+
+Every public top-level function or class of ``src/biflab`` is reached
+by another biflab definition (in its own module or another), by the
+benchmark's child and workloads, which run the README commands, or by
+the acceptance checks: library surface that only unit tests call is
+deleted.  A reference is a name, an attribute or a ``from`` import.
 """
 
 import ast
@@ -188,3 +194,67 @@ def test_checker_finds_unnamed_error_types():
                "from . import errors\nwarn('w', errors.W)\n"]
     assert unnamed_error_types(errors_source, sources) == [(5, "B")]
     assert unnamed_error_types(errors_source, sources[:1]) == [(5, "B"), (7, "W")]
+
+
+def names_referenced(nodes):
+    """Names the syntax trees ``nodes`` read (``x``), read as attributes
+    (``m.x``) or import (``from m import x``)."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out |= {alias.name for alias in n.names}
+    return out
+
+
+def unreached_definitions(modules, users):
+    """(module, line, name) of each public top-level function or class of
+    ``modules``, a {module name: source} map, that no other top-level
+    statement of its module, no other module and none of the ``users``
+    sources names."""
+    bodies = {name: ast.parse(source).body for name, source in modules.items()}
+    used = {name: names_referenced(body) for name, body in bodies.items()}
+    users = names_referenced(ast.parse(source) for source in users)
+    out = []
+    for name, body in bodies.items():
+        elsewhere = users.union(*(u for other, u in used.items() if other != name))
+        for i, stmt in enumerate(body):
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")
+                    and stmt.name not in elsewhere
+                    and stmt.name not in names_referenced(body[:i] + body[i + 1:])):
+                out.append((name, stmt.lineno, stmt.name))
+    return out
+
+
+# what reaches the library besides itself: the benchmark child with its
+# workloads (the README commands) and the acceptance criteria
+LIBRARY_USERS = [ROOT / "perfbench" / "child.py", ROOT / "perfbench" / "workloads.py",
+                 ROOT / "tests" / "test_acceptance.py"]
+
+
+def test_every_public_definition_is_reached():
+    # a public function or class that only unit tests call is deleted
+    modules = {p.stem: p.read_text() for p in SOURCES}
+    assert unreached_definitions(modules, [p.read_text() for p in LIBRARY_USERS]) == []
+
+
+def test_checker_finds_unreached_definitions():
+    modules = {"a": ("from .b import used\n"
+                     "def kept():\n    return helper()\n"
+                     "def helper():\n    return kept\n"
+                     "def recursive(n):\n    return recursive(n - 1)\n"
+                     "class Result:\n    pass\n"
+                     "def _private():\n    pass\n"),
+               "b": ("def used():\n    pass\n"
+                     "def by_attribute():\n    pass\n"
+                     "def by_user():\n    pass\n"
+                     "def orphan():\n    return Result\n")}
+    users = ["from lib import a\na.by_attribute()\n", "import lib\nlib.b.by_user()\n"]
+    assert unreached_definitions(modules, users) == [("a", 6, "recursive"), ("b", 7, "orphan")]
+    assert unreached_definitions(modules, users[:1]) == [
+        ("a", 6, "recursive"), ("b", 5, "by_user"), ("b", 7, "orphan")]

@@ -2,8 +2,9 @@
 replaced.
 
 Each reference below is the earlier implementation, kept verbatim as the
-oracle: the four Newton loops (``find_periodic``, the cycle and preimage
-helpers of the continuation code, the Newton branch of ``_branch_apply``),
+oracle: the four Newton loops (the cycle solve of the deleted
+``find_periodic``, the cycle and preimage helpers of the continuation
+code, the Newton branch of ``_branch_apply``),
 the two escape-rate loops (``plane_green`` and the grid scan's, with the
 scan's old coefficient recurrence and power-form step), the two
 second-difference stencils (``_local_mass`` and the Hessian's ``d2``
@@ -58,9 +59,7 @@ from biflab.errors import (
 from biflab.families import (
     NEWTON_TOL,
     MapFamily,
-    PeriodicPoint,
     critical_points,
-    find_periodic,
     multiplier as segment_multiplier,
     newton,
     orbit,
@@ -91,6 +90,7 @@ def same_bits(a, b):
 # reference Newton loops
 
 def old_find_periodic(family, lam, period, seed):
+    """The cycle solve of the deleted ``find_periodic``: its location."""
     if period < 1:
         raise ValueError("period must be >= 1")
     z = complex(seed)
@@ -110,22 +110,7 @@ def old_find_periodic(family, lam, period, seed):
             break
     else:
         raise NoConvergence("find_periodic: no convergence after 100 iterations")
-    tol = NEWTON_TOL * max(1.0, abs(z)) * 10
-    minimal = period
-    for q in range(1, period):
-        if period % q == 0:
-            w = z
-            for _ in range(q):
-                w = complex(family.eval(lam, w))
-            if abs(w - z) <= tol:
-                minimal = q
-                break
-    mult = 1.0 + 0j
-    w = z
-    for _ in range(minimal):
-        mult *= complex(family.deriv(lam, w))
-        w = complex(family.eval(lam, w))
-    return PeriodicPoint(location=z, period=minimal, multiplier=mult)
+    return z
 
 
 def old_newton_cycle(family, lam, seed, period, tol=NEWTON_TOL, maxiter=12):
@@ -204,7 +189,7 @@ def random_seeds(rng, n, scale):
 
 
 class TestNewton:
-    # (family, lam, period, seed) of the find_periodic tests, then random seeds
+    # (family, lam, period, seed) of the cycle tests, then random seeds
     CASES = [(QUAD, [-2.0 + 0j], 1, 1.9 + 0j), (QUAD, [0j], 1, 0.9 + 0j),
              (QUAD, [1j], 2, -1.1 + 0.9j), (QUAD, [-2.0 + 0j], 4, 2.05 + 0j),
              (CUBIC, [0.21 + 0.3j], 3, 0.5 + 0.4j),
@@ -219,15 +204,14 @@ class TestNewton:
                 cases.append((fam, lam, int(rng.integers(1, 5)), random_seeds(rng, 1, 1.5)[0]))
         failures = 0
         for fam, lam, period, seed in cases:
+            # ``newton`` at its default budget of 100 iterations
             old = outcome(old_find_periodic, fam, lam, period, seed)
-            new = outcome(find_periodic, fam, lam, period, seed)
+            new, _ = newton(fam, lam, seed, period)
             if isinstance(old, type):
-                assert new is old
+                assert new is None
                 failures += 1
-                continue
-            assert new.period == old.period
-            assert same_bits(np.complex128(new.location), np.complex128(old.location))
-            assert same_bits(np.complex128(new.multiplier), np.complex128(old.multiplier))
+            else:
+                assert same_bits(np.complex128(new), np.complex128(old))
         assert failures > 0
 
     def test_cycle(self):
@@ -291,17 +275,23 @@ class TestNewton:
                 assert same_bits(np.complex128(new), np.complex128(old))
 
     def test_cantor_cloud_and_motion(self, monkeypatch):
-        cs = hyperbolic.build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6, period=2)
-        moved, anchors = hyperbolic.continue_cantor(cs, [-6.1 + 0.05j])
+        # a period-2 cloud, its anchors moved as one-point orbits on their
+        # 2-cycles and the cloud rebuilt from them at the target
+        def cloud_and_motion():
+            lam1 = np.array([-6.1 + 0.05j])
+            cs = hyperbolic.build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6, period=2)
+            anchors = [hyperbolic.continue_orbit(QUAD, cs.lam, lam1, [a], 2)[0]
+                       for a in cs.anchors]
+            moved, _ = hyperbolic._build_cloud(QUAD, lam1, anchors, 6, 2)
+            return cs.cloud, moved, np.array(anchors)
+
+        new = cloud_and_motion()
         monkeypatch.setattr(hyperbolic, "_branch_apply", old_branch_map)
         monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
         monkeypatch.setattr(hyperbolic, "newton", lambda fam, lam, seed, period, maxiter:
                             old_newton_cycle(fam, lam, seed, period, maxiter=maxiter))
-        cs_old = hyperbolic.build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6, period=2)
-        moved_old, anchors_old = hyperbolic.continue_cantor(cs_old, [-6.1 + 0.05j])
-        assert same_bits(cs.cloud, cs_old.cloud)
-        assert same_bits(moved, moved_old)
-        assert same_bits(np.array(anchors), np.array(anchors_old))
+        for a, b in zip(new, cloud_and_motion()):
+            assert same_bits(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +339,7 @@ def old_coverage_radius(family, lam, anchors, period):
         try:
             old_check_coverage(family, lam, anchors, frac * sep, period)
             return frac * sep
-        except (hyperbolic.CoverageError, hyperbolic.BranchAmbiguity, NoConvergence):
+        except (hyperbolic.CoverageError, NoConvergence):
             pass
     return None
 
@@ -410,7 +400,7 @@ def cantor_case(name):
     if name == "unicritical3":       # z^3 - 6 fixes 2 and -1 +- i sqrt 2
         return CUBIC, [-6.0 + 0j], [2.0 + 0j, complex(-1.0, math.sqrt(2.0))]
     lam = [0.5 + 0.2j, 2.0 + 0j]
-    return BH3, lam, [find_periodic(BH3, lam, 1, s).location for s in (3.0 + 0j, -1.0 + 2j)]
+    return BH3, lam, [newton(BH3, lam, s)[0] for s in (3.0 + 0j, -1.0 + 2j)]
 
 
 def same_cloud(a, b):
@@ -498,15 +488,14 @@ class TestCantorCloud:
         assert str(new.value) == str(old.value)
 
     @pytest.mark.parametrize("name", ["unicritical2", "bh3"])
-    def test_continue_cantor(self, monkeypatch, name):
+    def test_continue_cantor(self, name):
+        # a cloud moved with its anchors, each continued as a one-point
+        # orbit, and rebuilt at the target parameter
         fam, lam, anchors = cantor_case(name)
-        lam1 = [lam[0] + 0.02 - 0.01j] + lam[1:]
-        cs = hyperbolic.build_cantor(fam, lam, anchors, 8)
-        new = hyperbolic.continue_cantor(cs, lam1)
-        monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
-        old = hyperbolic.continue_cantor(cs, lam1)
-        assert same_bits(new[0], old[0])
-        assert same_bits(np.array(new[1]), np.array(old[1]))
+        lam1 = np.array([lam[0] + 0.02 - 0.01j] + lam[1:])
+        moved = [hyperbolic.continue_orbit(fam, lam, lam1, [a])[0] for a in anchors]
+        assert same_cloud(hyperbolic._build_cloud(fam, lam1, moved, 8, 1),
+                          old_build_cloud(fam, lam1, moved, 8, 1))
 
     def test_coded_orbit(self):
         fam, lam, anchors = cantor_case("unicritical2")
@@ -1506,8 +1495,7 @@ def old_activity_chi(family, lam, spec):
             from biflab.hyperbolic import continue_orbit
             base = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
             seg = orbit(family, base, complex(pat.base_point), pat.p)
-            track = continue_orbit(family, base, lam, seg.points, period=pat.p)
-            out[i] = land - track.moved_points[0]
+            out[i] = land - continue_orbit(family, base, lam, seg.points, period=pat.p)[0]
         else:
             raise TypeError(f"unknown pattern {pat!r}")
     return out
@@ -1539,16 +1527,16 @@ def activity_case(name):
             "motion": ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))}
     if name == "unicritical3":
         base = np.array([0.3 + 0.1j])
-        cycle = find_periodic(CUBIC, base, 2, -0.9 + 0.5j)
+        cycle, _ = newton(CUBIC, base, -0.9 + 0.5j, 2)
         return CUBIC, base, {
             "preperiodic": ActivitySpec((0,), 3, (Preperiodic(2, 2),)),
-            "motion": ActivitySpec((0,), 2, (MotionTarget(tuple(base), cycle.location, 2),))}
+            "motion": ActivitySpec((0,), 2, (MotionTarget(tuple(base), cycle, 2),))}
     base = np.array([0.5 + 0.2j, 1.1 + 0.3j])
-    cycle = find_periodic(BH3, base, 1, 1.5)
+    cycle, _ = newton(BH3, base, 1.5)
     return BH3, base, {
         "preperiodic": ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2))),
         "motion": ActivitySpec((0, 1), 2, (Preperiodic(2, 1),
-                                           MotionTarget(tuple(base), cycle.location, 1)))}
+                                           MotionTarget(tuple(base), cycle, 1)))}
 
 
 ACTIVITY_NAMES = ["unicritical2", "unicritical3", "bh3"]
