@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import (
     DegenerateProfile,
@@ -32,6 +31,12 @@ ACTIVITY_THRESHOLD = 1e-8
 MIN_CLOUD_POINTS = 1000
 # a wedge warns when clamping removed more than this share of its mass
 CLAMP_WARN_SHARE = 0.05
+# the Gaussian mollifier accumulates blocks of whole rows of about this
+# many cells, so that a block and the padded rows it reads stay in cache
+GAUSS_BLOCK = 8192
+# the spacing search walks at most this many sorted neighbors on each side
+# of a point before it measures the distance to every point
+SWEEP_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -276,12 +281,48 @@ def _hessian_fields(u, h1, h2):
     return A11, A22, A12
 
 
+def _gaussian(values, sigmas):
+    """Separable Gaussian blur, edge values repeated past the border; the
+    axes with sigma > 1e-15 are taken in order, each with weights
+    exp(-x^2 / 2 sigma^2) / sum for |x| <= int(2 sigma + 0.5).  A cell
+    accumulates its center term, then (left_j + right_j) w_j from the
+    widest j inwards, as scipy's symmetric ``correlate1d`` does."""
+    out = np.array(values, dtype=float)
+    shape = out.shape
+    for n, s in zip(shape, sigmas):
+        # ``out`` holds this axis first; blur along it, then move it last
+        rows = out.reshape(n, -1)
+        if s > 1e-15:
+            r = int(2.0 * s + 0.5)
+            w = np.exp(-0.5 / (s * s) * np.arange(-r, r + 1) ** 2)
+            w = w / w.sum()
+            padded = np.pad(rows, [(r, r), (0, 0)], mode="edge")
+            rows = np.empty_like(rows)
+            # blocks of whole rows, so that every operand is contiguous
+            step = max(1, GAUSS_BLOCK // rows.shape[1])
+            tmp = np.empty((min(step, n), rows.shape[1]))
+            # an inf - inf or an overflow passes silently, as in scipy's loop
+            with np.errstate(invalid="ignore", over="ignore"):
+                for i in range(0, n, step):
+                    k = min(step, n - i)
+                    acc, t = rows[i:i + k], tmp[:k]
+                    np.multiply(padded[i + r:i + r + k], w[r], out=acc)
+                    for j in range(r, 0, -1):
+                        np.add(padded[i + r - j:i + r - j + k], padded[i + r + j:i + r + j + k],
+                               out=t)
+                        np.multiply(t, w[r + j], out=t)
+                        np.add(acc, t, out=acc)
+        out = np.ascontiguousarray(rows.T)
+    return out.reshape(shape)
+
+
 def _mollify(values, box, resolution, radius):
     h = box.cell_widths(resolution)
     sig = []
     for i in range(box.m):
         sig.extend([radius / (2.0 * h[i])] * 2)
-    return gaussian_filter(values, sigma=sig, mode="nearest", truncate=2.0)
+    # bit for bit scipy.ndimage.gaussian_filter(values, sig, mode="nearest", truncate=2.0)
+    return _gaussian(values, sig)
 
 
 def wedge_pair(field_a, field_b, mollify_radius=None):
@@ -470,6 +511,47 @@ def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
                              radii=radii, masses=masses)
 
 
+def _nearest_distances(xy, count):
+    """Distance sqrt(dx*dx + dy*dy) from each of the first ``count`` rows
+    of ``xy`` to the nearest other row (0 where a row repeats).
+
+    The rows are sorted along the axis of the larger span, and each query
+    steps outwards in that order, one neighbor per side per step.  A
+    query retires once both sides are exhausted or have reached an axis
+    distance sqrt(dx*dx) at least its best distance: every row farther
+    out on that side is at least that far away.  Queries still open after
+    SWEEP_STEPS steps measure the distance to every row."""
+    n = len(xy)
+    ax = 0 if np.ptp(xy[:, 0]) >= np.ptp(xy[:, 1]) else 1
+    order = np.argsort(xy[:, ax], kind="stable")
+    s, t = xy[order, ax], xy[order, 1 - ax]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    pos = rank[:count]
+    best = np.full(count, np.inf)
+    live = np.arange(count)
+    for k in range(1, SWEEP_STEPS + 1):
+        if not live.size:
+            break
+        p = pos[live]
+        sp, tp, b = s[p], t[p], best[live]
+        done = np.ones(live.size, dtype=bool)
+        for j in (p - k, p + k):
+            inside = (j >= 0) & (j < n)
+            j = np.where(inside, j, p)
+            dx, dy = sp - s[j], tp - t[j]
+            b = np.where(inside, np.minimum(b, np.sqrt(dx * dx + dy * dy)), b)
+            done &= ~inside | (np.sqrt(dx * dx) >= b)
+        best[live] = b
+        live = live[~done]
+    for i in live:
+        dx, dy = s[pos[i]] - s, t[pos[i]] - t
+        d = np.sqrt(dx * dx + dy * dy)
+        d[pos[i]] = np.inf
+        best[i] = d.min()
+    return best
+
+
 def box_dimension(points, scales):
     """Box-counting slope of log N(eps) against log(1/eps) for a planar
     point cloud."""
@@ -477,11 +559,10 @@ def box_dimension(points, scales):
     if len(pts) < MIN_CLOUD_POINTS:
         raise ValueError(f"need >= {MIN_CLOUD_POINTS} points, got {len(pts)}")
     scales = np.asarray(sorted(set(float(s) for s in scales), reverse=True))
-    from scipy.spatial import cKDTree
     xy = np.column_stack([pts.real, pts.imag])
-    tree = cKDTree(xy)
-    dd, _ = tree.query(xy[: min(len(xy), 2000)], k=2)
-    spacing = float(np.median(dd[:, 1]))
+    if not np.all(np.isfinite(xy)):
+        raise ValueError("cloud points must be finite")
+    spacing = float(np.median(_nearest_distances(xy, min(len(xy), 2000))))
     usable = scales[scales >= 2.0 * spacing]
     if len(usable) < 4:
         raise InsufficientScales(

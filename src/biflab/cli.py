@@ -75,8 +75,13 @@ def _parse_params(text, flag, count=None):
     return out
 
 
-def _floats(text):
-    return np.array([float(v) for v in text.split(",")])
+def _floats(text, flag):
+    """A comma list of numbers; a malformed one is a ValueError naming the
+    flag."""
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValueError(f"{flag} needs a comma list of numbers, got {text!r}") from None
 
 
 def _parse_box(text):
@@ -97,25 +102,30 @@ def _parse_box(text):
 
 
 def _parse_pattern(text, tracked):
-    """`k0=2,n=1,p=1[,n=...,p=...]`: one (n, p) pair per tracked index."""
+    """`k0=2,n=1,p=1[,n=...,p=...]`: one (n, p) pair per tracked index.
+    A malformed pattern is a ValueError naming --pattern."""
     k0 = None
     ns, ps = [], []
     for item in text.split(","):
-        key, val = item.split("=")
+        try:
+            key, val = item.split("=")
+            val = int(val)
+        except ValueError:
+            raise ValueError(f"--pattern needs key=integer items, got {item!r}") from None
         if key == "k0":
-            k0 = int(val)
+            k0 = val
         elif key == "n":
-            ns.append(int(val))
+            ns.append(val)
         elif key == "p":
-            ps.append(int(val))
+            ps.append(val)
         else:
-            raise ValueError(f"unknown pattern key {key!r}")
+            raise ValueError(f"--pattern: unknown key {key!r}")
     if k0 is None or len(ns) != len(ps) or not ns:
-        raise ValueError("pattern needs k0 and matching n=, p= pairs")
+        raise ValueError("--pattern needs k0 and matching n=, p= pairs")
     if len(ns) == 1 and len(tracked) > 1:
         ns, ps = ns * len(tracked), ps * len(tracked)
     if len(ns) != len(tracked):
-        raise ValueError("one n=,p= pair per tracked critical point")
+        raise ValueError("--pattern needs one n=,p= pair per tracked critical point")
     return ActivitySpec(tracked=tuple(tracked), k0=k0,
                         patterns=tuple(Preperiodic(n, p) for n, p in zip(ns, ps)))
 
@@ -182,7 +192,12 @@ def _ma2(args, family):
 
 
 def _misiurewicz(args, family):
-    spec = _parse_pattern(args.pattern, [int(t) for t in args.tracked.split(",")])
+    try:
+        tracked = [int(t) for t in args.tracked.split(",")]
+    except ValueError:
+        raise ValueError(f"--tracked needs comma-separated critical indices, "
+                         f"got {args.tracked!r}") from None
+    spec = _parse_pattern(args.pattern, tracked)
     seeds = [_parse_params(s, "--seed", family.param_dim) for s in args.seed.split("|")]
     certs = [solve_misiurewicz(family, lam, spec) for lam in seeds]
     docs = [certificate_to_json(c, family) for c in certs]
@@ -202,11 +217,13 @@ def _certify(args, family):
 
 def _dimension(args, family):
     if args.cloud:
-        est = box_dimension(bio.read_cloud_csv(args.cloud), _floats(args.scales))
+        scales = _floats(args.scales, "--scales")
+        est = box_dimension(bio.read_cloud_csv(args.cloud), scales)
         doc = {"kind": "box_counting"}
     else:
         center = _parse_params(args.center, "--center", family.param_dim)
-        prof = radial_masses(ddc_op(_grid(args, family)), center, _floats(args.radii))
+        radii = _floats(args.radii, "--radii")
+        prof = radial_masses(ddc_op(_grid(args, family)), center, radii)
         est = pointwise_dimension(prof)
         doc = {"kind": "pointwise", "masses": prof.masses.tolist(), "radii": prof.radii.tolist()}
     doc.update(slope=est.slope, stderr=est.stderr, fit_range=list(est.fit_range),
@@ -216,7 +233,8 @@ def _dimension(args, family):
 
 def _scaling(args, family):
     center = _parse_params(args.center, "--center", family.param_dim)
-    res = mass_scaling(ddc_op(_grid(args, family)), center, _floats(args.mplus),
+    m_plus = _floats(args.mplus, "--mplus")
+    res = mass_scaling(ddc_op(_grid(args, family)), center, m_plus,
                        q=args.q, d=family.degree, eps=args.eps)
     doc = {"slope": res.slope, "stderr": res.stderr, "expected": res.expected,
            "deviation": res.deviation, "n_used": res.n_used,

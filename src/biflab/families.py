@@ -69,7 +69,6 @@ from .errors import (
 )
 
 NEWTON_TOL = 1e-13
-NEWTON_MAXITER = 100
 
 
 @dataclass
@@ -423,7 +422,7 @@ def _iterate(maps, z, period):
     return w, dw
 
 
-def newton(family, lam, seed, period=1, target=None, maxiter=NEWTON_MAXITER):
+def newton(family, lam, seed, period=1, target=None, *, maxiter):
     """Newton on f^period(z) = target from the seed, or on f^period(z) = z
     when there is no target.
 

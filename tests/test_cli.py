@@ -418,6 +418,32 @@ class TestExitCodes:
         assert f"invalid input: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["misiurewicz", "--seed", "-1.9,0", "--pattern", "k0"],
+         "--pattern needs key=integer items, got 'k0'"),
+        (["misiurewicz", "--seed", "-1.9,0", "--pattern", "k0=x,n=1,p=1"],
+         "--pattern needs key=integer items, got 'k0=x'"),
+        (["misiurewicz", "--seed", "-1.9,0", "--pattern", "k0=2,n=1,p=1", "--tracked", "a"],
+         "--tracked needs comma-separated critical indices, got 'a'"),
+        (["dimension", "--cloud", "{cloud}", "--scales", "0.1,x"],
+         "--scales needs a comma list of numbers, got '0.1,x'"),
+        (["dimension", "--box", "0,0:1x1", "--res", "8", "--center", "0,0", "--radii", "0.5,x"],
+         "--radii needs a comma list of numbers, got '0.5,x'"),
+        (["scaling", "--box", "-2,0:0.5x0.5", "--res", "8", "--center", "-2,0",
+          "--mplus", "1,x"], "--mplus needs a comma list of numbers, got '1,x'"),
+    ], ids=["pattern-item", "pattern-value", "tracked", "scales", "radii", "mplus"])
+    def test_malformed_list_names_its_flag(self, tmp_path, capsys, argv, message):
+        # --pattern and --tracked used to print "not enough values to unpack"
+        # or "invalid literal for int() with base 10", and the number lists
+        # "could not convert string to float: 'x'"
+        cloud = tmp_path / "cloud.csv"
+        bio.write_cloud_csv(cloud, np.exp(2j * np.pi * np.arange(1000) / 1000))
+        out = tmp_path / "run"
+        argv = [a.replace("{cloud}", str(cloud)) for a in argv]
+        assert main(argv + ["--family", "unicritical2", "--out", str(out)]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_anchor(self, tmp_path, capsys):
         # used to exit 2 with "min() arg is an empty sequence"
         out = tmp_path / "run"

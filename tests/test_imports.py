@@ -15,8 +15,12 @@ by the caller.
 
 Inside ``src/biflab`` a module imports the other biflab modules at the
 top: a relative import in a function body hides a dependency and runs
-again on every call.  Lazy imports of third-party packages (such as
-``scipy.spatial``) stay allowed.
+again on every call.  Lazy imports of third-party packages stay allowed.
+
+No ``src/biflab`` module imports scipy, at the top or in a function, and
+``import biflab.cli`` in a fresh interpreter loads no scipy module: numpy
+is the one run-time dependency, and scipy's import time would land on
+every command.  The tests may import scipy as an oracle.
 
 Every field of a ``@dataclass`` in ``src/biflab`` is read as an
 attribute (``x.field``) somewhere in a biflab or test module: a field
@@ -35,6 +39,9 @@ deleted.  A reference is a name, an attribute or a ``from`` import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,6 +134,36 @@ def test_checker_finds_function_level_relative_imports():
               "    for _ in range(2):\n        from .hyperbolic import g\n"
               "    def h():\n        from . import io\n    return A, math\n")
     assert function_level_relative_imports(source) == [7, 9]
+
+
+def scipy_imports(source):
+    """Lines of the imports of scipy or a scipy submodule, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import)
+                  and any(a.name.split(".")[0] == "scipy" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "scipy")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_checker_finds_scipy_imports():
+    source = ("import scipy\nimport numpy, scipy.linalg as la\nimport scipyish\n"
+              "from scipy.ndimage import gaussian_filter\nfrom . import scipy\n"
+              "def f():\n    from scipy.spatial import cKDTree\n    return cKDTree\n")
+    assert scipy_imports(source) == [1, 2, 4, 7]
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, biflab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    path = os.pathsep.join([str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.strip() == "[]"
 
 
 def dataclass_fields(source):

@@ -24,6 +24,9 @@ escape-rate loop on 1, 2 and 3 CPUs with blocks shrunk so that small
 inputs split, against the same references; the sampler's reference is
 the loop that solved the preimages of every sample at every step, and
 the shared-prefix tests also count the points the sampler solves.
+The Gaussian mollifier and the nearest-neighbor spacing of the box count
+are compared with the scipy calls they replaced, ``gaussian_filter`` and
+``cKDTree.query``.
 Results are compared through ``uint64`` views, so a changed last bit,
 sign of zero or NaN fails.
 """
@@ -42,6 +45,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import gaussian_filter
+from scipy.spatial import cKDTree
 
 from biflab import bifgrid, cli, hyperbolic, misiurewicz, potential
 from biflab import io as bio
@@ -204,9 +209,9 @@ class TestNewton:
                 cases.append((fam, lam, int(rng.integers(1, 5)), random_seeds(rng, 1, 1.5)[0]))
         failures = 0
         for fam, lam, period, seed in cases:
-            # ``newton`` at its default budget of 100 iterations
+            # ``newton`` at the old routine's budget of 100 iterations
             old = outcome(old_find_periodic, fam, lam, period, seed)
-            new, _ = newton(fam, lam, seed, period)
+            new, _ = newton(fam, lam, seed, period, maxiter=100)
             if isinstance(old, type):
                 assert new is None
                 failures += 1
@@ -400,7 +405,7 @@ def cantor_case(name):
     if name == "unicritical3":       # z^3 - 6 fixes 2 and -1 +- i sqrt 2
         return CUBIC, [-6.0 + 0j], [2.0 + 0j, complex(-1.0, math.sqrt(2.0))]
     lam = [0.5 + 0.2j, 2.0 + 0j]
-    return BH3, lam, [newton(BH3, lam, s)[0] for s in (3.0 + 0j, -1.0 + 2j)]
+    return BH3, lam, [newton(BH3, lam, s, maxiter=100)[0] for s in (3.0 + 0j, -1.0 + 2j)]
 
 
 def same_cloud(a, b):
@@ -534,6 +539,83 @@ class TestCloudReadAndCount:
             assert same_bits(np.array([new.slope, new.stderr, *new.fit_range]),
                              np.array([old.slope, old.stderr, *old.fit_range]))
             assert new.n_points == old.n_points
+
+
+def same_or_both_nan(a, b):
+    """Bit identity, except that a NaN matches a NaN of any sign or payload."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and same_bits(a[~nan], b[~nan]))
+
+
+class TestScipyReplacements:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           data=st.data(), seed=st.integers(0, 2 ** 32 - 1), special=st.booleans())
+    def test_gaussian(self, shape, data, seed, special):
+        # sigma 0 skips an axis; a sigma of 5 reaches 10 cells past a 9-cell axis
+        sigmas = data.draw(st.lists(st.sampled_from([0.0, 0.2, 0.7, 1.3, 3.0, 5.0])
+                                    | st.floats(0.01, 6.0),
+                                    min_size=len(shape), max_size=len(shape)))
+        rng = np.random.default_rng(seed)
+        u = np.exp(rng.uniform(-20.0, 20.0, shape)) * rng.choice([-1.0, 1.0], shape)
+        if special:
+            cells = rng.integers(0, u.size, 3)
+            u.flat[cells] = [np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref = gaussian_filter(u, sigma=sigmas, mode="nearest", truncate=2.0)
+        assert same_or_both_nan(bifgrid._gaussian(u, sigmas), ref)
+
+    def test_mollify_of_the_wedge_field(self):
+        # the grid-deep wedge: a 24^4 G0 field of bh3 and radius 0.2
+        box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4))
+        field = scan_field(BH3, box, 24, "G0", maxiter=256)
+        h1, h2 = box.cell_widths(24)
+        sigmas = [0.2 / (2.0 * h1)] * 2 + [0.2 / (2.0 * h2)] * 2
+        ref = gaussian_filter(field.values, sigma=sigmas, mode="nearest", truncate=2.0)
+        assert same_or_both_nan(bifgrid._mollify(field.values, box, 24, 0.2), ref)
+
+    @staticmethod
+    def clouds():
+        rng = np.random.default_rng(21)
+        fam, lam, anchors = cantor_case("unicritical2")
+        th = 2 * np.pi * np.arange(5000) / 5000
+        line = np.linspace(0.0, 1.0, 3000)
+        centers = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        base = rng.random(1500) + 1j * rng.random(1500)
+        # 1200 points share x = 0 in shuffled y order, so their sorted
+        # neighbors along x are no nearer in y and the sweep runs out of steps
+        comb = np.concatenate([1j * rng.permutation(np.linspace(0.0, 0.5, 1200)),
+                               np.linspace(0.01, 1.0, 1000)])
+        return {
+            "cantor16": hyperbolic._build_cloud(fam, np.array(lam), anchors, 16, 1)[0],
+            "gaussian": rng.standard_normal(65536) + 1j * rng.standard_normal(65536),
+            "circle": np.exp(1j * th),
+            "horizontal": line.astype(complex),
+            "vertical": 1j * line,
+            "clumps": centers[rng.integers(0, 20, 4000)]
+            + 1e-9 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)),
+            "triplicated": rng.permutation(np.concatenate([base, base, base])),
+            "comb": comb,
+        }
+
+    def test_spacing(self, monkeypatch):
+        for name, pts in self.clouds().items():
+            xy = np.column_stack([pts.real, pts.imag])
+            count = min(len(xy), 2000)
+            ref = cKDTree(xy).query(xy[:count], k=2)[0][:, 1]
+            assert same_bits(bifgrid._nearest_distances(xy, count), ref), name
+            if len(xy) <= 5000:
+                # one step, then the distance to every point
+                monkeypatch.setattr(bifgrid, "SWEEP_STEPS", 1)
+                assert same_bits(bifgrid._nearest_distances(xy, count), ref), name
+                monkeypatch.undo()
+
+    def test_nonfinite_cloud(self):
+        pts = np.exp(2j * np.pi * np.arange(2000) / 2000)
+        pts[7] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="cloud points must be finite"):
+            bifgrid.box_dimension(pts, 2.0 ** -np.arange(2, 9))
 
 
 class TestCantorEndToEnd:
@@ -1527,12 +1609,12 @@ def activity_case(name):
             "motion": ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))}
     if name == "unicritical3":
         base = np.array([0.3 + 0.1j])
-        cycle, _ = newton(CUBIC, base, -0.9 + 0.5j, 2)
+        cycle, _ = newton(CUBIC, base, -0.9 + 0.5j, 2, maxiter=100)
         return CUBIC, base, {
             "preperiodic": ActivitySpec((0,), 3, (Preperiodic(2, 2),)),
             "motion": ActivitySpec((0,), 2, (MotionTarget(tuple(base), cycle, 2),))}
     base = np.array([0.5 + 0.2j, 1.1 + 0.3j])
-    cycle, _ = newton(BH3, base, 1.5)
+    cycle, _ = newton(BH3, base, 1.5, maxiter=100)
     return BH3, base, {
         "preperiodic": ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2))),
         "motion": ActivitySpec((0, 1), 2, (Preperiodic(2, 1),
