@@ -342,6 +342,8 @@ def wedge_pair(field_a, field_b, mollify_radius=None):
     h1, h2 = box.cell_widths(res)
     if mollify_radius is None:
         mollify_radius = 3.0 * max(h1, h2)
+    if not math.isfinite(mollify_radius):
+        raise ValueError(f"mollify_radius must be finite, got {mollify_radius}")
     if mollify_radius < 2.0 * min(h1, h2):
         raise ValueError("mollify_radius must be >= 2 cell widths")
     ua = _mollify(field_a.values, box, res, mollify_radius)
@@ -485,8 +487,11 @@ def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
     compared with the -q log d scaling law.
 
     ``m_plus``: log m_n^+ values for n = 1, 2, ...; ``measure`` may also
-    be a callable r -> mass (synthetic laws).
+    be a callable r -> mass (synthetic laws).  ``eps`` must be positive
+    and finite.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"mass scaling eps must be positive and finite, got {eps}")
     radii = eps * np.exp(-np.asarray(m_plus, dtype=float))
     if callable(measure):
         usable = len(radii)

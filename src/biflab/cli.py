@@ -60,9 +60,9 @@ def _parse_family(text):
 
 
 def _parse_params(text, flag, count=None):
-    """`re,im[;re,im...]` as complex numbers; with ``count``, exactly
-    that many.  A malformed point or count is a ValueError naming the
-    flag."""
+    """`re,im[;re,im...]` as finite complex numbers; with ``count``,
+    exactly that many.  A malformed or non-finite point or a wrong count
+    is a ValueError naming the flag."""
     out = []
     for part in text.split(";"):
         try:
@@ -70,22 +70,28 @@ def _parse_params(text, flag, count=None):
             out.append(float(re_s) + 1j * float(im_s))
         except ValueError:
             raise ValueError(f"{flag} needs re,im point(s), got {part!r}") from None
+        if not np.isfinite(out[-1]):
+            raise ValueError(f"{flag} needs finite re,im point(s), got {part!r}")
     if count is not None and len(out) != count:
         raise ValueError(f"{flag} needs {count} re,im point(s), got {len(out)}")
     return out
 
 
 def _floats(text, flag):
-    """A comma list of numbers; a malformed one is a ValueError naming the
-    flag."""
+    """A comma list of finite numbers; a malformed or non-finite one is a
+    ValueError naming the flag."""
     try:
-        return np.array([float(v) for v in text.split(",")])
+        out = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise ValueError(f"{flag} needs a comma list of numbers, got {text!r}") from None
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{flag} needs finite numbers, got {text!r}")
+    return out
 
 
-def _parse_box(text):
-    """`cx,cy:WxH[;cx,cy:WxH]`; sizes are full widths in parameter units."""
+def _parse_box(text, count):
+    """`cx,cy:WxH[;cx,cy:WxH]`, one plane per family parameter; sizes are
+    full widths in parameter units."""
     centers, halves_w, halves_h = [], [], []
     for part in text.split(";"):
         try:
@@ -97,6 +103,8 @@ def _parse_box(text):
         centers.append(cx + 1j * cy)
         halves_w.append(w / 2.0)
         halves_h.append(h / 2.0)
+    if len(centers) != count:
+        raise ValueError(f"--box needs {count} cx,cy:WxH box(es), got {len(centers)}")
     return Box(centers=tuple(centers), half_widths=tuple(halves_w),
                half_heights=tuple(halves_h))
 
@@ -155,8 +163,8 @@ def _measure_files(stem, mf):
 # compute steps
 
 def _grid(args, family, field=None):
-    return scan_field(family, _parse_box(args.box), args.res, field or args.field,
-                      maxiter=args.maxiter)
+    return scan_field(family, _parse_box(args.box, family.param_dim), args.res,
+                      field or args.field, maxiter=args.maxiter)
 
 
 def _lyap(args, family):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import json
 import math
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biflab import cli, io as bio
 from biflab.cli import main
@@ -14,12 +16,18 @@ from biflab.errors import NotPlurisubharmonic
 from biflab.families import MapFamily
 from biflab.misiurewicz import (
     ActivitySpec,
-    MotionTarget,
+    Preperiodic,
     certificate_to_json,
     solve_misiurewicz,
 )
 
 FULL_BOX = "-0.5,0:5x4"
+BH3_BOX = "1.7,0.4:0.8x0.8;1.6,0.5:0.8x0.8"
+TIP_BOX = "-2,0:0.16x0.16"
+# the c05 acceptance certificate: c = -2, where the critical value lands
+# on the beta fixed point
+C05_CERT = solve_misiurewicz(MapFamily("unicritical", 2), [-1.95 + 0j],
+                             ActivitySpec((0,), 2, (Preperiodic(1, 1),)))
 
 
 def read_json(path):
@@ -156,37 +164,67 @@ class TestMisiurewicz:
         assert "invalid input: certificate lambda must be finite" in capsys.readouterr().err
         assert not (tmp_path / "cert" / "certify_report.json").exists()
 
-    def test_certify_motion_pattern(self, tmp_path):
-        # the motion form at c = -2 must read back with its base parameter
-        # and base point, not as an algebraic pattern
-        spec = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
-        quad = MapFamily("unicritical", 2)
-        cert = solve_misiurewicz(quad, [-1.99 + 0j], spec)
+    def test_certify_motion_pattern(self, tmp_path, capsys):
+        # a certificate has one pattern kind, {n, p}: the motion record
+        # that earlier versions wrote for c = -2 is an input error that
+        # names it, and a file that holds one writes no report at all,
+        # not even for the algebraic record before it
+        good = certificate_to_json(C05_CERT, MapFamily("unicritical", 2))
+        motion = copy.deepcopy(good)
+        motion["pattern"]["patterns"] = [{"p": 1, "motion": True, "base_param": [[-2.0, 0.0]],
+                                          "base_point": [2.0, 0.0]}]
         certs = tmp_path / "motion.ndjson"
-        bio.write_ndjson(certs, [certificate_to_json(cert, quad)])
-        rc = main(["certify", "--family", "unicritical2", "--certs", str(certs),
-                   "--out", str(tmp_path / "cert")])
-        assert rc == 0
-        report = read_json(tmp_path / "cert" / "certify_report.json")
-        assert report["reports"][0]["passed"]
+        bio.write_ndjson(certs, [good, motion])
+        assert main(["certify", "--family", "unicritical2", "--certs", str(certs),
+                     "--out", str(tmp_path / "cert")]) == 2
+        assert ("invalid input: certificate.pattern.patterns[0] is a motion pattern, which is "
+                "not read" in capsys.readouterr().err)
+        assert not (tmp_path / "cert").exists()
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("p", 0, "motion pattern requires p >= 1, got 0"),
-        ("p", -1, "motion pattern requires p >= 1, got -1"),
-        ("base_point", [math.nan, 0.0], "motion pattern base_point must be finite"),
-    ], ids=["p-0", "p-minus-1", "nan-base-point"])
-    def test_malformed_motion_pattern_is_refused(self, tmp_path, capsys, key, value, message):
-        # p = 0 used to crash with ZeroDivisionError; a NaN base point
-        # reached the orbit continuation
-        spec = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
-        quad = MapFamily("unicritical", 2)
-        doc = certificate_to_json(solve_misiurewicz(quad, [-1.99 + 0j], spec), quad)
-        doc["pattern"]["patterns"][0][key] = value
+    @pytest.mark.parametrize("key, value", [("p", 0), ("p", -1), ("base_point", [math.nan, 0.0])],
+                             ids=["p-0", "p-minus-1", "nan-base-point"])
+    def test_malformed_motion_pattern_is_refused(self, tmp_path, capsys, key, value):
+        # p = 0 used to crash with ZeroDivisionError and a NaN base point
+        # reached the orbit continuation; a motion record is now refused
+        # by its kind before any of its fields is read
+        doc = certificate_to_json(C05_CERT, MapFamily("unicritical", 2))
+        doc["pattern"]["patterns"] = [{"p": 1, "motion": True, "base_param": [[-2.0, 0.0]],
+                                       "base_point": [2.0, 0.0], key: value}]
         bad = tmp_path / "bad.ndjson"
         bio.write_ndjson(bad, [doc])
         assert main(["certify", "--family", "unicritical2", "--certs", str(bad),
                      "--out", str(tmp_path / "cert")]) == 2
-        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert "is a motion pattern, which is not read" in capsys.readouterr().err
+        assert not (tmp_path / "cert").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tampered_record_is_an_exit_code(self, tmp_path_factory, data):
+        # a record with one value replaced by any JSON value is verified
+        # (0 or 3) or refused (2); a missing arg, a string k0, a float
+        # tracked index, a string in m_plus or too few multipliers used to
+        # crash with a traceback
+        family, record = data.draw(st.sampled_from(TAMPER_RECORDS))
+        doc = copy.deepcopy(record)
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES)
+        certs = tmp_path_factory.mktemp("certify") / "certs.ndjson"
+        bio.write_ndjson(certs, [doc])
+        assert main(["certify", "--family", family, "--certs", str(certs),
+                     "--out", str(certs.parent / "out")]) in (0, 2, 3)
+
+    def test_two_coordinate_lambda_is_refused(self, tmp_path, capsys):
+        # used to verify as pass under unicritical2, reading the first one
+        doc = certificate_to_json(C05_CERT, MapFamily("unicritical", 2))
+        doc["lambda"].append([0.5, 0.0])
+        certs = tmp_path / "certs.ndjson"
+        bio.write_ndjson(certs, [doc])
+        assert main(["certify", "--family", "unicritical2", "--certs", str(certs),
+                     "--out", str(tmp_path / "cert")]) == 2
+        assert "certificate lambda has 2 coordinates, the family 1" in capsys.readouterr().err
         assert not (tmp_path / "cert").exists()
 
     def test_multiple_seeds(self, tmp_path):
@@ -198,6 +236,33 @@ class TestMisiurewicz:
         docs = bio.read_ndjson(out / "certificates.ndjson")
         lams = [complex(*d["lambda"][0]) for d in docs]
         assert abs(lams[0] - 1j) < 1e-10 and abs(lams[1] + 1j) < 1e-10
+
+
+# any JSON value, with huge numbers drawn often enough to overflow an
+# orbit; counts stay small, since a valid but large k0, n or p only makes
+# a longer walk
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats()
+    | st.floats(1e100, 1e308) | st.floats(-1e308, -1e100) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+TAMPER_RECORDS = [
+    ("unicritical2", certificate_to_json(C05_CERT, MapFamily("unicritical", 2))),
+    ("bh3", certificate_to_json(solve_misiurewicz(
+        MapFamily("branner_hubbard", 3), [-0.375 + 0.8j, 1.3 + 0.5j],
+        ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2)))),
+        MapFamily("branner_hubbard", 3)))]
+
+
+def json_paths(doc, prefix=()):
+    """The key path of every value below a JSON document, with only the
+    first two entries of each list."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc[:2])
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
 
 
 class TestCantorLinearize:
@@ -444,6 +509,52 @@ class TestExitCodes:
         assert f"invalid input: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, box, count", [
+        ("bh3", "-0.5,0:1x1", 1), ("unicritical2", "-0.5,0:1x1;0,0:1x1", 2)])
+    def test_box_plane_count(self, tmp_path, capsys, family, box, count):
+        # one plane for bh3 used to crash with IndexError, and a second
+        # plane for unicritical2 wrote an 8^4 field that ignored it
+        out = tmp_path / "run"
+        assert main(["scan", "--family", family, "--box", box, "--res", "8",
+                     "--out", str(out)]) == 2
+        assert f"--box needs {3 - count} cx,cy:WxH box(es), got {count}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dimension", "--box", TIP_BOX, "--res", "32", "--field", "G0", "--center", "-2,0",
+          "--radii", "inf,0.06,0.05,0.04"], "--radii needs finite numbers"),
+        (["dimension", "--cloud", "{cloud}", "--scales", "0.1,nan"], "--scales needs finite"),
+        (["ma2", "--family", "bh3", "--box", BH3_BOX, "--res", "8", "--mollify", "inf"],
+         "mollify_radius must be finite, got inf"),
+        (["ma2", "--family", "bh3", "--box", BH3_BOX, "--res", "8", "--mollify", "nan"],
+         "mollify_radius must be finite, got nan"),
+        (["scaling", "--box", "-2,0:0.6x0.6", "--res", "32", "--center", "-2,0",
+          "--mplus", "0,0.5,1", "--eps", "-1"], "eps must be positive and finite, got -1.0"),
+        (["scaling", "--box", "-2,0:0.6x0.6", "--res", "32", "--center", "-2,0",
+          "--mplus", "0,0.5,1", "--eps", "nan"], "eps must be positive and finite, got nan"),
+        (["scaling", "--box", "-2,0:0.6x0.6", "--res", "32", "--center", "-2,0",
+          "--mplus", "nan,0.5,1"], "--mplus needs finite numbers"),
+        (["scaling", "--box", "-2,0:0.6x0.6", "--res", "32", "--center", "nan,0",
+          "--mplus", "0,0.5,1"], "--center needs finite re,im point(s), got 'nan,0'"),
+        (["lyap", "--param", "nan,0", "--samples", "100"],
+         "--param needs finite re,im point(s), got 'nan,0'"),
+    ], ids=["radii-inf", "scales-nan", "mollify-inf", "mollify-nan", "eps-negative",
+            "eps-nan", "mplus-nan", "center-nan", "param-nan"])
+    def test_nonfinite_number_refused(self, tmp_path, capsys, argv, message):
+        # --radii inf used to write "slope": NaN, --mollify inf crashed with
+        # OverflowError, and the scaling inputs were reported as
+        # numerical failures (exit 3)
+        cloud = tmp_path / "cloud.csv"
+        bio.write_cloud_csv(cloud, np.exp(2j * np.pi * np.arange(1000) / 1000))
+        out = tmp_path / "run"
+        argv = [a.replace("{cloud}", str(cloud)) for a in argv]
+        if "--family" not in argv:
+            argv += ["--family", "unicritical2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_anchor(self, tmp_path, capsys):
         # used to exit 2 with "min() arg is an empty sequence"
         out = tmp_path / "run"
@@ -495,8 +606,6 @@ class TestExitCodes:
 
 UNI2 = {"degree": 2, "kind": "unicritical"}
 BH3 = {"degree": 3, "kind": "branner_hubbard"}
-BH3_BOX = "1.7,0.4:0.8x0.8;1.6,0.5:0.8x0.8"
-TIP_BOX = "-2,0:0.16x0.16"
 
 # (argv without --out, the manifest's exact config without "out", the
 # exact file names in --out); "{tmp}" is the test's directory
@@ -590,10 +699,8 @@ class TestManifest:
     def test_config_and_outputs(self, tmp_path, case):
         argv, config, names = MANIFEST_CASES[case]
         fill = lambda v: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
-        cert = solve_misiurewicz(MapFamily("unicritical", 2), [-1.9 + 0j],
-                                 ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),)))
         bio.write_ndjson(tmp_path / "certs.ndjson",
-                         [certificate_to_json(cert, MapFamily("unicritical", 2))])
+                         [certificate_to_json(C05_CERT, MapFamily("unicritical", 2))])
         bio.write_cloud_csv(tmp_path / "cloud.csv",
                             np.exp(2j * np.pi * np.arange(2000) / 2000))
         out = tmp_path / "run"

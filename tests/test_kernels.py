@@ -69,7 +69,7 @@ from biflab.families import (
     newton,
     orbit,
 )
-from biflab.misiurewicz import FD_STEP, ActivitySpec, MotionTarget, Preperiodic
+from biflab.misiurewicz import FD_STEP, ActivitySpec, Preperiodic
 from biflab.potential import plane_green
 from biflab.rng import counter_choice
 
@@ -1571,15 +1571,7 @@ def old_activity_chi(family, lam, spec):
     for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
         c = old_critical_point(family, lam, idx)
         land = old_iterate(family, lam, c, spec.k0)
-        if isinstance(pat, Preperiodic):
-            out[i] = old_iterate(family, lam, land, pat.n) - land
-        elif isinstance(pat, MotionTarget):
-            from biflab.hyperbolic import continue_orbit
-            base = np.atleast_1d(np.asarray(pat.base_param, dtype=complex))
-            seg = orbit(family, base, complex(pat.base_point), pat.p)
-            out[i] = land - continue_orbit(family, base, lam, seg.points, period=pat.p)[0]
-        else:
-            raise TypeError(f"unknown pattern {pat!r}")
+        out[i] = old_iterate(family, lam, land, pat.n) - land
     return out
 
 
@@ -1601,24 +1593,15 @@ def old_chi_jacobian(family, lam, spec, step=FD_STEP):
 
 
 def activity_case(name):
-    """(family, base parameter, {"preperiodic": spec, "motion": spec}); the
-    motion pattern continues a repelling cycle found at the base."""
+    """(family, base parameter, {"preperiodic": spec})."""
     if name == "unicritical2":
         return QUAD, np.array([-2.0 + 0j]), {
-            "preperiodic": ActivitySpec((0,), 2, (Preperiodic(1, 1),)),
-            "motion": ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))}
+            "preperiodic": ActivitySpec((0,), 2, (Preperiodic(1, 1),))}
     if name == "unicritical3":
-        base = np.array([0.3 + 0.1j])
-        cycle, _ = newton(CUBIC, base, -0.9 + 0.5j, 2, maxiter=100)
-        return CUBIC, base, {
-            "preperiodic": ActivitySpec((0,), 3, (Preperiodic(2, 2),)),
-            "motion": ActivitySpec((0,), 2, (MotionTarget(tuple(base), cycle, 2),))}
-    base = np.array([0.5 + 0.2j, 1.1 + 0.3j])
-    cycle, _ = newton(BH3, base, 1.5, maxiter=100)
-    return BH3, base, {
-        "preperiodic": ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2))),
-        "motion": ActivitySpec((0, 1), 2, (Preperiodic(2, 1),
-                                           MotionTarget(tuple(base), cycle, 1)))}
+        return CUBIC, np.array([0.3 + 0.1j]), {
+            "preperiodic": ActivitySpec((0,), 3, (Preperiodic(2, 2),))}
+    return BH3, np.array([0.5 + 0.2j, 1.1 + 0.3j]), {
+        "preperiodic": ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2)))}
 
 
 ACTIVITY_NAMES = ["unicritical2", "unicritical3", "bh3"]
@@ -1652,13 +1635,12 @@ def run_outcome(fn, *args, **kw):
 
 class TestActivityMap:
     @pytest.mark.parametrize("name", ACTIVITY_NAMES)
-    @pytest.mark.parametrize("kind", ["preperiodic", "motion"])
+    @pytest.mark.parametrize("kind", ["preperiodic"])
     def test_stacks(self, name, kind):
         family, base, specs = activity_case(name)
         rng = np.random.default_rng(ACTIVITY_NAMES.index(name))
-        radius = 0.3 if kind == "preperiodic" else 0.02
         for rows in range(1, 10):
-            same_stack(stack_near(rng, base, rows, radius), family, specs[kind])
+            same_stack(stack_near(rng, base, rows, 0.3), family, specs[kind])
 
     def test_scalar_parameter(self):
         _, _, specs = activity_case("unicritical2")
@@ -1683,21 +1665,17 @@ class TestActivityMap:
                 assert not np.all(np.isfinite(new[0]))
 
     def test_failures_match(self):
-        # the cubic family has no critical index 2; the beta fixed point
-        # of z^2 + c turns parabolic at c = 1/4, so a motion row past it
-        # fails to continue; an unknown pattern is refused; each fails as
-        # the reference does at its first bad row
+        # the cubic family has no critical index 2, which fails as the
+        # reference does at its first bad row; an unknown pattern is
+        # refused where the spec is built
         bh3_spec = ActivitySpec((0, 2), 2, (Preperiodic(1, 1), Preperiodic(2, 2)))
-        motion = activity_case("unicritical2")[2]["motion"]
-        bad = ActivitySpec((0,), 2, ("not a pattern",))
-        cases = [(BH3, np.array([[0.4 + 0j, 1.0 + 0j], [0j, 1.0 + 0j]]), bh3_spec),
-                 (QUAD, np.array([[-1.9 + 0j], [0.5 + 0j], [0.3 + 0j]]), motion),
-                 (QUAD, np.array([[0.1 + 0j]]), bad)]
-        for family, stack, spec in cases:
-            new = run_outcome(misiurewicz.activity_chi, family, stack, spec)
-            assert isinstance(new, str)
-            assert new == next(r for r in (run_outcome(old_activity_chi, family, row, spec)
-                                           for row in stack) if isinstance(r, str))
+        stack = np.array([[0.4 + 0j, 1.0 + 0j], [0j, 1.0 + 0j]])
+        new = run_outcome(misiurewicz.activity_chi, BH3, stack, bh3_spec)
+        assert isinstance(new, str)
+        assert new == next(r for r in (run_outcome(old_activity_chi, BH3, row, bh3_spec)
+                                       for row in stack) if isinstance(r, str))
+        with pytest.raises(TypeError, match="unknown pattern 'not a pattern'"):
+            ActivitySpec((0,), 2, ("not a pattern",))
 
     def test_meeting_critical_points_keep_their_row(self):
         # at c_1 = 0 both tracked critical points of the cubic family are
@@ -1714,12 +1692,11 @@ class TestActivityMap:
         assert same_bits(new[[0, 2]], [old_activity_chi(BH3, stack[r], spec) for r in (0, 2)])
 
     @pytest.mark.parametrize("name", ACTIVITY_NAMES)
-    @pytest.mark.parametrize("kind", ["preperiodic", "motion"])
+    @pytest.mark.parametrize("kind", ["preperiodic"])
     def test_jacobian(self, name, kind):
         family, base, specs = activity_case(name)
         rng = np.random.default_rng(30)
-        radius = 0.3 if kind == "preperiodic" else 0.02
-        for lam in stack_near(rng, base, 6, radius):
+        for lam in stack_near(rng, base, 6, 0.3):
             for step in (FD_STEP, 2e-7):
                 assert same_bits(misiurewicz._chi_jacobian(family, lam, specs[kind], step=step),
                                  old_chi_jacobian(family, lam, specs[kind], step=step))
@@ -1752,8 +1729,7 @@ def hunt_record(family, seed, spec):
 
 class TestActivityCertificates:
     def records(self):
-        cases = [(QUAD, [-1.95 + 0j], activity_case("unicritical2")[2]["preperiodic"]),
-                 (QUAD, [-1.99 + 0j], activity_case("unicritical2")[2]["motion"])]
+        cases = [(QUAD, [-1.95 + 0j], activity_case("unicritical2")[2]["preperiodic"])]
         seeds = c12_seeds()
         failing = seeds.pop("failing")
         for pats, certified in seeds.items():
@@ -1915,11 +1891,10 @@ def use_old_landing_checks(monkeypatch):
 
 
 class TestLandingWalk:
-    # c05 at c = -2 in both pattern kinds, and its preperiodic certificate
-    # moved to c = -1 (a superattracting 2-cycle) and c = 0.3 (outside
-    # the Mandelbrot set, but no escape within the walk)
-    C05 = [(QUAD, [-1.95 + 0j], activity_case("unicritical2")[2]["preperiodic"]),
-           (QUAD, [-1.99 + 0j], activity_case("unicritical2")[2]["motion"])]
+    # c05 at c = -2, and its certificate moved to c = -1 (a
+    # superattracting 2-cycle) and c = 0.3 (outside the Mandelbrot set,
+    # but no escape within the walk)
+    C05 = [(QUAD, [-1.95 + 0j], activity_case("unicritical2")[2]["preperiodic"])]
     TAMPERED = ([-1.0 + 0j], [0.3 + 0j])
 
     def records(self):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import warnings
@@ -13,7 +14,6 @@ from biflab.families import MapFamily
 from biflab.misiurewicz import (
     ActivitySpec,
     MisiurewiczCertificate,
-    MotionTarget,
     Preperiodic,
     activity_chi,
     certificate_from_json,
@@ -31,9 +31,6 @@ CUBIC = MapFamily("branner_hubbard", 3)
 CHEB_SPEC = ActivitySpec((0,), 2, (Preperiodic(1, 1),))
 # at c = i the orbit is 0 -> i -> -1+i -> -i -> -1+i: period 2 after two steps
 I_SPEC = ActivitySpec((0,), 2, (Preperiodic(2, 2),))
-# the same Chebyshev parameter as a motion pattern: the landing point is
-# the beta fixed point 2 continued from c = -2
-MOTION_SPEC = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
 
 
 class TestActivity:
@@ -57,17 +54,14 @@ class TestActivity:
             assert abs(chi - ((c * c + c) ** 2 - c * c)) < 1e-12
 
     def test_motion_form_proportional_to_algebraic(self):
-        # near a zero with landing multiplier m the two activity forms
-        # satisfy chi_alg = (m - 1) chi_mot + O(chi^2); here m = 4
-        mot = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
-        lam = [-2.0 + 1e-7 * (0.6 + 0.8j)]
-        ca = activity_chi(QUAD, lam, CHEB_SPEC)[0]
-        cm = activity_chi(QUAD, lam, mot)[0]
+        # why one pattern kind is enough: near a zero with landing
+        # multiplier m the motion form chi_mot = f^2(0) - beta(c), with
+        # beta(c) = (1 + sqrt(1 - 4c)) / 2 the continued fixed point, gives
+        # chi_alg = (m - 1) chi_mot + O(chi^2); here m = 4
+        c = -2.0 + 1e-7 * (0.6 + 0.8j)
+        ca = activity_chi(QUAD, [c], CHEB_SPEC)[0]
+        cm = (c * c + c) - (1 + cmath.sqrt(1 - 4 * c)) / 2
         assert abs(ca - 3 * cm) <= 1e-6 * abs(ca)
-
-    def test_motion_and_algebraic_share_zero(self):
-        mot = ActivitySpec((0,), 2, (MotionTarget((-2.0 + 0j,), 2.0 + 0j, 1),))
-        assert abs(activity_chi(QUAD, [-2.0 + 0j], mot)[0]) < 1e-12
 
     def test_negative_critical_index_rejected(self):
         # the cubic family marks c_0 and c_1; a negative index names none
@@ -232,8 +226,8 @@ class TestVerification:
         assert doc["sigma_min"] == cert.sigma_min
 
     @pytest.mark.parametrize("spec, seed", [(CHEB_SPEC, -1.9 + 0j),
-                                            (MOTION_SPEC, -1.99 + 0j)],
-                             ids=["preperiodic", "motion"])
+                                            (I_SPEC, 0.1 + 1.05j)],
+                             ids=["preperiodic", "period-two"])
     def test_json_round_trip(self, spec, seed):
         cert = solve_misiurewicz(QUAD, [seed], spec)
         doc = json.loads(json.dumps(certificate_to_json(cert, QUAD)))
@@ -246,8 +240,8 @@ class TestVerification:
         assert verify_certificate(back, QUAD)["passed"]
 
     @settings(max_examples=200, deadline=None)
-    @given(spec=st.sampled_from([CHEB_SPEC, MOTION_SPEC, ActivitySpec(
-               (0, 1), 2, (Preperiodic(1, 1), MotionTarget((0.5j, 1.0 + 0j), 2.0 + 0j, 2)))]),
+    @given(spec=st.sampled_from([CHEB_SPEC, I_SPEC, ActivitySpec(
+               (0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2)))]),
            data=st.data())
     def test_ndjson_round_trip_bits(self, tmp_path_factory, spec, data):
         # st.floats() draws +-0, +-inf, NaN and subnormals
@@ -283,10 +277,11 @@ class TestVerification:
         assert np.array_equal(got[~nan].view(np.uint64), sent[~nan].view(np.uint64))
 
     def test_motion_record_without_base_rejected(self):
-        cert = solve_misiurewicz(QUAD, [-1.99 + 0j], MOTION_SPEC)
+        # a motion pattern is refused by name, with or without its base
+        cert = solve_misiurewicz(QUAD, [-1.9 + 0j], CHEB_SPEC)
         doc = certificate_to_json(cert, QUAD)
         doc["pattern"]["patterns"] = [{"p": 1, "motion": True}]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"patterns\[0\] is a motion pattern"):
             certificate_from_json(doc)
 
     @pytest.mark.parametrize("path", [
