@@ -27,7 +27,6 @@ from .errors import (
 from .potential import escape_rate
 
 SCAN_MAXITER = 512
-ACTIVITY_THRESHOLD = 1e-8
 MIN_CLOUD_POINTS = 1000
 # a wedge warns when clamping removed more than this share of its mass
 CLAMP_WARN_SHARE = 0.05
@@ -206,9 +205,8 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
     """Grid scan of a parameter field.
 
     ``which``: "L" (Lyapunov, log d + sum of critical Green values at the
-    critical values), "G<j>" (Green value of marked critical point j,
-    taken at its critical value) or "activity<j>" (0/1 flag, local dd^c
-    mass of G_j above the threshold).
+    critical values) or "G<j>" (Green value of marked critical point j,
+    taken at its critical value).
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
@@ -229,15 +227,6 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
         vals = np.full(lams[0].shape, math.log(family.degree))
         for j, (_, mult) in enumerate(crit):
             vals = vals + mult * green_field(j)
-    elif which.startswith("activity"):
-        j = int(which[len("activity"):])
-        g = green_field(j)
-        ws = []
-        for hx, hy in zip(box.cell_widths(resolution), box.cell_heights(resolution)):
-            ws.extend([hy / hx, hx / hy])
-        mass = _local_mass(g, weights=ws)
-        vals = (np.abs(mass) > ACTIVITY_THRESHOLD).astype(float)
-        meta["threshold"] = ACTIVITY_THRESHOLD
     elif which.startswith("G"):
         vals = green_field(int(which[1:]))
     else:
@@ -486,25 +475,19 @@ def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
     """Regression slope of log mu(ball(center, eps/m_n^+)) against n,
     compared with the -q log d scaling law.
 
-    ``m_plus``: log m_n^+ values for n = 1, 2, ...; ``measure`` may also
-    be a callable r -> mass (synthetic laws).  ``eps`` must be positive
-    and finite.
+    ``m_plus``: log m_n^+ values for n = 1, 2, ...; ``eps`` must be
+    positive and finite.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"mass scaling eps must be positive and finite, got {eps}")
     radii = eps * np.exp(-np.asarray(m_plus, dtype=float))
-    if callable(measure):
-        usable = len(radii)
-        masses = np.array([float(measure(r)) for r in radii])
-    else:
-        h = max(measure.box.cell_widths(measure.resolution)
-                + measure.box.cell_heights(measure.resolution))
-        usable = int(np.sum(radii >= 3.0 * h))
-        if usable < 3:
-            raise ResolutionExceeded(
-                f"only {usable} usable scales at this resolution")
-        radii = radii[:usable]
-        masses = radial_masses(measure, center, radii).masses
+    h = max(measure.box.cell_widths(measure.resolution)
+            + measure.box.cell_heights(measure.resolution))
+    usable = int(np.sum(radii >= 3.0 * h))
+    if usable < 3:
+        raise ResolutionExceeded(f"only {usable} usable scales at this resolution")
+    radii = radii[:usable]
+    masses = radial_masses(measure, center, radii).masses
     keep = masses > 0
     if int(np.sum(keep)) < 3:
         raise DegenerateProfile("mass scaling: fewer than 3 positive masses")

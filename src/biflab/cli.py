@@ -253,7 +253,7 @@ def _scaling(args, family):
 
 def _cantor(args, family):
     cs = build_cantor(family, _parse_params(args.param, "--param", family.param_dim),
-                      _parse_params(args.anchors, "--anchors"), args.depth, period=args.period)
+                      _parse_params(args.anchors, "--anchors"), args.depth)
     doc = {"eta": cs.eta, "K_cloud": cs.K_cloud, "depth": cs.depth,
            "n_points": len(cs.cloud),
            "specs": [{"eta": s.eta, "K": s.K, "B": s.B} for s in cs.specs]}
@@ -320,8 +320,7 @@ COMMANDS = (
     Command("cantor", "build a certified Cantor cloud", (
         ("--param", dict(required=True)),
         ("--anchors", dict(required=True, help="re,im;re,im")),
-        ("--depth", dict(type=int, default=10)),
-        ("--period", dict(type=int, default=1))), _cantor),
+        ("--depth", dict(type=int, default=10))), _cantor),
     Command("linearize", "chain linearization along an orbit", (
         ("--param", dict(required=True)),
         ("--w", dict(required=True, help="orbit start, re,im")),

@@ -13,7 +13,7 @@ Derivatives in z are analytic (from the coefficient formulas), never
 numerical.  Derivatives in lambda are the callers' concern.
 
 ``newton`` is the one Newton routine in the dynamical plane: it solves
-f^p(z) = target, or f^p(z) = z for a cycle, and serves the orbit
+f(z) = target, or f(z) = z for a fixed point, and serves the orbit
 continuation, backward extension and Cantor branches of ``hyperbolic``
 (``misiurewicz`` runs a damped Newton in parameter space).
 
@@ -411,29 +411,21 @@ def critical_points(family, lam):
     return out
 
 
-def _iterate(maps, z, period):
-    """(f^period(z), (f^period)'(z)), the derivative by the chain rule;
-    ``maps`` is the pair (f, f') of ``MapFamily.map_and_deriv``."""
-    f, df = maps
-    w, dw = z, 1.0 + 0j
-    for _ in range(period):
-        dw *= complex(df(w))
-        w = complex(f(w))
-    return w, dw
-
-
-def newton(family, lam, seed, period=1, target=None, *, maxiter):
-    """Newton on f^period(z) = target from the seed, or on f^period(z) = z
-    when there is no target.
+def newton(family, lam, seed, target=None, *, maxiter):
+    """Newton on f(z) = target from the seed, or on f(z) = z when there
+    is no target.
 
     Returns (z, iterations) once a step is below NEWTON_TOL relative to
     max(1, |z|), or (None, iterations) when the derivative vanishes
     (|dg| < 1e-300) or ``maxiter`` runs out.
     """
-    maps = family.map_and_deriv(lam)
+    f, df = family.map_and_deriv(lam)
     z = complex(seed)
     for it in range(1, maxiter + 1):
-        w, dw = _iterate(maps, z, period)
+        # the complex multiply by 1 sets the sign of a zero part of f'(z)
+        # (and turns inf into nan beside it); the solves' bits rest on it
+        dw = (1.0 + 0j) * complex(df(z))
+        w = complex(f(z))
         if target is None:
             g, dg = w - z, dw - 1.0
         else:

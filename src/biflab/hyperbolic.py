@@ -3,11 +3,11 @@ distortion, chain linearization around repelling orbits and Cantor
 hyperbolic sets.
 
 Continuation follows straight parameter segments with adaptive step
-halving; each accepted step Newton-corrects the tail cycle and recovers
-the earlier orbit points through local inverse branches, so the conjugacy
-residual is at Newton tolerance by construction.  A Cantor cloud sizes
-its own generator disks; its anchors are periodic points, so
-``continue_orbit`` moves them as one-point orbits on their cycle.
+halving; each accepted step Newton-corrects the tail fixed point and
+recovers the earlier orbit points through local inverse branches, so the
+conjugacy residual is at Newton tolerance by construction.  A Cantor
+cloud sizes its own generator disks; its anchors are fixed points, so
+``continue_orbit`` moves them as one-point orbits.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class CantorSystem:
     family: object
     lam: np.ndarray
     anchors: list
-    period: int
     eta: float
     specs: list
     depth: int
@@ -98,17 +97,18 @@ class CantorSystem:
 # ----------------------------------------------------------------------
 # continuation
 
-def _correct_orbit(family, lam, pts, period):
-    """One corrector pass: continue the tail cycle, then walk backwards
-    through inverse branches.  Returns (new_points, worst_newton_iters)."""
+def _correct_orbit(family, lam, pts):
+    """One corrector pass: continue the tail fixed point, then walk
+    backwards through inverse branches.  Returns (new_points,
+    worst_newton_iters)."""
     n = len(pts) - 1
-    z_tail, it_tail = newton(family, lam, pts[n], period, maxiter=12)
+    z_tail, it_tail = newton(family, lam, pts[n], maxiter=12)
     if z_tail is None:
         return None, it_tail
     worst = it_tail
     new = np.array(pts, dtype=complex)
     new[n] = z_tail
-    # propagate the tail cycle point backwards
+    # propagate the tail fixed point backwards
     for k in range(n - 1, -1, -1):
         zk, it = newton(family, lam, pts[k], target=new[k + 1], maxiter=12)
         if zk is None:
@@ -118,10 +118,10 @@ def _correct_orbit(family, lam, pts, period):
     return new, worst
 
 
-def continue_orbit(family, lam0, lam1, base_points, period=1):
+def continue_orbit(family, lam0, lam1, base_points):
     """Predictor-corrector continuation of a repelling orbit whose tail
-    point lies on a cycle of the given period: the orbit's points moved
-    from lam0 to lam1, an array of the shape of ``base_points``.
+    point is a fixed point: the orbit's points moved from lam0 to lam1,
+    an array of the shape of ``base_points``.
 
     Step size halves whenever Newton needs more than 5 iterations; fails
     (StepFloorReached) rather than jumping branches.
@@ -142,7 +142,7 @@ def continue_orbit(family, lam0, lam1, base_points, period=1):
     while t < 1.0:
         t_next = min(1.0, t + dt)
         lam = lam0 + (lam1 - lam0) * t_next
-        trial, worst = _correct_orbit(family, lam, cur, period)
+        trial, worst = _correct_orbit(family, lam, cur)
         ok = trial is not None and worst <= 5
         if ok:
             dzp = np.abs(np.asarray(family.deriv(lam, trial[:head]), dtype=complex))
@@ -351,6 +351,13 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
     rho = float(0.25 * scale if math.isfinite(scale) else 1.0)
     last_err = None
     for _ in range(RHO_HALVINGS + 1):
+        # functional-equation residual on |z| = rho_n/2 (32 samples); on a
+        # circle below the normal floats the samples lose their bits and the
+        # residual reads 0, and a smaller rho only shrinks it
+        rn = (rho / 2.0) * math.exp(-m_logmod)
+        if not rn / 2.0 >= np.finfo(float).tiny:
+            raise ChainDivergence(f"residual circle radius {rn / 2.0:.3g} at depth n = {n} "
+                                  f"is below the normal floats")
         try:
             pows = rho ** (np.arange(N_trunc + 1, dtype=float) - 1.0)
             psi0 = psi0_raw * pows
@@ -364,8 +371,6 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
                     C = max(C, float(np.max(dev / (rho * frac ** 2))))
             if C * rho >= 1.0:
                 raise ChainDivergence(f"C*rho = {C * rho:.3g} >= 1")
-            # functional-equation residual on |z| = rho_n/2 (32 samples)
-            rn = (rho / 2.0) * math.exp(-m_logmod)
             zs = (rn / 2.0) * theta32
             D = zs.astype(complex)
             for i in range(n, 0, -1):
@@ -393,17 +398,17 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
 # ----------------------------------------------------------------------
 # Cantor hyperbolic sets
 
-def _branch_apply(family, lam, anchor, w, period):
-    """Inverse branch of f^period at the anchor applied to every point of
-    the 1-d array w.
+def _branch_apply(family, lam, anchor, w):
+    """Inverse branch of f at the fixed point ``anchor`` applied to every
+    point of the 1-d array w.
 
-    For period 1 on a polynomial kind each point takes its preimage
-    nearest the anchor, from one batched ``preimages`` call; the call
-    raises CoverageError when, for any point, the second-nearest preimage
-    is within twice the nearest distance.  Otherwise each point runs its
-    own Newton solve of f^period(z) = w from the anchor."""
+    On a polynomial kind each point takes its preimage nearest the
+    anchor, from one batched ``preimages`` call; the call raises
+    CoverageError when, for any point, the second-nearest preimage is
+    within twice the nearest distance.  On the rational kind each point
+    runs its own Newton solve of f(z) = w from the anchor."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    if period == 1 and family.kind != "rational":
+    if family.kind != "rational":
         pre = np.asarray(family.preimages(lam, w), dtype=complex)
         dist = np.abs(pre - anchor)
         order = np.argsort(dist, axis=0)
@@ -414,14 +419,14 @@ def _branch_apply(family, lam, anchor, w, period):
         return pre[order[0], cols]
     out = np.empty(w.size, dtype=complex)
     for i, x in enumerate(w.tolist()):
-        z, _ = newton(family, lam, anchor, period, target=x, maxiter=60)
+        z, _ = newton(family, lam, anchor, target=x, maxiter=60)
         if z is None:
             raise NoConvergence("branch Newton did not converge")
         out[i] = z
     return out
 
 
-def _build_cloud(family, lam, anchors, depth, period):
+def _build_cloud(family, lam, anchors, depth):
     """Depth-``depth`` word cloud: point(w_1..w_k) applies the generators
     g_{w_1} o ... o g_{w_{k-1}} to the anchor of the last symbol.
 
@@ -437,36 +442,34 @@ def _build_cloud(family, lam, anchors, depth, period):
     for _ in range(depth - 1):
         new = np.empty((len(pts), g), dtype=complex)
         for j in range(g):
-            new[:, j] = _branch_apply(family, lam, anchors[j], pts, period)
+            new[:, j] = _branch_apply(family, lam, anchors[j], pts)
         pts = new.ravel()
         words = np.column_stack([np.tile(np.arange(g, dtype=np.int64), len(words)),
                                  np.repeat(words, g, axis=0)])
     return pts, words
 
 
-def _check_coverage(family, lam, anchors, radius, period):
+def _check_coverage(family, lam, anchors, radius):
     """Raise CoverageError unless every generator branch maps 16 points on
     the boundary of every generator disk of this radius into its own disk."""
     ring = np.exp(2j * np.pi * np.arange(16) / 16)
     targets = np.concatenate([ak + radius * ring for ak in anchors])
     for j, aj in enumerate(anchors):
-        leaves = np.abs(_branch_apply(family, lam, aj, targets, period) - aj) > radius
+        leaves = np.abs(_branch_apply(family, lam, aj, targets) - aj) > radius
         if np.any(leaves):
             ak = anchors[int(np.argmax(leaves)) // len(ring)]
             raise CoverageError(
                 f"branch {j} image of the disk at {ak} leaves its own disk")
 
 
-def build_cantor(family, lam, anchors, depth, period=1):
+def build_cantor(family, lam, anchors, depth):
     """IFS-style hyperbolic Cantor cloud generated by the inverse branches
-    of f^period anchored at two repelling periodic points.  The disks
+    of f anchored at two or more repelling fixed points.  The disks
     share the largest radius eta in a list of fractions of the anchor
     separation that passes ``_check_coverage`` (the window is bounded
     above by disk overlap, below by the coded set's diameter)."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     anchors = [complex(a) for a in anchors]
     if len(anchors) < 2:
@@ -480,21 +483,20 @@ def build_cantor(family, lam, anchors, depth, period=1):
     eta = last = None
     for frac in (0.49, 0.45, 0.35, 0.25, 0.15):
         try:
-            _check_coverage(family, lam, anchors, frac * sep, period)
+            _check_coverage(family, lam, anchors, frac * sep)
             eta = frac * sep
             break
         except (CoverageError, NoConvergence) as err:
             last = err
     if eta is None:
         raise CoverageError(f"no admissible disk radius found: {last}")
-    cloud, words = _build_cloud(family, lam, anchors, depth, period)
+    cloud, words = _build_cloud(family, lam, anchors, depth)
     mags = np.abs(np.asarray(family.deriv(lam, cloud), dtype=complex))
     K_cloud = float(np.min(mags))
     if K_cloud <= 1.0:
         raise LostHyperbolicity(f"cloud expansion min |f'| = {K_cloud:.6g} <= 1")
-    return CantorSystem(family=family, lam=lam, anchors=anchors, period=period,
-                        eta=eta, specs=specs, depth=depth, words=words,
-                        cloud=cloud, K_cloud=K_cloud)
+    return CantorSystem(family=family, lam=lam, anchors=anchors, eta=eta, specs=specs,
+                        depth=depth, words=words, cloud=cloud, K_cloud=K_cloud)
 
 
 def coded_orbit(cantor, index, length):
@@ -509,17 +511,13 @@ def coded_orbit(cantor, index, length):
     back, so one pass over the word, one branch call per symbol, gives
     every suffix's point.
     """
-    family, lam = cantor.family, cantor.lam
-    anchors, period = cantor.anchors, cantor.period
-    if period != 1:
-        raise NotImplementedError("coded_orbit supports period-1 anchors")
+    family, lam, anchors = cantor.family, cantor.lam, cantor.anchors
     if cantor.depth < 1:
         raise ValueError(f"coded_orbit needs a cloud of depth >= 1, got depth {cantor.depth}")
     word = cantor.words[index]
     suffix_pts = np.empty(len(word), dtype=complex)
     suffix_pts[-1] = anchors[word[-1]]
     for t in range(len(word) - 2, -1, -1):
-        suffix_pts[t] = _branch_apply(family, lam, anchors[word[t]],
-                                      suffix_pts[t + 1:t + 2], period)[0]
+        suffix_pts[t] = _branch_apply(family, lam, anchors[word[t]], suffix_pts[t + 1:t + 2])[0]
     return suffix_pts[np.minimum(np.arange(length + 1), len(word) - 1)]
 

@@ -237,11 +237,12 @@ def escape_rate(z0, step, degree, gamma, maxiter, args=()):
     return g.reshape(z0.shape), bounded
 
 
-def plane_green(family, lam, z, maxiter=PLANE_MAXITER):
+def plane_green(family, lam, z):
     """Escape-rate Green function g(z) = lim d^{-n} log|f^n(z)| in the
     affine chart, vectorized over z (polynomial kinds only).
 
-    Returns (g, escaped) arrays; non-escaping points get g = 0.
+    Returns (g, escaped) arrays; points that do not escape within
+    PLANE_MAXITER steps get g = 0.
     """
     if family.kind == "rational":
         raise ValueError("plane_green is defined for polynomial kinds")
@@ -249,7 +250,7 @@ def plane_green(family, lam, z, maxiter=PLANE_MAXITER):
     coef = family.poly_coeffs(lam)
     gamma = math.log(abs(coef[d])) / (d - 1)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g, bounded = escape_rate(z, lambda zz: npoly.polyval(zz, coef), d, gamma, maxiter)
+    g, bounded = escape_rate(z, lambda zz: npoly.polyval(zz, coef), d, gamma, PLANE_MAXITER)
     escaped = np.ones(z.shape, dtype=bool)
     escaped.ravel()[bounded] = False
     return g, escaped

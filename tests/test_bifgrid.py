@@ -165,14 +165,6 @@ class TestScan:
         assert float(np.min(L.values)) >= math.log(2) - 1e-12
         assert np.allclose(L.values, math.log(2) + G.values, rtol=1e-12)
 
-    def test_activity_flags(self):
-        box = Box((-0.5 + 0j,), (2.0,))
-        a = scan_field(QUAD, box, 64, "activity0")
-        assert set(np.unique(a.values)) == {0.0, 1.0}
-        # the boundary of the connectedness locus is active, the far
-        # escape region and the main cardioid are not
-        assert 0 < float(np.sum(a.values)) < a.values.size
-
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             scan_field(QUAD, Box((0j,), (1.0,)), 8, "Q0")
@@ -185,9 +177,8 @@ class TestScan:
         cubic = MapFamily("branner_hubbard", 3)
         for family, box in [(QUAD, Box((0j,), (1.0,))),
                             (cubic, Box((0.4 + 0j, 1.0 + 0j), (0.5, 0.5)))]:
-            for which in ("G-1", "activity-1"):
-                with pytest.raises(ValueError, match="critical index -1 out of range"):
-                    scan_field(family, box, 8, which)
+            with pytest.raises(ValueError, match="critical index -1 out of range"):
+                scan_field(family, box, 8, "G-1")
 
     @pytest.mark.parametrize("maxiter", [0, -1])
     def test_maxiter_below_one_rejected(self, maxiter):
@@ -299,17 +290,6 @@ class TestRadial:
 
 
 class TestMassScaling:
-    def test_linear_law(self):
-        m_plus = np.arange(1, 21) * math.log(2)
-        res = mass_scaling(lambda r: r, 0j, m_plus, q=1, d=2)
-        assert abs(res.deviation) < 1e-6
-
-    def test_lebesgue_law_degree_four(self):
-        m_plus = np.arange(1, 16) * math.log(4)
-        res = mass_scaling(lambda r: r * r, 0j, m_plus, q=2, d=4)
-        assert abs(res.slope - (-2 * math.log(4))) < 1e-6
-        assert abs(res.deviation) < 1e-6
-
     def test_grid_measure_law(self):
         mu = lebesgue_measure(Box((0j,), (1.0,)), 256)
         m_plus = np.arange(1, 30) * math.log(2)
@@ -324,9 +304,11 @@ class TestMassScaling:
             mass_scaling(mu, 0j, m_plus, q=2, d=2, eps=0.5)
 
     def test_massless_law_names_its_stage(self):
+        mu = lebesgue_measure(Box((0j,), (1.0,)), 128)
+        mu.cell_mass[:] = 0.0
         m_plus = np.arange(1, 11) * math.log(2)
         with pytest.raises(DegenerateProfile, match="^mass scaling: fewer than 3 positive"):
-            mass_scaling(lambda r: 0.0, 0j, m_plus, q=1, d=2)
+            mass_scaling(mu, 0j, m_plus, q=1, d=2, eps=0.5)
 
 
 class TestBoxDimension:

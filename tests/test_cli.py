@@ -15,6 +15,7 @@ from biflab.cli import main
 from biflab.errors import NotPlurisubharmonic
 from biflab.families import MapFamily
 from biflab.misiurewicz import (
+    MAX_ORBIT_STEPS,
     ActivitySpec,
     Preperiodic,
     certificate_to_json,
@@ -215,6 +216,41 @@ class TestMisiurewicz:
         bio.write_ndjson(certs, [doc])
         assert main(["certify", "--family", family, "--certs", str(certs),
                      "--out", str(certs.parent / "out")]) in (0, 2, 3)
+
+    def test_infinite_sigma_min_fails(self, tmp_path, capsys):
+        # an infinite recorded sigma_min used to meet its own tolerance,
+        # 1e-4 * max(1, inf), and certify printed "pass []"
+        doc = certificate_to_json(C05_CERT, MapFamily("unicritical", 2))
+        doc["sigma_min"] = math.inf
+        certs = tmp_path / "certs.ndjson"
+        bio.write_ndjson(certs, [doc])
+        assert main(["certify", "--family", "unicritical2", "--certs", str(certs),
+                     "--out", str(tmp_path / "cert")]) == 3
+        assert capsys.readouterr().out.strip() == "FAIL ['sigma_min_match']"
+        [report] = read_json(tmp_path / "cert" / "certify_report.json")["reports"]
+        assert report["checks"]["sigma_min_match"] is False
+
+    @pytest.mark.parametrize("field", ["k0", "n", "p"])
+    @pytest.mark.parametrize("command", ["certify", "misiurewicz"])
+    def test_orbit_length_above_the_bound(self, tmp_path, capsys, command, field):
+        # a check's work grows with k0 + n + p: a record with k0 = 10^5 held
+        # certify for 1.6 s, and nothing bounded it
+        big = MAX_ORBIT_STEPS + 1
+        if command == "certify":
+            doc = certificate_to_json(C05_CERT, MapFamily("unicritical", 2))
+            pattern = doc["pattern"]
+            (pattern if field == "k0" else pattern["patterns"][0])[field] = big
+            certs = tmp_path / "certs.ndjson"
+            bio.write_ndjson(certs, [doc])
+            argv = ["certify", "--certs", str(certs)]
+        else:
+            items = {"k0": 2, "n": 1, "p": 1, field: big}
+            argv = ["misiurewicz", "--seed", "-1.95,0",
+                    "--pattern", ",".join(f"{k}={v}" for k, v in items.items())]
+        out = tmp_path / "run"
+        assert main(argv + ["--family", "unicritical2", "--out", str(out)]) == 2
+        assert re.search(rf"invalid input: .*\b{field}\b.*\b{big}\b", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_two_coordinate_lambda_is_refused(self, tmp_path, capsys):
         # used to verify as pass under unicritical2, reading the first one
@@ -455,17 +491,29 @@ class TestExitCodes:
          "N_trunc must be >= 1, got 0"),
         (["linearize", "--param", "-2,0", "--w", "2,0", "--n", "3", "--tail", "-1"],
          "tail must be >= 0, got -1"),
-        (["cantor", "--param", "-6,0", "--anchors", "3,0;-2,0", "--period", "0"],
-         "period must be >= 1, got 0"),
-        (["cantor", "--param", "-6,0", "--anchors", "3,0;-2,0", "--period", "-1"],
-         "period must be >= 1, got -1"),
-    ], ids=["ntrunc-0", "tail-minus-1", "period-0", "period-minus-1"])
+    ], ids=["ntrunc-0", "tail-minus-1"])
     def test_count_below_its_floor(self, tmp_path, capsys, argv, message):
-        # --ntrunc 0 used to raise IndexError, --tail -1 a broadcast error,
-        # and a period below 1 failed every disk radius with exit 3
+        # --ntrunc 0 used to raise IndexError, --tail -1 a broadcast error
         out = tmp_path / "run"
         assert main(argv + ["--family", "unicritical2", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cantor_takes_no_period(self, tmp_path, capsys):
+        # a Cantor cloud is built from the inverse branches of f at fixed points
+        out = tmp_path / "run"
+        assert main(["cantor", "--family", "unicritical2", "--param", "-6,0",
+                     "--anchors", "3,0;-2,0", "--period", "1", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --period 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_linearize_past_the_normal_floats(self, tmp_path, capsys):
+        # rho_n = (rho / 2) 4^-n underflows to 0 before n = 600, and the
+        # residual on a test circle of radius 0 used to read 0 with exit 0
+        out = tmp_path / "lin"
+        assert main(["linearize", "--family", "unicritical2", "--param", "-2,0",
+                     "--w", "2,0", "--n", "600", "--out", str(out)]) == 3
+        assert "at depth n = 600 is below the normal floats" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -676,7 +724,7 @@ MANIFEST_CASES = {
         ["cantor", "--family", "unicritical2", "--param", "-6,0",
          "--anchors", "3,0;-2,0", "--depth", "2"],
         {"command": "cantor", "family": "unicritical2", "param": "-6,0",
-         "anchors": "3,0;-2,0", "depth": 2, "period": 1, "family_resolved": UNI2},
+         "anchors": "3,0;-2,0", "depth": 2, "family_resolved": UNI2},
         {"cloud.csv", "cantor.json"}),
     "linearize": (
         ["linearize", "--family", "unicritical2", "--param", "-2,0", "--w", "2,0",

@@ -165,7 +165,7 @@ class TestCriticalPoints:
 
 
 class TestPeriodic:
-    # cycles from ``newton`` on f^p(z) = z, with their multipliers
+    # fixed points from ``newton`` on f(z) = z, with their multipliers
     def test_chebyshev_beta(self):
         fam = MapFamily("unicritical", 2)
         z, _ = newton(fam, [-2.0 + 0j], 1.9 + 0j, maxiter=100)
@@ -176,30 +176,6 @@ class TestPeriodic:
         fam = MapFamily("unicritical", 2)
         z, _ = newton(fam, [0j], 0.9 + 0j, maxiter=100)
         assert abs(z - 1) < 1e-12 and abs(complex(fam.deriv([0j], z)) - 2) < 1e-10
-
-    def test_period_two_at_i(self):
-        fam = MapFamily("unicritical", 2)
-        z, _ = newton(fam, [1j], -1.1 + 0.9j, 2, maxiter=100)
-        assert abs(z - (-1 + 1j)) < 1e-10
-        w = complex(fam.eval([1j], z))
-        assert abs(w - z) > 1.0          # a proper 2-cycle
-        mult = complex(fam.deriv([1j], z)) * complex(fam.deriv([1j], w))
-        assert abs(mult - 4 * (1 + 1j)) < 1e-9
-        assert abs(multiplier(fam, [1j], [z, w])[0] - math.log(4 * math.sqrt(2))) < 1e-9
-
-    def test_minimal_period_reduction(self):
-        # the period-4 equation from near 2 lands on the fixed point 2
-        fam = MapFamily("unicritical", 2)
-        z, _ = newton(fam, [-2.0 + 0j], 2.05 + 0j, 4, maxiter=100)
-        assert abs(z - 2) < 1e-10 and abs(complex(fam.eval([-2.0 + 0j], z)) - z) < 1e-10
-
-    def test_closure_residual(self):
-        fam = MapFamily("unicritical", 2)
-        z0, _ = newton(fam, [0.21 + 0.3j], 0.5 + 0.4j, 3, maxiter=100)
-        z = z0
-        for _ in range(3):
-            z = complex(fam.eval([0.21 + 0.3j], z))
-        assert abs(z - z0) < 1e-12
 
 
 class TestMultiplier:
@@ -403,7 +379,7 @@ class TestCoefficientMemo:
         assert len(built) == 1
         orbit(fam, lam, 0.2 - 0.1j, 24)
         assert len(built) == 2
-        newton(fam, lam, 0.3 + 0.2j, period=3, maxiter=100)
+        newton(fam, lam, 0.3 + 0.2j, maxiter=100)
         assert len(built) == 3
 
     def test_poly_coeffs_returns_a_fresh_writable_array(self):

@@ -61,13 +61,13 @@ class TestInverseBranch:
     # the Cantor generators: the branch of f^-1 at an anchor, on the disk
     # that ``branch_radius`` certifies
     def test_chebyshev_fixed_point(self):
-        z = _branch_apply(QUAD, [-2.0 + 0j], 2.0 + 0j, 2.0 + 0j, 1)
+        z = _branch_apply(QUAD, [-2.0 + 0j], 2.0 + 0j, 2.0 + 0j)
         assert abs(z[0] - 2.0) < 1e-12
         r, K, B = branch_radius(QUAD, [-2.0 + 0j], 2.0 + 0j)
         assert K > 1.0 and B >= K and r > 0
 
     def test_squaring_branch_value(self):
-        z = _branch_apply(QUAD, [0j], 1.0 + 0j, 1.21 + 0j, 1)
+        z = _branch_apply(QUAD, [0j], 1.0 + 0j, 1.21 + 0j)
         assert abs(z[0] - 1.1) < 1e-12
 
     def test_two_sided_contraction(self):
@@ -80,7 +80,7 @@ class TestInverseBranch:
         rng = np.random.default_rng(11)
         for _ in range(100):
             w = fa + 0.4 * eta * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / 2
-            z1, z2 = _branch_apply(QUAD, lam, anchor, w, 1)
+            z1, z2 = _branch_apply(QUAD, lam, anchor, w)
             d, dz = abs(w[0] - w[1]), abs(z1 - z2)
             assert dz <= d / K * (1 + 1e-10)
             assert dz >= d / B * (1 - 1e-10)
@@ -188,9 +188,11 @@ class TestCantor:
             build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], -1)
 
     def test_vanishing_branch_derivative_is_no_convergence(self):
-        # (f^2)'(0) = 0: the Newton step of the period-2 branch would divide by 0
+        # z^2 - 6 as a rational map, whose branch is a Newton solve from the
+        # anchor: f'(0) = 0, so the first step would divide by 0
+        rational = MapFamily("rational", 2, num=[[-6], [0], [1]], den=[[1]])
         with pytest.raises(NoConvergence):
-            _branch_apply(MapFamily("unicritical", 2), [-6 + 0j], 0j, 3 + 0j, period=2)
+            _branch_apply(rational, [0j], 0j, 3 + 0j)
 
     def test_depth_ten_cloud(self):
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)

@@ -36,9 +36,18 @@ by another biflab definition (in its own module or another), by the
 benchmark's child and workloads, which run the README commands, or by
 the acceptance checks: library surface that only unit tests call is
 deleted.  A reference is a name, an attribute or a ``from`` import.
+
+Every parameter with a default of a ``src/biflab`` function is passed,
+by keyword or by position, by some call in ``src/biflab``, the
+benchmark or the acceptance checks: an option that only unit tests set
+is deleted.  Calls go by name: a call of a class counts for its
+``__init__``, a method call skips ``self``, a name imported ``as`` an
+alias counts for the name it imports, and a ``*`` or ``**`` argument
+passes every position or keyword.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -295,3 +304,92 @@ def test_checker_finds_unreached_definitions():
     assert unreached_definitions(modules, users) == [("a", 6, "recursive"), ("b", 7, "orphan")]
     assert unreached_definitions(modules, users[:1]) == [
         ("a", 6, "recursive"), ("b", 5, "by_user"), ("b", 7, "orphan")]
+
+
+def defaulted_parameters(source):
+    """(line, callee, parameter, position) of each parameter with a
+    default of a ``def`` in the module: ``callee`` is the name a call
+    uses (the class, for ``__init__``) and ``position`` the index of the
+    positional argument that fills it, None for a keyword-only one."""
+    tree = ast.parse(source)
+    methods = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    methods[fn] = (cls.name if fn.name == "__init__" else fn.name,
+                                   0 if static else 1)
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        callee, skip = methods.get(fn, (fn.name, 0))
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(p.lineno, callee, p.arg, i - skip)
+                for i, p in enumerate(positional) if i >= first]
+        out += [(p.lineno, callee, p.arg, None)
+                for p, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return out
+
+
+def calls_passing(sources):
+    """{callee name: (keywords passed, most positional arguments)} over
+    every call of the ``sources``; a ``**`` argument passes the keyword
+    None and a ``*`` one infinitely many positions."""
+    trees = [ast.parse(source) for source in sources]
+    target = {alias.asname: alias.name for tree in trees for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) for alias in n.names if alias.asname}
+    out = {}
+    for n in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(n, ast.Call) or not isinstance(n.func, (ast.Name, ast.Attribute)):
+            continue
+        name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        name = target.get(name, name)
+        keywords, most = out.get(name, (set(), 0))
+        count = math.inf if any(isinstance(a, ast.Starred) for a in n.args) else len(n.args)
+        out[name] = (keywords | {k.arg for k in n.keywords}, max(most, count))
+    return out
+
+
+def unpassed_defaults(modules, users):
+    """(module, line, callee, parameter) of each defaulted parameter of
+    ``modules``, a {module name: source} map, that no call of those
+    modules or of the ``users`` sources passes."""
+    calls = calls_passing(list(modules.values()) + list(users))
+    out = []
+    for module, source in modules.items():
+        for line, callee, name, position in defaulted_parameters(source):
+            keywords, most = calls.get(callee, (set(), 0))
+            if not ({name, None} & keywords or position is not None and position < most):
+                out.append((module, line, callee, name))
+    return sorted(out)
+
+
+def test_every_default_is_passed():
+    # an option that only unit tests set is deleted
+    modules = {p.stem: p.read_text() for p in SOURCES}
+    users = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    assert unpassed_defaults(modules, [p.read_text() for p in users]) == []
+
+
+def test_checker_finds_unpassed_defaults():
+    modules = {"a": ("from .b import g as h\n"
+                     "class K:\n    def __init__(self, x, y=1, z=2):\n        pass\n"
+                     "    def m(self, u=0, v=0):\n        pass\n"
+                     "    @staticmethod\n    def s(w=0, t=0):\n        pass\n"
+                     "def f(a, b=1, c=2, *, d=3, e=4):\n    return K(0, 1).m(5)\n"),
+               "b": ("def g(p=0, q=0):\n    pass\n"
+                     "def star(r=0, s=0):\n    pass\n"
+                     "def spread(v=0):\n    pass\n")}
+    users = ["from lib.a import f, K\nf(0, c=1)\nh(q=1)\nK.s(0)\nstar(*rs)\nspread(**kw)\n",
+             "from lib.a import f\nf(0, 1, d=2)\n"]
+    assert unpassed_defaults(modules, users) == [
+        ("a", 3, "K", "z"), ("a", 5, "m", "v"), ("a", 8, "s", "t"),
+        ("a", 10, "f", "e"), ("b", 1, "g", "p")]
+    assert unpassed_defaults(modules, users[:1]) == [
+        ("a", 3, "K", "z"), ("a", 5, "m", "v"), ("a", 8, "s", "t"),
+        ("a", 10, "f", "b"), ("a", 10, "f", "d"), ("a", 10, "f", "e"), ("b", 1, "g", "p")]

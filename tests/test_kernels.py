@@ -194,11 +194,10 @@ def random_seeds(rng, n, scale):
 
 
 class TestNewton:
-    # (family, lam, period, seed) of the cycle tests, then random seeds
-    CASES = [(QUAD, [-2.0 + 0j], 1, 1.9 + 0j), (QUAD, [0j], 1, 0.9 + 0j),
-             (QUAD, [1j], 2, -1.1 + 0.9j), (QUAD, [-2.0 + 0j], 4, 2.05 + 0j),
-             (CUBIC, [0.21 + 0.3j], 3, 0.5 + 0.4j),
-             (QUAD, [0j], 1, 0.5 + 0j)]          # f'(1/2) = 1: dg vanishes
+    # (family, lam, seed) of the fixed-point tests, then random seeds;
+    # the references solve at period 1
+    CASES = [(QUAD, [-2.0 + 0j], 1.9 + 0j), (QUAD, [0j], 0.9 + 0j),
+             (QUAD, [0j], 0.5 + 0j)]          # f'(1/2) = 1: dg vanishes
 
     def test_find_periodic(self):
         rng = np.random.default_rng(1)
@@ -206,12 +205,12 @@ class TestNewton:
         for fam in (QUAD, CUBIC, BH3):
             for _ in range(40):
                 lam = random_seeds(rng, fam.param_dim, 1.0)
-                cases.append((fam, lam, int(rng.integers(1, 5)), random_seeds(rng, 1, 1.5)[0]))
+                cases.append((fam, lam, random_seeds(rng, 1, 1.5)[0]))
         failures = 0
-        for fam, lam, period, seed in cases:
+        for fam, lam, seed in cases:
             # ``newton`` at the old routine's budget of 100 iterations
-            old = outcome(old_find_periodic, fam, lam, period, seed)
-            new, _ = newton(fam, lam, seed, period, maxiter=100)
+            old = outcome(old_find_periodic, fam, lam, 1, seed)
+            new, _ = newton(fam, lam, seed, maxiter=100)
             if isinstance(old, type):
                 assert new is None
                 failures += 1
@@ -222,18 +221,18 @@ class TestNewton:
     def test_cycle(self):
         # anchors of the Cantor and continuation tests, then random seeds
         rng = np.random.default_rng(2)
-        cases = [(QUAD, [-6.0 + 0j], 3.0 + 0j, 1), (QUAD, [-6.0 + 0j], -2.0 + 0j, 1),
-                 (QUAD, [-0.5 + 0j], 1.0 + 0j, 1), (QUAD, [-2.0 + 0j], 2.0 + 0j, 1)]
+        cases = [(QUAD, [-6.0 + 0j], 3.0 + 0j), (QUAD, [-6.0 + 0j], -2.0 + 0j),
+                 (QUAD, [-0.5 + 0j], 1.0 + 0j), (QUAD, [-2.0 + 0j], 2.0 + 0j)]
         for fam in (QUAD, CUBIC, BH3):
             for _ in range(60):
                 lam = random_seeds(rng, fam.param_dim, 1.0)
-                cases.append((fam, lam, random_seeds(rng, 1, 2.0)[0], int(rng.integers(1, 4))))
-        cases.append((QUAD, [0j], np.complex128(0.5), 1))    # f'(1/2) = 1: dg vanishes
+                cases.append((fam, lam, random_seeds(rng, 1, 2.0)[0]))
+        cases.append((QUAD, [0j], np.complex128(0.5)))    # f'(1/2) = 1: dg vanishes
         nones = 0
-        for fam, lam, seed, period in cases:
+        for fam, lam, seed in cases:
             for maxiter in (12, 40):
-                old = old_newton_cycle(fam, lam, seed, period, maxiter=maxiter)
-                new = newton(fam, lam, seed, period, maxiter=maxiter)
+                old = old_newton_cycle(fam, lam, seed, 1, maxiter=maxiter)
+                new = newton(fam, lam, seed, maxiter=maxiter)
                 assert same_newton(old, new)
                 nones += old[0] is None
         assert nones > 0
@@ -262,41 +261,21 @@ class TestNewton:
 
     def test_branch_apply(self):
         rng = np.random.default_rng(4)
-        cases = [(QUAD, [-6.0 + 0j], a, w, p, None)
-                 for a in (3.0 + 0j, -2.0 + 0j) for w in (3.1 + 0.2j, -2.2 - 0.1j) for p in (1, 2)]
+        cases = [(QUAD, [-6.0 + 0j], a, w, None)
+                 for a in (3.0 + 0j, -2.0 + 0j) for w in (3.1 + 0.2j, -2.2 - 0.1j)]
         for fam in (QUAD, CUBIC, lattes_family()):
             for _ in range(40):
                 lam = random_seeds(rng, fam.param_dim, 1.0)
                 anchor, w, guard = random_seeds(rng, 3, 2.0)
-                cases.append((fam, lam, anchor, w, int(rng.integers(1, 3)),
-                              guard if _ % 2 else None))
-        for fam, lam, anchor, w, period, guard in cases:
-            old = outcome(old_branch_apply, fam, lam, anchor, w, period, guard)
+                cases.append((fam, lam, anchor, w, guard if _ % 2 else None))
+        for fam, lam, anchor, w, guard in cases:
+            old = outcome(old_branch_apply, fam, lam, anchor, w, 1, guard)
             new = outcome(hyperbolic._branch_apply, fam, lam,
-                          anchor if guard is None else guard, w, period)
+                          anchor if guard is None else guard, w)
             if isinstance(old, type):
                 assert new is old
             else:
                 assert same_bits(np.complex128(new), np.complex128(old))
-
-    def test_cantor_cloud_and_motion(self, monkeypatch):
-        # a period-2 cloud, its anchors moved as one-point orbits on their
-        # 2-cycles and the cloud rebuilt from them at the target
-        def cloud_and_motion():
-            lam1 = np.array([-6.1 + 0.05j])
-            cs = hyperbolic.build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6, period=2)
-            anchors = [hyperbolic.continue_orbit(QUAD, cs.lam, lam1, [a], 2)[0]
-                       for a in cs.anchors]
-            moved, _ = hyperbolic._build_cloud(QUAD, lam1, anchors, 6, 2)
-            return cs.cloud, moved, np.array(anchors)
-
-        new = cloud_and_motion()
-        monkeypatch.setattr(hyperbolic, "_branch_apply", old_branch_map)
-        monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
-        monkeypatch.setattr(hyperbolic, "newton", lambda fam, lam, seed, period, maxiter:
-                            old_newton_cycle(fam, lam, seed, period, maxiter=maxiter))
-        for a, b in zip(new, cloud_and_motion()):
-            assert same_bits(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -351,9 +330,7 @@ def old_coverage_radius(family, lam, anchors, period):
 
 def old_coded_orbit(cantor, index, length):
     family, lam = cantor.family, cantor.lam
-    anchors, period = cantor.anchors, cantor.period
-    if period != 1:
-        raise NotImplementedError("coded_orbit supports period-1 anchors")
+    anchors, period = cantor.anchors, 1
     word = list(cantor.words[index])
     pts = np.empty(length + 1, dtype=complex)
     for k in range(length + 1):
@@ -422,7 +399,7 @@ class TestCantorCloud:
         fam, lam, anchors = cantor_case(name)
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         for depth in (0, 1, 2, 10, 14):
-            assert same_cloud(hyperbolic._build_cloud(fam, lam, anchors, depth, 1),
+            assert same_cloud(hyperbolic._build_cloud(fam, lam, anchors, depth),
                               old_build_cloud(fam, lam, anchors, depth, 1))
 
     def test_branch_apply_arrays(self):
@@ -435,7 +412,7 @@ class TestCantorCloud:
         spread = 3.0 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
         for seed, w in [(0j, near_critical), (3.0 + 0j, spread[:1]), (3.0 + 0j, spread),
                         (-2.0 + 0j, spread), (0j, np.concatenate([near_critical, spread]))]:
-            new = outcome(hyperbolic._branch_apply, QUAD, lam, seed, w, 1)
+            new = outcome(hyperbolic._branch_apply, QUAD, lam, seed, w)
             old = outcome(old_branch_map, QUAD, lam, seed, w, 1)
             if isinstance(old, type):
                 assert new is old
@@ -443,9 +420,12 @@ class TestCantorCloud:
                 assert same_bits(new, old)
 
     def test_newton_branch(self):
-        fam, lam, anchors = cantor_case("unicritical2")
-        assert same_cloud(hyperbolic._build_cloud(fam, lam, anchors, 6, 2),
-                          old_build_cloud(fam, lam, anchors, 6, 2))
+        # the rational kind solves each preimage by Newton from the anchor;
+        # the Lattes map fixes +-sqrt(1 + 2/sqrt(3)), both repelling
+        fam, lam = lattes_family(), np.array([0j])
+        a = math.sqrt(1.0 + 2.0 / math.sqrt(3.0))
+        assert same_cloud(hyperbolic._build_cloud(fam, lam, [a + 0j, -a + 0j], 6),
+                          old_build_cloud(fam, lam, [a + 0j, -a + 0j], 6, 1))
 
     @pytest.mark.parametrize("name", CASES)
     def test_coverage_radius(self, name):
@@ -473,7 +453,7 @@ class TestCantorCloud:
             except hyperbolic.CoverageError as exc:
                 old = str(exc)
             try:
-                hyperbolic._check_coverage(QUAD, lam, anchors, radius, 1)
+                hyperbolic._check_coverage(QUAD, lam, anchors, radius)
                 new = None
             except hyperbolic.CoverageError as exc:
                 new = str(exc)
@@ -487,7 +467,7 @@ class TestCantorCloud:
         lam = np.array([-6.0 + 0j])
         anchors = [0.1 + 0j, -0.1 + 0j]
         with pytest.raises(hyperbolic.CoverageError, match="ambiguous") as new:
-            hyperbolic._build_cloud(QUAD, lam, anchors, 3, 1)
+            hyperbolic._build_cloud(QUAD, lam, anchors, 3)
         with pytest.raises(hyperbolic.CoverageError) as old:
             old_build_cloud(QUAD, lam, anchors, 3, 1)
         assert str(new.value) == str(old.value)
@@ -499,7 +479,7 @@ class TestCantorCloud:
         fam, lam, anchors = cantor_case(name)
         lam1 = np.array([lam[0] + 0.02 - 0.01j] + lam[1:])
         moved = [hyperbolic.continue_orbit(fam, lam, lam1, [a])[0] for a in anchors]
-        assert same_cloud(hyperbolic._build_cloud(fam, lam1, moved, 8, 1),
+        assert same_cloud(hyperbolic._build_cloud(fam, lam1, moved, 8),
                           old_build_cloud(fam, lam1, moved, 8, 1))
 
     def test_coded_orbit(self):
@@ -527,7 +507,7 @@ class TestCloudReadAndCount:
 
     def test_box_dimension(self):
         fam, lam, anchors = cantor_case("unicritical2")
-        cloud, _ = hyperbolic._build_cloud(fam, np.array(lam), anchors, 14, 1)
+        cloud, _ = hyperbolic._build_cloud(fam, np.array(lam), anchors, 14)
         rng = np.random.default_rng(13)
         lattice = (rng.integers(-50, 50, 3000) + 1j * rng.integers(-50, 50, 3000)) / 64.0
         clouds = [(cloud, 2.0 ** -np.arange(2, 9)), (cloud, 3.0 ** -np.arange(1, 7)),
@@ -588,7 +568,7 @@ class TestScipyReplacements:
         comb = np.concatenate([1j * rng.permutation(np.linspace(0.0, 0.5, 1200)),
                                np.linspace(0.01, 1.0, 1000)])
         return {
-            "cantor16": hyperbolic._build_cloud(fam, np.array(lam), anchors, 16, 1)[0],
+            "cantor16": hyperbolic._build_cloud(fam, np.array(lam), anchors, 16)[0],
             "gaussian": rng.standard_normal(65536) + 1j * rng.standard_normal(65536),
             "circle": np.exp(1j * th),
             "horizontal": line.astype(complex),
@@ -633,7 +613,7 @@ class TestCantorEndToEnd:
                     for p in sorted(out.glob("*/*")) if p.name != "manifest.json"}
 
         new = run("new")
-        monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
+        monkeypatch.setattr(hyperbolic, "_build_cloud", lambda *args: old_build_cloud(*args, 1))
         monkeypatch.setattr(bio, "read_cloud_csv", old_read_cloud_csv)
         monkeypatch.setattr(cli, "box_dimension", old_box_dimension)
         old = run("old")
@@ -760,9 +740,9 @@ def special_lams():
 
 class TestEscapeRate:
     @pytest.mark.parametrize("fam, box, res, fields", [
-        (QUAD, Box((-0.5 + 0j,), (2.5,), (2.0,)), 48, ("G0", "L", "activity0")),
+        (QUAD, Box((-0.5 + 0j,), (2.5,), (2.0,)), 48, ("G0", "L")),
         (QUAD, Box((-0.7435 + 0.1314j,), (0.01,)), 32, ("G0",)),
-        (BH3, Box((0j, 0.3 + 0.1j), (1.5, 1.2)), 10, ("G0", "G1", "L", "activity1")),
+        (BH3, Box((0j, 0.3 + 0.1j), (1.5, 1.2)), 10, ("G0", "G1", "L")),
     ], ids=["unicritical2", "unicritical2-zoom", "bh3"])
     def test_scan_field(self, monkeypatch, fam, box, res, fields):
         new = [scan_field(fam, box, res, f, maxiter=200).values for f in fields]
@@ -771,14 +751,15 @@ class TestEscapeRate:
         for a, b in zip(new, old):
             assert same_bits(a, b)
 
-    def test_plane_green(self):
+    def test_plane_green(self, monkeypatch):
         rng = np.random.default_rng(5)
         for fam in (QUAD, CUBIC, BH3, MapFamily("branner_hubbard", 4)):
             lam = random_seeds(rng, fam.param_dim, 1.0)
             for shape in [(), (7,), (5, 6)]:
                 z = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 for maxiter in (0, 3, 60, 2048):
-                    g, esc = plane_green(fam, lam, z, maxiter=maxiter)
+                    monkeypatch.setattr(potential, "PLANE_MAXITER", maxiter)
+                    g, esc = plane_green(fam, lam, z)
                     g0, esc0 = old_plane_green(fam, lam, z, maxiter=maxiter)
                     assert same_bits(g, g0) and np.array_equal(esc, esc0)
                     assert esc.shape == esc0.shape and esc.dtype == esc0.dtype
@@ -814,7 +795,7 @@ class TestEscapeRate:
         old = old_grid_green(BH3, lams, old_critical_values(BH3, lams, j), maxiter=512)
         assert same_bits(new, old)
 
-    def test_special_parameters(self):
+    def test_special_parameters(self, monkeypatch):
         quad_lams, bh3_lams = special_lams()
         with np.errstate(invalid="ignore", over="ignore"):
             for maxiter in (1, 8, 17, 512, 1024):
@@ -824,7 +805,8 @@ class TestEscapeRate:
             z = SPECIAL_Z
             for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j):
                 for maxiter in (8, 16, 100, 2048):
-                    g, esc = plane_green(QUAD, [c], z, maxiter=maxiter)
+                    monkeypatch.setattr(potential, "PLANE_MAXITER", maxiter)
+                    g, esc = plane_green(QUAD, [c], z)
                     g0, esc0 = old_plane_green(QUAD, [c], z, maxiter=maxiter)
                     assert same_bits(g, g0) and np.array_equal(esc, esc0)
 
@@ -854,7 +836,7 @@ class TestEscapeRate:
             return escape_rate(z0, counted, *args, **kw)
 
         monkeypatch.setattr(potential, "escape_rate", counting)
-        g, esc = plane_green(QUAD, [-1.0 + 0j], [0j], maxiter=2048)
+        g, esc = plane_green(QUAD, [-1.0 + 0j], [0j])
         assert len(calls) <= 16
         assert same_bits(g, np.zeros(1)) and esc.tolist() == [False]
 
@@ -1065,7 +1047,7 @@ class TestBlockSplit:
                             fam, lams, cv, maxiter=maxiter)):
                         assert same_bits(g, ref)
 
-    def test_plane_green(self, split):
+    def test_plane_green(self, split, monkeypatch):
         rng = np.random.default_rng(11)
         cases = [(QUAD, [c], SPECIAL_Z) for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j)]
         for fam in (QUAD, CUBIC, BH3):
@@ -1073,11 +1055,11 @@ class TestBlockSplit:
             for shape in [(), (7,), (5, 6), (40,)]:
                 z = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 cases.append((fam, lam, z))
+        monkeypatch.setattr(potential, "PLANE_MAXITER", 100)
         with np.errstate(invalid="ignore", over="ignore"):
             for fam, lam, z in cases:
                 g0, esc0 = old_plane_green(fam, lam, z, maxiter=100)
-                for g, esc in each_worker_count(split, 3, lambda: plane_green(
-                        fam, lam, z, maxiter=100)):
+                for g, esc in each_worker_count(split, 3, lambda: plane_green(fam, lam, z)):
                     assert same_bits(g, g0) and np.array_equal(esc, esc0)
 
     def test_escape_rate_bounded_indices(self, split):
