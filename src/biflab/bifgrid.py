@@ -7,12 +7,16 @@ axis pair per complex coordinate, in the order (x1, y1[, x2, y2]) with
 "ij" indexing.  The mass normalization is fixed so that dd^c log|l - l0|
 carries total mass 1 in one complex parameter; every other stated
 density follows from that choice.
+
+The scans run no orbit loop here but ``potential.escape_rate``, the one
+escape-rate kernel.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,7 +28,7 @@ from .errors import (
     NotPlurisubharmonic,
     ResolutionExceeded,
 )
-from .potential import escape_rate
+from .potential import _power_step, escape_rate
 
 SCAN_MAXITER = 512
 MIN_CLOUD_POINTS = 1000
@@ -140,33 +144,6 @@ class MassScalingResult:
     masses: np.ndarray
 
 
-# ----------------------------------------------------------------------
-# vectorized polynomial iteration over parameter grids
-
-def _grid_apply(family, rows, z):
-    """f applied cellwise in power form.  ``rows`` are the entries of
-    ``family.coeff_rows`` at the cells' parameters that depend on lambda,
-    in order: c for unicritical; a^d, then the rows of z^2..z^(d-1) for
-    Branner-Hubbard.  ``np.multiply`` keeps each product's operand order,
-    which the elided ``row * z ** j`` would not (see ``families``)."""
-    d = family.degree
-    if family.kind == "unicritical":
-        return z ** d + rows[0]
-    out = z ** d / d + rows[0]
-    for j in range(2, d):
-        out = out + np.multiply(rows[j - 1], z ** j)
-    return out
-
-
-def _grid_green(family, lams, z0, maxiter=SCAN_MAXITER):
-    """Escape-rate Green value of the orbit of z0, cellwise."""
-    d = family.degree
-    rows = family.coeff_rows([l.ravel() for l in lams])
-    gamma = math.log(abs(rows[d])) / (d - 1)
-    return escape_rate(z0, lambda z, *cur: _grid_apply(family, cur, z), d, gamma,
-                       maxiter, args=[row for row in rows if np.ndim(row)])[0]
-
-
 def _second_difference(u, ax, others, ay=None):
     """u[i+1] + u[i-1] - 2 u[i] along axis ``ax`` at the cells 1..n-2 of
     that axis; ``others`` (a slice) selects the cells of every other axis.
@@ -206,31 +183,32 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
 
     ``which``: "L" (Lyapunov, log d + sum of critical Green values at the
     critical values) or "G<j>" (Green value of marked critical point j,
-    taken at its critical value).
+    taken at its critical value), j written in plain decimal; any other
+    name (``G``, ``Gx``, ``G+0``, ``G00``) is a ValueError.
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     lams = box.param_grids(resolution)
-    rows = [row for row in family.coeff_rows(lams) if np.ndim(row)]
+    rows = family.coeff_rows(lams)
     crit = family.critical_rows(lams)
     meta = {"which": which, "maxiter": maxiter}
 
     def green_field(j):
         if not 0 <= j < len(crit):
             raise ValueError(f"critical index {j} out of range")
-        cv = _grid_apply(family, rows, crit[j][0])
-        return _grid_green(family, lams, cv, maxiter=maxiter)
+        return escape_rate(family, rows, _power_step(family, rows, crit[j][0]), maxiter)
 
     if which == "L":
         vals = np.full(lams[0].shape, math.log(family.degree))
         for j, (_, mult) in enumerate(crit):
             vals = vals + mult * green_field(j)
-    elif which.startswith("G"):
+    elif re.fullmatch(r"G(0|-?[1-9][0-9]*)", which):
         vals = green_field(int(which[1:]))
     else:
-        raise ValueError(f"unknown field {which!r}")
+        raise ValueError(f"unknown field {which!r}: a field is L or G<j>, "
+                         f"j a critical index in decimal digits (G0, G1, ...)")
     nan_count = int(np.sum(~np.isfinite(vals)))
     return GridField(box=box, resolution=resolution, values=vals,
                      meta=meta, nan_count=nan_count)

@@ -19,8 +19,9 @@ continuation, backward extension and Cantor branches of ``hyperbolic``
 
 ``coeff_rows`` is the one coefficient builder of the polynomial kinds:
 scalar evaluation, the stacked activity maps of ``misiurewicz`` and the
-parameter-grid scans of ``bifgrid`` all read their coefficients from
-it, so each gets the same bits at the same parameter.  It works on
+escape-rate kernel of ``potential`` (the grid scans of ``bifgrid`` and
+``critical_green_sum``) all read their coefficients from it, so each
+gets the same bits at the same parameter.  It works on
 arrays of parameter coordinates, one entry per cell or row, and leaves
 a coefficient that does not depend on lambda (1, 1/d or 0) a plain
 float, so a grid never holds a per-cell array of a constant.
@@ -42,8 +43,9 @@ numpy scalar it returns, rounds differently.
 
 The activity maps evaluate a stack of parameters at once: one
 ``poly_coeffs`` call for the whole stack and a column-wise
-``npoly.polyval(z, coef, tensor=False)``.  The grid scans keep the
-power form z^d + c and z^d/d + a^d + sum_j coef_j z^j, and write each
+``npoly.polyval(z, coef, tensor=False)``.  The escape-rate kernel's
+step, ``potential._power_step``, keeps the power form z^d + c and
+z^d/d + a^d + sum_j coef_j z^j, and writes each
 product as ``np.multiply(coef_j, z ** j)``: on arrays of 256 KiB or
 more numpy's temporary elision evaluates ``coef_j * z ** j`` as
 ``z ** j * coef_j``, and the fused complex multiply is not bitwise
@@ -301,6 +303,27 @@ class MapFamily:
             return np.sum(n * powsu * powsv), second
 
         return F
+
+    def lift_log_bound(self, lam):
+        """A bound B with |log ||F(z)||| <= B for the lift F wherever
+        ||z|| = 1 (sup norms).  Write F = (sum_k n_k u^k v^(d-k),
+        sum_k e_k u^k v^(d-k)).  Above, ||F|| <= max(sum |n_k|, sum |e_k|).
+        Below, the 2d products u^(d-1-i) v^i F_1 and u^(d-1-i) v^i F_2
+        (i < d) are the Sylvester matrix S times the 2d monomials of
+        degree 2d - 1; each product is at most ||F(z)|| and one monomial
+        has modulus 1, so ||F(z)|| >= 1 / ||S^-1|| in the row-sum norm
+        (computed in floating point)."""
+        d = self.degree
+        if self.kind == "rational":
+            n, e = self._rat_coeffs(lam)
+        else:
+            n, e = self.poly_coeffs(lam), np.eye(1, d + 1, dtype=complex)[0]
+        syl = np.zeros((2 * d, 2 * d), dtype=complex)
+        for i in range(d):
+            syl[i, i:i + d + 1] = n[::-1]
+            syl[d + i, i:i + d + 1] = e[::-1]
+        lower = 1.0 / np.max(np.sum(np.abs(np.linalg.inv(syl)), axis=1))
+        return max(math.log(max(np.sum(np.abs(n)), np.sum(np.abs(e)))), -math.log(lower))
 
 
 def _poly_maps(coef):

@@ -235,13 +235,18 @@ def verify_certificate(cert, family):
     finite-difference step) and the m_n^+ profile.  An escaping or
     overflowing orbit, a cycle that is not repelling or whose multiplier
     fails numerically, or an m_n^+ profile of another length fails its
-    check in the report.  A lambda of another dimension than the family's
-    is a ValueError; errors of the transversality Jacobian (NoConvergence
-    where it is not finite) and programming errors propagate.
+    check in the report.  A lambda of another dimension than the family's,
+    or a system that is not square (as ``solve_misiurewicz`` refuses), is
+    a ValueError, which also bounds the work by the tracked points;
+    errors of the transversality Jacobian (NoConvergence where it is not
+    finite) and programming errors propagate.
     """
     spec, lam = cert.spec, cert.lam
     if len(lam) != family.param_dim:
         raise ValueError(f"certificate lambda has {len(lam)} coordinates, the family {family.param_dim}")
+    if len(spec.tracked) != family.param_dim:
+        raise ValueError(f"certificate.pattern.tracked has {len(spec.tracked)} entries, but a "
+                         f"square system has one per parameter coordinate ({family.param_dim})")
     with np.errstate(over="ignore", invalid="ignore"):
         worst, cycles, mp = _landing_walk(family, lam, spec)
         try:

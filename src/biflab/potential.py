@@ -7,6 +7,9 @@ lift F(c_j, 1).  With this choice G_j coincides with the classical
 parameter-space Green function (for z^2+c it is the Mandelbrot-set Green
 function, growing like log|c|), G_j >= 0 with equality exactly on bounded
 critical orbits, and dd^c of the quadratic G_0 carries unit total mass.
+
+``escape_rate``, stepping in power form (``_power_step``), is the one
+escape-rate kernel: the grid scans and ``critical_green_sum`` run it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import CriticalOnOrbit, DegenerateLift, PreimageFailure
 from .families import critical_points
@@ -151,45 +153,55 @@ def green_at(family, lam, v: LiftVector):
 
     Telescoping renormalized iteration: G = log_scale +
     sum_n d^{-(n+1)} log ||F(z_n)|| with z_n rescaled to unit sup-norm.
+    It stops once the terms after step n, at most B d^{-(n+1)} / (d - 1)
+    with B = ``lift_log_bound``, are below GREEN_TOL (small terms prove
+    nothing: inside the unit bidisk each is exactly 0).
     """
     family.check_nondegenerate(lam)
     d = family.degree
     F = family.lift(lam)
+    bound = family.lift_log_bound(lam)
     G = v.log_scale
     u, w = v.u, v.v
-    prev_inc = math.inf
     converged = False
     for n in range(GREEN_MAXITER):
         U, V = F(u, w)
         s = max(abs(U), abs(V))
         if s < 1e-300:
             raise DegenerateLift("||F|| < 1e-300: resultant is numerically zero")
-        inc = d ** (-(n + 1)) * math.log(s)
-        G += inc
+        G += d ** (-(n + 1)) * math.log(s)
         u, w = U / s, V / s
-        if max(abs(inc), abs(prev_inc)) < GREEN_TOL and n >= 2:
+        if bound * d ** (-(n + 1)) / (d - 1) < GREEN_TOL:
             converged = True
             break
-        prev_inc = inc
     return GreenValue(value=G, converged=converged)
 
 
-def escape_rate(z0, step, degree, gamma, maxiter, args=()):
-    """Escape-rate values g = d^{-n} (log|z_n| + gamma) at the first n
-    with |z_n| > PLANE_BIG, for every orbit z_0 = z0[i], z_{n+1} = step(z_n).
+def _power_step(family, rows, z):
+    """f applied pointwise in power form, z^d + c or z^d/d + a^d +
+    sum_j row_j z^j, with ``rows`` from ``family.coeff_rows``.
+    ``np.multiply`` keeps each product's operand order, which the elided
+    ``row * z ** j`` would not (see ``families``)."""
+    d = family.degree
+    if family.kind == "unicritical":
+        return z ** d + rows[0]
+    out = z ** d / d + rows[0]
+    for j in range(2, d):
+        out = out + np.multiply(rows[j], z ** j)
+    return out
 
-    ``step(z, *args)`` returns the images of the points z that are still
-    iterated; ``args`` are per-point flat arrays (parameters of the step),
-    the size of z0, and reach the step compacted together with z.  Returns
-    g (shape of z0, 0 where the orbit never passes PLANE_BIG within
-    ``maxiter`` steps) and the sorted flat indices of those non-escaping
-    points.
+
+def escape_rate(family, rows, z0, maxiter):
+    """Escape-rate Green values g = d^{-n} (log|z_n| + gamma), gamma =
+    log|lead| / (d - 1), at the first n with |z_n| > PLANE_BIG, of every
+    orbit z_0 = z0[i] under f with ``coeff_rows`` ``rows`` (arrays of
+    z0's shape); g = 0 where no such n <= ``maxiter`` exists.
 
     The loop carries only the points still iterated, and retires a point
     whose float orbit repeats exactly: it keeps a copy of z taken at each
     power-of-two step n >= 8, and on every 8th step a point with z equal
     to that copy leaves with g = 0.  This changes no bit of g.  The step
-    is a pure function of (z, the point's args), so z_n == z_m with m < n
+    is a pure function of (z, the point's rows), so z_n == z_m with m < n
     makes the float orbit periodic from step m on; it stayed <= PLANE_BIG
     from m to n and so never passes PLANE_BIG, which is g = 0 at
     ``maxiter``.  NaN never compares equal, so NaN orbits keep iterating;
@@ -198,72 +210,51 @@ def escape_rate(z0, step, degree, gamma, maxiter, args=()):
     The points are split into contiguous index blocks (``_blocks``), each
     run through this loop on its own.  A point's orbit, its exit step
     and the steps at which its z is saved depend only on the point, so
-    the split changes no bit of g, and the blocks' bounded indices,
-    concatenated in block order, are the sorted indices of one loop.
+    the split changes no bit of g.
     """
+    d = family.degree
+    gamma = math.log(abs(rows[d])) / (d - 1)
     flat = z0.ravel()
+    flat_rows = [r.ravel() if np.ndim(r) else r for r in rows]
     g = np.zeros(flat.size, dtype=float)
 
     def run(lo, hi):
         z = flat[lo:hi].copy()
         idx = np.arange(lo, hi)
-        cur = [a[lo:hi] for a in args]
+        cur = [r[lo:hi] if np.ndim(r) else r for r in flat_rows]
         saved = None
-        retired = []
         for n in range(maxiter + 1):
             leave = np.abs(z) > PLANE_BIG
             if np.any(leave):
-                hit = idx[leave]
-                g[hit] = degree ** (-float(n)) * (np.log(np.abs(z[leave])) + gamma)
+                g[idx[leave]] = d ** (-float(n)) * (np.log(np.abs(z[leave])) + gamma)
             if saved is not None and n % 8 == 0:
-                cycled = z == saved
-                if np.any(cycled):
-                    retired.append(idx[cycled])
-                    leave |= cycled
+                leave |= z == saved
             if np.any(leave):
                 keep = ~leave
                 z, idx = z[keep], idx[keep]
-                cur = [a[keep] for a in cur]
+                cur = [r[keep] if np.ndim(r) else r for r in cur]
                 if saved is not None:
                     saved = saved[keep]
             if idx.size == 0 or n == maxiter:
                 break
             if n >= 8 and n & (n - 1) == 0:
                 saved = z.copy()
-            z = step(z, *cur)
-        return np.sort(np.concatenate(retired + [idx])) if retired else idx
+            z = _power_step(family, cur, z)
 
-    bounded = np.concatenate(_blocks(run, flat.size))
-    return g.reshape(z0.shape), bounded
-
-
-def plane_green(family, lam, z):
-    """Escape-rate Green function g(z) = lim d^{-n} log|f^n(z)| in the
-    affine chart, vectorized over z (polynomial kinds only).
-
-    Returns (g, escaped) arrays; points that do not escape within
-    PLANE_MAXITER steps get g = 0.
-    """
-    if family.kind == "rational":
-        raise ValueError("plane_green is defined for polynomial kinds")
-    d = family.degree
-    coef = family.poly_coeffs(lam)
-    gamma = math.log(abs(coef[d])) / (d - 1)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g, bounded = escape_rate(z, lambda zz: npoly.polyval(zz, coef), d, gamma, PLANE_MAXITER)
-    escaped = np.ones(z.shape, dtype=bool)
-    escaped.ravel()[bounded] = False
-    return g, escaped
+    _blocks(run, flat.size)
+    return g.reshape(z0.shape)
 
 
 def critical_green_sum(family, lam):
-    """Sum over marked critical points of mult_j * G_j(lambda), where
-    G_j is the Green value of the critical value orbit (see module
-    docstring for the normalization)."""
+    """Sum over marked critical points of mult_j * G_j(lambda), G_j the
+    Green value at the critical value (see the module docstring): the
+    scans' step and kernel on one-point arrays, so G_j has the bits of
+    the scan field ``G<j>`` at ``maxiter`` PLANE_MAXITER."""
+    lams = list(np.asarray(lam, dtype=complex).reshape(-1, 1))
+    rows = family.coeff_rows(lams)
     total = 0.0
-    for c, mult in family.marked_critical_points(lam):
-        cv = complex(family.eval(lam, c))
-        g, _ = plane_green(family, lam, cv)
+    for c, mult in family.critical_rows(lams):
+        g = escape_rate(family, rows, _power_step(family, rows, c), PLANE_MAXITER)
         total += mult * float(g[0])
     return total
 

@@ -252,6 +252,22 @@ class TestMisiurewicz:
         assert re.search(rf"invalid input: .*\b{field}\b.*\b{big}\b", capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("tracked", [[0, 0], [0] * 10], ids=["two", "ten"])
+    def test_tracked_count_must_be_square(self, tmp_path, capsys, tracked):
+        # verify's work grows with the tracked points: ten copies of index
+        # 0 took 0.55 s against 0.07 s for one, and nothing bounded them
+        doc = certificate_to_json(C05_CERT, MapFamily("unicritical", 2))
+        doc["pattern"]["tracked"] = tracked
+        doc["pattern"]["patterns"] = doc["pattern"]["patterns"][:1] * len(tracked)
+        doc["multipliers"] = doc["multipliers"][:1] * len(tracked)
+        certs = tmp_path / "certs.ndjson"
+        bio.write_ndjson(certs, [doc])
+        out = tmp_path / "cert"
+        assert main(["certify", "--family", "unicritical2", "--certs", str(certs),
+                     "--out", str(out)]) == 2
+        assert "certificate.pattern.tracked" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_coordinate_lambda_is_refused(self, tmp_path, capsys):
         # used to verify as pass under unicritical2, reading the first one
         doc = certificate_to_json(C05_CERT, MapFamily("unicritical", 2))
@@ -386,6 +402,23 @@ class TestExitCodes:
     def test_unknown_family(self, tmp_path):
         assert main(["lyap", "--family", "nope", "--param", "0,0",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("field", ["G", "Gx", "G+0", "G-0", "G00", "G 0", "G0.0", "g0", "L0",
+                                       "G\u0660"])
+    @pytest.mark.parametrize("flag", ["--field", "--field2"])
+    def test_field_is_L_or_G_index(self, tmp_path, capsys, flag, field):
+        # "G" and "Gx" exited with a bare "invalid literal for int()", and
+        # "G+0" ran as G0 and wrote G+0.pgm and G+0.csv
+        if flag == "--field":
+            argv = ["scan", "--family", "unicritical2", "--box", FULL_BOX, "--field", field]
+        else:
+            argv = ["ma2", "--family", "bh3", "--box", "1.7,0.4:0.8x0.8;1.6,0.5:0.8x0.8",
+                    "--field", "G0", "--field2", field]
+        out = tmp_path / "run"
+        assert main(argv + ["--res", "8", "--maxiter", "8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown field {field!r}" in err and "L or G<j>" in err
+        assert not out.exists()
 
     def test_out_of_range_critical_index(self, tmp_path):
         assert main(["scan", "--family", "unicritical2", "--box", FULL_BOX,

@@ -37,6 +37,12 @@ benchmark's child and workloads, which run the README commands, or by
 the acceptance checks: library surface that only unit tests call is
 deleted.  A reference is a name, an attribute or a ``from`` import.
 
+Every module-level constant of ``src/biflab`` (a name bound by a
+top-level assignment; dunders are exempt) is read by some ``src/biflab``
+module, as a name, an attribute or a ``from`` import: a deletion does
+not leave its constant behind, and a constant that only tests read is
+configuration of nothing.
+
 Every parameter with a default of a ``src/biflab`` function is passed,
 by keyword or by position, by some call in ``src/biflab``, the
 benchmark or the acceptance checks: an option that only unit tests set
@@ -393,3 +399,45 @@ def test_checker_finds_unpassed_defaults():
     assert unpassed_defaults(modules, users[:1]) == [
         ("a", 3, "K", "z"), ("a", 5, "m", "v"), ("a", 8, "s", "t"),
         ("a", 10, "f", "b"), ("a", 10, "f", "d"), ("a", 10, "f", "e"), ("b", 1, "g", "p")]
+
+
+def module_constants(source):
+    """(line, name) of each name bound by a top-level assignment of the
+    module, dunders excepted."""
+    out = []
+    for stmt in ast.parse(source).body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        out += [(n.lineno, n.id) for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and not (n.id.startswith("__") and n.id.endswith("__"))]
+    return out
+
+
+def unread_constants(modules):
+    """(module, line, name) of each module-level constant of ``modules``,
+    a {module name: source} map, that no module reads as a name (``x``
+    in a load), an attribute (``m.x``) or a ``from`` import."""
+    read = set()
+    for source in modules.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read |= {alias.name for alias in n.names}
+    return [(module, line, name) for module, source in modules.items()
+            for line, name in module_constants(source) if name not in read]
+
+
+def test_every_constant_is_read():
+    # a constant whose last reader went is deleted with it
+    assert unread_constants({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def test_checker_finds_unread_constants():
+    modules = {"a": ("__all__ = ['f']\nLIMIT = 3\nORPHAN = 4\n_cache = {}\nWIDTH: int = 2\n"
+                     "def f():\n    global _cache\n    _cache = {}\n    return LIMIT\n"),
+               "b": ("from .a import WIDTH\nfrom . import a\nSTEP, SPAN = 1, 2\n"
+                     "TABLE = {'k': SPAN}\nprint(a.TABLE)\n")}
+    assert unread_constants(modules) == [("a", 3, "ORPHAN"), ("a", 4, "_cache"), ("b", 3, "STEP")]

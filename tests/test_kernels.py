@@ -5,8 +5,9 @@ Each reference below is the earlier implementation, kept verbatim as the
 oracle: the four Newton loops (the cycle solve of the deleted
 ``find_periodic``, the cycle and preimage helpers of the continuation
 code, the Newton branch of ``_branch_apply``),
-the two escape-rate loops (``plane_green`` and the grid scan's, with the
-scan's old coefficient recurrence and power-form step), the two
+the grid scan's escape-rate loop, with its old coefficient recurrence
+and power-form step, which also serves as the oracle of the one kernel
+at arbitrary start points, the two
 second-difference stencils (``_local_mass`` and the Hessian's ``d2``
 and ``dxy``) and the wedge measure with its cell-count warning,
 the rational chart and Taylor-shift code, the per-point Cantor cloud loop,
@@ -70,7 +71,6 @@ from biflab.families import (
     orbit,
 )
 from biflab.misiurewicz import FD_STEP, ActivitySpec, Preperiodic
-from biflab.potential import plane_green
 from biflab.rng import counter_choice
 
 QUAD = MapFamily("unicritical", 2)
@@ -623,31 +623,6 @@ class TestCantorEndToEnd:
 # ----------------------------------------------------------------------
 # reference escape-rate loops
 
-def old_plane_green(family, lam, z, big=1e12, maxiter=2048):
-    if family.kind == "rational":
-        raise ValueError("plane_green is defined for polynomial kinds")
-    d = family.degree
-    coef = family.poly_coeffs(lam)
-    gamma = math.log(abs(coef[d])) / (d - 1)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g = np.zeros(z.shape, dtype=float)
-    escaped = np.zeros(z.shape, dtype=bool)
-    active = np.arange(z.size)
-    zz = z.ravel().copy()
-    for n in range(maxiter + 1):
-        cur = zz[active]
-        out = np.abs(cur) > big
-        if np.any(out):
-            hit = active[out]
-            g.ravel()[hit] = d ** (-float(n)) * (np.log(np.abs(zz[hit])) + gamma)
-            escaped.ravel()[hit] = True
-            active = active[~out]
-        if active.size == 0 or n == maxiter:
-            break
-        zz[active] = np.polynomial.polynomial.polyval(zz[active], coef)
-    return g, escaped
-
-
 def old_sigma_arrays(cs):
     """Elementary symmetric functions sigma_0..sigma_k of the arrays cs."""
     sig = [np.ones_like(cs[0])] if cs else [np.array(1.0 + 0j)]
@@ -746,28 +721,25 @@ class TestEscapeRate:
     ], ids=["unicritical2", "unicritical2-zoom", "bh3"])
     def test_scan_field(self, monkeypatch, fam, box, res, fields):
         new = [scan_field(fam, box, res, f, maxiter=200).values for f in fields]
-        monkeypatch.setattr(bifgrid, "_grid_green", old_grid_green)
+        monkeypatch.setattr(bifgrid, "escape_rate", old_loop_over(box.param_grids(res)))
         old = [scan_field(fam, box, res, f, maxiter=200).values for f in fields]
         for a, b in zip(new, old):
             assert same_bits(a, b)
 
-    def test_plane_green(self, monkeypatch):
+    def test_kernel_at_any_point(self):
+        # random start points at one parameter, not only critical values
         rng = np.random.default_rng(5)
         for fam in (QUAD, CUBIC, BH3, MapFamily("branner_hubbard", 4)):
             lam = random_seeds(rng, fam.param_dim, 1.0)
             for shape in [(), (7,), (5, 6)]:
                 z = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 for maxiter in (0, 3, 60, 2048):
-                    monkeypatch.setattr(potential, "PLANE_MAXITER", maxiter)
-                    g, esc = plane_green(fam, lam, z)
-                    g0, esc0 = old_plane_green(fam, lam, z, maxiter=maxiter)
-                    assert same_bits(g, g0) and np.array_equal(esc, esc0)
-                    assert esc.shape == esc0.shape and esc.dtype == esc0.dtype
+                    g, g0 = point_green_pair(fam, lam, z, maxiter)
+                    assert same_bits(g, g0) and g.shape == np.shape(z)
         # bounded orbits, and one that escapes on the first test
-        g, esc = plane_green(QUAD, [-1.0 + 0j], [0j, -1.0 + 0j, 1e13 + 0j, 2.0 + 0j])
-        g0, esc0 = old_plane_green(QUAD, [-1.0 + 0j], [0j, -1.0 + 0j, 1e13 + 0j, 2.0 + 0j])
-        assert same_bits(g, g0) and np.array_equal(esc, esc0)
-        assert esc.tolist() == [False, False, True, True]
+        g, g0 = point_green_pair(QUAD, [-1.0 + 0j],
+                                 np.array([0j, -1.0 + 0j, 1e13 + 0j, 2.0 + 0j]), 2048)
+        assert same_bits(g, g0) and (g > 0).tolist() == [False, False, True, True]
 
     @pytest.mark.parametrize("box", BOUNDED_BOXES, ids=BOUNDED_IDS)
     @pytest.mark.parametrize("maxiter", [512, 1024])
@@ -778,7 +750,7 @@ class TestEscapeRate:
     @pytest.mark.parametrize("box", BH3_BOXES, ids=["wide", "bounded"])
     def test_bh3_fields(self, monkeypatch, box):
         new = [scan_field(BH3, box, 10, f, maxiter=512).values for f in ("G0", "G1", "L")]
-        monkeypatch.setattr(bifgrid, "_grid_green", old_grid_green)
+        monkeypatch.setattr(bifgrid, "escape_rate", old_loop_over(box.param_grids(10)))
         old = [scan_field(BH3, box, 10, f, maxiter=512).values for f in ("G0", "G1", "L")]
         for a, b in zip(new, old):
             assert same_bits(a, b)
@@ -795,20 +767,16 @@ class TestEscapeRate:
         old = old_grid_green(BH3, lams, old_critical_values(BH3, lams, j), maxiter=512)
         assert same_bits(new, old)
 
-    def test_special_parameters(self, monkeypatch):
+    def test_special_parameters(self):
         quad_lams, bh3_lams = special_lams()
         with np.errstate(invalid="ignore", over="ignore"):
             for maxiter in (1, 8, 17, 512, 1024):
                 assert same_bits(*grid_green_pair(QUAD, quad_lams, 0, maxiter))
                 for j in (0, 1):
                     assert same_bits(*grid_green_pair(BH3, bh3_lams, j, maxiter))
-            z = SPECIAL_Z
             for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j):
                 for maxiter in (8, 16, 100, 2048):
-                    monkeypatch.setattr(potential, "PLANE_MAXITER", maxiter)
-                    g, esc = plane_green(QUAD, [c], z)
-                    g0, esc0 = old_plane_green(QUAD, [c], z, maxiter=maxiter)
-                    assert same_bits(g, g0) and np.array_equal(esc, esc0)
+                    assert same_bits(*point_green_pair(QUAD, [c], SPECIAL_Z, maxiter))
 
     @settings(max_examples=40, deadline=None)
     @given(fam=st.sampled_from([QUAD, CUBIC, BH3]), j=st.integers(0, 1),
@@ -827,18 +795,31 @@ class TestEscapeRate:
         # the critical orbit 0, -1, 0, ... of z^2 - 1 repeats z_8 at step
         # 16; the old loop stepped it 2048 times
         calls = []
-        escape_rate = potential.escape_rate
+        step = potential._power_step
+        monkeypatch.setattr(potential, "_power_step", lambda *a: calls.append(1) or step(*a))
+        g = potential.escape_rate(QUAD, QUAD.coeff_rows([np.array([-1.0 + 0j])]),
+                                  np.array([0j]), 2048)
+        assert len(calls) <= 16 and same_bits(g, np.zeros(1))
 
-        def counting(z0, step, *args, **kw):
-            def counted(*a):
-                calls.append(1)
-                return step(*a)
-            return escape_rate(z0, counted, *args, **kw)
-
-        monkeypatch.setattr(potential, "escape_rate", counting)
-        g, esc = plane_green(QUAD, [-1.0 + 0j], [0j])
-        assert len(calls) <= 16
-        assert same_bits(g, np.zeros(1)) and esc.tolist() == [False]
+    @pytest.mark.parametrize("fam, box, fields", [
+        (QUAD, Box((-0.6 + 0.3j,), (1.6,)), ("L",)),
+        (CUBIC, Box((0.1 + 0.2j,), (1.1,)), ("L",)),
+        (BH3, Box((0j, 0.3 + 0.1j), (1.5, 1.2)), ("G0", "G1")),
+    ], ids=["unicritical2", "unicritical3", "bh3"])
+    def test_critical_green_sum_is_the_scan(self, fam, box, fields):
+        # one kernel serves both: at a grid cell's parameter, log d plus
+        # the critical Green sum is the L scan (G0 + G1 for bh3, whose L
+        # adds its terms in another order), at the sum's depth
+        lams = box.param_grids(8)
+        scans = [scan_field(fam, box, 8, f, maxiter=potential.PLANE_MAXITER).values
+                 for f in fields]
+        for flat in np.random.default_rng(7).choice(lams[0].size, 40, replace=False):
+            cell = np.unravel_index(flat, lams[0].shape)
+            total = potential.critical_green_sum(fam, [l[cell] for l in lams])
+            if fam is BH3:
+                assert same_bits(total, scans[0][cell] + scans[1][cell])
+            else:
+                assert same_bits(math.log(fam.degree) + total, scans[0][cell])
 
 
 def old_grid_critical(family, lams, index):
@@ -855,11 +836,25 @@ def old_critical_values(fam, lams, j):
 
 def grid_green_pair(fam, lams, j, maxiter):
     """Escape-rate field of critical point j over the parameter grids
-    ``lams``, from the current step and loop and from the old ones."""
-    rows = [row for row in fam.coeff_rows(lams) if np.ndim(row)]
-    cv = bifgrid._grid_apply(fam, rows, fam.critical_rows(lams)[j][0])
-    return (bifgrid._grid_green(fam, lams, cv, maxiter=maxiter),
+    ``lams``, from the current step and kernel and from the old ones."""
+    rows = fam.coeff_rows(lams)
+    cv = potential._power_step(fam, rows, fam.critical_rows(lams)[j][0])
+    return (potential.escape_rate(fam, rows, cv, maxiter),
             old_grid_green(fam, lams, old_critical_values(fam, lams, j), maxiter=maxiter))
+
+
+def point_green_pair(fam, lam, z, maxiter):
+    """Escape rates of the start points z at the one parameter lam, from
+    the kernel and from the old grid loop on constant parameter grids."""
+    lams = [np.full(np.shape(z), l, dtype=complex) for l in lam]
+    return (potential.escape_rate(fam, fam.coeff_rows(lams), z, maxiter),
+            old_grid_green(fam, lams, z, maxiter=maxiter))
+
+
+def old_loop_over(lams):
+    """A stand-in for ``escape_rate`` that runs the old grid loop over
+    the parameter grids ``lams``."""
+    return lambda family, rows, z0, maxiter: old_grid_green(family, lams, z0, maxiter=maxiter)
 
 
 class TestEndToEnd:
@@ -873,7 +868,9 @@ class TestEndToEnd:
     ], ids=["ddc", "ma2"])
     def test_outputs_match_old_loop(self, tmp_path, monkeypatch, argv):
         assert main(argv + ["--out", str(tmp_path / "new")]) == 0
-        monkeypatch.setattr(bifgrid, "_grid_green", old_grid_green)
+        box = cli._parse_box(argv[argv.index("--box") + 1], cli._parse_family(argv[2]).param_dim)
+        monkeypatch.setattr(bifgrid, "escape_rate",
+                            old_loop_over(box.param_grids(int(argv[argv.index("--res") + 1]))))
         assert main(argv + ["--out", str(tmp_path / "old")]) == 0
         digests = [{p.name: bio.sha256_file(p) for p in (tmp_path / side).iterdir()
                     if p.name != "manifest.json"} for side in ("new", "old")]
@@ -1041,13 +1038,14 @@ class TestBlockSplit:
         with np.errstate(invalid="ignore", over="ignore"):
             for fam, lams, j in [(QUAD, quad_lams, 0), (BH3, bh3_lams, 0), (BH3, bh3_lams, 1)]:
                 cv = old_critical_values(fam, lams, j)
+                rows = fam.coeff_rows(lams)
                 for maxiter in (8, 17, 512):
                     ref = old_grid_green(fam, lams, cv, maxiter=maxiter)
-                    for g in each_worker_count(split, 16, lambda: bifgrid._grid_green(
-                            fam, lams, cv, maxiter=maxiter)):
+                    for g in each_worker_count(split, 16, lambda: potential.escape_rate(
+                            fam, rows, cv, maxiter)):
                         assert same_bits(g, ref)
 
-    def test_plane_green(self, split, monkeypatch):
+    def test_kernel_at_any_point(self, split):
         rng = np.random.default_rng(11)
         cases = [(QUAD, [c], SPECIAL_Z) for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j)]
         for fam in (QUAD, CUBIC, BH3):
@@ -1055,25 +1053,14 @@ class TestBlockSplit:
             for shape in [(), (7,), (5, 6), (40,)]:
                 z = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 cases.append((fam, lam, z))
-        monkeypatch.setattr(potential, "PLANE_MAXITER", 100)
         with np.errstate(invalid="ignore", over="ignore"):
             for fam, lam, z in cases:
-                g0, esc0 = old_plane_green(fam, lam, z, maxiter=100)
-                for g, esc in each_worker_count(split, 3, lambda: plane_green(fam, lam, z)):
-                    assert same_bits(g, g0) and np.array_equal(esc, esc0)
-
-    def test_escape_rate_bounded_indices(self, split):
-        # the blocks' bounded indices, joined in block order, are sorted
-        rng = np.random.default_rng(12)
-        z0 = 1.5 * (rng.standard_normal((9, 11)) + 1j * rng.standard_normal((9, 11)))
-        c = rng.standard_normal(z0.size) * 0.5 + 0j
-        out = each_worker_count(split, 4, lambda: potential.escape_rate(
-            z0, lambda z, cc: z * z + cc, 2, 0.0, 300, args=[c]))
-        g, bounded = out[0]
-        assert 0 < bounded.size < z0.size and np.all(np.diff(bounded) > 0)
-        for g1, b1 in out[1:]:
-            assert same_bits(g1, g) and b1.dtype == bounded.dtype
-            assert np.array_equal(b1, bounded)
+                lams = [np.full(np.shape(z), l, dtype=complex) for l in lam]
+                ref = old_grid_green(fam, lams, z, maxiter=100)
+                rows = fam.coeff_rows(lams)
+                for g in each_worker_count(split, 3, lambda: potential.escape_rate(
+                        fam, rows, z, 100)):
+                    assert same_bits(g, ref)
 
     @pytest.mark.parametrize("argv", [
         ["lyap", "--family", "unicritical2", "--param", "-2,0", "--samples", "3000",
@@ -1091,21 +1078,22 @@ class TestBlockSplit:
         assert "manifest.json" in digests[0] and digests[0] == digests[1]
 
     def test_errstate_in_every_block(self, split):
-        # the bh3 grid holds +-inf and nan parameters: under "raise" the
-        # scan fails with either worker count, and under "ignore" no block
-        # warns, which a pool thread outside the caller's context would
-        _, lams = special_lams()
-        with np.errstate(invalid="ignore", over="ignore"):
-            cv = old_critical_values(BH3, lams, 1)
+        # the huge z^2 row of c_1 = 2e300 overflows on the first step from
+        # 1e11, in every block: under "raise" the kernel fails with either
+        # worker count, and under "ignore" no block warns, which a pool
+        # thread outside the caller's context would
+        lams = [np.full((16, 16), 2e300 + 0j), np.zeros((16, 16), dtype=complex)]
+        rows = BH3.coeff_rows(lams)
+        z0 = np.full((16, 16), 1e11 + 0j)
         for k in (1, 2):
             split(k, 16)
-            with np.errstate(invalid="raise", over="ignore"):
+            with np.errstate(over="raise"):
                 with pytest.raises(FloatingPointError):
-                    bifgrid._grid_green(BH3, lams, cv, maxiter=64)
+                    potential.escape_rate(BH3, rows, z0, 64)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    bifgrid._grid_green(BH3, lams, cv, maxiter=64)
+                with np.errstate(over="ignore"):
+                    potential.escape_rate(BH3, rows, z0, 64)
 
     def test_block_failure_keeps_its_type(self, split, monkeypatch, tmp_path):
         # 5 samples on 2 CPUs are the blocks [0, 2) and [2, 5); the

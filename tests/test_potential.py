@@ -6,12 +6,15 @@ import pytest
 from biflab.errors import CriticalOnOrbit
 from biflab.families import MapFamily
 from biflab.potential import (
+    GREEN_TOL,
+    PLANE_MAXITER,
     LiftVector,
+    _power_step,
     apply_lift,
     critical_green_sum,
+    escape_rate,
     green_at,
     lyapunov_mc,
-    plane_green,
     sample_mu_f,
 )
 
@@ -44,17 +47,29 @@ class TestGreen:
             gf = green_at(QUAD, [c], apply_lift(QUAD, [c], v))
             assert abs(gf.value - 2 * g.value) < 10 * tol
 
+    @pytest.mark.parametrize("fam, lam", [(QUAD, [0.3 + 0j]), (CUBIC, [-1.2 + 0j, 0.7 + 0j])],
+                             ids=["unicritical2", "bh3"])
+    def test_slow_escape_against_the_kernel(self, fam, lam):
+        # each critical value starts inside the unit disk, where the sum
+        # gains exactly 0 per step until the orbit leaves; stopping on two
+        # small terms returned G = 0 for an escaping orbit
+        lams = list(np.asarray(lam, dtype=complex).reshape(-1, 1))
+        rows = fam.coeff_rows(lams)
+        for c, _ in fam.critical_rows(lams):
+            cv = _power_step(fam, rows, c)
+            ref = escape_rate(fam, rows, cv, PLANE_MAXITER)[0]
+            g = green_at(fam, lam, LiftVector.of(complex(cv[0]), 1.0 + 0j))
+            assert g.converged and ref > 0.0 and abs(g.value - ref) < GREEN_TOL
+
     def test_nonnegative_iff_bounded(self):
         from biflab.families import orbit
         rng = np.random.default_rng(23)
         for _ in range(40):
             c = complex(rng.uniform(-2.5, 1.5), rng.uniform(-2, 2))
-            g, escaped = plane_green(QUAD, [c], c)
+            g = escape_rate(QUAD, QUAD.coeff_rows([np.array([c])]), np.array([c]), PLANE_MAXITER)
             ob = orbit(QUAD, [c], complex(c), 400)
             assert g[0] >= 0.0
-            assert bool(escaped[0]) == ob.escaped
-            if not escaped[0]:
-                assert g[0] == 0.0
+            assert (g[0] > 0.0) == ob.escaped
 
 
 class TestCriticalGreenSum:
