@@ -178,6 +178,21 @@ def _local_mass(values, weights=None):
     return mass
 
 
+def _field_index(family, which):
+    """The marked critical index that the field ``which`` of ``scan_field``
+    reads, None for "L"; a ValueError for any other name, or for an index
+    that names no marked critical point."""
+    if which == "L":
+        return None
+    if not re.fullmatch(r"G(0|-?[1-9][0-9]*)", which):
+        raise ValueError(f"unknown field {which!r}: a field is L or G<j>, "
+                         f"j a critical index in decimal digits (G0, G1, ...)")
+    j = int(which[1:])
+    if not 0 <= j < len(family.critical_rows([0j] * family.param_dim)):
+        raise ValueError(f"critical index {j} out of range")
+    return j
+
+
 def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
     """Grid scan of a parameter field.
 
@@ -190,25 +205,21 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
         raise ValueError("resolution must be >= 8")
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
+    j = _field_index(family, which)
     lams = box.param_grids(resolution)
     rows = family.coeff_rows(lams)
     crit = family.critical_rows(lams)
     meta = {"which": which, "maxiter": maxiter}
 
     def green_field(j):
-        if not 0 <= j < len(crit):
-            raise ValueError(f"critical index {j} out of range")
         return escape_rate(family, rows, _power_step(family, rows, crit[j][0]), maxiter)
 
-    if which == "L":
+    if j is None:
         vals = np.full(lams[0].shape, math.log(family.degree))
         for j, (_, mult) in enumerate(crit):
             vals = vals + mult * green_field(j)
-    elif re.fullmatch(r"G(0|-?[1-9][0-9]*)", which):
-        vals = green_field(int(which[1:]))
     else:
-        raise ValueError(f"unknown field {which!r}: a field is L or G<j>, "
-                         f"j a critical index in decimal digits (G0, G1, ...)")
+        vals = green_field(j)
     nan_count = int(np.sum(~np.isfinite(vals)))
     return GridField(box=box, resolution=resolution, values=vals,
                      meta=meta, nan_count=nan_count)

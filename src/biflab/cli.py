@@ -21,6 +21,7 @@ import numpy as np
 from . import io as bio
 from .bifgrid import (
     Box,
+    _field_index,
     box_dimension,
     ddc as ddc_op,
     mass_scaling,
@@ -189,6 +190,9 @@ def _ddc(args, family):
 
 
 def _ma2(args, family):
+    # refuse a bad field, the second one too, before the first scan
+    for field in filter(None, (args.field, args.field2)):
+        _field_index(family, field)
     gf = _grid(args, family)
     if args.field2:
         mf = wedge_pair(gf, _grid(args, family, args.field2), mollify_radius=args.mollify)

@@ -13,9 +13,10 @@ Derivatives in z are analytic (from the coefficient formulas), never
 numerical.  Derivatives in lambda are the callers' concern.
 
 ``newton`` is the one Newton routine in the dynamical plane: it solves
-f(z) = target, or f(z) = z for a fixed point, and serves the orbit
-continuation, backward extension and Cantor branches of ``hyperbolic``
-(``misiurewicz`` runs a damped Newton in parameter space).
+f(z) = target, or f(z) = z for a fixed point, and serves only the
+continuation corrector of ``hyperbolic``, whose Cantor branches and
+backward extension take ``preimages`` for every kind (``misiurewicz``
+runs a damped Newton in parameter space).
 
 ``coeff_rows`` is the one coefficient builder of the polynomial kinds:
 scalar evaluation, the stacked activity maps of ``misiurewicz`` and the

@@ -23,7 +23,6 @@ from .errors import (
     ChainDivergence,
     CoverageError,
     LostHyperbolicity,
-    NoConvergence,
     StepFloorReached,
 )
 from .families import newton, orbit as forward_orbit
@@ -253,28 +252,17 @@ def _series_invert(a, N):
 
 
 def _backward_extend(family, lam, start, tail):
-    """Uniformly repelling backward orbit from ``start``: each step picks
-    the preimage nearest to the current point, skipping non-repelling
-    candidates.  Works for any kind (Newton fallback for rational)."""
+    """Uniformly repelling backward orbit from ``start``: each step takes
+    the repelling preimage nearest to the current point."""
     out = np.empty(tail, dtype=complex)
     z = complex(start)
     for t in range(tail):
-        if family.kind != "rational":
-            pre = np.asarray(family.preimages(lam, z), dtype=complex)
-            order = np.argsort(np.abs(pre - z))
-            nxt = None
-            for k in order:
-                if abs(complex(family.deriv(lam, pre[k]))) > 1.0:
-                    nxt = complex(pre[k])
-                    break
-            if nxt is None:
-                raise LostHyperbolicity("no repelling preimage on the backward extension")
-        else:
-            nxt, _ = newton(family, lam, z, target=z, maxiter=60)
-            if nxt is None or abs(complex(family.deriv(lam, nxt))) <= 1.0:
-                raise LostHyperbolicity("backward extension lost expansion")
-        out[t] = nxt
-        z = nxt
+        pre = np.asarray(family.preimages(lam, z), dtype=complex)
+        pre = pre[np.argsort(np.abs(pre - z))]
+        repel = np.abs(np.asarray(family.deriv(lam, pre), dtype=complex)) > 1.0
+        if not np.any(repel):
+            raise LostHyperbolicity("no repelling preimage on the backward extension")
+        z = out[t] = complex(pre[np.argmax(repel)])
     return out
 
 
@@ -400,30 +388,19 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
 
 def _branch_apply(family, lam, anchor, w):
     """Inverse branch of f at the fixed point ``anchor`` applied to every
-    point of the 1-d array w.
-
-    On a polynomial kind each point takes its preimage nearest the
-    anchor, from one batched ``preimages`` call; the call raises
-    CoverageError when, for any point, the second-nearest preimage is
-    within twice the nearest distance.  On the rational kind each point
-    runs its own Newton solve of f(z) = w from the anchor."""
+    point of the 1-d array w: each point takes its preimage nearest the
+    anchor, from one batched ``preimages`` call.  Raises CoverageError
+    when, for any point, the second-nearest preimage is within twice the
+    nearest distance."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    if family.kind != "rational":
-        pre = np.asarray(family.preimages(lam, w), dtype=complex)
-        dist = np.abs(pre - anchor)
-        order = np.argsort(dist, axis=0)
-        cols = np.arange(w.size)
-        d0 = dist[order[0], cols]
-        if len(order) > 1 and np.any((dist[order[1], cols] < 2.0 * d0) & (d0 > 1e-12)):
-            raise CoverageError(f"ambiguous branch selection near {anchor}")
-        return pre[order[0], cols]
-    out = np.empty(w.size, dtype=complex)
-    for i, x in enumerate(w.tolist()):
-        z, _ = newton(family, lam, anchor, target=x, maxiter=60)
-        if z is None:
-            raise NoConvergence("branch Newton did not converge")
-        out[i] = z
-    return out
+    pre = np.asarray(family.preimages(lam, w), dtype=complex)
+    dist = np.abs(pre - anchor)
+    order = np.argsort(dist, axis=0)
+    cols = np.arange(w.size)
+    d0 = dist[order[0], cols]
+    if len(order) > 1 and np.any((dist[order[1], cols] < 2.0 * d0) & (d0 > 1e-12)):
+        raise CoverageError(f"ambiguous branch selection near {anchor}")
+    return pre[order[0], cols]
 
 
 def _build_cloud(family, lam, anchors, depth):
@@ -474,19 +451,22 @@ def build_cantor(family, lam, anchors, depth):
     anchors = [complex(a) for a in anchors]
     if len(anchors) < 2:
         raise ValueError(f"a Cantor cloud needs at least two anchors, got {len(anchors)}")
+    # equal anchors leave radius 0, where every coverage ring is the anchor
+    sep, i, j = min((abs(anchors[i] - anchors[j]), i, j)
+                    for i in range(len(anchors)) for j in range(i + 1, len(anchors)))
+    if sep == 0.0:
+        raise ValueError(f"Cantor anchors {i} and {j} coincide at {anchors[i]}")
     specs = []
     for a in anchors:
         r, K, B = branch_radius(family, lam, a)
         specs.append(InverseBranchSpec(eta=K * r, K=K, B=B))
-    sep = min(abs(anchors[i] - anchors[j])
-              for i in range(len(anchors)) for j in range(i + 1, len(anchors)))
     eta = last = None
     for frac in (0.49, 0.45, 0.35, 0.25, 0.15):
         try:
             _check_coverage(family, lam, anchors, frac * sep)
             eta = frac * sep
             break
-        except (CoverageError, NoConvergence) as err:
+        except CoverageError as err:
             last = err
     if eta is None:
         raise CoverageError(f"no admissible disk radius found: {last}")
@@ -505,11 +485,12 @@ def coded_orbit(cantor, index, length):
 
     Naive forward iteration loses shadowing accuracy (errors grow by the
     expansion factor per step); point k is instead the point of the word
-    stripped of its first k symbols (at least one symbol is kept), so
-    every point is at Newton tolerance.  All those suffixes start at the
-    anchor of the last symbol and apply the same generators from the
-    back, so one pass over the word, one branch call per symbol, gives
-    every suffix's point.
+    stripped of its first k symbols (at least one symbol is kept), built
+    by contracting inverse branches from an anchor, so the rounding
+    errors of the branch solves shrink instead of growing.  All those
+    suffixes start at the anchor of the last symbol and apply the same
+    generators from the back, so one pass over the word, one branch call
+    per symbol, gives every suffix's point.
     """
     family, lam, anchors = cantor.family, cantor.lam, cantor.anchors
     if cantor.depth < 1:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biflab import cli, io as bio
+from biflab import bifgrid, cli, io as bio
 from biflab.cli import main
 from biflab.errors import NotPlurisubharmonic
 from biflab.families import MapFamily
@@ -398,6 +398,10 @@ class TestWedgeCommand:
         assert (out / "wedge_G0_G1.pgm").exists()
 
 
+def no_scan(*args):
+    raise AssertionError("a grid scan ran before the fields were checked")
+
+
 class TestExitCodes:
     def test_unknown_family(self, tmp_path):
         assert main(["lyap", "--family", "nope", "--param", "0,0",
@@ -406,9 +410,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("field", ["G", "Gx", "G+0", "G-0", "G00", "G 0", "G0.0", "g0", "L0",
                                        "G\u0660"])
     @pytest.mark.parametrize("flag", ["--field", "--field2"])
-    def test_field_is_L_or_G_index(self, tmp_path, capsys, flag, field):
+    def test_field_is_L_or_G_index(self, tmp_path, capsys, monkeypatch, flag, field):
         # "G" and "Gx" exited with a bare "invalid literal for int()", and
-        # "G+0" ran as G0 and wrote G+0.pgm and G+0.csv
+        # "G+0" ran as G0 and wrote G+0.pgm and G+0.csv; a bad --field2
+        # was refused only after the whole --field scan
+        monkeypatch.setattr(bifgrid, "escape_rate", no_scan)
         if flag == "--field":
             argv = ["scan", "--family", "unicritical2", "--box", FULL_BOX, "--field", field]
         else:
@@ -423,6 +429,15 @@ class TestExitCodes:
     def test_out_of_range_critical_index(self, tmp_path):
         assert main(["scan", "--family", "unicritical2", "--box", FULL_BOX,
                      "--res", "8", "--field", "G1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("field2", ["G2", "G-1"])
+    def test_out_of_range_field2_before_any_scan(self, tmp_path, capsys, monkeypatch, field2):
+        # bh3 marks the critical points 0 and 1
+        monkeypatch.setattr(bifgrid, "escape_rate", no_scan)
+        assert main(["ma2", "--family", "bh3", "--box", "1.7,0.4:0.8x0.8;1.6,0.5:0.8x0.8",
+                     "--field", "G0", "--field2", field2, "--res", "8",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"critical index {field2[1:]} out of range" in capsys.readouterr().err
 
     def test_negative_sample_count(self, tmp_path, capsys):
         assert main(["lyap", "--family", "unicritical2", "--param", "-2,0",
@@ -538,6 +553,14 @@ class TestExitCodes:
         assert main(["cantor", "--family", "unicritical2", "--param", "-6,0",
                      "--anchors", "3,0;-2,0", "--period", "1", "--out", str(out)]) == 2
         assert "unrecognized arguments: --period 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cantor_refuses_coinciding_anchors(self, tmp_path, capsys):
+        # this wrote eta = 0 and a 64-point cloud of the one anchor
+        out = tmp_path / "run"
+        assert main(["cantor", "--family", "unicritical2", "--param", "-6,0",
+                     "--anchors", "3,0;3,0", "--depth", "6", "--out", str(out)]) == 2
+        assert "Cantor anchors 0 and 1 coincide at (3+0j)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_linearize_past_the_normal_floats(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biflab.errors import LostHyperbolicity, NoConvergence
+from biflab.errors import CoverageError, LostHyperbolicity
 from biflab.families import MapFamily, multiplier, orbit
 from biflab.hyperbolic import (
     _branch_apply,
@@ -17,6 +17,8 @@ from biflab.hyperbolic import (
 )
 
 QUAD = MapFamily("unicritical", 2)
+# z^2 - 6, written as a rational map
+RATIONAL_QUAD = MapFamily("rational", 2, num=[[-6], [0], [1]], den=[[1]])
 
 
 def beta(c):
@@ -166,6 +168,19 @@ class TestLinearization:
             pred = complex(lin.psi1_eval(m_n * lin.psi0_eval(z)))
             assert abs((u - w) - pred) <= 1e-8 * lin.rho
 
+    def test_rational_kind_extends_the_same_chain(self):
+        # z^2 - 6 as a rational map at its fixed point 3.  Its chart rounds
+        # f(3) to 3 + 4e-16, which the expansion by 6 grows to 6e-9 over
+        # ten forward steps, so both runs take the polynomial's forward
+        # orbit; the backward extension is each kind's own
+        lam, w, n = [-6.0 + 0j], 3.0 + 0j, 10
+        fwd = orbit(QUAD, lam, w, n).points
+        rat = linearize_orbit(RATIONAL_QUAD, lam, w, n, forward_points=fwd)
+        poly = linearize_orbit(QUAD, lam, w, n, forward_points=fwd)
+        assert rat.rho == poly.rho
+        assert np.max(np.abs(rat.psi0 - poly.psi0)) <= 1e-14
+        assert np.max(np.abs(rat.psi1 - poly.psi1)) <= 1e-14
+
     def test_linear_map_gives_identity_pair(self):
         fam = MapFamily("rational", 1, num=[[0], [2]], den=[[1]])
         lin = linearize_orbit(fam, [0j], 0j, 4, N_trunc=8)
@@ -187,12 +202,27 @@ class TestCantor:
         with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
             build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], -1)
 
-    def test_vanishing_branch_derivative_is_no_convergence(self):
-        # z^2 - 6 as a rational map, whose branch is a Newton solve from the
-        # anchor: f'(0) = 0, so the first step would divide by 0
-        rational = MapFamily("rational", 2, num=[[-6], [0], [1]], den=[[1]])
-        with pytest.raises(NoConvergence):
-            _branch_apply(rational, [0j], 0j, 3 + 0j)
+    def test_equidistant_preimages_are_coverage_error(self):
+        # z^2 - 6 as a rational map: seen from the critical point 0, the
+        # preimages +-3 of 3 are equally near, so no branch is chosen
+        with pytest.raises(CoverageError, match="ambiguous branch selection near 0j"):
+            _branch_apply(RATIONAL_QUAD, [-6.0 + 0j], 0j, 3 + 0j)
+
+    @pytest.mark.parametrize("anchors", [[3.0 + 0j, 3.0 + 0j], [3.0 + 0j, -2.0 + 0j, 3.0 + 0j]])
+    def test_coinciding_anchors_rejected(self, anchors):
+        # at radius 0 every coverage ring is the fixed anchor itself, so
+        # the coverage check passed and a cloud of eta = 0 was written
+        with pytest.raises(ValueError, match=r"anchors 0 and \d coincide at \(3\+0j\)"):
+            build_cantor(QUAD, [-6.0 + 0j], anchors, 6)
+
+    def test_rational_kind_takes_the_same_branches(self):
+        # z^2 - 6 built as a rational map solves its preimages by companion
+        # eigenvalues, not in closed form, and gives the same cloud
+        rat = build_cantor(RATIONAL_QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
+        poly = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
+        assert rat.eta == poly.eta
+        assert np.array_equal(rat.words, poly.words)
+        assert np.max(np.abs(rat.cloud - poly.cloud)) <= 1e-14
 
     def test_depth_ten_cloud(self):
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
@@ -206,7 +236,7 @@ class TestCantor:
 
     def test_cloud_points_satisfy_coding(self):
         # f maps the point of word (w0 w1 ... ) next to the point of the
-        # stripped word; coded_orbit rebuilds that orbit at Newton tolerance
+        # stripped word; coded_orbit rebuilds that orbit from the words
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
         for idx in (0, 341, 1023):
             pts = coded_orbit(cs, idx, 40)

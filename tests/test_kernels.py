@@ -2,16 +2,16 @@
 replaced.
 
 Each reference below is the earlier implementation, kept verbatim as the
-oracle: the four Newton loops (the cycle solve of the deleted
-``find_periodic``, the cycle and preimage helpers of the continuation
-code, the Newton branch of ``_branch_apply``),
-the grid scan's escape-rate loop, with its old coefficient recurrence
+oracle: the three Newton loops (the cycle solve of the deleted
+``find_periodic`` and the cycle and preimage helpers of the continuation
+code), the grid scan's escape-rate loop, with its old coefficient recurrence
 and power-form step, which also serves as the oracle of the one kernel
 at arbitrary start points, the two
 second-difference stencils (``_local_mass`` and the Hessian's ``d2``
 and ``dxy``) and the wedge measure with its cell-count warning,
-the rational chart and Taylor-shift code, the per-point Cantor cloud loop,
-coverage check and coded orbit, the ``csv``-module cloud reader, the
+the rational chart and Taylor-shift code, the per-point Cantor cloud loop
+(its branch cut down to the nearest-preimage path, which every kind now
+takes), coverage check and coded orbit, the ``csv``-module cloud reader, the
 ``np.unique`` box count, and the activity map and finite-difference
 Jacobian that ran one chain of scalar ``eval`` calls per parameter, and
 the Misiurewicz landing checks (closure gap, cycle multiplier and
@@ -149,27 +149,16 @@ def old_newton_preimage(family, lam, target, seed, tol=NEWTON_TOL, maxiter=12):
     return None, maxiter
 
 
-def old_branch_apply(family, lam, anchor, w, period, guard=None):
+def old_branch_apply(family, lam, anchor, w, guard=None):
+    """The polynomial-kind path of the old per-point ``_branch_apply``."""
     seed = anchor if guard is None else guard
-    if period == 1 and family.kind != "rational":
-        pre = np.asarray(family.preimages(lam, complex(w)), dtype=complex)
-        dist = np.abs(pre - seed)
-        order = np.argsort(dist)
-        best = pre[order[0]]
-        if len(order) > 1 and dist[order[1]] < 2.0 * dist[order[0]] and dist[order[0]] > 1e-12:
-            raise hyperbolic.CoverageError(f"ambiguous branch selection near {seed}")
-        return complex(best)
-    z = complex(seed)
-    for _ in range(60):
-        g, dg = z, 1.0 + 0j
-        for _ in range(period):
-            dg *= complex(family.deriv(lam, g))
-            g = complex(family.eval(lam, g))
-        step = (g - complex(w)) / dg
-        z -= step
-        if abs(step) < NEWTON_TOL * max(1.0, abs(z)):
-            return z
-    raise NoConvergence("branch Newton did not converge")
+    pre = np.asarray(family.preimages(lam, complex(w)), dtype=complex)
+    dist = np.abs(pre - seed)
+    order = np.argsort(dist)
+    best = pre[order[0]]
+    if len(order) > 1 and dist[order[1]] < 2.0 * dist[order[0]] and dist[order[0]] > 1e-12:
+        raise hyperbolic.CoverageError(f"ambiguous branch selection near {seed}")
+    return complex(best)
 
 
 def outcome(fn, *args, **kw):
@@ -238,8 +227,8 @@ class TestNewton:
         assert nones > 0
 
     def test_preimage(self):
-        # the continuation corrector passes numpy targets; the inverse
-        # branch and backward extension pass Python complex ones
+        # the continuation corrector passes numpy targets; Python complex
+        # ones are checked as well
         rng = np.random.default_rng(3)
         cases = [(QUAD, [-2.0 + 0j], 2.0 + 0j, 2.0 + 0j), (QUAD, [0j], 1.21 + 0j, 1.0 + 0j),
                  (QUAD, [0j], 0j, 0j), (lattes_family(), [0j], 0.3 + 0.2j, 0.3 + 0.2j)]
@@ -268,28 +257,39 @@ class TestNewton:
                 lam = random_seeds(rng, fam.param_dim, 1.0)
                 anchor, w, guard = random_seeds(rng, 3, 2.0)
                 cases.append((fam, lam, anchor, w, guard if _ % 2 else None))
+        lattes = 0
         for fam, lam, anchor, w, guard in cases:
-            old = outcome(old_branch_apply, fam, lam, anchor, w, 1, guard)
-            new = outcome(hyperbolic._branch_apply, fam, lam,
-                          anchor if guard is None else guard, w)
+            seed = anchor if guard is None else guard
+            new = outcome(hyperbolic._branch_apply, fam, lam, seed, w)
+            if fam.kind == "rational":
+                # a Lattes row takes the preimage nearest the seed, or refuses
+                if new is not hyperbolic.CoverageError:
+                    z = complex(new[0])
+                    pre = fam.preimages(lam, w)
+                    assert abs(complex(fam.eval(lam, z)) - w) <= 1e-12 * max(1.0, abs(w))
+                    assert z == pre[np.argmin(np.abs(pre - seed))]
+                    lattes += 1
+                continue
+            old = outcome(old_branch_apply, fam, lam, anchor, w, guard)
             if isinstance(old, type):
                 assert new is old
             else:
                 assert same_bits(np.complex128(new), np.complex128(old))
+        assert lattes > 0, "no Lattes row took a branch"
 
 
 # ----------------------------------------------------------------------
 # reference Cantor cloud code: the per-point cloud loop, coverage check and
 # coded orbit, the csv-module cloud reader and the np.unique box count
 
-def old_branch_map(family, lam, anchor, w, period, guard=None):
+def old_branch_map(family, lam, anchor, w, guard=None):
     """old_branch_apply point by point, in the array form of the current
     ``_branch_apply``."""
-    return np.array([old_branch_apply(family, lam, anchor, x, period, guard)
+    return np.array([old_branch_apply(family, lam, anchor, x, guard)
                      for x in np.atleast_1d(w)], dtype=complex)
 
 
-def old_build_cloud(family, lam, anchors, depth, period):
+def old_build_cloud(family, lam, anchors, depth):
     g = len(anchors)
     if depth == 0:
         return np.array(anchors, dtype=complex), np.zeros((g, 0), dtype=np.int64)
@@ -299,45 +299,45 @@ def old_build_cloud(family, lam, anchors, depth, period):
         new_pts, new_words = [], []
         for p, u in zip(pts, words):
             for j in range(g):
-                new_pts.append(old_branch_apply(family, lam, anchors[j], p, period))
+                new_pts.append(old_branch_apply(family, lam, anchors[j], p))
                 new_words.append([j] + u)
         pts, words = new_pts, new_words
     return np.array(pts, dtype=complex), np.array(words, dtype=np.int64)
 
 
-def old_check_coverage(family, lam, anchors, radius, period):
+def old_check_coverage(family, lam, anchors, radius):
     ring = np.exp(2j * np.pi * np.arange(16) / 16)
     for j, aj in enumerate(anchors):
         for ak in anchors:
             for w in ak + radius * ring:
-                x = old_branch_apply(family, lam, aj, w, period)
+                x = old_branch_apply(family, lam, aj, w)
                 if abs(x - aj) > radius:
                     raise hyperbolic.CoverageError(
                         f"branch {j} image of the disk at {ak} leaves its own disk")
 
 
-def old_coverage_radius(family, lam, anchors, period):
+def old_coverage_radius(family, lam, anchors):
     sep = min(abs(anchors[i] - anchors[j])
               for i in range(len(anchors)) for j in range(i + 1, len(anchors)))
     for frac in (0.49, 0.45, 0.35, 0.25, 0.15):
         try:
-            old_check_coverage(family, lam, anchors, frac * sep, period)
+            old_check_coverage(family, lam, anchors, frac * sep)
             return frac * sep
-        except (hyperbolic.CoverageError, NoConvergence):
+        except hyperbolic.CoverageError:
             pass
     return None
 
 
 def old_coded_orbit(cantor, index, length):
     family, lam = cantor.family, cantor.lam
-    anchors, period = cantor.anchors, 1
+    anchors = cantor.anchors
     word = list(cantor.words[index])
     pts = np.empty(length + 1, dtype=complex)
     for k in range(length + 1):
         suffix = word[min(k, len(word) - 1):]
         p = complex(anchors[suffix[-1]])
         for j in range(len(suffix) - 2, -1, -1):
-            p = old_branch_apply(family, lam, anchors[suffix[j]], p, period)
+            p = old_branch_apply(family, lam, anchors[suffix[j]], p)
         pts[k] = p
     return pts
 
@@ -400,7 +400,7 @@ class TestCantorCloud:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         for depth in (0, 1, 2, 10, 14):
             assert same_cloud(hyperbolic._build_cloud(fam, lam, anchors, depth),
-                              old_build_cloud(fam, lam, anchors, depth, 1))
+                              old_build_cloud(fam, lam, anchors, depth))
 
     def test_branch_apply_arrays(self):
         # one array call gives every point's old result, or the old error;
@@ -413,25 +413,26 @@ class TestCantorCloud:
         for seed, w in [(0j, near_critical), (3.0 + 0j, spread[:1]), (3.0 + 0j, spread),
                         (-2.0 + 0j, spread), (0j, np.concatenate([near_critical, spread]))]:
             new = outcome(hyperbolic._branch_apply, QUAD, lam, seed, w)
-            old = outcome(old_branch_map, QUAD, lam, seed, w, 1)
+            old = outcome(old_branch_map, QUAD, lam, seed, w)
             if isinstance(old, type):
                 assert new is old
             else:
                 assert same_bits(new, old)
 
-    def test_newton_branch(self):
-        # the rational kind solves each preimage by Newton from the anchor;
-        # the Lattes map fixes +-sqrt(1 + 2/sqrt(3)), both repelling
-        fam, lam = lattes_family(), np.array([0j])
+    def test_lattes_anchors_are_coverage_error(self):
+        # the Lattes map fixes +-sqrt(1 + 2/sqrt(3)), both repelling; from
+        # either anchor some ring target has two preimages about as near,
+        # so every disk radius is refused
         a = math.sqrt(1.0 + 2.0 / math.sqrt(3.0))
-        assert same_cloud(hyperbolic._build_cloud(fam, lam, [a + 0j, -a + 0j], 6),
-                          old_build_cloud(fam, lam, [a + 0j, -a + 0j], 6, 1))
+        with pytest.raises(hyperbolic.CoverageError,
+                           match="no admissible disk radius found: ambiguous branch"):
+            hyperbolic.build_cantor(lattes_family(), [0j], [a + 0j, -a + 0j], 6)
 
     @pytest.mark.parametrize("name", CASES)
     def test_coverage_radius(self, name):
         fam, lam, anchors = cantor_case(name)
         eta = old_coverage_radius(fam, np.atleast_1d(np.asarray(lam, dtype=complex)),
-                                  anchors, 1)
+                                  anchors)
         assert eta is not None
         assert hyperbolic.build_cantor(fam, lam, anchors, 1).eta == eta
 
@@ -448,7 +449,7 @@ class TestCantorCloud:
         for frac in (0.002, 0.01, 0.04, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
             radius = frac * sep
             try:
-                old_check_coverage(QUAD, np.array(lam), anchors, radius, 1)
+                old_check_coverage(QUAD, np.array(lam), anchors, radius)
                 old = None
             except hyperbolic.CoverageError as exc:
                 old = str(exc)
@@ -469,7 +470,7 @@ class TestCantorCloud:
         with pytest.raises(hyperbolic.CoverageError, match="ambiguous") as new:
             hyperbolic._build_cloud(QUAD, lam, anchors, 3)
         with pytest.raises(hyperbolic.CoverageError) as old:
-            old_build_cloud(QUAD, lam, anchors, 3, 1)
+            old_build_cloud(QUAD, lam, anchors, 3)
         assert str(new.value) == str(old.value)
 
     @pytest.mark.parametrize("name", ["unicritical2", "bh3"])
@@ -480,7 +481,7 @@ class TestCantorCloud:
         lam1 = np.array([lam[0] + 0.02 - 0.01j] + lam[1:])
         moved = [hyperbolic.continue_orbit(fam, lam, lam1, [a])[0] for a in anchors]
         assert same_cloud(hyperbolic._build_cloud(fam, lam1, moved, 8),
-                          old_build_cloud(fam, lam1, moved, 8, 1))
+                          old_build_cloud(fam, lam1, moved, 8))
 
     def test_coded_orbit(self):
         fam, lam, anchors = cantor_case("unicritical2")
@@ -613,7 +614,7 @@ class TestCantorEndToEnd:
                     for p in sorted(out.glob("*/*")) if p.name != "manifest.json"}
 
         new = run("new")
-        monkeypatch.setattr(hyperbolic, "_build_cloud", lambda *args: old_build_cloud(*args, 1))
+        monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
         monkeypatch.setattr(bio, "read_cloud_csv", old_read_cloud_csv)
         monkeypatch.setattr(cli, "box_dimension", old_box_dimension)
         old = run("old")
