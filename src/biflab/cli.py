@@ -48,6 +48,15 @@ from .potential import lyapunov_mc
 # ----------------------------------------------------------------------
 # flag parsing
 
+def _int(text, flag):
+    """``text`` as an int where it is ASCII ``-?[0-9]+``; ``int`` would also
+    take ``1_0``, ``+1``, surrounding space and other scripts' digits
+    (``\u0663``).  Anything else is a ValueError naming the flag."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"{flag} needs an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_family(text):
     if os.path.exists(text):
         with open(text) as f:
@@ -55,9 +64,13 @@ def _parse_family(text):
     for prefix, kind in (("unicritical", "unicritical"),
                          ("branner_hubbard", "branner_hubbard"),
                          ("bh", "branner_hubbard")):
-        if text.startswith(prefix) and text[len(prefix):].isdigit():
-            return MapFamily(kind, int(text[len(prefix):]))
-    raise ValueError(f"unknown family {text!r} (try unicritical2, bh3, or a JSON file)")
+        if text.startswith(prefix):
+            try:
+                degree = _int(text[len(prefix):], "--family")
+            except ValueError:
+                break
+            return MapFamily(kind, degree)
+    raise ValueError(f"unknown --family {text!r} (try unicritical2, bh3, or a JSON file)")
 
 
 def _parse_params(text, flag, count=None):
@@ -118,10 +131,12 @@ def _parse_pattern(text, tracked):
     for item in text.split(","):
         try:
             key, val = item.split("=")
-            val = int(val)
+            val = _int(val, "--pattern")
         except ValueError:
             raise ValueError(f"--pattern needs key=integer items, got {item!r}") from None
         if key == "k0":
+            if k0 is not None:
+                raise ValueError(f"--pattern gives k0 twice, in {text!r}")
             k0 = val
         elif key == "n":
             ns.append(val)
@@ -205,7 +220,7 @@ def _ma2(args, family):
 
 def _misiurewicz(args, family):
     try:
-        tracked = [int(t) for t in args.tracked.split(",")]
+        tracked = [_int(t, "--tracked") for t in args.tracked.split(",")]
     except ValueError:
         raise ValueError(f"--tracked needs comma-separated critical indices, "
                          f"got {args.tracked!r}") from None
@@ -349,12 +364,17 @@ def _build_parser():
                        help="unicritical<d>, bh<d>, or a JSON family file")
         p.add_argument("--out", default=".", help="output directory")
         for flag, kw in cmd.flags:
-            p.add_argument(flag, **kw)
+            # an integer flag is stored as text, for _run to read with _int
+            p.add_argument(flag, **{k: v for k, v in kw.items() if v is not int})
         p.set_defaults(func=cmd.compute)
     return ap
 
 
 def _run(args):
+    for flag, kw in next(c for c in COMMANDS if c.name == args.command).flags:
+        value = getattr(args, flag[2:])
+        if kw.get("type") is int and isinstance(value, str):
+            setattr(args, flag[2:], _int(value, flag))
     cloud = getattr(args, "cloud", None)
     if args.command == "dimension":
         needed = ("scales",) if cloud else ("box", "res", "center", "radii")

@@ -13,10 +13,10 @@ Derivatives in z are analytic (from the coefficient formulas), never
 numerical.  Derivatives in lambda are the callers' concern.
 
 ``newton`` is the one Newton routine in the dynamical plane: it solves
-f(z) = target, or f(z) = z for a fixed point, and serves only the
-continuation corrector of ``hyperbolic``, whose Cantor branches and
-backward extension take ``preimages`` for every kind (``misiurewicz``
-runs a damped Newton in parameter space).
+f(z) = z for a fixed point and serves only the fixed-point continuation
+of ``hyperbolic``, whose Cantor branches and backward extension take
+``preimages`` for every kind (``misiurewicz`` runs a damped Newton in
+parameter space).
 
 ``coeff_rows`` is the one coefficient builder of the polynomial kinds:
 scalar evaluation, the stacked activity maps of ``misiurewicz`` and the
@@ -53,7 +53,8 @@ more numpy's temporary elision evaluates ``coef_j * z ** j`` as
 commutative.
 
 A family's JSON document holds ``kind``, ``degree`` and, for the
-rational kind, the ``num``/``den`` tables.
+rational kind, the ``num``/``den`` tables.  ``_check_shape`` checks it
+against one declarative shape, as ``misiurewicz`` checks a certificate.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ class MapFamily:
             # num[k][j]: coefficient of z^k lambda^j, lowest powers first
             self.num = [np.asarray(row, dtype=complex) for row in num]
             self.den = [np.asarray(row, dtype=complex) for row in den]
+            if not all(len(row) and np.all(np.isfinite(row)) for row in self.num + self.den):
+                raise ValueError("rational num/den rows need one or more finite coefficients")
             if max(len(self.num), len(self.den)) - 1 != degree:
                 raise ValueError("rational degree must match max(deg N, deg D)")
             self.param_dim = 1
@@ -435,28 +438,22 @@ def critical_points(family, lam):
     return out
 
 
-def newton(family, lam, seed, target=None, *, maxiter):
-    """Newton on f(z) = target from the seed, or on f(z) = z when there
-    is no target.
+def newton(family, lam, seed, *, maxiter):
+    """Newton on f(z) = z from the seed.
 
     Returns (z, iterations) once a step is below NEWTON_TOL relative to
-    max(1, |z|), or (None, iterations) when the derivative vanishes
-    (|dg| < 1e-300) or ``maxiter`` runs out.
+    max(1, |z|), or (None, iterations) when the derivative of f(z) - z
+    vanishes (|dg| < 1e-300) or ``maxiter`` runs out.
     """
     f, df = family.map_and_deriv(lam)
     z = complex(seed)
     for it in range(1, maxiter + 1):
         # the complex multiply by 1 sets the sign of a zero part of f'(z)
         # (and turns inf into nan beside it); the solves' bits rest on it
-        dw = (1.0 + 0j) * complex(df(z))
-        w = complex(f(z))
-        if target is None:
-            g, dg = w - z, dw - 1.0
-        else:
-            g, dg = w - target, dw
+        dg = (1.0 + 0j) * complex(df(z)) - 1.0
         if abs(dg) < 1e-300:
             return None, it
-        step = g / dg
+        step = (complex(f(z)) - z) / dg
         z -= step
         if abs(step) < NEWTON_TOL * max(1.0, abs(z)):
             return z, it
@@ -482,22 +479,48 @@ def multiplier(family, lam, segment):
 # ----------------------------------------------------------------------
 # JSON interface
 
+def _check_shape(v, shape, name):
+    """A ValueError that names the first field of the JSON value v that is
+    missing or out of shape, or a pattern entry that is a motion pattern.
+
+    A shape is "integer", "number" or "string" (a bool is none of them),
+    [shape] for a list, [shape, n] for a list of n entries, or
+    {key: shape} for an object, whose other keys are not read."""
+    if isinstance(shape, dict):
+        if type(v) is not dict:
+            raise ValueError(f"{name} must be an object, got {v!r}")
+        if "p" in shape and v.get("motion"):
+            raise ValueError(f"{name} is a motion pattern, which is not read; a pattern is n, p")
+        for key, sub in shape.items():
+            if key not in v:
+                raise ValueError(f"{name} is missing {key}")
+            _check_shape(v[key], sub, f"{name}.{key}")
+    elif isinstance(shape, list):
+        if type(v) is not list or shape[1:] not in ([], [len(v)]):
+            raise ValueError(f"{name} must be a list of {shape[1] if shape[1:] else 'any number of'} "
+                             f"entries, got {v!r}")
+        for i, x in enumerate(v):
+            _check_shape(x, shape[0], f"{name}[{i}]")
+    elif type(v) not in {"integer": (int,), "number": (int, float), "string": (str,)}[shape]:
+        raise ValueError(f"{name} must be a JSON {shape}, got {v!r}")
+
+
 def family_from_json(doc):
-    """Build a MapFamily from its JSON document (dict or JSON string)."""
+    """Build a MapFamily from its JSON document (dict or JSON string).  A
+    missing field or a value of the wrong JSON type or count (``num``
+    and ``den`` are lists of rows of [re, im] pairs) is a ValueError
+    that names it."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    missing = [k for k in ("kind", "degree") if k not in doc]
-    if not missing and doc["kind"] == "rational":
-        missing = [k for k in ("num", "den") if k not in doc]
-    if missing:
-        raise ValueError(f"family JSON is missing {', '.join(missing)}")
-    kind = doc["kind"]
-    degree = int(doc["degree"])
-    if kind == "rational":
+    shape = {"kind": "string", "degree": "integer"}
+    if type(doc) is dict and doc.get("kind") == "rational":
+        shape.update(num=[[["number", 2]]], den=[[["number", 2]]])
+    _check_shape(doc, shape, "family JSON")
+    if doc["kind"] == "rational":
         num = [[complex(re, im) for re, im in row] for row in doc["num"]]
         den = [[complex(re, im) for re, im in row] for row in doc["den"]]
-        return MapFamily(kind, degree, num=num, den=den)
-    return MapFamily(kind, degree)
+        return MapFamily("rational", doc["degree"], num=num, den=den)
+    return MapFamily(doc["kind"], doc["degree"])
 
 
 def family_to_json(family):

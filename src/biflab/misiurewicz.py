@@ -19,7 +19,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import BiflabError, CriticalOnOrbit, NoConvergence, NonRepellingTarget
-from .families import family_to_json, multiplier as segment_multiplier, orbit
+from .families import _check_shape, family_to_json, multiplier as segment_multiplier, orbit
 
 DELTA_REP = 1e-3
 N_CERT = 60
@@ -283,41 +283,18 @@ def certificate_to_json(cert, family):
     }
 
 
-# a certificate's JSON shape: "integer" or "number" (a bool is neither),
-# [shape] for a list, [shape, n] for n entries, {key: shape} for an object
+# a certificate's JSON shape, in the terms of ``families._check_shape``
 _SHAPE = {"lambda": [["number", 2]], "residual": "number", "sigma_min": "number",
           "m_plus": ["number"], "multipliers": [{"log_mod": "number", "arg": "number"}],
           "pattern": {"k0": "integer", "tracked": ["integer"],
                       "patterns": [{"n": "integer", "p": "integer"}]}}
 
 
-def _check_shape(v, shape, name="certificate"):
-    """A ValueError that names the first field of v that is missing or
-    out of shape, or a pattern entry that is a motion pattern."""
-    if isinstance(shape, dict):
-        if type(v) is not dict:
-            raise ValueError(f"{name} must be an object, got {v!r}")
-        if "p" in shape and v.get("motion"):
-            raise ValueError(f"{name} is a motion pattern, which is not read; a pattern is n, p")
-        for key, sub in shape.items():
-            if key not in v:
-                raise ValueError(f"{name} is missing {key}")
-            _check_shape(v[key], sub, f"{name}.{key}")
-    elif isinstance(shape, list):
-        if type(v) is not list or shape[1:] not in ([], [len(v)]):
-            raise ValueError(f"{name} must be a list of {shape[1] if shape[1:] else 'any number of'} "
-                             f"entries, got {v!r}")
-        for i, x in enumerate(v):
-            _check_shape(x, shape[0], f"{name}[{i}]")
-    elif type(v) not in {"integer": (int,), "number": (int, float)}[shape]:
-        raise ValueError(f"{name} must be a JSON {shape}, got {v!r}")
-
-
 def certificate_from_json(doc):
     """Inverse of certificate_to_json (the family is not rebuilt).  A
     missing field, a value of the wrong type or count, a non-finite lambda
     or a ``"motion"`` pattern is a ValueError that names it."""
-    _check_shape(doc, _SHAPE)
+    _check_shape(doc, _SHAPE, "certificate")
     pat = doc["pattern"]
     if len(doc["multipliers"]) != len(pat["tracked"]):
         raise ValueError("certificate.multipliers must have one entry per tracked point")

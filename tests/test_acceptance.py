@@ -166,9 +166,9 @@ def test_c09_distortion_constant_grid():
     # closed-form oracle for the continued fixed point
     for eps in (1e-5, 1e-4, 1e-3):
         lam = -2.0 + eps * (0.6 + 0.8j)
-        moved = continue_orbit(QUAD, lam0, [lam], [2.0 + 0j])
+        moved = continue_orbit(QUAD, lam0, [lam], 2.0 + 0j)
         beta = (1 + (1 - 4 * lam) ** 0.5) / 2
-        assert abs(moved[0] - beta) < 1e-10
+        assert abs(moved - beta) < 1e-10
     C = fit_distortion_constant(
         QUAD, lam0, [[-2.0 + 1e-3j], [-2.0 + 1e-3 + 0j]], 2.0 + 0j)
     assert C > 0

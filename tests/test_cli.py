@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biflab import bifgrid, cli, io as bio
+from biflab import bifgrid, cli, hyperbolic, io as bio
 from biflab.cli import main
 from biflab.errors import NotPlurisubharmonic
 from biflab.families import MapFamily
@@ -307,6 +307,15 @@ TAMPER_RECORDS = [
         MapFamily("branner_hubbard", 3)))]
 
 
+# the Lattes map of tests/test_families.py, (z^2 + 1)^2 / (4z(z^2 - 1)),
+# after the two polynomial kinds
+TAMPER_FAMILIES = [
+    {"kind": "unicritical", "degree": 2}, {"kind": "branner_hubbard", "degree": 3},
+    {"kind": "rational", "degree": 4,
+     "num": [[[1.0, 0.0]], [[0.0, 0.0]], [[2.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]]],
+     "den": [[[0.0, 0.0]], [[-4.0, 0.0]], [[0.0, 0.0]], [[4.0, 0.0]], [[0.0, 0.0]]]}]
+
+
 def json_paths(doc, prefix=()):
     """The key path of every value below a JSON document, with only the
     first two entries of each list."""
@@ -563,6 +572,21 @@ class TestExitCodes:
         assert "Cantor anchors 0 and 1 coincide at (3+0j)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cantor_refuses_a_cloud_past_the_bound(self, tmp_path, capsys, monkeypatch):
+        # a cloud has 2^depth points: building depth 20 peaked at 451 MB,
+        # and nothing bounded the depth; the bound is checked before any
+        # disk is sized
+        def no_disks(*args):
+            raise AssertionError("branch_radius ran before the cloud bound was checked")
+
+        monkeypatch.setattr(hyperbolic, "branch_radius", no_disks)
+        out = tmp_path / "run"
+        assert main(["cantor", "--family", "unicritical2", "--param", "-6,0",
+                     "--anchors", "3,0;-2,0", "--depth", "21", "--out", str(out)]) == 2
+        assert ("invalid input: a Cantor cloud of depth 21 has 2^21 points, more than 1048576"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_linearize_past_the_normal_floats(self, tmp_path, capsys):
         # rho_n = (rho / 2) 4^-n underflows to 0 before n = 600, and the
         # residual on a test circle of radius 0 used to read 0 with exit 0
@@ -667,16 +691,49 @@ class TestExitCodes:
         assert "a Cantor cloud needs at least two anchors, got 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("doc, key", [
-        ({"degree": 2}, "kind"),
-        ({"kind": "unicritical"}, "degree"),
-    ])
-    def test_malformed_family_file(self, tmp_path, capsys, doc, key):
+    @pytest.mark.parametrize("doc, message", [
+        ({"degree": 2}, "missing kind"),
+        ({"kind": "unicritical"}, "missing degree"),
+        # these crashed with a traceback, or ran as degree 2 and 1
+        ({"kind": "unicritical", "degree": None}, "family JSON.degree must be a JSON integer"),
+        ({"kind": 5, "degree": 2}, "family JSON.kind must be a JSON string"),
+        ({"kind": "rational", "degree": 2, "num": 5, "den": [[[1, 0]]]}, "family JSON.num must"),
+        ({"kind": "unicritical", "degree": 2.7}, "family JSON.degree must be a JSON integer"),
+        ({"kind": "unicritical", "degree": True}, "family JSON.degree must be a JSON integer"),
+        # "too many values to unpack", naming no field
+        ({"kind": "rational", "degree": 2, "num": [[[-6, 0]], [[0, 0]], [[1, 0]]],
+          "den": [[[1, 0, 0]]]}, "family JSON.den[0][0] must be a list of 2 entries"),
+        ({"kind": "rational", "degree": 2, "num": [[[-6, 0]], [], [[1, 0]]], "den": [[[1, 0]]]},
+         "rational num/den rows need one or more finite coefficients"),
+    ], ids=["doc0-kind", "doc1-degree", "degree-null", "kind-number", "num-number",
+            "degree-float", "degree-bool", "den-triple", "empty-row"])
+    def test_malformed_family_file(self, tmp_path, capsys, doc, message):
         fam = tmp_path / "family.json"
         fam.write_text(json.dumps(doc))
-        assert main(["lyap", "--family", str(fam), "--param", "0,0",
-                     "--out", str(tmp_path / "run")]) == 2
-        assert f"missing {key}" in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert main(["lyap", "--family", str(fam), "--param", "0,0", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tampered_family_file_is_an_exit_code(self, tmp_path_factory, data):
+        # a family file with one value replaced by any JSON value is read
+        # (0) or refused (2); "degree": null, "kind": 5 and a rational
+        # "num": 5 used to crash with a traceback.  certify of no records
+        # reads the family and writes its resolved form into the manifest,
+        # and computes nothing with it
+        doc = copy.deepcopy(data.draw(st.sampled_from(TAMPER_FAMILIES)))
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES)
+        run = tmp_path_factory.mktemp("family")
+        (run / "family.json").write_text(json.dumps(doc))
+        (run / "certs.ndjson").write_text("")
+        assert main(["certify", "--family", str(run / "family.json"),
+                     "--certs", str(run / "certs.ndjson"), "--out", str(run / "out")]) in (0, 2)
 
     def test_certificate_without_pattern(self, tmp_path, capsys):
         main(["misiurewicz", "--family", "unicritical2", "--seed", "-1.9,0",
@@ -691,8 +748,9 @@ class TestExitCodes:
         assert not (tmp_path / "cert").exists()
 
     def test_numerical_failure(self, tmp_path):
-        # continuation from a non-repelling base orbit is a numerical
-        # failure, not a usage error
+        # the superattracting fixed point 0 of z^2 has no repelling
+        # preimage to extend the chain by: a numerical failure, not a
+        # usage error
         assert main(["linearize", "--family", "unicritical2", "--param", "0,0",
                      "--w", "0,0", "--n", "5", "--out", str(tmp_path)]) == 3
 
@@ -816,6 +874,53 @@ class TestManifest:
         assert man["config"] == {"out": str(out), **{k: fill(v) for k, v in config.items()}}
         assert {p.name for p in out.iterdir()} == names | {"manifest.json"}
         assert set(man["outputs"]) == {str(out / name) for name in names}
+
+
+# every integer flag of every command, on the first manifest case of its
+# command; a flag added to COMMANDS is covered with no edit here
+def first_case(name):
+    return next(argv for argv, _, _ in MANIFEST_CASES.values() if argv[0] == name)
+
+
+INT_FLAGS = [(first_case(cmd.name), flag) for cmd in cli.COMMANDS for flag, kw in cmd.flags
+             if kw.get("type") is int]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 3", "+3", "3.0"])
+    @pytest.mark.parametrize("argv, flag", INT_FLAGS,
+                             ids=[f"{argv[0]}{flag}" for argv, flag in INT_FLAGS])
+    def test_only_ascii_digits(self, tmp_path, capsys, argv, flag, value):
+        # int() reads 1_0 as 10 and the Arabic-Indic digit as 3, and a
+        # --depth 1_0 run recorded "depth": 10
+        out = tmp_path / "run"
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main(argv + [f"{flag}={value}", "--out", str(out)]) == 2
+        assert f"invalid input: {flag} needs an integer, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lyap", "--family", "unicritical\u00b2", "--param", "0,0"],
+         "unknown --family 'unicritical\u00b2'"),
+        (["lyap", "--family", "bh\u0663", "--param", "0,0;0,0", "--samples", "200"],
+         "unknown --family 'bh\u0663'"),
+        (["misiurewicz", "--family", "unicritical2", "--seed", "-1.9,0",
+          "--pattern", "k0=0_2,n=1,p=1"], "--pattern needs key=integer items, got 'k0=0_2'"),
+        (["misiurewicz", "--family", "unicritical2", "--seed", "-1.9,0",
+          "--pattern", "k0=2,n=1,p=1", "--tracked", " +0"],
+         "--tracked needs comma-separated critical indices, got ' +0'"),
+        (["misiurewicz", "--family", "unicritical2", "--seed", "-1.9,0",
+          "--pattern", "k0=1,k0=2,n=1,p=1"], "--pattern gives k0 twice"),
+    ], ids=["unicritical-superscript", "bh-arabic-indic", "pattern-underscore",
+            "tracked-plus", "pattern-repeated-k0"])
+    def test_integers_inside_a_flag(self, tmp_path, capsys, argv, message):
+        # the superscript exited with a bare "invalid literal for int()",
+        # bh3 in Arabic-Indic digits ran as bh3, and the other three ran
+        # (a repeated k0 as its last value)
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def readme_commands():

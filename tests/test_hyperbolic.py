@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from biflab import hyperbolic
 from biflab.errors import CoverageError, LostHyperbolicity
 from biflab.families import MapFamily, multiplier, orbit
 from biflab.hyperbolic import (
@@ -11,6 +12,7 @@ from biflab.hyperbolic import (
     build_cantor,
     coded_orbit,
     continue_orbit,
+    distortion_profile,
     distortion_ratio,
     fit_distortion_constant,
     linearize_orbit,
@@ -28,35 +30,32 @@ def beta(c):
 
 class TestContinuation:
     def test_beta_fixed_point_track(self):
-        moved = continue_orbit(QUAD, [0j], [-0.5 + 0j], [1.0 + 0j])
-        assert abs(moved[0] - beta(-0.5)) < 1e-12
+        moved = continue_orbit(QUAD, [0j], [-0.5 + 0j], 1.0 + 0j)
+        assert abs(moved - beta(-0.5)) < 1e-12
 
     def test_beta_to_chebyshev(self):
-        moved = continue_orbit(QUAD, [0j], [-2.0 + 0j], [1.0 + 0j])
-        assert abs(moved[0] - 2.0) < 1e-12
-        assert abs(multiplier(QUAD, [-2.0 + 0j], moved)[0] - math.log(4)) < 1e-12
+        moved = continue_orbit(QUAD, [0j], [-2.0 + 0j], 1.0 + 0j)
+        assert abs(moved - 2.0) < 1e-12
+        assert abs(multiplier(QUAD, [-2.0 + 0j], [moved])[0] - math.log(4)) < 1e-12
 
     def test_trivial_path_is_identity(self):
-        pts = [2.0 + 0j] * 4
-        moved = continue_orbit(QUAD, [-2.0 + 0j], [-2.0 + 0j], pts)
-        assert np.array_equal(moved, pts)
+        moved = continue_orbit(QUAD, [-2.0 + 0j], [-2.0 + 0j], 2.0 + 0j)
+        assert moved == 2.0 and type(moved) is complex
 
-    def test_orbit_segment_stays_conjugate(self):
-        # moved points still satisfy f(z_k) = z_{k+1} at the target
+    def test_moved_beta_is_fixed(self):
+        # the moved point is a fixed point of f at the target parameter
         c0, c1 = -1.8 + 0j, -1.8 + 0.05j
-        ob = orbit(QUAD, [c0], beta(c0), 6)
-        mp = continue_orbit(QUAD, [c0], [c1], ob.points)
-        for k in range(len(mp) - 1):
-            assert abs(complex(QUAD.eval([c1], mp[k])) - mp[k + 1]) < 1e-10
+        z = continue_orbit(QUAD, [c0], [c1], beta(c0))
+        assert abs(complex(QUAD.eval([c1], z)) - z) < 1e-10
 
     def test_rejects_non_repelling_base(self):
         with pytest.raises(LostHyperbolicity):
-            continue_orbit(QUAD, [0j], [0.1 + 0j], [0j])
+            continue_orbit(QUAD, [0j], [0.1 + 0j], 0j)
 
     def test_rejects_non_finite_base(self):
         # |f'| at a NaN point compares false with every margin
         with pytest.raises(LostHyperbolicity, match="nan"):
-            continue_orbit(QUAD, [0j], [0.1 + 0j], [complex(math.nan, 0.0)])
+            continue_orbit(QUAD, [0j], [0.1 + 0j], complex(math.nan, 0.0))
 
 
 class TestInverseBranch:
@@ -89,6 +88,15 @@ class TestInverseBranch:
 
 
 class TestDistortion:
+    def test_profile_is_a_power_of_the_moved_multiplier(self):
+        # w0 = 2 moves to beta(c), where f'_c = 2 beta(c) against f'_-2 = 4,
+        # so the profile is (beta(c) / 2)^n
+        c = -2.0 + 1e-3 * (0.6 + 0.8j)
+        prof = distortion_profile(QUAD, [-2.0 + 0j], [c], 2.0 + 0j, 40)
+        expect = (beta(c) / 2.0) ** np.arange(1, 41)
+        assert prof.shape == (40,)
+        assert np.max(np.abs(prof - expect) / np.abs(expect)) < 1e-12
+
     def test_trivial_ratio(self):
         ratio, ok = distortion_ratio(QUAD, [-2.0 + 0j], [-2.0 + 0j], 2.0 + 0j, 10, C=0.0)
         assert ratio == 1.0 and ok
@@ -215,6 +223,25 @@ class TestCantor:
         with pytest.raises(ValueError, match=r"anchors 0 and \d coincide at \(3\+0j\)"):
             build_cantor(QUAD, [-6.0 + 0j], anchors, 6)
 
+    @pytest.mark.parametrize("anchors, depth, passes", [
+        ([3.0 + 0j, -2.0 + 0j], 20, True), ([3.0 + 0j, -2.0 + 0j], 21, False),
+        ([3.0 + 0j, -2.0 + 0j, 0.5 + 2j], 12, True), ([3.0 + 0j, -2.0 + 0j, 0.5 + 2j], 13, False),
+        ([3.0 + 0j, -2.0 + 0j], 10 ** 18, False)])
+    def test_cloud_bound(self, monkeypatch, anchors, depth, passes):
+        # at most 2^20 points; a cloud that passes the bound is not built,
+        # and the third anchor only counts, so its coverage is not checked
+        def built(*args):
+            raise RuntimeError("the bound let the cloud through")
+
+        monkeypatch.setattr(hyperbolic, "_build_cloud", built)
+        monkeypatch.setattr(hyperbolic, "_check_coverage", lambda *args: None)
+        g = len(anchors)
+        expect = (pytest.raises(RuntimeError, match="let the cloud through") if passes else
+                  pytest.raises(ValueError, match=rf"depth {depth} has {g}\^{depth} points, "
+                                                  r"more than 1048576"))
+        with expect:
+            build_cantor(QUAD, [-6.0 + 0j], anchors, depth)
+
     def test_rational_kind_takes_the_same_branches(self):
         # z^2 - 6 built as a rational map solves its preimages by companion
         # eigenvalues, not in closed form, and gives the same cloud
@@ -262,19 +289,19 @@ class TestCantor:
             coded_orbit(cs, 0, 3)
 
     def test_continue_cantor_tracks_fixed_points(self):
-        # a cloud moves with its anchors: each is a one-point orbit on its
-        # cycle, and the cloud is rebuilt from them at the target
+        # a cloud moves with its anchors: each is a repelling fixed point,
+        # and the cloud is rebuilt from them at the target
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 6)
         c1 = -6.1 + 0.05j
-        anchors = [continue_orbit(QUAD, cs.lam, [c1], [a])[0] for a in cs.anchors]
+        anchors = [continue_orbit(QUAD, cs.lam, [c1], a) for a in cs.anchors]
         assert abs(anchors[0] - beta(c1)) < 1e-10
         assert abs(anchors[1] - (1 - (1 - 4 * c1) ** 0.5) / 2) < 1e-10
         assert len(build_cantor(QUAD, [c1], anchors, 6).cloud) == len(cs.cloud)
 
     def test_continue_cantor_loses_an_attracting_anchor(self):
         # on the way to c = -0.7 the anchor that starts at -2 becomes the
-        # attracting fixed point near -0.47; the orbit continuation stops
-        # there instead of rebuilding a cloud around it
+        # attracting fixed point near -0.47; the continuation stops there
+        # instead of rebuilding a cloud around it
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 4)
         with pytest.raises(LostHyperbolicity, match="per-step .f'. dropped to 0.949359 at t=1"):
-            continue_orbit(QUAD, cs.lam, [-0.7 + 0j], [cs.anchors[1]])
+            continue_orbit(QUAD, cs.lam, [-0.7 + 0j], cs.anchors[1])

@@ -2,9 +2,9 @@
 replaced.
 
 Each reference below is the earlier implementation, kept verbatim as the
-oracle: the three Newton loops (the cycle solve of the deleted
-``find_periodic`` and the cycle and preimage helpers of the continuation
-code), the grid scan's escape-rate loop, with its old coefficient recurrence
+oracle: the two Newton loops (the cycle solve of the deleted
+``find_periodic`` and the cycle helper of the continuation code), the
+grid scan's escape-rate loop, with its old coefficient recurrence
 and power-form step, which also serves as the oracle of the one kernel
 at arbitrary start points, the two
 second-difference stencils (``_local_mass`` and the Hessian's ``d2``
@@ -135,20 +135,6 @@ def old_newton_cycle(family, lam, seed, period, tol=NEWTON_TOL, maxiter=12):
     return None, maxiter
 
 
-def old_newton_preimage(family, lam, target, seed, tol=NEWTON_TOL, maxiter=12):
-    z = complex(seed)
-    for it in range(1, maxiter + 1):
-        g = complex(family.eval(lam, z)) - target
-        dg = complex(family.deriv(lam, z))
-        if abs(dg) < 1e-300:
-            return None, it
-        step = g / dg
-        z -= step
-        if abs(step) < tol * max(1.0, abs(z)):
-            return z, it
-    return None, maxiter
-
-
 def old_branch_apply(family, lam, anchor, w, guard=None):
     """The polynomial-kind path of the old per-point ``_branch_apply``."""
     seed = anchor if guard is None else guard
@@ -222,28 +208,6 @@ class TestNewton:
             for maxiter in (12, 40):
                 old = old_newton_cycle(fam, lam, seed, 1, maxiter=maxiter)
                 new = newton(fam, lam, seed, maxiter=maxiter)
-                assert same_newton(old, new)
-                nones += old[0] is None
-        assert nones > 0
-
-    def test_preimage(self):
-        # the continuation corrector passes numpy targets; Python complex
-        # ones are checked as well
-        rng = np.random.default_rng(3)
-        cases = [(QUAD, [-2.0 + 0j], 2.0 + 0j, 2.0 + 0j), (QUAD, [0j], 1.21 + 0j, 1.0 + 0j),
-                 (QUAD, [0j], 0j, 0j), (lattes_family(), [0j], 0.3 + 0.2j, 0.3 + 0.2j)]
-        ob = np.array([2.0, 2.0, 2.0], dtype=complex)
-        cases += [(QUAD, [-2.0 + 1e-3j], ob[k + 1], ob[k]) for k in range(2)]
-        for fam in (QUAD, CUBIC, BH3, lattes_family()):
-            for _ in range(60):
-                lam = random_seeds(rng, fam.param_dim, 1.0)
-                target, seed = random_seeds(rng, 2, 2.0)
-                cases.append((fam, lam, np.complex128(target) if _ % 2 else target, seed))
-        nones = 0
-        for fam, lam, target, seed in cases:
-            for maxiter in (12, 40, 60):
-                old = old_newton_preimage(fam, lam, target, seed, maxiter=maxiter)
-                new = newton(fam, lam, seed, target=target, maxiter=maxiter)
                 assert same_newton(old, new)
                 nones += old[0] is None
         assert nones > 0
@@ -475,11 +439,11 @@ class TestCantorCloud:
 
     @pytest.mark.parametrize("name", ["unicritical2", "bh3"])
     def test_continue_cantor(self, name):
-        # a cloud moved with its anchors, each continued as a one-point
-        # orbit, and rebuilt at the target parameter
+        # a cloud moved with its anchors, each continued as a repelling
+        # fixed point, and rebuilt at the target parameter
         fam, lam, anchors = cantor_case(name)
         lam1 = np.array([lam[0] + 0.02 - 0.01j] + lam[1:])
-        moved = [hyperbolic.continue_orbit(fam, lam, lam1, [a])[0] for a in anchors]
+        moved = [hyperbolic.continue_orbit(fam, lam, lam1, a) for a in anchors]
         assert same_cloud(hyperbolic._build_cloud(fam, lam1, moved, 8),
                           old_build_cloud(fam, lam1, moved, 8))
 
