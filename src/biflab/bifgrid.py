@@ -388,10 +388,8 @@ def radial_masses(measure, center, radii):
     """mu(ball(center, r_k)) by cell summation; cells cut by the sphere
     contribute their subsampled covered fraction."""
     box, res = measure.box, measure.resolution
-    hs = []
-    for w, h in zip(box.cell_widths(res), box.cell_heights(res)):
-        hs.extend([w, h])
-    hs = np.array(hs)
+    # per real axis, in the order re1, im1, re2, im2, ...
+    hs = np.array([box.cell_widths(res), box.cell_heights(res)]).T.ravel()
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be strictly decreasing")
@@ -400,20 +398,18 @@ def radial_masses(measure, center, radii):
         raise ResolutionExceeded(
             f"r_min = {radii[-1]:.3g} below 3 cell widths ({3 * hmax:.3g})")
     ctr = np.atleast_1d(np.asarray(center, dtype=complex))
-    cvec = []
-    for v in ctr:
-        cvec.extend([v.real, v.imag])
-    cvec = np.array(cvec)
+    cvec = np.array([ctr.real, ctr.imag]).T.ravel()
     flats = _cell_center_coords(box, res)
-    mesh = np.meshgrid(*flats, indexing="ij")
-    dist2 = np.zeros(mesh[0].shape)
-    for k, g in enumerate(mesh):
-        dist2 += (g - cvec[k]) ** 2
-    dist = np.sqrt(dist2)
+    # the distance to the centre adds the squared offsets of each real
+    # axis, broadcast from 1-d, so no array of cell coordinates is formed
+    dist = np.zeros(tuple(len(a) for a in flats))
+    for k, a in enumerate(np.ix_(*flats)):
+        dist += (a - cvec[k]) ** 2
+    np.sqrt(dist, out=dist)
     half_diag = 0.5 * float(np.linalg.norm(hs))
     subsample = 8 if box.m == 1 else 4
     offs = [(np.arange(subsample) + 0.5) / subsample - 0.5 for _ in hs]
-    off_mesh = np.meshgrid(*offs, indexing="ij")
+    off_flat = np.stack([om.ravel() for om in np.meshgrid(*offs, indexing="ij")], axis=0)
     masses = np.empty(len(radii))
     mass_flat = measure.cell_mass.ravel()
     dist_flat = dist.ravel()
@@ -421,16 +417,13 @@ def radial_masses(measure, center, radii):
         inner = dist_flat <= r - half_diag
         band = (~inner) & (dist_flat < r + half_diag)
         total = float(np.sum(mass_flat[inner]))
-        idx = np.nonzero(band)[0]
-        if idx.size:
-            centers = np.stack([g.ravel()[idx] for g in mesh], axis=-1)
-            off_flat = np.stack([om.ravel() for om in off_mesh], axis=0)
-            sub2 = np.zeros((idx.size, off_flat.shape[1]))
-            for k in range(len(hs)):
-                sub2 += (centers[:, k: k + 1] + off_flat[k][None, :] * hs[k]
-                         - cvec[k]) ** 2
+        cells = np.unravel_index(np.nonzero(band)[0], dist.shape)
+        if cells[0].size:
+            sub2 = np.zeros((cells[0].size, off_flat.shape[1]))
+            for k, (a, ik) in enumerate(zip(flats, cells)):
+                sub2 += (a[ik][:, None] + off_flat[k][None, :] * hs[k] - cvec[k]) ** 2
             frac = np.mean(sub2 <= r * r, axis=1)
-            total += float(np.sum(mass_flat[idx] * frac))
+            total += float(np.sum(mass_flat[band] * frac))
         masses[i] = total
     return RadialMassProfile(center=tuple(ctr), radii=radii, masses=masses)
 

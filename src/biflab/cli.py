@@ -275,7 +275,7 @@ def _cantor(args, family):
                       _parse_params(args.anchors, "--anchors"), args.depth)
     doc = {"eta": cs.eta, "K_cloud": cs.K_cloud, "depth": cs.depth,
            "n_points": len(cs.cloud),
-           "specs": [{"eta": s.eta, "K": s.K, "B": s.B} for s in cs.specs]}
+           "specs": cs.specs}
     files = [("cloud.csv", lambda path: bio.write_cloud_csv(path, cs.cloud)),
              _json("cantor.json", doc)]
     return files, (f"cloud of {len(cs.cloud)} points, eta = {cs.eta:.4g}, "

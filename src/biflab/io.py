@@ -9,8 +9,9 @@ per cell (fields) or point (clouds) in C order, ``\r\n`` after every
 line, no quoting.  Indices are written with ``%d``; coordinates and
 values with ``%.17g``, which round-trips every float64 (``-0.0`` prints
 as ``-0``, non-finite values as ``nan``, ``inf``, ``-inf``).  A field
-file formats each distinct index, coordinate and value bit pattern once;
-rows of both kinds are joined and written in chunks of _CHUNK_ROWS.
+file formats each distinct index, coordinate and value bit pattern once,
+and works out a row's cell indices from the row number; rows of both
+kinds are joined and written in chunks of _CHUNK_ROWS.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def _strings(fmt, values):
     return np.array([fmt % v for v in values], dtype=object)
 
 
-def _lookup(strings, codes):
-    """Column whose row r is strings[codes[r]]."""
-    return lambda rows: strings[codes[rows]].tolist()
+def _cell_lookup(strings, shape, axis):
+    """Column whose row r is strings[``axis`` index of C-order cell r]."""
+    return lambda rows: strings[np.unravel_index(rows, shape)[axis]].tolist()
 
 
 def _formatted(fmt, values):
@@ -87,18 +88,20 @@ def _distinct_lookup(values):
     bits, not on float equality, keeps -0.0 apart from 0.0."""
     bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.uint64)
     distinct, codes = np.unique(bits, return_inverse=True)
-    return _lookup(_strings("%.17g", distinct.view(float).tolist()), codes)
+    strings = _strings("%.17g", distinct.view(float).tolist())
+    return lambda rows: strings[codes[rows]].tolist()
 
 
 def _write_csv(path, header, n_rows, columns):
     """Header line, then n_rows rows of comma-joined fields, ``\r\n``
     after every line.  column(rows) gives a column's field strings for
-    the slice rows; rows are built and written _CHUNK_ROWS at a time, so
-    per-row strings never exist for the whole table."""
+    the row numbers in the array rows; rows are built and written
+    _CHUNK_ROWS at a time, so per-row strings never exist for the whole
+    table."""
     with open(path, "w", newline="") as f:
         f.write(header + "\r\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
+            rows = np.arange(start, min(start + _CHUNK_ROWS, n_rows))
             fields = [column(rows) for column in columns]
             f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
@@ -106,17 +109,13 @@ def _write_csv(path, header, n_rows, columns):
 def write_field_csv(path, box, resolution, values, value_name="value"):
     """Cell-indexed CSV of a grid (one row per cell, headers included)."""
     v = np.asarray(values, dtype=float)
-    m = box.m
-    idx_names = []
-    coord_names = []
-    for i in range(1, m + 1):
-        idx_names += [f"ix{i}", f"iy{i}"]
-        coord_names += [f"re{i}", f"im{i}"]
-    header = ",".join(idx_names + coord_names + [value_name])
-    idx = np.indices(v.shape).reshape(2 * m, -1)
+    ns = range(1, box.m + 1)
+    header = ",".join([f"{a}{i}" for i in ns for a in ("ix", "iy")]
+                      + [f"{a}{i}" for i in ns for a in ("re", "im")] + [value_name])
     coords = [a for pair in box.axes(resolution) for a in pair]
-    columns = [_lookup(_strings("%d", range(n)), codes) for n, codes in zip(v.shape, idx)]
-    columns += [_lookup(_strings("%.17g", a.tolist()), codes) for a, codes in zip(coords, idx)]
+    columns = [_cell_lookup(_strings("%d", range(n)), v.shape, k) for k, n in enumerate(v.shape)]
+    columns += [_cell_lookup(_strings("%.17g", a.tolist()), v.shape, k)
+                for k, a in enumerate(coords)]
     columns.append(_distinct_lookup(v))
     _write_csv(path, header, v.size, columns)
 
@@ -127,7 +126,7 @@ _CLOUD_HEADER = "index,re,im"
 def write_cloud_csv(path, points):
     pts = np.asarray(points, dtype=complex).ravel()
     _write_csv(path, _CLOUD_HEADER, len(pts), [
-        _formatted("%d", np.arange(len(pts))),
+        lambda rows: ["%d" % r for r in rows.tolist()],
         _formatted("%.17g", pts.real), _formatted("%.17g", pts.imag)])
 
 

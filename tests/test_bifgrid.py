@@ -261,6 +261,18 @@ class TestRadial:
         prof = radial_masses(mu, 0j, radii)
         assert np.allclose(prof.masses, math.pi * radii ** 2, rtol=0.01)
 
+    @pytest.mark.parametrize("center", [(0j, 0j), (0.05 + 0.02j, -0.03j)])
+    def test_lebesgue_ball_mass_in_c2(self, center):
+        # the ball of radius r in C^2 = R^4 has volume pi^2 r^4 / 2
+        box = Box((0j, 0j), (1.0, 1.0))
+        h = box.cell_widths(16)[0]
+        mass = np.full((16,) * 4, h ** 4)
+        mu = MeasureField(box=box, resolution=16, cell_mass=mass,
+                          raw_mass=mass.copy(), clamp_total=0.0)
+        radii = np.array([0.9, 0.7, 0.5, 0.4])
+        prof = radial_masses(mu, center, radii)
+        assert np.allclose(prof.masses, math.pi ** 2 * radii ** 4 / 2, rtol=0.005)
+
     def test_point_mass_is_radius_independent(self):
         box = Box((0j,), (1.0,))
         res = 64

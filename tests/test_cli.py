@@ -754,6 +754,19 @@ class TestExitCodes:
         assert main(["linearize", "--family", "unicritical2", "--param", "0,0",
                      "--w", "0,0", "--n", "5", "--out", str(tmp_path)]) == 3
 
+    def test_overflowed_resultant_is_a_numerical_failure(self, tmp_path, capsys):
+        # num[0] = 8.9e101 overflows the resultant of the Lattes file to
+        # inf + nan i; lyap warned and reported an exponent with exit 0
+        doc = copy.deepcopy(TAMPER_FAMILIES[2])
+        doc["num"][0][0][0] = 8.9e101
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["lyap", "--family", str(fam), "--param", "0,0", "--samples", "200",
+                     "--depth", "5", "--out", str(out)]) == 3
+        assert "numerical failure: resultant (inf+nanj) is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_profile_names_its_stage(self, tmp_path, capsys):
         # the G0 field of z^2 + c vanishes on this box inside the Mandelbrot
         # set, so no ball around 0 carries mass

@@ -6,7 +6,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from biflab import families, misiurewicz
-from biflab.errors import CriticalOnOrbit, DegenerateMap
+from biflab.errors import CriticalOnOrbit, DegenerateMap, RootFindingFailure
 from biflab.families import (
     MapFamily,
     critical_points,
@@ -70,6 +70,21 @@ class TestEval:
                         den=[[-1], [0], [1]])  # z^2 - 1
         with pytest.raises(DegenerateMap):
             eval_checked(fam, [1.0 + 0j], 0.5 + 0j)
+
+
+    def test_overflowed_resultant_rejected(self):
+        # a coefficient near 1e102 overflows the Sylvester determinant to
+        # inf + nan i, whose modulus is inf and passed the old check
+        fam = MapFamily("rational", 4, num=[[8.9e101], [0], [2], [0], [1]],
+                        den=[[0], [-4], [0], [4], [0]])
+        with pytest.raises(DegenerateMap, match=r"resultant \(inf\+nanj\) is not finite"):
+            fam.check_nondegenerate([0j])
+
+    def test_overflowed_companion_column_is_root_finding_failure(self):
+        # N(z) - w D(z) at w = 1e308 overflows; eigvals then refused the
+        # matrix as invalid input
+        with pytest.raises(RootFindingFailure, match="in preimage solve"):
+            lattes_family().preimages([0j], np.array([0.5, 1e308 + 0j]))
 
 
 class TestOrbit:

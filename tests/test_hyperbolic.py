@@ -202,8 +202,8 @@ class TestLinearization:
 class TestCantor:
     def test_depth_zero_is_anchors(self):
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 0)
-        assert np.allclose(cs.cloud, [3.0, -2.0])
-        assert cs.words.shape == (2, 0)
+        assert cs.depth == 0
+        assert np.array_equal(cs.cloud, [3.0, -2.0])
 
     def test_negative_depth_rejected(self):
         # used to return the anchors and record depth -1
@@ -247,18 +247,17 @@ class TestCantor:
         # eigenvalues, not in closed form, and gives the same cloud
         rat = build_cantor(RATIONAL_QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
         poly = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
-        assert rat.eta == poly.eta
-        assert np.array_equal(rat.words, poly.words)
+        assert rat.eta == poly.eta and len(rat.cloud) == len(poly.cloud)
         assert np.max(np.abs(rat.cloud - poly.cloud)) <= 1e-14
 
     def test_depth_ten_cloud(self):
         cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
         assert len(cs.cloud) == 1024
-        assert cs.words.shape == (1024, 10)
         assert cs.K_cloud > 1.0 and cs.eta > 0
-        # every cloud point sits inside the generator disk of its first symbol
+        # every cloud point sits inside the generator disk of its first
+        # symbol, the last base-2 digit of its index
         anchors = np.array(cs.anchors)
-        d = np.abs(cs.cloud - anchors[cs.words[:, 0]])
+        d = np.abs(cs.cloud - anchors[np.arange(1024) % 2])
         assert np.max(d) <= cs.eta + 1e-12
 
     def test_cloud_points_satisfy_coding(self):
@@ -281,6 +280,13 @@ class TestCantor:
         naive = orbit(QUAD, [-6.0 + 0j], complex(cs.cloud[597]), 40)
         assert naive.escaped or \
             np.max(np.min(np.abs(naive.points[:, None] - anchors[None, :]), axis=1)) > cs.eta
+
+    @pytest.mark.parametrize("index", [-1, 1024])
+    def test_coded_orbit_refuses_an_index_outside_the_cloud(self, index):
+        # -1 used to read the word of the last point
+        cs = build_cantor(QUAD, [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 10)
+        with pytest.raises(ValueError, match=rf"index {index} is outside 0\.\.1023"):
+            coded_orbit(cs, index, 3)
 
     def test_coded_orbit_of_depth_zero_cloud(self):
         # a depth-0 cloud has empty words, so no orbit can be rebuilt

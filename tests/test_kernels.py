@@ -292,10 +292,11 @@ def old_coverage_radius(family, lam, anchors):
     return None
 
 
-def old_coded_orbit(cantor, index, length):
+def old_coded_orbit(cantor, word, length):
+    """The orbit of the point of ``word`` (a row of old_build_cloud's words)."""
     family, lam = cantor.family, cantor.lam
     anchors = cantor.anchors
-    word = list(cantor.words[index])
+    word = list(word)
     pts = np.empty(length + 1, dtype=complex)
     for k in range(length + 1):
         suffix = word[min(k, len(word) - 1):]
@@ -349,10 +350,12 @@ def cantor_case(name):
     return BH3, lam, [newton(BH3, lam, s, maxiter=100)[0] for s in (3.0 + 0j, -1.0 + 2j)]
 
 
-def same_cloud(a, b):
-    """Two (cloud, words) pairs agree bit for bit."""
-    return (same_bits(a[0], b[0]) and a[1].dtype == b[1].dtype
-            and np.array_equal(a[1], b[1]))
+def same_cloud(cloud, old, g):
+    """A cloud agrees bit for bit with old_build_cloud's (points, words),
+    and the old word of point p is p in base g, least significant first."""
+    pts, words = old
+    digits = np.arange(len(pts))[:, None] // g ** np.arange(words.shape[1]) % g
+    return same_bits(cloud, pts) and np.array_equal(words, digits)
 
 
 class TestCantorCloud:
@@ -364,7 +367,7 @@ class TestCantorCloud:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         for depth in (0, 1, 2, 10, 14):
             assert same_cloud(hyperbolic._build_cloud(fam, lam, anchors, depth),
-                              old_build_cloud(fam, lam, anchors, depth))
+                              old_build_cloud(fam, lam, anchors, depth), len(anchors))
 
     def test_branch_apply_arrays(self):
         # one array call gives every point's old result, or the old error;
@@ -445,15 +448,16 @@ class TestCantorCloud:
         lam1 = np.array([lam[0] + 0.02 - 0.01j] + lam[1:])
         moved = [hyperbolic.continue_orbit(fam, lam, lam1, a) for a in anchors]
         assert same_cloud(hyperbolic._build_cloud(fam, lam1, moved, 8),
-                          old_build_cloud(fam, lam1, moved, 8))
+                          old_build_cloud(fam, lam1, moved, 8), len(moved))
 
     def test_coded_orbit(self):
         fam, lam, anchors = cantor_case("unicritical2")
         cs = hyperbolic.build_cantor(fam, lam, anchors, 8)
+        words = old_build_cloud(fam, cs.lam, cs.anchors, 8)[1]
         for index in range(len(cs.cloud)):
             for length in (3, 12):
                 assert same_bits(hyperbolic.coded_orbit(cs, index, length),
-                                 old_coded_orbit(cs, index, length))
+                                 old_coded_orbit(cs, words[index], length))
 
 
 class TestCloudReadAndCount:
@@ -472,7 +476,7 @@ class TestCloudReadAndCount:
 
     def test_box_dimension(self):
         fam, lam, anchors = cantor_case("unicritical2")
-        cloud, _ = hyperbolic._build_cloud(fam, np.array(lam), anchors, 14)
+        cloud = hyperbolic._build_cloud(fam, np.array(lam), anchors, 14)
         rng = np.random.default_rng(13)
         lattice = (rng.integers(-50, 50, 3000) + 1j * rng.integers(-50, 50, 3000)) / 64.0
         clouds = [(cloud, 2.0 ** -np.arange(2, 9)), (cloud, 3.0 ** -np.arange(1, 7)),
@@ -533,7 +537,7 @@ class TestScipyReplacements:
         comb = np.concatenate([1j * rng.permutation(np.linspace(0.0, 0.5, 1200)),
                                np.linspace(0.01, 1.0, 1000)])
         return {
-            "cantor16": hyperbolic._build_cloud(fam, np.array(lam), anchors, 16)[0],
+            "cantor16": hyperbolic._build_cloud(fam, np.array(lam), anchors, 16),
             "gaussian": rng.standard_normal(65536) + 1j * rng.standard_normal(65536),
             "circle": np.exp(1j * th),
             "horizontal": line.astype(complex),
@@ -578,7 +582,7 @@ class TestCantorEndToEnd:
                     for p in sorted(out.glob("*/*")) if p.name != "manifest.json"}
 
         new = run("new")
-        monkeypatch.setattr(hyperbolic, "_build_cloud", old_build_cloud)
+        monkeypatch.setattr(hyperbolic, "_build_cloud", lambda *a: old_build_cloud(*a)[0])
         monkeypatch.setattr(bio, "read_cloud_csv", old_read_cloud_csv)
         monkeypatch.setattr(cli, "box_dimension", old_box_dimension)
         old = run("old")

@@ -1,0 +1,42 @@
+"""Peak numpy allocation of the stages that once stored a per-point array
+that is a function of its index: the words of a Cantor cloud, and the
+coordinate mesh of radial masses.  tracemalloc counts numpy's buffers, so
+a peak far above the result's own size means such an array is back."""
+
+import tracemalloc
+
+import numpy as np
+
+from biflab import hyperbolic
+from biflab.bifgrid import Box, MeasureField, radial_masses
+from biflab.families import MapFamily
+
+
+def peak_bytes(call):
+    """(result, peak bytes allocated while call() ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cantor_cloud_stores_no_words():
+    # 2^18 points; an int64 word of 18 symbols per point alone is 9x the cloud
+    cs, peak = peak_bytes(lambda: hyperbolic.build_cantor(
+        MapFamily("unicritical", 2), [-6.0 + 0j], [3.0 + 0j, -2.0 + 0j], 18))
+    assert len(cs.cloud) == 2 ** 18
+    assert peak < 8 * cs.cloud.nbytes
+
+
+def test_radial_masses_form_no_coordinate_mesh():
+    # a 1024^2 measure; a mesh of the two real axes alone is 2x a cell array
+    box = Box((-0.5 + 0j,), (2.5,), (2.0,))
+    rng = np.random.default_rng(23)
+    mass = rng.random((1024, 1024))
+    mu = MeasureField(box=box, resolution=1024, cell_mass=mass,
+                      raw_mass=mass, clamp_total=0.0)
+    prof, peak = peak_bytes(lambda: radial_masses(mu, -0.75 + 0.1j, [2.0, 1.0, 0.5, 0.25, 0.1]))
+    assert np.all(prof.masses > 0)
+    assert peak < 3 * mass.nbytes
