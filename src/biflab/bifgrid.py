@@ -9,7 +9,8 @@ carries total mass 1 in one complex parameter; every other stated
 density follows from that choice.
 
 The scans run no orbit loop here but ``potential.escape_rate``, the one
-escape-rate kernel.
+escape-rate kernel, on blocks of cells whose parameters each block forms
+from the box axes.
 """
 
 from __future__ import annotations
@@ -28,9 +29,13 @@ from .errors import (
     NotPlurisubharmonic,
     ResolutionExceeded,
 )
-from .potential import _power_step, escape_rate
+from .potential import _blocks, escape_rate
 
 SCAN_MAXITER = 512
+# largest grid a scan takes, in cells: 4096^2, 4x the largest README or
+# benchmark grid (2048^2); `ddc --res 4096` on the README box peaks at
+# 970 MB RSS on a 2-core Xeon
+MAX_GRID_CELLS = 2 ** 24
 MIN_CLOUD_POINTS = 1000
 # a wedge warns when clamping removed more than this share of its mass
 CLAMP_WARN_SHARE = 0.05
@@ -78,18 +83,13 @@ class Box:
         return tuple(2.0 * h / resolution for h in self.half_heights)
 
     def axes(self, resolution):
-        """Cell-center coordinates, one (x, y) pair per complex coordinate."""
+        """Cell-center coordinates of the 2m real axes, in value-array
+        axis order (re1, im1[, re2, im2])."""
         out = []
         t = (np.arange(resolution) + 0.5) / resolution
         for c, hw, hh in zip(self.centers, self.half_widths, self.half_heights):
-            out.append((complex(c).real - hw + 2.0 * hw * t,
-                        complex(c).imag - hh + 2.0 * hh * t))
+            out += [complex(c).real - hw + 2.0 * hw * t, complex(c).imag - hh + 2.0 * hh * t]
         return out
-
-    def param_grids(self, resolution):
-        """Complex coordinate arrays of shape (resolution,) * 2m."""
-        mesh = np.meshgrid(*_cell_center_coords(self, resolution), indexing="ij")
-        return [mesh[2 * i] + 1j * mesh[2 * i + 1] for i in range(self.m)]
 
 
 @dataclass
@@ -188,7 +188,7 @@ def _field_index(family, which):
         raise ValueError(f"unknown field {which!r}: a field is L or G<j>, "
                          f"j a critical index in decimal digits (G0, G1, ...)")
     j = int(which[1:])
-    if not 0 <= j < len(family.critical_rows([0j] * family.param_dim)):
+    if not 0 <= j < len(family.marked_critical_points([0j] * family.param_dim)):
         raise ValueError(f"critical index {j} out of range")
     return j
 
@@ -199,30 +199,45 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
     ``which``: "L" (Lyapunov, log d + sum of critical Green values at the
     critical values) or "G<j>" (Green value of marked critical point j,
     taken at its critical value), j written in plain decimal; any other
-    name (``G``, ``Gx``, ``G+0``, ``G00``) is a ValueError.
+    name (``G``, ``Gx``, ``G+0``, ``G00``) is a ValueError, and so is a
+    grid of more than MAX_GRID_CELLS cells.
+
+    The flat cell range is split into contiguous blocks (``_blocks``).
+    Each block forms its cells' parameters x + iy from the box axes and
+    runs ``escape_rate`` on them alone.  A cell's orbit, its exit step
+    and the steps at which its z is saved depend only on its parameter,
+    so the split changes no bit of the field.
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     j = _field_index(family, which)
-    lams = box.param_grids(resolution)
-    rows = family.coeff_rows(lams)
-    crit = family.critical_rows(lams)
-    meta = {"which": which, "maxiter": maxiter}
+    shape = (resolution,) * (2 * box.m)
+    cells = resolution ** (2 * box.m)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"resolution {resolution} gives {cells} cells, above the "
+                         f"{MAX_GRID_CELLS} of MAX_GRID_CELLS")
+    axes = box.axes(resolution)
+    mults = [k for _, k in family.marked_critical_points([0j] * family.param_dim)]
+    vals = np.empty(cells)
 
-    def green_field(j):
-        return escape_rate(family, rows, _power_step(family, rows, crit[j][0]), maxiter)
+    def run(lo, hi):
+        ix = np.unravel_index(np.arange(lo, hi), shape)
+        lams = [axes[2 * i][ix[2 * i]] + 1j * axes[2 * i + 1][ix[2 * i + 1]]
+                for i in range(box.m)]
+        if j is not None:
+            vals[lo:hi] = escape_rate(family, lams, j, maxiter)
+            return
+        vals[lo:hi] = math.log(family.degree)
+        for k, mult in enumerate(mults):
+            vals[lo:hi] += mult * escape_rate(family, lams, k, maxiter)
 
-    if j is None:
-        vals = np.full(lams[0].shape, math.log(family.degree))
-        for j, (_, mult) in enumerate(crit):
-            vals = vals + mult * green_field(j)
-    else:
-        vals = green_field(j)
+    _blocks(run, cells)
+    vals = vals.reshape(shape)
     nan_count = int(np.sum(~np.isfinite(vals)))
     return GridField(box=box, resolution=resolution, values=vals,
-                     meta=meta, nan_count=nan_count)
+                     meta={"which": which, "maxiter": maxiter}, nan_count=nan_count)
 
 
 # ----------------------------------------------------------------------
@@ -377,13 +392,6 @@ def monge_ampere2(gfield, mollify_radius=None):
 # ----------------------------------------------------------------------
 # radial masses and dimension estimators
 
-def _cell_center_coords(box, resolution):
-    flats = []
-    for x, y in box.axes(resolution):
-        flats.extend([x, y])
-    return flats
-
-
 def radial_masses(measure, center, radii):
     """mu(ball(center, r_k)) by cell summation; cells cut by the sphere
     contribute their subsampled covered fraction."""
@@ -399,7 +407,7 @@ def radial_masses(measure, center, radii):
             f"r_min = {radii[-1]:.3g} below 3 cell widths ({3 * hmax:.3g})")
     ctr = np.atleast_1d(np.asarray(center, dtype=complex))
     cvec = np.array([ctr.real, ctr.imag]).T.ravel()
-    flats = _cell_center_coords(box, res)
+    flats = box.axes(res)
     # the distance to the centre adds the squared offsets of each real
     # axis, broadcast from 1-d, so no array of cell coordinates is formed
     dist = np.zeros(tuple(len(a) for a in flats))
@@ -457,12 +465,15 @@ def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
     """Regression slope of log mu(ball(center, eps/m_n^+)) against n,
     compared with the -q log d scaling law.
 
-    ``m_plus``: log m_n^+ values for n = 1, 2, ...; ``eps`` must be
-    positive and finite.
+    ``m_plus``: log m_n^+ values for n = 1, 2, ..., strictly increasing;
+    ``eps`` must be positive and finite.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"mass scaling eps must be positive and finite, got {eps}")
-    radii = eps * np.exp(-np.asarray(m_plus, dtype=float))
+    m_plus = np.asarray(m_plus, dtype=float)
+    if not np.all(np.diff(m_plus) > 0):
+        raise ValueError(f"m_plus must be strictly increasing, got {m_plus.tolist()}")
+    radii = eps * np.exp(-m_plus)
     h = max(measure.box.cell_widths(measure.resolution)
             + measure.box.cell_heights(measure.resolution))
     usable = int(np.sum(radii >= 3.0 * h))
@@ -524,11 +535,13 @@ def _nearest_distances(xy, count):
 
 def box_dimension(points, scales):
     """Box-counting slope of log N(eps) against log(1/eps) for a planar
-    point cloud."""
+    point cloud; every scale eps must be positive."""
     pts = np.asarray(points, dtype=complex).ravel()
     if len(pts) < MIN_CLOUD_POINTS:
         raise ValueError(f"need >= {MIN_CLOUD_POINTS} points, got {len(pts)}")
     scales = np.asarray(sorted(set(float(s) for s in scales), reverse=True))
+    if not np.all(scales > 0):
+        raise ValueError(f"box-counting scales must be positive, got {scales.tolist()}")
     xy = np.column_stack([pts.real, pts.imag])
     if not np.all(np.isfinite(xy)):
         raise ValueError("cloud points must be finite")

@@ -112,10 +112,9 @@ def write_field_csv(path, box, resolution, values, value_name="value"):
     ns = range(1, box.m + 1)
     header = ",".join([f"{a}{i}" for i in ns for a in ("ix", "iy")]
                       + [f"{a}{i}" for i in ns for a in ("re", "im")] + [value_name])
-    coords = [a for pair in box.axes(resolution) for a in pair]
     columns = [_cell_lookup(_strings("%d", range(n)), v.shape, k) for k, n in enumerate(v.shape)]
     columns += [_cell_lookup(_strings("%.17g", a.tolist()), v.shape, k)
-                for k, a in enumerate(coords)]
+                for k, a in enumerate(box.axes(resolution))]
     columns.append(_distinct_lookup(v))
     _write_csv(path, header, v.size, columns)
 

@@ -9,7 +9,10 @@ function, growing like log|c|), G_j >= 0 with equality exactly on bounded
 critical orbits, and dd^c of the quadratic G_0 carries unit total mass.
 
 ``escape_rate``, stepping in power form (``_power_step``), is the one
-escape-rate kernel: the grid scans and ``critical_green_sum`` run it.
+escape-rate kernel.  It takes parameter coordinates and a marked
+critical index, and starts each orbit at that point's critical value.
+The grid scans run it on each block of cells, and
+``critical_green_sum`` on one parameter.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ PLANE_MAXITER = 2048
 # Largest block of a split kernel, in points.  Every worker holds one
 # block's temporaries at a time, and each block pays the loop's fixed
 # cost per step, so the length trades peak memory against that cost.
-# On 2 cores, 2^17 scanned a 1024^2 grid about 0.04 s faster, but the
-# freed block temporaries that the pool thread's malloc arena keeps
-# raised the peak RSS of `ddc` at that size above the serial loop's;
-# 2^16 keeps it below.
+# On 2 cores, `ddc` of the README's 1024^2 grid peaked at 128 MB RSS
+# with 2^16 and at 139 MB with 2^17, in the same wall time: the pool
+# thread's malloc arena keeps freed block temporaries.  One worker
+# peaked at 124 MB.
 _BLOCK = 1 << 16
 
 # the pool threads of _blocks, made on its first split with one thread
@@ -55,21 +58,21 @@ def _blocks(run, n):
     One worker per CPU the process may run on, and no more workers than
     points: the calling thread and workers - 1 pool threads take blocks
     from a shared queue.  The block count is a multiple of the workers,
-    with blocks of at most ``_BLOCK`` points.  With one worker
-    ``run(0, n)`` runs inline.  Each pool task runs in a copy of the
-    caller's context, so numpy's errstate (a context variable) holds in
-    every block.  An exception raised in a block is re-raised here with
-    its type (the calling thread's, if blocks of several threads fail),
-    and blocks not yet started are left undone.
+    with blocks of at most ``_BLOCK`` points and at least one block.
+    With one worker the blocks run inline, in order.  Each pool task runs
+    in a copy of the caller's context, so numpy's errstate (a context
+    variable) holds in every block.  An exception raised in a block is
+    re-raised here with its type (the calling thread's, if blocks of
+    several threads fail), and blocks not yet started are left undone.
     """
     global _pool
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(cpus, n)
-    if workers < 2:
-        return [run(0, n)]
-    count = workers * -(-n // (workers * _BLOCK))
+    workers = max(1, min(cpus, n))
+    count = max(1, workers * -(-n // (workers * _BLOCK)))
     bounds = [(n * i // count, n * (i + 1) // count) for i in range(count)]
+    if workers < 2:
+        return [run(lo, hi) for lo, hi in bounds]
     todo = queue.SimpleQueue()
     for i in range(count):
         todo.put(i)
@@ -191,11 +194,12 @@ def _power_step(family, rows, z):
     return out
 
 
-def escape_rate(family, rows, z0, maxiter):
+def escape_rate(family, lams, j, maxiter):
     """Escape-rate Green values g = d^{-n} (log|z_n| + gamma), gamma =
-    log|lead| / (d - 1), at the first n with |z_n| > PLANE_BIG, of every
-    orbit z_0 = z0[i] under f with ``coeff_rows`` ``rows`` (arrays of
-    z0's shape); g = 0 where no such n <= ``maxiter`` exists.
+    log|lead| / (d - 1), of marked critical point j at the parameter
+    coordinates ``lams`` (m 1-d arrays of one length, as for ``coeff_rows``):
+    z_0 is the critical value f(c_j), n the first step with |z_n| >
+    PLANE_BIG, and g = 0 where no such n <= ``maxiter`` exists.
 
     The loop carries only the points still iterated, and retires a point
     whose float orbit repeats exactly: it keeps a copy of z taken at each
@@ -206,56 +210,43 @@ def escape_rate(family, rows, z0, maxiter):
     from m to n and so never passes PLANE_BIG, which is g = 0 at
     ``maxiter``.  NaN never compares equal, so NaN orbits keep iterating;
     orbits that differ only in the sign of a zero have equal magnitudes.
-
-    The points are split into contiguous index blocks (``_blocks``), each
-    run through this loop on its own.  A point's orbit, its exit step
-    and the steps at which its z is saved depend only on the point, so
-    the split changes no bit of g.
     """
     d = family.degree
+    rows = family.coeff_rows(lams)
+    z = _power_step(family, rows, family.critical_rows(lams)[j][0])
     gamma = math.log(abs(rows[d])) / (d - 1)
-    flat = z0.ravel()
-    flat_rows = [r.ravel() if np.ndim(r) else r for r in rows]
-    g = np.zeros(flat.size, dtype=float)
-
-    def run(lo, hi):
-        z = flat[lo:hi].copy()
-        idx = np.arange(lo, hi)
-        cur = [r[lo:hi] if np.ndim(r) else r for r in flat_rows]
-        saved = None
-        for n in range(maxiter + 1):
-            leave = np.abs(z) > PLANE_BIG
-            if np.any(leave):
-                g[idx[leave]] = d ** (-float(n)) * (np.log(np.abs(z[leave])) + gamma)
-            if saved is not None and n % 8 == 0:
-                leave |= z == saved
-            if np.any(leave):
-                keep = ~leave
-                z, idx = z[keep], idx[keep]
-                cur = [r[keep] if np.ndim(r) else r for r in cur]
-                if saved is not None:
-                    saved = saved[keep]
-            if idx.size == 0 or n == maxiter:
-                break
-            if n >= 8 and n & (n - 1) == 0:
-                saved = z.copy()
-            z = _power_step(family, cur, z)
-
-    _blocks(run, flat.size)
-    return g.reshape(z0.shape)
+    g = np.zeros(z.size)
+    idx = np.arange(z.size)
+    saved = None
+    for n in range(maxiter + 1):
+        leave = np.abs(z) > PLANE_BIG
+        if np.any(leave):
+            g[idx[leave]] = d ** (-float(n)) * (np.log(np.abs(z[leave])) + gamma)
+        if saved is not None and n % 8 == 0:
+            leave |= z == saved
+        if np.any(leave):
+            keep = ~leave
+            z, idx = z[keep], idx[keep]
+            rows = [r[keep] if np.ndim(r) else r for r in rows]
+            if saved is not None:
+                saved = saved[keep]
+        if idx.size == 0 or n == maxiter:
+            break
+        if n >= 8 and n & (n - 1) == 0:
+            saved = z.copy()
+        z = _power_step(family, rows, z)
+    return g
 
 
 def critical_green_sum(family, lam):
     """Sum over marked critical points of mult_j * G_j(lambda), G_j the
     Green value at the critical value (see the module docstring): the
-    scans' step and kernel on one-point arrays, so G_j has the bits of
-    the scan field ``G<j>`` at ``maxiter`` PLANE_MAXITER."""
+    scans' kernel on one-point arrays, so G_j has the bits of the scan
+    field ``G<j>`` at ``maxiter`` PLANE_MAXITER."""
     lams = list(np.asarray(lam, dtype=complex).reshape(-1, 1))
-    rows = family.coeff_rows(lams)
     total = 0.0
-    for c, mult in family.critical_rows(lams):
-        g = escape_rate(family, rows, _power_step(family, rows, c), PLANE_MAXITER)
-        total += mult * float(g[0])
+    for j, (_, mult) in enumerate(family.critical_rows(lams)):
+        total += mult * float(escape_rate(family, lams, j, PLANE_MAXITER)[0])
     return total
 
 

@@ -94,7 +94,8 @@ def test_c03_demarco_current_identity():
     G = scan_field(QUAD, FULL_BOX, res, "G0")
     diff = L
     diff.values = L.values - G.values
-    lam = FULL_BOX.param_grids(res)[0]
+    x, y = FULL_BOX.axes(res)
+    lam = x[:, None] + 1j * y
     harmonic = scan_field(QUAD, FULL_BOX, res, "G0")
     harmonic.values = (lam * lam).real
     floor = float(np.max(np.abs(ddc(harmonic).raw_mass)))

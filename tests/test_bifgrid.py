@@ -29,7 +29,8 @@ QUAD = MapFamily("unicritical", 2)
 
 
 def make_field(box, res, func):
-    lam = box.param_grids(res)
+    mesh = np.meshgrid(*box.axes(res), indexing="ij")
+    lam = [mesh[2 * i] + 1j * mesh[2 * i + 1] for i in range(box.m)]
     return GridField(box=box, resolution=res, values=func(*lam))
 
 
@@ -53,7 +54,7 @@ class TestBox:
 
     def test_axes_cell_centers(self):
         b = Box((1.0 + 0j,), (1.0,))
-        x, y = b.axes(4)[0]
+        x, y = b.axes(4)
         assert np.allclose(x, [0.25, 0.75, 1.25, 1.75])
         assert np.allclose(y, [-0.75, -0.25, 0.25, 0.75])
 
@@ -185,6 +186,16 @@ class TestScan:
         with pytest.raises(ValueError, match="maxiter"):
             scan_field(QUAD, Box((0j,), (1.0,)), 8, "G0", maxiter=maxiter)
 
+    @pytest.mark.parametrize("family, box, res, cells", [
+        (QUAD, Box((0j,), (1.0,)), 4097, 4097 ** 2),
+        (MapFamily("branner_hubbard", 3), Box((0j, 0j), (1.0, 1.0)), 65, 65 ** 4),
+    ], ids=["C", "C2"])
+    def test_oversized_grid_rejected(self, family, box, res, cells):
+        # one cell past MAX_GRID_CELLS = 2^24 = 4096^2 = 64^4
+        with pytest.raises(ValueError, match=f"resolution {res} gives {cells} cells, "
+                                             f"above the 16777216 of MAX_GRID_CELLS"):
+            scan_field(family, box, res, "G0")
+
 
 class TestWedge:
     BOX = Box((0j, 0j), (1.0, 1.0))
@@ -315,6 +326,14 @@ class TestMassScaling:
         with pytest.raises(ResolutionExceeded):
             mass_scaling(mu, 0j, m_plus, q=2, d=2, eps=0.5)
 
+    @pytest.mark.parametrize("m_plus", [[2.0, 1.0, 3.0, 4.0], [1.0, 2.0, 2.0, 3.0]])
+    def test_m_plus_must_increase(self, m_plus):
+        # an unordered ladder was cut at the first radius below 3 cells
+        # ("only 2 usable scales") or refused as unordered radii
+        mu = lebesgue_measure(Box((0j,), (1.0,)), 128)
+        with pytest.raises(ValueError, match=r"^m_plus must be strictly increasing, got \["):
+            mass_scaling(mu, 0j, m_plus, q=1, d=2, eps=0.5)
+
     def test_massless_law_names_its_stage(self):
         mu = lebesgue_measure(Box((0j,), (1.0,)), 128)
         mu.cell_mass[:] = 0.0
@@ -345,6 +364,16 @@ class TestBoxDimension:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             box_dimension(np.zeros(10, dtype=complex), [0.1, 0.05])
+
+    def test_nonpositive_scale_rejected(self):
+        # 600 of 1,500 circle points doubled: the median spacing is 0, so
+        # a scale of 0 passed the spacing test and the fit read log 0
+        th = 2 * np.pi * np.arange(1500) / 1500
+        pts = np.exp(1j * np.concatenate([th, th[:600]]))
+        scales = [0.0, 0.25, 0.125, 0.0625, 0.03125]
+        with pytest.raises(ValueError, match=r"scales must be positive, got \[0.25, "):
+            box_dimension(pts, scales)
+        assert box_dimension(pts, scales[1:]).n_points == 4
 
     def test_scales_below_spacing(self):
         pts = np.linspace(0, 1, 2000).astype(complex)

@@ -683,6 +683,35 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--family", "bh3", "--box", BH3_BOX, "--res", "3000"],
+         "resolution 3000 gives 81000000000000 cells, above the 16777216 of MAX_GRID_CELLS"),
+        (["ddc", "--box", FULL_BOX, "--res", "20000000"],
+         "resolution 20000000 gives 400000000000000 cells, above the 16777216"),
+        (["dimension", "--cloud", "{cloud}", "--scales", "0,0.25,0.125,0.0625,0.03125"],
+         "box-counting scales must be positive, got [0.25, 0.125, 0.0625, 0.03125, 0.0]"),
+        *((["scaling", "--box", "-2,0:0.6x0.6", "--res", res, "--field", "G0",
+            "--center", "-2,0", "--mplus", "2.772589,1.386294,4.158883,5.545177"],
+           "m_plus must be strictly increasing, got [2.772589, 1.386294, ")
+          for res in ("128", "512")),
+    ], ids=["scan-grid", "ddc-grid", "scales-zero", "mplus-128", "mplus-512"])
+    def test_refused_input(self, tmp_path, capsys, argv, message):
+        # the grids exited 1 with an uncaught "Unable to allocate 589. TiB";
+        # the zero scale, on a cloud whose median spacing is 0, wrote
+        # "slope": NaN with exit 0; the unordered ladder exited 3 with
+        # "only 2 usable scales" at 128^2 and 2 with "radii must be
+        # strictly decreasing" at 512^2
+        th = 2 * np.pi * np.arange(1500) / 1500
+        cloud = tmp_path / "cloud.csv"
+        bio.write_cloud_csv(cloud, np.exp(1j * np.concatenate([th, th[:600]])))
+        out = tmp_path / "run"
+        argv = [a.replace("{cloud}", str(cloud)) for a in argv]
+        if "--family" not in argv:
+            argv += ["--family", "unicritical2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_anchor(self, tmp_path, capsys):
         # used to exit 2 with "min() arg is an empty sequence"
         out = tmp_path / "run"

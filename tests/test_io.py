@@ -31,8 +31,8 @@ def _savetxt_field_csv(path, box, resolution, values, value_name):
     axes = box.axes(resolution)
     cols = [a.astype(float) for a in idx]
     for i in range(m):
-        cols.append(axes[i][0][idx[2 * i]])
-        cols.append(axes[i][1][idx[2 * i + 1]])
+        cols.append(axes[2 * i][idx[2 * i]])
+        cols.append(axes[2 * i + 1][idx[2 * i + 1]])
     cols.append(v.ravel())
     table = np.column_stack(cols)
     fmt = ["%d"] * (2 * m) + ["%.17g"] * (2 * m + 1)
@@ -150,7 +150,7 @@ class TestCsv:
         assert lines[0] == "ix1,iy1,re1,im1,g"
         assert len(lines) == 17
         first = lines[1].split(",")
-        x, y = box.axes(res)[0]
+        x, y = box.axes(res)
         assert float(first[2]) == x[0] and float(first[3]) == y[0]
         assert float(first[4]) == 0.0
 
@@ -200,8 +200,7 @@ class TestCsv:
         back = np.array([float(row[4 * m]) for row in table])
         assert all(len(row) == 4 * m + 1 for row in table)
         assert np.array_equal(idx.T, np.indices(values.shape).reshape(2 * m, -1))
-        axes = [a for pair in box.axes(res) for a in pair]
-        for k, axis in enumerate(axes):
+        for k, axis in enumerate(box.axes(res)):
             assert np.array_equal(coords[:, k].view(np.uint64), axis[idx[:, k]].view(np.uint64))
         flat = values.reshape(-1)
         nan = np.isnan(flat)

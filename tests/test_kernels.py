@@ -4,9 +4,9 @@ replaced.
 Each reference below is the earlier implementation, kept verbatim as the
 oracle: the two Newton loops (the cycle solve of the deleted
 ``find_periodic`` and the cycle helper of the continuation code), the
-grid scan's escape-rate loop, with its old coefficient recurrence
-and power-form step, which also serves as the oracle of the one kernel
-at arbitrary start points, the two
+grid scan's escape-rate loop, with its old coefficient recurrence,
+power-form step and meshgrid of parameters, which also serves as the
+oracle of the one kernel at parameters off any grid, the two
 second-difference stencils (``_local_mass`` and the Hessian's ``d2``
 and ``dxy``) and the wedge measure with its cell-count warning,
 the rational chart and Taylor-shift code, the per-point Cantor cloud loop
@@ -21,7 +21,7 @@ repeating orbits early, and they, the Cantor and the activity references
 pin the files the CLI writes; the activity references also pin the
 c05 and c12 certificates, and the landing references pin them with
 their verify reports.  The block-split tests run the sampler and the
-escape-rate loop on 1, 2 and 3 CPUs with blocks shrunk so that small
+grid scan on 1, 2 and 3 CPUs with blocks shrunk so that small
 inputs split, against the same references; the sampler's reference is
 the loop that solved the preimages of every sample at every step, and
 the shared-prefix tests also count the points the sampler solves.
@@ -625,6 +625,14 @@ def old_grid_apply(family, lams, z, sig=None, top=None):
     raise ValueError(f"grid scans require a polynomial kind, got {family.kind!r}")
 
 
+def old_param_grids(box, resolution):
+    """Complex coordinate arrays of shape (resolution,) * 2m: the meshgrid
+    of the box axes that ``Box.param_grids`` built before scans formed
+    each block's parameters from the axes."""
+    mesh = np.meshgrid(*box.axes(resolution), indexing="ij")
+    return [mesh[2 * i] + 1j * mesh[2 * i + 1] for i in range(box.m)]
+
+
 def old_grid_green(family, lams, z0, maxiter=512, big=1e12):
     d = family.degree
     lead = 1.0 / d if family.kind == "branner_hubbard" else 1.0
@@ -665,8 +673,6 @@ BOUNDED_IDS = ["cardioid", "bulb2", "bulb3", "junction", "zoom", "cusp"]
 BH3_BOXES = [Box((0j, 0.3 + 0.1j), (1.5, 1.2)), Box((0.2 + 0j, 0.1 + 0.1j), (0.6, 0.6))]
 
 NAN, INF = float("nan"), float("inf")
-SPECIAL_Z = np.array([0j, 1j, -1.0 + 0j, 2.0 + 0j, complex(NAN, 0.0), complex(INF, 0.0),
-                      complex(-0.0, -0.0), 0.3 - 0.2j])
 
 
 def special_lams():
@@ -690,36 +696,38 @@ class TestEscapeRate:
     ], ids=["unicritical2", "unicritical2-zoom", "bh3"])
     def test_scan_field(self, monkeypatch, fam, box, res, fields):
         new = [scan_field(fam, box, res, f, maxiter=200).values for f in fields]
-        monkeypatch.setattr(bifgrid, "escape_rate", old_loop_over(box.param_grids(res)))
+        # each block's parameters have the bits of the old parameter grid
+        assert same_bits(new[0], old_loop_over(fam, old_param_grids(box, res), 0, 200))
+        monkeypatch.setattr(bifgrid, "escape_rate", old_loop_over)
         old = [scan_field(fam, box, res, f, maxiter=200).values for f in fields]
         for a, b in zip(new, old):
             assert same_bits(a, b)
 
     def test_kernel_at_any_point(self):
-        # random start points at one parameter, not only critical values
+        # random parameters off any grid, from each marked critical value
         rng = np.random.default_rng(5)
         for fam in (QUAD, CUBIC, BH3, MapFamily("branner_hubbard", 4)):
-            lam = random_seeds(rng, fam.param_dim, 1.0)
-            for shape in [(), (7,), (5, 6)]:
-                z = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                for maxiter in (0, 3, 60, 2048):
-                    g, g0 = point_green_pair(fam, lam, z, maxiter)
-                    assert same_bits(g, g0) and g.shape == np.shape(z)
-        # bounded orbits, and one that escapes on the first test
-        g, g0 = point_green_pair(QUAD, [-1.0 + 0j],
-                                 np.array([0j, -1.0 + 0j, 1e13 + 0j, 2.0 + 0j]), 2048)
+            for size in (1, 7, 30):
+                lams = [2.0 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+                        for _ in range(fam.param_dim)]
+                for j in range(fam.degree - 1 if fam.kind == "branner_hubbard" else 1):
+                    for maxiter in (0, 3, 60, 2048):
+                        g, g0 = grid_green_pair(fam, lams, j, maxiter)
+                        assert same_bits(g, g0) and g.shape == (size,)
+        # bounded critical orbits, and one that escapes on the first test
+        g, g0 = grid_green_pair(QUAD, [np.array([-1.0 + 0j, 0j, 1e13 + 0j, 2.0 + 0j])], 0, 2048)
         assert same_bits(g, g0) and (g > 0).tolist() == [False, False, True, True]
 
     @pytest.mark.parametrize("box", BOUNDED_BOXES, ids=BOUNDED_IDS)
     @pytest.mark.parametrize("maxiter", [512, 1024])
     def test_bounded_grids(self, box, maxiter):
-        new, old = grid_green_pair(QUAD, box.param_grids(64), 0, maxiter)
+        new, old = grid_green_pair(QUAD, old_param_grids(box, 64), 0, maxiter)
         assert same_bits(new, old)
 
     @pytest.mark.parametrize("box", BH3_BOXES, ids=["wide", "bounded"])
     def test_bh3_fields(self, monkeypatch, box):
         new = [scan_field(BH3, box, 10, f, maxiter=512).values for f in ("G0", "G1", "L")]
-        monkeypatch.setattr(bifgrid, "escape_rate", old_loop_over(box.param_grids(10)))
+        monkeypatch.setattr(bifgrid, "escape_rate", old_loop_over)
         old = [scan_field(BH3, box, 10, f, maxiter=512).values for f in ("G0", "G1", "L")]
         for a, b in zip(new, old):
             assert same_bits(a, b)
@@ -730,7 +738,7 @@ class TestEscapeRate:
         # 256 KiB threshold for temporary elision, which would swap the
         # operands of ``row * z ** j``
         box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.8, 0.8))
-        lams = box.param_grids(14)
+        lams = old_param_grids(box, 14)
         split(1, potential._BLOCK)
         new = scan_field(BH3, box, 14, f"G{j}", maxiter=512).values
         old = old_grid_green(BH3, lams, old_critical_values(BH3, lams, j), maxiter=512)
@@ -743,9 +751,6 @@ class TestEscapeRate:
                 assert same_bits(*grid_green_pair(QUAD, quad_lams, 0, maxiter))
                 for j in (0, 1):
                     assert same_bits(*grid_green_pair(BH3, bh3_lams, j, maxiter))
-            for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j):
-                for maxiter in (8, 16, 100, 2048):
-                    assert same_bits(*point_green_pair(QUAD, [c], SPECIAL_Z, maxiter))
 
     @settings(max_examples=40, deadline=None)
     @given(fam=st.sampled_from([QUAD, CUBIC, BH3]), j=st.integers(0, 1),
@@ -757,18 +762,18 @@ class TestEscapeRate:
         m = fam.param_dim
         box = Box((complex(re, im),) * m, (half,) * m, (half * aspect,) * m)
         j = j if fam is BH3 else 0
-        lams = box.param_grids(res if m == 1 else min(res, 8))
+        lams = old_param_grids(box, res if m == 1 else min(res, 8))
         assert same_bits(*grid_green_pair(fam, lams, j, maxiter))
 
     def test_exact_cycle_retires_early(self, monkeypatch):
-        # the critical orbit 0, -1, 0, ... of z^2 - 1 repeats z_8 at step
-        # 16; the old loop stepped it 2048 times
+        # the orbit -1, 0, -1, ... of the critical value of z^2 - 1 repeats
+        # z_8 at step 16: one step makes the critical value and 16 more
+        # run the loop, where the old loop stepped it 2048 times
         calls = []
         step = potential._power_step
         monkeypatch.setattr(potential, "_power_step", lambda *a: calls.append(1) or step(*a))
-        g = potential.escape_rate(QUAD, QUAD.coeff_rows([np.array([-1.0 + 0j])]),
-                                  np.array([0j]), 2048)
-        assert len(calls) <= 16 and same_bits(g, np.zeros(1))
+        g = potential.escape_rate(QUAD, [np.array([-1.0 + 0j])], 0, 2048)
+        assert len(calls) <= 17 and same_bits(g, np.zeros(1))
 
     @pytest.mark.parametrize("fam, box, fields", [
         (QUAD, Box((-0.6 + 0.3j,), (1.6,)), ("L",)),
@@ -779,7 +784,7 @@ class TestEscapeRate:
         # one kernel serves both: at a grid cell's parameter, log d plus
         # the critical Green sum is the L scan (G0 + G1 for bh3, whose L
         # adds its terms in another order), at the sum's depth
-        lams = box.param_grids(8)
+        lams = old_param_grids(box, 8)
         scans = [scan_field(fam, box, 8, f, maxiter=potential.PLANE_MAXITER).values
                  for f in fields]
         for flat in np.random.default_rng(7).choice(lams[0].size, 40, replace=False):
@@ -805,25 +810,16 @@ def old_critical_values(fam, lams, j):
 
 def grid_green_pair(fam, lams, j, maxiter):
     """Escape-rate field of critical point j over the parameter grids
-    ``lams``, from the current step and kernel and from the old ones."""
-    rows = fam.coeff_rows(lams)
-    cv = potential._power_step(fam, rows, fam.critical_rows(lams)[j][0])
-    return (potential.escape_rate(fam, rows, cv, maxiter),
-            old_grid_green(fam, lams, old_critical_values(fam, lams, j), maxiter=maxiter))
+    ``lams``, from the current kernel on the flattened grids and from the
+    old step and loop."""
+    new = potential.escape_rate(fam, [np.ravel(lam) for lam in lams], j, maxiter)
+    return new.reshape(np.shape(lams[0])), old_loop_over(fam, lams, j, maxiter)
 
 
-def point_green_pair(fam, lam, z, maxiter):
-    """Escape rates of the start points z at the one parameter lam, from
-    the kernel and from the old grid loop on constant parameter grids."""
-    lams = [np.full(np.shape(z), l, dtype=complex) for l in lam]
-    return (potential.escape_rate(fam, fam.coeff_rows(lams), z, maxiter),
-            old_grid_green(fam, lams, z, maxiter=maxiter))
-
-
-def old_loop_over(lams):
-    """A stand-in for ``escape_rate`` that runs the old grid loop over
-    the parameter grids ``lams``."""
-    return lambda family, rows, z0, maxiter: old_grid_green(family, lams, z0, maxiter=maxiter)
+def old_loop_over(family, lams, j, maxiter):
+    """A stand-in for ``escape_rate``: the old grid loop over the
+    parameters ``lams``, from the old critical value of point j."""
+    return old_grid_green(family, lams, old_critical_values(family, lams, j), maxiter=maxiter)
 
 
 class TestEndToEnd:
@@ -837,9 +833,7 @@ class TestEndToEnd:
     ], ids=["ddc", "ma2"])
     def test_outputs_match_old_loop(self, tmp_path, monkeypatch, argv):
         assert main(argv + ["--out", str(tmp_path / "new")]) == 0
-        box = cli._parse_box(argv[argv.index("--box") + 1], cli._parse_family(argv[2]).param_dim)
-        monkeypatch.setattr(bifgrid, "escape_rate",
-                            old_loop_over(box.param_grids(int(argv[argv.index("--res") + 1]))))
+        monkeypatch.setattr(bifgrid, "escape_rate", old_loop_over)
         assert main(argv + ["--out", str(tmp_path / "old")]) == 0
         digests = [{p.name: bio.sha256_file(p) for p in (tmp_path / side).iterdir()
                     if p.name != "manifest.json"} for side in ("new", "old")]
@@ -1002,33 +996,39 @@ class TestBlockSplit:
         for vals in out[1:]:
             assert all(same_bits(a, b) for a, b in zip(vals, out[0]))
 
-    def test_special_parameters(self, split):
-        quad_lams, bh3_lams = special_lams()
+    def test_special_parameters(self, split, monkeypatch):
+        # a Box holds only finite coordinates, so the axes are swapped for
+        # ones that hold exact float cycles (c = -2, 0, -1), nan, +-inf
+        # and signed zeros
+        special = [-2.0, 0.0, -0.0, -1.0, NAN, INF, -INF, 1.0, -1.75, 0.25, -0.75, 2.0,
+                   0.5, -0.5, 1e300, 0.3]
         with np.errstate(invalid="ignore", over="ignore"):
-            for fam, lams, j in [(QUAD, quad_lams, 0), (BH3, bh3_lams, 0), (BH3, bh3_lams, 1)]:
-                cv = old_critical_values(fam, lams, j)
-                rows = fam.coeff_rows(lams)
+            for fam, res, block, fields in [(QUAD, 16, 16, ("G0", "L")),
+                                            (BH3, 8, 256, ("G0", "G1", "L"))]:
+                box = Box((0j,) * fam.param_dim, (1.0,) * fam.param_dim)
+                monkeypatch.setattr(Box, "axes", lambda self, n: [
+                    np.roll(special, 5 * k)[:n] for k in range(2 * self.m)])
+                lams = old_param_grids(box, res)
                 for maxiter in (8, 17, 512):
-                    ref = old_grid_green(fam, lams, cv, maxiter=maxiter)
-                    for g in each_worker_count(split, 16, lambda: potential.escape_rate(
-                            fam, rows, cv, maxiter)):
-                        assert same_bits(g, ref)
+                    ref = old_loop_over(fam, lams, 0, maxiter)
+                    out = each_worker_count(split, block, lambda: [
+                        scan_field(fam, box, res, f, maxiter=maxiter).values for f in fields])
+                    assert same_bits(out[0][0], ref)
+                    for vals in out[1:]:
+                        assert all(same_bits(a, b) for a, b in zip(vals, out[0]))
 
     def test_kernel_at_any_point(self, split):
+        # random boxes, rectangular ones too, in blocks of 3 cells (100
+        # for the 8^4 cells of bh3)
         rng = np.random.default_rng(11)
-        cases = [(QUAD, [c], SPECIAL_Z) for c in (-2.0 + 0j, 0j, 1j, -1.0 + 0j)]
-        for fam in (QUAD, CUBIC, BH3):
-            lam = random_seeds(rng, fam.param_dim, 1.0)
-            for shape in [(), (7,), (5, 6), (40,)]:
-                z = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                cases.append((fam, lam, z))
-        with np.errstate(invalid="ignore", over="ignore"):
-            for fam, lam, z in cases:
-                lams = [np.full(np.shape(z), l, dtype=complex) for l in lam]
-                ref = old_grid_green(fam, lams, z, maxiter=100)
-                rows = fam.coeff_rows(lams)
-                for g in each_worker_count(split, 3, lambda: potential.escape_rate(
-                        fam, rows, z, 100)):
+        for fam, res, block in ((QUAD, 9, 3), (CUBIC, 11, 3), (BH3, 8, 100)):
+            for _ in range(3):
+                m = fam.param_dim
+                box = Box(tuple(random_seeds(rng, m, 1.0)), tuple(rng.uniform(0.1, 1.5, m)),
+                          tuple(rng.uniform(0.1, 1.5, m)))
+                ref = old_loop_over(fam, old_param_grids(box, res), 0, 100)
+                for g in each_worker_count(split, block, lambda: scan_field(
+                        fam, box, res, "G0", maxiter=100).values):
                     assert same_bits(g, ref)
 
     @pytest.mark.parametrize("argv", [
@@ -1047,22 +1047,20 @@ class TestBlockSplit:
         assert "manifest.json" in digests[0] and digests[0] == digests[1]
 
     def test_errstate_in_every_block(self, split):
-        # the huge z^2 row of c_1 = 2e300 overflows on the first step from
-        # 1e11, in every block: under "raise" the kernel fails with either
-        # worker count, and under "ignore" no block warns, which a pool
-        # thread outside the caller's context would
-        lams = [np.full((16, 16), 2e300 + 0j), np.zeros((16, 16), dtype=complex)]
-        rows = BH3.coeff_rows(lams)
-        z0 = np.full((16, 16), 1e11 + 0j)
-        for k in (1, 2):
+        # the huge z^2 row of c_1 ~ 2e300 overflows on the first step from
+        # the critical value a^3 ~ 1e9, in every block: under "raise" the
+        # scan fails with each worker count, and under "ignore" no block
+        # warns, which a pool thread outside the caller's context would
+        box = Box((2e300 + 0j, 1e3 + 0j), (1.0, 1.0))
+        for k in (1, 2, 3):
             split(k, 16)
             with np.errstate(over="raise"):
                 with pytest.raises(FloatingPointError):
-                    potential.escape_rate(BH3, rows, z0, 64)
+                    scan_field(BH3, box, 8, "G0", maxiter=64)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with np.errstate(over="ignore"):
-                    potential.escape_rate(BH3, rows, z0, 64)
+                    assert scan_field(BH3, box, 8, "G0", maxiter=64).nan_count == 8 ** 4
 
     def test_block_failure_keeps_its_type(self, split, monkeypatch, tmp_path):
         # 5 samples on 2 CPUs are the blocks [0, 2) and [2, 5); the
@@ -1301,7 +1299,7 @@ class TestStencils:
         # wedge and an indefinite field that clamps every interior cell
         box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4))
         g0, g1 = (scan_field(BH3, box, 10, f, maxiter=64) for f in ("G0", "G1"))
-        a, b = box.param_grids(10)
+        a, b = old_param_grids(box, 10)
         saddle = bifgrid.GridField(box, 10, np.abs(a) ** 2 - np.abs(b) ** 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotPlurisubharmonic)

@@ -1,14 +1,16 @@
 """Peak numpy allocation of the stages that once stored a per-point array
-that is a function of its index: the words of a Cantor cloud, and the
-coordinate mesh of radial masses.  tracemalloc counts numpy's buffers, so
-a peak far above the result's own size means such an array is back."""
+that is a function of its index: the words of a Cantor cloud, the
+coordinate mesh of radial masses, and the parameter grid and critical
+values of a scan.  tracemalloc counts numpy's buffers, so a peak far
+above the result's own size means such an array is back."""
 
+import os
 import tracemalloc
 
 import numpy as np
 
 from biflab import hyperbolic
-from biflab.bifgrid import Box, MeasureField, radial_masses
+from biflab.bifgrid import Box, MeasureField, radial_masses, scan_field
 from biflab.families import MapFamily
 
 
@@ -40,3 +42,14 @@ def test_radial_masses_form_no_coordinate_mesh():
     prof, peak = peak_bytes(lambda: radial_masses(mu, -0.75 + 0.1j, [2.0, 1.0, 0.5, 0.25, 0.1]))
     assert np.all(prof.masses > 0)
     assert peak < 3 * mass.nbytes
+
+
+def test_scan_forms_no_parameter_grid(monkeypatch):
+    # the README's 1024^2 G0 scan on 2 workers, each holding one block's
+    # temporaries; a complex grid of parameters or of critical values
+    # alone is 2x the field
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    field, peak = peak_bytes(lambda: scan_field(
+        MapFamily("unicritical", 2), Box((-0.5 + 0j,), (2.5,), (2.0,)), 1024, "G0"))
+    assert field.values.shape == (1024, 1024)
+    assert peak < 3 * field.values.nbytes

@@ -55,9 +55,9 @@ class TestGreen:
         # small terms returned G = 0 for an escaping orbit
         lams = list(np.asarray(lam, dtype=complex).reshape(-1, 1))
         rows = fam.coeff_rows(lams)
-        for c, _ in fam.critical_rows(lams):
+        for j, (c, _) in enumerate(fam.critical_rows(lams)):
             cv = _power_step(fam, rows, c)
-            ref = escape_rate(fam, rows, cv, PLANE_MAXITER)[0]
+            ref = escape_rate(fam, lams, j, PLANE_MAXITER)[0]
             g = green_at(fam, lam, LiftVector.of(complex(cv[0]), 1.0 + 0j))
             assert g.converged and ref > 0.0 and abs(g.value - ref) < GREEN_TOL
 
@@ -66,7 +66,7 @@ class TestGreen:
         rng = np.random.default_rng(23)
         for _ in range(40):
             c = complex(rng.uniform(-2.5, 1.5), rng.uniform(-2, 2))
-            g = escape_rate(QUAD, QUAD.coeff_rows([np.array([c])]), np.array([c]), PLANE_MAXITER)
+            g = escape_rate(QUAD, [np.array([c])], 0, PLANE_MAXITER)
             ob = orbit(QUAD, [c], complex(c), 400)
             assert g[0] >= 0.0
             assert (g[0] > 0.0) == ob.escaped
