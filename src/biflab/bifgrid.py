@@ -64,8 +64,10 @@ class Box:
         if not all(cmath.isfinite(v)
                    for v in self.centers + self.half_widths + self.half_heights):
             raise ValueError("box centers, half-widths and half-heights must be finite")
-        if any(h <= 0 for h in self.half_widths + self.half_heights):
-            raise ValueError("half-widths must be positive")
+        for name, halves in (("half-widths", self.half_widths),
+                             ("half-heights", self.half_heights)):
+            if any(h <= 0 for h in halves):
+                raise ValueError(f"{name} must be positive, got {list(halves)}")
 
     @property
     def m(self):
@@ -392,15 +394,21 @@ def monge_ampere2(gfield, mollify_radius=None):
 # ----------------------------------------------------------------------
 # radial masses and dimension estimators
 
+def decreasing_radii(radii):
+    """``radii`` as a float array; a ValueError unless strictly decreasing."""
+    radii = np.asarray(radii, dtype=float)
+    if np.any(np.diff(radii) >= 0):
+        raise ValueError("radii must be strictly decreasing")
+    return radii
+
+
 def radial_masses(measure, center, radii):
     """mu(ball(center, r_k)) by cell summation; cells cut by the sphere
     contribute their subsampled covered fraction."""
     box, res = measure.box, measure.resolution
     # per real axis, in the order re1, im1, re2, im2, ...
     hs = np.array([box.cell_widths(res), box.cell_heights(res)]).T.ravel()
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) >= 0):
-        raise ValueError("radii must be strictly decreasing")
+    radii = decreasing_radii(radii)
     hmax = float(np.max(hs))
     if radii[-1] < 3.0 * hmax:
         raise ResolutionExceeded(
@@ -461,18 +469,25 @@ def pointwise_dimension(profile):
                              n_points=len(radii))
 
 
-def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
-    """Regression slope of log mu(ball(center, eps/m_n^+)) against n,
-    compared with the -q log d scaling law.
-
-    ``m_plus``: log m_n^+ values for n = 1, 2, ..., strictly increasing;
-    ``eps`` must be positive and finite.
-    """
+def scaling_ladder(m_plus, eps):
+    """``m_plus`` as a float array; a ValueError unless ``eps`` is positive
+    and finite and ``m_plus`` strictly increasing."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"mass scaling eps must be positive and finite, got {eps}")
     m_plus = np.asarray(m_plus, dtype=float)
     if not np.all(np.diff(m_plus) > 0):
         raise ValueError(f"m_plus must be strictly increasing, got {m_plus.tolist()}")
+    return m_plus
+
+
+def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
+    """Regression slope of log mu(ball(center, eps/m_n^+)) against n,
+    compared with the -q log d scaling law.
+
+    ``m_plus``: log m_n^+ values for n = 1, 2, ..., strictly increasing;
+    ``eps`` must be positive and finite (``scaling_ladder``).
+    """
+    m_plus = scaling_ladder(m_plus, eps)
     radii = eps * np.exp(-m_plus)
     h = max(measure.box.cell_widths(measure.resolution)
             + measure.box.cell_heights(measure.resolution))

@@ -24,10 +24,12 @@ from .bifgrid import (
     _field_index,
     box_dimension,
     ddc as ddc_op,
+    decreasing_radii,
     mass_scaling,
     monge_ampere2,
     pointwise_dimension,
     radial_masses,
+    scaling_ladder,
     scan_field,
     wedge_pair,
 )
@@ -249,7 +251,7 @@ def _dimension(args, family):
         doc = {"kind": "box_counting"}
     else:
         center = _parse_params(args.center, "--center", family.param_dim)
-        radii = _floats(args.radii, "--radii")
+        radii = decreasing_radii(_floats(args.radii, "--radii"))
         prof = radial_masses(ddc_op(_grid(args, family)), center, radii)
         est = pointwise_dimension(prof)
         doc = {"kind": "pointwise", "masses": prof.masses.tolist(), "radii": prof.radii.tolist()}
@@ -260,7 +262,7 @@ def _dimension(args, family):
 
 def _scaling(args, family):
     center = _parse_params(args.center, "--center", family.param_dim)
-    m_plus = _floats(args.mplus, "--mplus")
+    m_plus = scaling_ladder(_floats(args.mplus, "--mplus"), args.eps)
     res = mass_scaling(ddc_op(_grid(args, family)), center, m_plus,
                        q=args.q, d=family.degree, eps=args.eps)
     doc = {"slope": res.slope, "stderr": res.stderr, "expected": res.expected,

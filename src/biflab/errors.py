@@ -30,10 +30,6 @@ class DegenerateLift(BiflabError):
     """The renormalized lift iterate collapsed to (numerical) zero."""
 
 
-class PreimageFailure(BiflabError):
-    """Backward iteration could not produce the full set of preimages."""
-
-
 # --- hyperbolic ---
 
 class LostHyperbolicity(BiflabError):

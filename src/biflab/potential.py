@@ -20,14 +20,12 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriticalOnOrbit, DegenerateLift, PreimageFailure
+from .errors import CriticalOnOrbit, DegenerateLift
 from .families import critical_points
 from .rng import counter_choice
 
@@ -39,16 +37,10 @@ PLANE_MAXITER = 2048
 # Largest block of a split kernel, in points.  Every worker holds one
 # block's temporaries at a time, and each block pays the loop's fixed
 # cost per step, so the length trades peak memory against that cost.
-# On 2 cores, `ddc` of the README's 1024^2 grid peaked at 128 MB RSS
-# with 2^16 and at 139 MB with 2^17, in the same wall time: the pool
-# thread's malloc arena keeps freed block temporaries.  One worker
-# peaked at 124 MB.
+# On 2 cores of a Xeon, `ddc` of the README's 1024^2 grid peaked at
+# 128-129 MB RSS with 2^16 and at 144-145 MB with 2^17, in the same
+# 0.9 s; one worker peaked at 124 MB.
 _BLOCK = 1 << 16
-
-# the pool threads of _blocks, made on its first split with one thread
-# per CPU but one; the calling thread is the last worker
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _blocks(run, n):
@@ -56,16 +48,15 @@ def _blocks(run, n):
     return the results in block order.
 
     One worker per CPU the process may run on, and no more workers than
-    points: the calling thread and workers - 1 pool threads take blocks
-    from a shared queue.  The block count is a multiple of the workers,
-    with blocks of at most ``_BLOCK`` points and at least one block.
-    With one worker the blocks run inline, in order.  Each pool task runs
-    in a copy of the caller's context, so numpy's errstate (a context
-    variable) holds in every block.  An exception raised in a block is
-    re-raised here with its type (the calling thread's, if blocks of
-    several threads fail), and blocks not yet started are left undone.
+    points: a thread pool made for the call runs the blocks while the
+    calling thread waits, and is closed before this returns.  The block
+    count is a multiple of the workers, with blocks of at most ``_BLOCK``
+    points and at least one block.  With one worker the blocks run
+    inline, in order.  Each block runs in a copy of the caller's context,
+    so numpy's errstate (a context variable) holds in every block.  The
+    exception of the first failing block, in block order, is re-raised
+    here with its type, and blocks not yet started are left undone.
     """
-    global _pool
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = max(1, min(cpus, n))
@@ -73,40 +64,14 @@ def _blocks(run, n):
     bounds = [(n * i // count, n * (i + 1) // count) for i in range(count)]
     if workers < 2:
         return [run(lo, hi) for lo, hi in bounds]
-    todo = queue.SimpleQueue()
-    for i in range(count):
-        todo.put(i)
-    results = [None] * count
-    failed = threading.Event()
-
-    def drain():
-        while not failed.is_set():
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                results[i] = run(*bounds[i])
-            except BaseException:
-                failed.set()
-                raise
-
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="biflab")
-    tasks = [_pool.submit(contextvars.copy_context().run, drain)
-             for _ in range(workers - 1)]
-    try:
-        drain()
-    finally:
-        # a task that has not started would find the queue empty
-        for t in tasks:
-            t.cancel()
-        wait(tasks)
-    for t in tasks:
-        if not t.cancelled():
-            t.result()
-    return results
+    with ThreadPoolExecutor(workers, thread_name_prefix="biflab") as pool:
+        tasks = [pool.submit(contextvars.copy_context().run, run, lo, hi)
+                 for lo, hi in bounds]
+        try:
+            return [t.result() for t in tasks]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 @dataclass(frozen=True)
@@ -288,18 +253,12 @@ def _backward_orbits(family, lam, idx, depth, seed):
     d = family.degree
     out = np.empty(len(idx), dtype=complex)
 
-    def solve(z):
-        pre = family.preimages(lam, z)
-        if pre.shape[0] != d:
-            raise PreimageFailure(f"expected {d} preimages, got {pre.shape[0]}")
-        return pre
-
     def run(lo, hi):
         keys = idx[lo:hi]
         vals = np.array([1.0 + 1.0j])
         inv = np.zeros(hi - lo, dtype=np.intp)
         for s in range(depth):
-            pre = solve(vals)
+            pre = family.preimages(lam, vals)
             pair = counter_choice(seed, keys, s, d) * vals.size + inv
             used = np.zeros(d * vals.size, dtype=bool)
             used[pair] = True

@@ -448,6 +448,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")]) == 2
         assert f"critical index {field2[1:]} out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["scaling", "--center", "-2,0", "--mplus", "3,2,1"],
+         "m_plus must be strictly increasing, got [3.0, 2.0, 1.0]"),
+        (["scaling", "--center", "-2,0", "--mplus", "1,2,3", "--eps", "0"],
+         "mass scaling eps must be positive and finite, got 0.0"),
+        (["dimension", "--center", "-2,0", "--radii", "0.01,0.02,0.03,0.04"],
+         "radii must be strictly decreasing"),
+    ], ids=["mplus-order", "eps-zero", "radii-order"])
+    def test_order_and_sign_before_any_scan(self, tmp_path, capsys, monkeypatch, argv, message):
+        # these were refused only after the scan and ddc
+        monkeypatch.setattr(bifgrid, "escape_rate", no_scan)
+        out = tmp_path / "run"
+        assert main(argv + ["--family", "unicritical2", "--box", "-2,0:0.6x0.6", "--res", "32",
+                            "--out", str(out)]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_sample_count(self, tmp_path, capsys):
         assert main(["lyap", "--family", "unicritical2", "--param", "-2,0",
                      "--samples", "-5", "--out", str(tmp_path)]) == 2
@@ -694,13 +711,15 @@ class TestExitCodes:
             "--center", "-2,0", "--mplus", "2.772589,1.386294,4.158883,5.545177"],
            "m_plus must be strictly increasing, got [2.772589, 1.386294, ")
           for res in ("128", "512")),
-    ], ids=["scan-grid", "ddc-grid", "scales-zero", "mplus-128", "mplus-512"])
+        (["scan", "--box", "0,0:1x0", "--res", "8"], "half-heights must be positive, got [0.0]"),
+    ], ids=["scan-grid", "ddc-grid", "scales-zero", "mplus-128", "mplus-512", "box-height"])
     def test_refused_input(self, tmp_path, capsys, argv, message):
         # the grids exited 1 with an uncaught "Unable to allocate 589. TiB";
         # the zero scale, on a cloud whose median spacing is 0, wrote
         # "slope": NaN with exit 0; the unordered ladder exited 3 with
         # "only 2 usable scales" at 128^2 and 2 with "radii must be
-        # strictly decreasing" at 512^2
+        # strictly decreasing" at 512^2; a zero height was reported as
+        # "half-widths must be positive"
         th = 2 * np.pi * np.arange(1500) / 1500
         cloud = tmp_path / "cloud.csv"
         bio.write_cloud_csv(cloud, np.exp(1j * np.concatenate([th, th[:600]])))

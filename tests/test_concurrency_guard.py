@@ -4,8 +4,10 @@
 worker count comes from the CPUs the process may use, and outputs do not
 depend on it.  This check walks each module's syntax tree and fails if a
 module other than ``potential.py`` imports a threading or process-pool
-module, or if any module reads ``os.environ`` or ``os.getenv``, which
-would let a setting outside the command line change a run.
+module, if any module reads ``os.environ`` or ``os.getenv``, which
+would let a setting outside the command line change a run, or if any
+function rebinds module state with ``global``: module state is bound at
+import only, so no call leaves anything behind for the next one.
 """
 
 import ast
@@ -46,6 +48,12 @@ def environment_reads(source):
     return sorted(found)
 
 
+def global_statements(source):
+    """(line, names) of each ``global`` statement."""
+    return sorted((node.lineno, tuple(node.names)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Global))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_threads_only_in_potential(path):
     if path.name != THREAD_HOME:
@@ -57,6 +65,11 @@ def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []
+
+
 def test_checker_finds_imports_and_reads():
     source = ("import os\nimport threading\nimport concurrent.futures as cf\n"
               "from multiprocessing import Pool\nfrom concurrent import futures\n"
@@ -66,3 +79,9 @@ def test_checker_finds_imports_and_reads():
         (2, "threading"), (3, "concurrent.futures"), (4, "multiprocessing"),
         (5, "concurrent")]
     assert environment_reads(source) == [(6, "os.getenv"), (8, "os.environ"), (9, "os.getenv")]
+
+
+def test_checker_finds_global_statements():
+    source = ("_pool = None\n_seen = set()\ndef f():\n    global _pool\n    _seen.add(1)\n"
+              "class C:\n    def g(self):\n        global _pool, _seen\n")
+    assert global_statements(source) == [(4, ("_pool",)), (8, ("_pool", "_seen"))]

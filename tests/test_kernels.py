@@ -59,7 +59,6 @@ from biflab.errors import (
     NoConvergence,
     NonRepellingTarget,
     NotPlurisubharmonic,
-    PreimageFailure,
     RootFindingFailure,
 )
 from biflab.families import (
@@ -849,8 +848,6 @@ def old_sample_mu_f(family, lam, n_points, depth, seed):
     z = np.full(n_points, 1.0 + 1.0j, dtype=complex)
     for s in range(depth):
         pre = family.preimages(lam, z)
-        if pre.shape[0] != d:
-            raise PreimageFailure(f"expected {d} preimages, got {pre.shape[0]}")
         k = counter_choice(seed, idx, s, d)
         z = pre[k, np.arange(n_points)]
     return z
@@ -1078,6 +1075,27 @@ class TestBlockSplit:
             potential.lyapunov_mc(QUAD, [-2.0 + 0j], 5, 4, 0)
         assert main(["lyap", "--family", "unicritical2", "--param", "-2,0", "--samples", "5",
                      "--depth", "4", "--out", str(tmp_path)]) == 3
+
+    def test_no_worker_outlives_the_call(self, split):
+        # block 0 fails first, so later blocks are left unstarted; the
+        # pool's threads are gone whether the call returns or raises
+        def alive():
+            return [t.name for t in threading.enumerate() if t.name.startswith("biflab")]
+
+        split(2, 1)
+        assert potential._blocks(lambda lo, hi: lo, 200) == list(range(200))
+        assert alive() == []
+        ran = []
+
+        def run(lo, hi):
+            if lo == 0:
+                raise RootFindingFailure("injected")
+            time.sleep(0.002)
+            ran.append(lo)
+
+        with pytest.raises(RootFindingFailure):
+            potential._blocks(run, 200)
+        assert alive() == [] and len(ran) < 199
 
 
 # ----------------------------------------------------------------------
