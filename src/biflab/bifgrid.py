@@ -34,7 +34,7 @@ from .potential import _blocks, escape_rate
 SCAN_MAXITER = 512
 # largest grid a scan takes, in cells: 4096^2, 4x the largest README or
 # benchmark grid (2048^2); `ddc --res 4096` on the README box peaks at
-# 970 MB RSS on a 2-core Xeon
+# 560 MB RSS on a 2-core Xeon
 MAX_GRID_CELLS = 2 ** 24
 MIN_CLOUD_POINTS = 1000
 # a wedge warns when clamping removed more than this share of its mass
@@ -45,6 +45,9 @@ GAUSS_BLOCK = 8192
 # the spacing search walks at most this many sorted neighbors on each side
 # of a point before it measures the distance to every point
 SWEEP_STEPS = 512
+# radial masses test band cells against the sphere in chunks of at most
+# this many sub-cell offsets
+_BAND_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -414,6 +417,9 @@ def radial_masses(measure, center, radii):
         raise ResolutionExceeded(
             f"r_min = {radii[-1]:.3g} below 3 cell widths ({3 * hmax:.3g})")
     ctr = np.atleast_1d(np.asarray(center, dtype=complex))
+    if ctr.shape != (box.m,):
+        raise ValueError(f"radial masses need a center of {box.m} coordinate(s), "
+                         f"got {ctr.size}")
     cvec = np.array([ctr.real, ctr.imag]).T.ravel()
     flats = box.axes(res)
     # the distance to the centre adds the squared offsets of each real
@@ -426,6 +432,7 @@ def radial_masses(measure, center, radii):
     subsample = 8 if box.m == 1 else 4
     offs = [(np.arange(subsample) + 0.5) / subsample - 0.5 for _ in hs]
     off_flat = np.stack([om.ravel() for om in np.meshgrid(*offs, indexing="ij")], axis=0)
+    step = max(1, _BAND_FLOATS // off_flat.shape[1])
     masses = np.empty(len(radii))
     mass_flat = measure.cell_mass.ravel()
     dist_flat = dist.ravel()
@@ -433,12 +440,17 @@ def radial_masses(measure, center, radii):
         inner = dist_flat <= r - half_diag
         band = (~inner) & (dist_flat < r + half_diag)
         total = float(np.sum(mass_flat[inner]))
-        cells = np.unravel_index(np.nonzero(band)[0], dist.shape)
-        if cells[0].size:
+        # the covered fraction of band cells, a chunk of cells at a time,
+        # so no (band cells x sub-cells) array is formed
+        band_cells = np.nonzero(band)[0]
+        frac = np.empty(band_cells.size)
+        for lo in range(0, band_cells.size, step):
+            cells = np.unravel_index(band_cells[lo:lo + step], dist.shape)
             sub2 = np.zeros((cells[0].size, off_flat.shape[1]))
             for k, (a, ik) in enumerate(zip(flats, cells)):
                 sub2 += (a[ik][:, None] + off_flat[k][None, :] * hs[k] - cvec[k]) ** 2
-            frac = np.mean(sub2 <= r * r, axis=1)
+            frac[lo:lo + step] = np.mean(sub2 <= r * r, axis=1)
+        if band_cells.size:
             total += float(np.sum(mass_flat[band] * frac))
         masses[i] = total
     return RadialMassProfile(center=tuple(ctr), radii=radii, masses=masses)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -116,6 +117,8 @@ def _parse_box(text, count):
             w, h = (float(v) for v in size_s.lower().split("x"))
         except ValueError:
             raise ValueError(f"--box needs cx,cy:WxH box(es), got {part!r}") from None
+        if not (0 < w < math.inf and 0 < h < math.inf):
+            raise ValueError(f"--box sizes must be positive and finite, got {size_s!r}")
         centers.append(cx + 1j * cy)
         halves_w.append(w / 2.0)
         halves_h.append(h / 2.0)

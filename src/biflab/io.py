@@ -9,9 +9,12 @@ per cell (fields) or point (clouds) in C order, ``\r\n`` after every
 line, no quoting.  Indices are written with ``%d``; coordinates and
 values with ``%.17g``, which round-trips every float64 (``-0.0`` prints
 as ``-0``, non-finite values as ``nan``, ``inf``, ``-inf``).  A field
-file formats each distinct index, coordinate and value bit pattern once,
-and works out a row's cell indices from the row number; rows of both
-kinds are joined and written in chunks of _CHUNK_ROWS.
+file formats each index and coordinate once and each distinct value bit
+pattern once per chunk, and works out a row's cell indices from the row
+number; rows of both kinds are joined and written in chunks of
+_CHUNK_ROWS.  A PGM image is scaled and written by blocks of rows.  So
+beyond the value array, the plane writers hold memory of the order of a
+chunk or a block.
 """
 
 from __future__ import annotations
@@ -23,38 +26,73 @@ import math
 import numpy as np
 
 
-def _to_image(values):
-    """Grid values to a 2D raster: x to columns, y to rows (top = max y).
-    4D grids tile as an outer (y1, x1) mosaic of inner (y2, x2) panes."""
+# a PGM is scaled and written in blocks of whole rows of about this many
+# pixels
+_PGM_PIXELS = 1 << 16
+
+
+def _raster(values):
+    """Grid values as a raster, x to columns and y to rows (top = max y):
+    (rows, columns, blocks), where blocks() yields the raster top to
+    bottom in blocks of whole rows of about _PGM_PIXELS pixels.  4D grids
+    tile as an outer (y1, x1) mosaic of inner (y2, x2) panes, and a block
+    holds whole rows of panes."""
     v = np.asarray(values, dtype=float)
+    # bands of raster rows: one row each for a 2D grid (y, 1, x), one row
+    # of panes each for a 4D grid (y1, y2, x1, x2)
     if v.ndim == 2:
-        return v.T[::-1]
-    if v.ndim == 4:
-        r = v.shape[0]
-        img = v.transpose(1, 3, 0, 2)[::-1, ::-1]
-        return img.reshape(r * r, r * r)
-    raise ValueError(f"cannot rasterize a {v.ndim}-dimensional grid")
+        bands = v.T[::-1, None]
+    elif v.ndim == 4:
+        bands = v.transpose(1, 3, 0, 2)[::-1, ::-1]
+    else:
+        raise ValueError(f"cannot rasterize a {v.ndim}-dimensional grid")
+    n, depth = bands.shape[:2]
+    w = bands[0, 0].size
+    step = max(1, _PGM_PIXELS // (depth * w))
+    return n * depth, w, lambda: (bands[lo:lo + step].reshape(-1, w)
+                                  for lo in range(0, n, step))
+
+
+def _finite_range(blocks):
+    """(min, max) of the finite pixels, (0.0, 1.0) if there are none, with
+    the bits np.min and np.max give on the raster's finite pixels in
+    raster order.  -0.0 and 0.0 tie, so only a zero extreme depends on
+    the order of reduction, and only when both signs of zero are present;
+    then the finite pixels are gathered in that order."""
+    lo, hi, zeros, negative_zeros = math.inf, -math.inf, 0, 0
+    for img in blocks():
+        ok = np.isfinite(img)
+        lo = min(lo, float(np.min(img, where=ok, initial=math.inf)))
+        hi = max(hi, float(np.max(img, where=ok, initial=-math.inf)))
+        zero = img == 0
+        zeros += np.count_nonzero(zero)
+        negative_zeros += np.count_nonzero(zero & np.signbit(img))
+    if lo > hi:
+        return 0.0, 1.0
+    if 0 < negative_zeros < zeros and 0 in (lo, hi):
+        finite = np.concatenate([img[np.isfinite(img)] for img in blocks()])
+        return float(np.min(finite)), float(np.max(finite))
+    return lo, hi
 
 
 def write_pgm(path, values, sidecar=None):
     """16-bit big-endian binary PGM (P5) with min/max scaling recorded in
-    a JSON sidecar next to the image."""
-    img = _to_image(values)
-    finite = img[np.isfinite(img)]
-    vmin = float(np.min(finite)) if finite.size else 0.0
-    vmax = float(np.max(finite)) if finite.size else 1.0
+    a JSON sidecar next to the image.  Pixels are scaled and written one
+    block of rows at a time."""
+    h, w, blocks = _raster(values)
+    vmin, vmax = _finite_range(blocks)
     # a span past the largest float64 is scaled in halves; any other
     # span is scaled as it is (a factor of 1.0 changes no bit)
     half = 0.5 if vmax - vmin == math.inf else 1.0
     span = vmax * half - vmin * half if vmax > vmin else 1.0
-    scaled = np.zeros(img.shape, dtype=np.uint16)
-    ok = np.isfinite(img)
-    scaled[ok] = np.clip((img[ok] * half - vmin * half) / span * 65535.0,
-                         0, 65535).astype(np.uint16)
-    h, w = img.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        f.write(scaled.astype(">u2").tobytes())
+        for img in blocks():
+            scaled = np.zeros(img.shape, dtype=">u2")
+            ok = np.isfinite(img)
+            scaled[ok] = np.clip((img[ok] * half - vmin * half) / span * 65535.0,
+                                 0, 65535).astype(np.uint16)
+            f.write(scaled.tobytes())
     doc = {"min": vmin, "max": vmax, "gamma": 1.0}
     if sidecar:
         doc.update(sidecar)
@@ -84,12 +122,15 @@ def _formatted(fmt, values):
 
 
 def _distinct_lookup(values):
-    """Float column that formats each distinct bit pattern once; keying on
-    bits, not on float equality, keeps -0.0 apart from 0.0."""
+    """Float column that formats each distinct bit pattern of a chunk
+    once; keying on bits, not on float equality, keeps -0.0 apart from
+    0.0."""
     bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.uint64)
-    distinct, codes = np.unique(bits, return_inverse=True)
-    strings = _strings("%.17g", distinct.view(float).tolist())
-    return lambda rows: strings[codes[rows]].tolist()
+
+    def column(rows):
+        distinct, codes = np.unique(bits[rows], return_inverse=True)
+        return _strings("%.17g", distinct.view(float).tolist())[codes].tolist()
+    return column
 
 
 def _write_csv(path, header, n_rows, columns):

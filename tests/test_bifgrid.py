@@ -294,6 +294,16 @@ class TestRadial:
         prof = radial_masses(mu, 0j, np.array([0.8, 0.5, 0.2]))
         assert np.allclose(prof.masses, 1.0)
 
+    @pytest.mark.parametrize("m, center", [(2, (0j,)), (2, (0j, 0j, 0j)), (1, (0j, 0j))])
+    def test_center_needs_one_coordinate_per_parameter(self, m, center):
+        # a short center raised IndexError, and a long one was cut to m
+        box = Box((0j,) * m, (1.0,) * m)
+        mass = np.ones((8,) * (2 * m))
+        mu = MeasureField(box=box, resolution=8, cell_mass=mass, raw_mass=mass,
+                          clamp_total=0.0)
+        with pytest.raises(ValueError, match=rf"center of {m} coordinate\(s\), got {len(center)}"):
+            radial_masses(mu, center, np.array([0.9, 0.8]))
+
     def test_requires_decreasing_radii(self):
         mu = lebesgue_measure(Box((0j,), (1.0,)), 32)
         with pytest.raises(ValueError):

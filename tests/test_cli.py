@@ -501,6 +501,18 @@ class TestExitCodes:
                      "--res", "16", "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("box, size", [("0,0:-1x1", "-1x1"), ("0,0:1x-2", "1x-2"),
+                                           ("0,0:0X1", "0X1")])
+    def test_nonpositive_box_names_its_size(self, tmp_path, capsys, box, size):
+        # the sizes were halved first, so the refusal named a half-width
+        # or half-height the user never typed (-0.5, -1.0)
+        out = tmp_path / "run"
+        assert main(["scan", "--family", "unicritical2", f"--box={box}", "--res", "8",
+                     "--out", str(out)]) == 2
+        assert f"invalid input: --box sizes must be positive and finite, got {size!r}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_certs_file(self, tmp_path):
         assert main(["certify", "--family", "unicritical2",
                      "--certs", str(tmp_path / "none.ndjson"),
@@ -711,7 +723,8 @@ class TestExitCodes:
             "--center", "-2,0", "--mplus", "2.772589,1.386294,4.158883,5.545177"],
            "m_plus must be strictly increasing, got [2.772589, 1.386294, ")
           for res in ("128", "512")),
-        (["scan", "--box", "0,0:1x0", "--res", "8"], "half-heights must be positive, got [0.0]"),
+        (["scan", "--box", "0,0:1x0", "--res", "8"],
+         "--box sizes must be positive and finite, got '1x0'"),
     ], ids=["scan-grid", "ddc-grid", "scales-zero", "mplus-128", "mplus-512", "box-height"])
     def test_refused_input(self, tmp_path, capsys, argv, message):
         # the grids exited 1 with an uncaught "Unable to allocate 589. TiB";

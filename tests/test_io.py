@@ -3,6 +3,8 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +50,69 @@ def _csv_writer_cloud_csv(path, points):
         w.writerow(["index", "re", "im"])
         for i, z in enumerate(pts):
             w.writerow([i, f"{z.real:.17g}", f"{z.imag:.17g}"])
+
+
+# the PGM writer that scaled the whole image at once, kept verbatim as
+# the byte oracle of the one that scales it by blocks of rows
+
+def old_to_image(values):
+    """Grid values to a 2D raster: x to columns, y to rows (top = max y).
+    4D grids tile as an outer (y1, x1) mosaic of inner (y2, x2) panes."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 2:
+        return v.T[::-1]
+    if v.ndim == 4:
+        r = v.shape[0]
+        img = v.transpose(1, 3, 0, 2)[::-1, ::-1]
+        return img.reshape(r * r, r * r)
+    raise ValueError(f"cannot rasterize a {v.ndim}-dimensional grid")
+
+
+def old_write_pgm(path, values, sidecar=None):
+    """16-bit big-endian binary PGM (P5) with min/max scaling recorded in
+    a JSON sidecar next to the image."""
+    img = old_to_image(values)
+    finite = img[np.isfinite(img)]
+    vmin = float(np.min(finite)) if finite.size else 0.0
+    vmax = float(np.max(finite)) if finite.size else 1.0
+    # a span past the largest float64 is scaled in halves; any other
+    # span is scaled as it is (a factor of 1.0 changes no bit)
+    half = 0.5 if vmax - vmin == math.inf else 1.0
+    span = vmax * half - vmin * half if vmax > vmin else 1.0
+    scaled = np.zeros(img.shape, dtype=np.uint16)
+    ok = np.isfinite(img)
+    scaled[ok] = np.clip((img[ok] * half - vmin * half) / span * 65535.0,
+                         0, 65535).astype(np.uint16)
+    h, w = img.shape
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
+        f.write(scaled.astype(">u2").tobytes())
+    doc = {"min": vmin, "max": vmax, "gamma": 1.0}
+    if sidecar:
+        doc.update(sidecar)
+    side_path = str(path) + ".json"
+    with open(side_path, "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=1)
+        f.write("\n")
+    return side_path
+
+
+def palette_field(data, shape, specials):
+    """A field whose cells are drawn from a palette of at most four
+    values, each any float or one of specials."""
+    palette = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from(specials)),
+                                 min_size=1, max_size=4))
+    n = math.prod(shape)
+    return np.array(data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)),
+                    dtype=float).reshape(shape)
+
+
+def assert_pgm_bytes_match_old(root, values, sidecar=None):
+    new, old = root / "new.pgm", root / "old.pgm"
+    new_side = bio.write_pgm(new, values, sidecar)
+    old_side = old_write_pgm(old, values, sidecar)
+    assert new.read_bytes() == old.read_bytes()
+    assert Path(new_side).read_bytes() == Path(old_side).read_bytes()
 
 
 class TestPgm:
@@ -136,6 +201,41 @@ class TestPgm:
                 if x in (lo, hi):
                     assert p == (0 if x == lo else 65535)
 
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.integers(1, 5), nx=st.integers(1, 40), ny=st.integers(1, 40),
+           four=st.booleans(), pixels=st.integers(1, 100), data=st.data())
+    def test_bytes_match_old_writer(self, tmp_path_factory, r, nx, ny, four, pixels, data):
+        # each field draws its cells from a palette of at most four values,
+        # so constant and all-non-finite fields, and extremes of 0.0 tied
+        # with -0.0, come up often; blocks of at most `pixels` pixels split
+        # the raster into many
+        values = palette_field(data, (r,) * 4 if four else (nx, ny),
+                               [0.0, -0.0, np.nan, np.inf, -np.inf])
+        with warnings.catch_warnings(), mock.patch.object(bio, "_PGM_PIXELS", pixels):
+            warnings.simplefilter("error")
+            assert_pgm_bytes_match_old(tmp_path_factory.getbasetemp(), values)
+
+    @pytest.mark.parametrize("shape", [(300, 300), (7, 20000), (20, 20, 20, 20)],
+                             ids=["square", "tall", "4d"])
+    @pytest.mark.parametrize("kind", ["normal", "nonnegative", "signed-zeros"])
+    def test_bytes_match_old_writer_at_block_size(self, tmp_path, shape, kind):
+        # images of several blocks at the real block size; the zeros of
+        # both signs make the extreme depend on the order of reduction
+        rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+        values = rng.standard_normal(shape)
+        if kind != "normal":
+            values = np.abs(values)
+            values[rng.random(shape) < 0.3] = 0.0
+        if kind == "signed-zeros":
+            values[rng.random(shape) < 0.3] = -0.0
+        values[rng.random(shape) < 0.01] = np.nan
+        assert values.size > bio._PGM_PIXELS
+        assert_pgm_bytes_match_old(tmp_path, values, sidecar={"meta": {"field": "G0"}})
+
+    def test_rejects_other_dimensions(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot rasterize a 3-dimensional grid"):
+            bio.write_pgm(tmp_path / "img.pgm", np.zeros((2, 2, 2)))
+
 
 class TestCsv:
     def test_field_round_trip(self, tmp_path):
@@ -172,6 +272,37 @@ class TestCsv:
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         bio.write_field_csv(new, box, res, values, "mass")
         _savetxt_field_csv(old, box, res, values, "mass")
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_field_bytes_match_savetxt_at_chunk_edges(self, tmp_path):
+        # 8281 rows, one chunk and 89 rows; 0.1 on both sides of the chunk
+        # edge, and 0.0 next to -0.0 in each chunk
+        box, res = Box((-2.0 + 0j,), (0.16,)), 91
+        values = np.full(res * res, 0.25)
+        edge = bio._CHUNK_ROWS
+        assert values.size % edge
+        values[edge - 3:edge + 3] = 0.1
+        values[[5, edge + 7]] = -0.0
+        values[[6, edge + 8]] = 0.0
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        bio.write_field_csv(new, box, res, values.reshape(res, res), "mass")
+        _savetxt_field_csv(old, box, res, values.reshape(res, res), "mass")
+        assert new.read_bytes() == old.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 2), res=st.integers(1, 5), chunk=st.integers(1, 50),
+           data=st.data())
+    def test_field_bytes_match_savetxt_in_small_chunks(self, tmp_path_factory, m, res,
+                                                       chunk, data):
+        # a palette of at most four values repeats values across chunk
+        # edges and puts 0.0 and -0.0 into one chunk
+        values = palette_field(data, (res,) * (2 * m), [0.0, -0.0, 0.1])
+        box = Box((0.5 + 0.25j,) * m, (1.0,) * m, (0.5,) * m)
+        root = tmp_path_factory.getbasetemp()
+        new, old = root / "chunks_new.csv", root / "chunks_old.csv"
+        with mock.patch.object(bio, "_CHUNK_ROWS", chunk):
+            bio.write_field_csv(new, box, res, values, "g")
+        _savetxt_field_csv(old, box, res, values, "g")
         assert new.read_bytes() == old.read_bytes()
 
     @settings(max_examples=150, deadline=None)

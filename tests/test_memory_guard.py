@@ -1,7 +1,10 @@
 """Peak numpy allocation of the stages that once stored a per-point array
 that is a function of its index: the words of a Cantor cloud, the
 coordinate mesh of radial masses, and the parameter grid and critical
-values of a scan.  tracemalloc counts numpy's buffers, so a peak far
+values of a scan; and of the stages that once held a whole-array
+temporary they need only a chunk of: the sub-cell offsets of radial
+masses in C^2, the formatted values of a field CSV and the scaled
+pixels of a PGM.  tracemalloc counts numpy's buffers, so a peak far
 above the result's own size means such an array is back."""
 
 import os
@@ -9,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from biflab import hyperbolic
+from biflab import hyperbolic, io as bio
 from biflab.bifgrid import Box, MeasureField, radial_masses, scan_field
 from biflab.families import MapFamily
 
@@ -53,3 +56,46 @@ def test_scan_forms_no_parameter_grid(monkeypatch):
         MapFamily("unicritical", 2), Box((-0.5 + 0j,), (2.5,), (2.0,)), 1024, "G0"))
     assert field.values.shape == (1024, 1024)
     assert peak < 3 * field.values.nbytes
+
+
+def test_radial_masses_in_c2_test_band_cells_by_chunks():
+    # a 16^4 measure; one (band cells x 4^4) array of sub-cell offsets
+    # per radius alone was over 100x the cell array
+    box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4))
+    rng = np.random.default_rng(16)
+    mass = rng.random((16,) * 4)
+    mu = MeasureField(box=box, resolution=16, cell_mass=mass,
+                      raw_mass=mass, clamp_total=0.0)
+    prof, peak = peak_bytes(lambda: radial_masses(mu, (1.7 + 0.4j, 1.6 + 0.5j),
+                                                  [0.4, 0.3, 0.2, 0.16]))
+    assert np.all(prof.masses > 0)
+    assert peak < 8 * mass.nbytes
+
+
+def plane_field():
+    """A 1024^2 field with 30% zeros and about 70% distinct values."""
+    rng = np.random.default_rng(1024)
+    values = rng.standard_normal((1024, 1024))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    return values
+
+
+def test_field_csv_formats_values_by_chunks(tmp_path):
+    # a lookup of every cell's distinct value and the strings of all
+    # distinct values alone were several times the value array
+    values = plane_field()
+    path = tmp_path / "field.csv"
+    _, peak = peak_bytes(lambda: bio.write_field_csv(
+        path, Box((-0.5 + 0j,), (2.5,), (2.0,)), 1024, values, "mass"))
+    assert path.stat().st_size > 0
+    assert peak < values.nbytes
+
+
+def test_pgm_scales_by_row_blocks(tmp_path):
+    # the finite pixels copied out and the scaled image in float64
+    # temporaries were each the size of the value array
+    values = plane_field()
+    path = tmp_path / "field.pgm"
+    _, peak = peak_bytes(lambda: bio.write_pgm(path, values))
+    assert path.stat().st_size > 2 * values.size
+    assert peak < 1.5 * values.nbytes
