@@ -10,11 +10,15 @@ density follows from that choice.
 
 The scans run no orbit loop here but ``potential.escape_rate``, the one
 escape-rate kernel, on blocks of cells whose parameters each block forms
-from the box axes.
+from the box axes.  A radial output reads only the cells within reach
+of its centre, so a scan may cover just those (``radial_window``): the
+fields and measures record that window, and every cell in it has the
+bits it has on the whole grid.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import re
@@ -43,8 +47,10 @@ CLAMP_WARN_SHARE = 0.05
 # many cells, so that a block and the padded rows it reads stay in cache
 GAUSS_BLOCK = 8192
 # the spacing search walks at most this many sorted neighbors on each side
-# of a point before it measures the distance to every point
-SWEEP_STEPS = 512
+# of a point before it searches the point's box (``_box_search``)
+SWEEP_STEPS = 64
+# the box search measures about this many (point, row) pairs at a time
+_BOX_PAIRS = 1 << 16
 # radial masses test band cells against the sphere in chunks of at most
 # this many sub-cell offsets
 _BAND_FLOATS = 1 << 16
@@ -87,36 +93,48 @@ class Box:
     def cell_heights(self, resolution):
         return tuple(2.0 * h / resolution for h in self.half_heights)
 
+    def _spans(self):
+        """(start, span) of each real axis, in value-array axis order
+        (re1, im1[, re2, im2]): at resolution n, cell i of the axis is
+        centred at start + span ((i + 0.5) / n)."""
+        out = []
+        for c, hw, hh in zip(self.centers, self.half_widths, self.half_heights):
+            out += [(complex(c).real - hw, 2.0 * hw), (complex(c).imag - hh, 2.0 * hh)]
+        return out
+
     def axes(self, resolution):
         """Cell-center coordinates of the 2m real axes, in value-array
         axis order (re1, im1[, re2, im2])."""
-        out = []
         t = (np.arange(resolution) + 0.5) / resolution
-        for c, hw, hh in zip(self.centers, self.half_widths, self.half_heights):
-            out += [complex(c).real - hw + 2.0 * hw * t, complex(c).imag - hh + 2.0 * hh * t]
-        return out
+        return [start + span * t for start, span in self._spans()]
 
 
 @dataclass
 class GridField:
+    """Values of a field on the cells of a grid.  ``window`` (one (lo, hi)
+    cell range per real axis, ``scan_field``'s) names the cells that
+    ``values`` holds; None is the whole grid."""
     box: Box
     resolution: int
     values: np.ndarray
     meta: dict = field(default_factory=dict)
     nan_count: int = 0
+    window: tuple = None
 
 
 @dataclass
 class MeasureField:
     """Discrete measure on the cells of a grid.  ``cell_mass`` is the
     clamped (nonnegative) mass; ``raw_mass`` keeps the signed stencil
-    output and ``clamp_total`` the amount removed by clamping."""
+    output and ``clamp_total`` the amount removed by clamping.  The masses
+    are those of the cells of ``window``, as in ``GridField``."""
     box: Box
     resolution: int
     cell_mass: np.ndarray
     raw_mass: np.ndarray
     clamp_total: float
     meta: dict = field(default_factory=dict)
+    window: tuple = None
 
     @property
     def total_mass(self):
@@ -198,7 +216,18 @@ def _field_index(family, which):
     return j
 
 
-def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
+def _window_axes(box, resolution, window):
+    """The box axes, each cut to its range of ``window`` (None: whole)."""
+    axes = box.axes(resolution)
+    return axes if window is None else [a[lo:hi] for a, (lo, hi) in zip(axes, window)]
+
+
+def _check_resolution(resolution):
+    if resolution < 8:
+        raise ValueError("resolution must be >= 8")
+
+
+def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER, window=None):
     """Grid scan of a parameter field.
 
     ``which``: "L" (Lyapunov, log d + sum of critical Green values at the
@@ -207,23 +236,27 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
     name (``G``, ``Gx``, ``G+0``, ``G00``) is a ValueError, and so is a
     grid of more than MAX_GRID_CELLS cells.
 
+    ``window``, one (lo, hi) cell range per real axis (``radial_window``),
+    scans only the cells lo..hi-1 of each axis; the limits above still
+    hold for the whole grid.  None scans every cell.
+
     The flat cell range is split into contiguous blocks (``_blocks``).
     Each block forms its cells' parameters x + iy from the box axes and
     runs ``escape_rate`` on them alone.  A cell's orbit, its exit step
     and the steps at which its z is saved depend only on its parameter,
-    so the split changes no bit of the field.
+    so neither the split nor the window changes a bit of a cell's value.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
+    _check_resolution(resolution)
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     j = _field_index(family, which)
-    shape = (resolution,) * (2 * box.m)
     cells = resolution ** (2 * box.m)
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"resolution {resolution} gives {cells} cells, above the "
                          f"{MAX_GRID_CELLS} of MAX_GRID_CELLS")
-    axes = box.axes(resolution)
+    axes = _window_axes(box, resolution, window)
+    shape = tuple(len(a) for a in axes)
+    cells = math.prod(shape)
     mults = [k for _, k in family.marked_critical_points([0j] * family.param_dim)]
     vals = np.empty(cells)
 
@@ -242,7 +275,8 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
     vals = vals.reshape(shape)
     nan_count = int(np.sum(~np.isfinite(vals)))
     return GridField(box=box, resolution=resolution, values=vals,
-                     meta={"which": which, "maxiter": maxiter}, nan_count=nan_count)
+                     meta={"which": which, "maxiter": maxiter}, nan_count=nan_count,
+                     window=window)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +284,8 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER):
 
 def ddc(gfield):
     """Discrete bifurcation-type measure of a one-parameter field:
-    interior cell mass (1/2pi)(sum of 4 neighbors - 4 center)."""
+    interior cell mass (1/2pi)(sum of 4 neighbors - 4 center).  The edge
+    cells of the field's window get mass 0, like the grid's edge."""
     if gfield.box.m != 1:
         raise ValueError("ddc requires one complex parameter")
     hx = gfield.box.cell_widths(gfield.resolution)[0]
@@ -260,7 +295,7 @@ def ddc(gfield):
     clamp_total = float(np.sum(clamped - raw))
     return MeasureField(box=gfield.box, resolution=gfield.resolution,
                         cell_mass=clamped, raw_mass=raw, clamp_total=clamp_total,
-                        meta={"op": "ddc", "source": dict(gfield.meta)})
+                        meta={"op": "ddc", "source": dict(gfield.meta)}, window=gfield.window)
 
 
 def _hessian_fields(u, h1, h2):
@@ -405,12 +440,55 @@ def decreasing_radii(radii):
     return radii
 
 
+def _cell_sizes(box, resolution):
+    """Cell size per real axis, in ``Box.axes`` order (re1, im1, ...)."""
+    return np.array([box.cell_widths(resolution), box.cell_heights(resolution)]).T.ravel()
+
+
+def _real_center(center):
+    """The coordinates of a centre in C^m per real axis, in ``Box.axes``
+    order."""
+    ctr = np.atleast_1d(np.asarray(center, dtype=complex))
+    return np.array([ctr.real, ctr.imag]).T.ravel()
+
+
+def radial_window(box, resolution, center, r_max):
+    """The cells that ``radial_masses`` about ``center`` reads for radii
+    up to ``r_max``, with the halo cell the 5-point stencil needs: one
+    (lo, hi) cell range per real axis, for ``scan_field``'s ``window``.
+
+    A cell is read only where its distance to the centre is below
+    r_max + half a cell diagonal, and that distance is at least the
+    cell's offset along each axis.  So each range holds the cells whose
+    offset lies below that reach, computed as ``radial_masses`` computes
+    it, widened by one cell on each side and clipped to the grid.  The
+    offset grows with the cell index, so each end is a bisection and
+    nothing of the grid's size is formed.  An axis with no such cell
+    gets an empty range."""
+    _check_resolution(resolution)
+    hs = _cell_sizes(box, resolution)
+    reach = r_max + 0.5 * float(np.linalg.norm(hs))
+    cells = range(resolution)
+    window = []
+    for (start, span), c in zip(box._spans(), _real_center(center)):
+        def offset(i):
+            return start + span * ((i + 0.5) / resolution) - c
+        first = bisect.bisect_left(cells, True, key=lambda i: offset(i) > -reach)
+        end = bisect.bisect_left(cells, True, key=lambda i: offset(i) >= reach)
+        window.append((max(first - 1, 0), min(end + 1, resolution)) if first < end else (0, 0))
+    return tuple(window)
+
+
 def radial_masses(measure, center, radii):
     """mu(ball(center, r_k)) by cell summation; cells cut by the sphere
-    contribute their subsampled covered fraction."""
+    contribute their subsampled covered fraction.
+
+    Only the cells within reach of the largest radius are read, so a
+    measure on a ``radial_window`` (for these radii or larger ones) gives
+    the masses of the whole grid, bit for bit; a window that misses a
+    cell in reach is a ValueError."""
     box, res = measure.box, measure.resolution
-    # per real axis, in the order re1, im1, re2, im2, ...
-    hs = np.array([box.cell_widths(res), box.cell_heights(res)]).T.ravel()
+    hs = _cell_sizes(box, res)
     radii = decreasing_radii(radii)
     hmax = float(np.max(hs))
     if radii[-1] < 3.0 * hmax:
@@ -420,8 +498,14 @@ def radial_masses(measure, center, radii):
     if ctr.shape != (box.m,):
         raise ValueError(f"radial masses need a center of {box.m} coordinate(s), "
                          f"got {ctr.size}")
-    cvec = np.array([ctr.real, ctr.imag]).T.ravel()
-    flats = box.axes(res)
+    cvec = _real_center(ctr)
+    if measure.window is not None:
+        need = radial_window(box, res, ctr, radii[0])
+        if all(lo < hi for lo, hi in need) and any(
+                lo < wlo or hi > whi for (lo, hi), (wlo, whi) in zip(need, measure.window)):
+            raise ValueError(f"the measure's window {measure.window} misses cells of "
+                             f"{need}, within reach of the radii")
+    flats = _window_axes(box, res, measure.window)
     # the distance to the centre adds the squared offsets of each real
     # axis, broadcast from 1-d, so no array of cell coordinates is formed
     dist = np.zeros(tuple(len(a) for a in flats))
@@ -482,14 +566,15 @@ def pointwise_dimension(profile):
 
 
 def scaling_ladder(m_plus, eps):
-    """``m_plus`` as a float array; a ValueError unless ``eps`` is positive
-    and finite and ``m_plus`` strictly increasing."""
+    """The radii eps/m_n^+ = eps exp(-m_plus) of the mass-scaling ladder,
+    largest first; a ValueError unless ``eps`` is positive and finite and
+    ``m_plus`` strictly increasing."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"mass scaling eps must be positive and finite, got {eps}")
     m_plus = np.asarray(m_plus, dtype=float)
     if not np.all(np.diff(m_plus) > 0):
         raise ValueError(f"m_plus must be strictly increasing, got {m_plus.tolist()}")
-    return m_plus
+    return eps * np.exp(-m_plus)
 
 
 def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
@@ -499,8 +584,7 @@ def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
     ``m_plus``: log m_n^+ values for n = 1, 2, ..., strictly increasing;
     ``eps`` must be positive and finite (``scaling_ladder``).
     """
-    m_plus = scaling_ladder(m_plus, eps)
-    radii = eps * np.exp(-m_plus)
+    radii = scaling_ladder(m_plus, eps)
     h = max(measure.box.cell_widths(measure.resolution)
             + measure.box.cell_heights(measure.resolution))
     usable = int(np.sum(radii >= 3.0 * h))
@@ -528,7 +612,8 @@ def _nearest_distances(xy, count):
     query retires once both sides are exhausted or have reached an axis
     distance sqrt(dx*dx) at least its best distance: every row farther
     out on that side is at least that far away.  Queries still open after
-    SWEEP_STEPS steps measure the distance to every row."""
+    SWEEP_STEPS steps, as in a long run of equal sort-axis values, go to
+    ``_box_search``."""
     n = len(xy)
     ax = 0 if np.ptp(xy[:, 0]) >= np.ptp(xy[:, 1]) else 1
     order = np.argsort(xy[:, ax], kind="stable")
@@ -552,11 +637,54 @@ def _nearest_distances(xy, count):
             done &= ~inside | (np.sqrt(dx * dx) >= b)
         best[live] = b
         live = live[~done]
-    for i in live:
-        dx, dy = s[pos[i]] - s, t[pos[i]] - t
-        d = np.sqrt(dx * dx + dy * dy)
-        d[pos[i]] = np.inf
-        best[i] = d.min()
+    # a repeat (distance 0) is as near as a row can come
+    live = live[best[live] > 0]
+    if live.size:
+        best[live] = _box_search(s, t, pos[live], best[live])
+    return best
+
+
+def _box_search(s, t, pos, best):
+    """The nearest distances from the rows ``pos`` of a cloud sorted along
+    ``s`` (``t`` the other axis), each ``best`` an upper bound that some
+    other row attains.
+
+    Only rows inside a query's box [fl(s - b), fl(s + b)] x [fl(t - b),
+    fl(t + b)] can come nearer than b: no float lies strictly between
+    s - b and its rounding, so a row below fl(s - b) lies at least b
+    below s, and sqrt(dx*dx + dy*dy) >= |dx| >= b; the same holds on each
+    side.  The rows are cut into strips of width max(best) along s, so
+    a box meets at most a few strips, and ranked along t within each
+    strip, so the rows of a box in one strip are one range."""
+    n = len(s)
+    sp, tp = s[pos], t[pos]
+    ts = np.sort(t)
+    cut = np.diff(np.floor((s - s[0]) / float(np.max(best)))) != 0
+    strip = np.concatenate([[0], np.cumsum(cut)])
+    # (strip, t rank) in one integer; rows ordered by it
+    key = strip * (n + 1) + np.searchsorted(ts, t)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = strip[np.searchsorted(s, sp - best)]
+    last = strip[np.searchsorted(s, sp + best, side="right") - 1]
+    t_lo = np.searchsorted(ts, tp - best)
+    t_hi = np.searchsorted(ts, tp + best, side="right")
+    best = best.copy()
+    for k in range(int(np.max(last - first)) + 1):
+        q = np.flatnonzero(first + k <= last)
+        base = (first[q] + k) * (n + 1)
+        lo = np.searchsorted(key, base + t_lo[q])
+        size = np.searchsorted(key, base + t_hi[q]) - lo
+        # measure the boxes of a run of queries at a time
+        start = np.cumsum(size) - size
+        cuts = np.searchsorted(start, np.arange(_BOX_PAIRS, start[-1] + size[-1], _BOX_PAIRS))
+        for a, b in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [q.size]])):
+            qi = np.repeat(np.arange(a, b), size[a:b])
+            j = order[lo[qi] + np.arange(qi.size) + start[a] - start[qi]]
+            dx, dy = sp[q[qi]] - s[j], tp[q[qi]] - t[j]
+            d = np.sqrt(dx * dx + dy * dy)
+            d[j == pos[q[qi]]] = np.inf
+            np.minimum.at(best, q[qi], d)
     return best
 
 

@@ -30,6 +30,7 @@ from .bifgrid import (
     monge_ampere2,
     pointwise_dimension,
     radial_masses,
+    radial_window,
     scaling_ladder,
     scan_field,
     wedge_pair,
@@ -183,9 +184,14 @@ def _measure_files(stem, mf):
 # ----------------------------------------------------------------------
 # compute steps
 
-def _grid(args, family, field=None):
-    return scan_field(family, _parse_box(args.box, family.param_dim), args.res,
-                      field or args.field, maxiter=args.maxiter)
+def _grid(args, family, field=None, reach=None):
+    """The scan of ``field`` (default ``--field``) on ``--box``; with a
+    ``reach`` (centre, largest radius), of only the cells that radial
+    masses about that centre read (``radial_window``)."""
+    box = _parse_box(args.box, family.param_dim)
+    window = None if reach is None else radial_window(box, args.res, *reach)
+    return scan_field(family, box, args.res, field or args.field,
+                      maxiter=args.maxiter, window=window)
 
 
 def _lyap(args, family):
@@ -255,7 +261,8 @@ def _dimension(args, family):
     else:
         center = _parse_params(args.center, "--center", family.param_dim)
         radii = decreasing_radii(_floats(args.radii, "--radii"))
-        prof = radial_masses(ddc_op(_grid(args, family)), center, radii)
+        prof = radial_masses(ddc_op(_grid(args, family, reach=(center, radii[0]))),
+                             center, radii)
         est = pointwise_dimension(prof)
         doc = {"kind": "pointwise", "masses": prof.masses.tolist(), "radii": prof.radii.tolist()}
     doc.update(slope=est.slope, stderr=est.stderr, fit_range=list(est.fit_range),
@@ -265,8 +272,9 @@ def _dimension(args, family):
 
 def _scaling(args, family):
     center = _parse_params(args.center, "--center", family.param_dim)
-    m_plus = scaling_ladder(_floats(args.mplus, "--mplus"), args.eps)
-    res = mass_scaling(ddc_op(_grid(args, family)), center, m_plus,
+    m_plus = _floats(args.mplus, "--mplus")
+    r_max = scaling_ladder(m_plus, args.eps)[0]
+    res = mass_scaling(ddc_op(_grid(args, family, reach=(center, r_max))), center, m_plus,
                        q=args.q, d=family.degree, eps=args.eps)
     doc = {"slope": res.slope, "stderr": res.stderr, "expected": res.expected,
            "deviation": res.deviation, "n_used": res.n_used,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CriticalOnOrbit, DegenerateLift
 from .families import critical_points
-from .rng import counter_choice
+from .rng import counter_choice, counter_key
 
 GREEN_MAXITER = 200
 GREEN_TOL = 1e-12
@@ -248,18 +248,20 @@ def _backward_orbits(family, lam, idx, depth, seed):
     ``inv``; once every sample has a point of its own, ``inv`` is a
     permutation and each step solves one point per sample.  The
     preimages of a point are a function of its bits, so each sample ends
-    with the bits of its own orbit.
+    with the bits of its own orbit.  A block mixes its (seed, index)
+    counter keys once (``counter_key``) and draws every step from them.
     """
     d = family.degree
     out = np.empty(len(idx), dtype=complex)
 
     def run(lo, hi):
         keys = idx[lo:hi]
+        key = counter_key(seed, keys)
         vals = np.array([1.0 + 1.0j])
         inv = np.zeros(hi - lo, dtype=np.intp)
         for s in range(depth):
             pre = family.preimages(lam, vals)
-            pair = counter_choice(seed, keys, s, d) * vals.size + inv
+            pair = counter_choice(seed, keys, s, d, key=key) * vals.size + inv
             used = np.zeros(d * vals.size, dtype=bool)
             used[pair] = True
             vals = pre.reshape(-1)[used]

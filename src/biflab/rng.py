@@ -23,24 +23,34 @@ def _mix(x):
     return x ^ (x >> np.uint64(31))
 
 
-def counter_bits(seed, index, step):
-    """64 mixed bits for the (seed, index, step) counter triple."""
+def counter_key(seed, index):
+    """The first of the two mixes of ``counter_bits``, of (seed, index):
+    the step enters only the second, so a caller that draws many steps
+    for the same indices mixes them once and passes the result as
+    ``key``."""
     with np.errstate(over="ignore"):
         seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
         index = np.asarray(index, dtype=np.uint64)
+        return _mix(index * _GOLDEN + seed)
+
+
+def counter_bits(seed, index, step, key=None):
+    """64 mixed bits for the (seed, index, step) counter triple; a given
+    ``key`` is taken as ``counter_key(seed, index)``."""
+    if key is None:
+        key = counter_key(seed, index)
+    with np.errstate(over="ignore"):
         step = np.uint64(int(step) & 0xFFFFFFFFFFFFFFFF)
-        x = _mix(index * _GOLDEN + seed)
-        x = _mix(x + step * _MIX2 + _GOLDEN)
-        return x
+        return _mix(key + step * _MIX2 + _GOLDEN)
 
 
-def counter_uniform(seed, index, step):
+def counter_uniform(seed, index, step, key=None):
     """Uniform float64 in [0, 1) keyed by (seed, index, step)."""
-    bits = counter_bits(seed, index, step)
+    bits = counter_bits(seed, index, step, key=key)
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def counter_choice(seed, index, step, n_choices):
+def counter_choice(seed, index, step, n_choices, key=None):
     """Uniform integer in [0, n_choices) keyed by (seed, index, step)."""
-    u = counter_uniform(seed, index, step)
+    u = counter_uniform(seed, index, step, key=key)
     return np.minimum((u * n_choices).astype(np.int64), n_choices - 1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from biflab.bifgrid import (
     monge_ampere2,
     pointwise_dimension,
     radial_masses,
+    radial_window,
     scan_field,
     wedge_pair,
 )
@@ -320,6 +322,82 @@ class TestRadial:
         est = pointwise_dimension(radial_masses(mu, 0j, radii))
         assert abs(est.slope - 2.0) < 0.02
         assert est.n_points == 5
+
+
+def window_slices(window):
+    return tuple(slice(lo, hi) for lo, hi in window)
+
+
+class TestRadialWindow:
+    @settings(max_examples=120, deadline=None)
+    @given(res=st.integers(8, 40), log_half=st.floats(-3.0, 1.0),
+           log_aspect=st.floats(-1.0, 1.0),
+           offset=st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)),
+           reach=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=4, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_masses_match_the_whole_grid(self, res, log_half, log_aspect, offset, reach,
+                                         seed):
+        # centres inside, near and outside the box (|offset| > 1), radii
+        # from below the 3-cell floor to past the box, rectangular cells
+        hw = 10.0 ** log_half
+        hh = hw * 10.0 ** log_aspect
+        box = Box((0.3 - 0.2j,), (hw,), (hh,))
+        center = complex(0.3 + offset[0] * hw, -0.2 + offset[1] * hh)
+        radii = max(hw, hh) * np.array(sorted(reach, reverse=True))
+        values = np.random.default_rng(seed).standard_normal((res, res))
+        window = radial_window(box, res, [center], radii[0])
+        whole = ddc(GridField(box, res, values))
+        part = ddc(GridField(box, res, values[window_slices(window)], window=window))
+        assert part.cell_mass.shape == tuple(hi - lo for lo, hi in window)
+        try:
+            expected = radial_masses(whole, center, radii).masses
+        except ResolutionExceeded as exc:
+            with pytest.raises(ResolutionExceeded, match=re.escape(str(exc))):
+                radial_masses(part, center, radii)
+            return
+        got = radial_masses(part, center, radii).masses
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("center, r_max", [(-2 + 0j, 0.0625), (-2.29 + 0.1j, 0.05),
+                                               (5 + 0j, 0.1), (-2 + 0j, 1.0)])
+    def test_window_is_the_reach_plus_one_cell(self, center, r_max):
+        # the README scaling box; each range holds the cells whose offset
+        # from the centre lies below r_max + half a cell diagonal, and one
+        # more cell on each side, within the grid
+        box, res = Box((-2 + 0j,), (0.3,)), 512
+        h = box.cell_widths(res)[0]
+        reach = r_max + 0.5 * math.hypot(h, h)
+        expected = []
+        for axis, c in zip(box.axes(res), (center.real, center.imag)):
+            near = np.flatnonzero(np.abs(axis - c) < reach)
+            expected.append((max(near[0] - 1, 0), min(near[-1] + 2, res)) if near.size
+                            else (0, 0))
+        assert radial_window(box, res, [center], r_max) == tuple(expected)
+
+    def test_tip_window(self):
+        # the benchmark's tip: 1604^2 of 2048^2 cells
+        window = radial_window(Box((-2 + 0j,), (0.08,)), 2048, [-2 + 0j], 2.0 ** -4)
+        assert window == ((222, 1826), (222, 1826))
+
+    @pytest.mark.parametrize("which", ["G0", "L"])
+    def test_scan_window_has_the_whole_scan_bits(self, which):
+        box = Box((-2 + 0j,), (0.3,), (0.2,))
+        window = radial_window(box, 64, [-2.05 + 0.02j], 0.1)
+        whole = scan_field(QUAD, box, 64, which, maxiter=128)
+        part = scan_field(QUAD, box, 64, which, maxiter=128, window=window)
+        assert part.window == window
+        expected = whole.values[window_slices(window)]
+        assert np.array_equal(part.values.view(np.uint64), expected.view(np.uint64))
+
+    def test_window_short_of_the_radii_refused(self):
+        box = Box((0j,), (1.0,))
+        window = radial_window(box, 64, [0j], 0.3)
+        mass = np.ones(tuple(hi - lo for lo, hi in window))
+        mu = MeasureField(box=box, resolution=64, cell_mass=mass, raw_mass=mass,
+                          clamp_total=0.0, window=window)
+        assert radial_masses(mu, 0j, [0.3, 0.2]).masses[0] > 0
+        with pytest.raises(ValueError, match="misses cells"):
+            radial_masses(mu, 0j, [0.4, 0.2])
 
 
 class TestMassScaling:

@@ -839,6 +839,42 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dimension", "--radii", "0.0625,0.03125,0.015625,0.0078125"],
+         "pointwise dimension: only 0 radii with positive mass"),
+        (["scaling", "--mplus", "1.386294,2.772589,4.158883,5.545177"],
+         "mass scaling: fewer than 3 positive masses"),
+    ], ids=["dimension", "scaling"])
+    def test_center_out_of_reach_scans_no_cell(self, tmp_path, capsys, monkeypatch, argv,
+                                               message):
+        # no ball about a centre far outside the box meets a cell, so the
+        # scan window is empty; the failure is the one a whole-box scan
+        # gives, found without scanning a cell
+        scans = []
+
+        def scan(*args, **kwargs):
+            scans.append(bifgrid.scan_field(*args, **kwargs))
+            return scans[-1]
+
+        monkeypatch.setattr(cli, "scan_field", scan)
+        out = tmp_path / "run"
+        assert main(argv + ["--family", "unicritical2", "--box", "-2,0:0.6x0.6", "--res", "512",
+                            "--field", "G0", "--center", "5,0", "--out", str(out)]) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        assert [f.values.size for f in scans] == [0]
+
+    def test_window_refusals_use_the_whole_grid(self, tmp_path, capsys):
+        # the window of these radii holds a few cells of each grid, but
+        # the grid bounds and the 3-cell-width floor are the whole grid's
+        for res, message in (("5000", "invalid input: resolution 5000 gives 25000000 cells"),
+                             ("4", "invalid input: resolution must be >= 8"),
+                             ("16", "numerical failure: r_min = 0.02 below 3 cell widths")):
+            assert main(["dimension", "--family", "unicritical2", "--box", FULL_BOX,
+                         "--res", res, "--field", "G0", "--center", "-2,0",
+                         "--radii", "0.04,0.03,0.02", "--out", str(tmp_path / res)]) in (2, 3)
+            assert message in capsys.readouterr().err
+
 
 UNI2 = {"degree": 2, "kind": "unicritical"}
 BH3 = {"degree": 3, "kind": "branner_hubbard"}

@@ -1,9 +1,11 @@
 """Golden digests of the README commands' outputs.
 
 Each README command runs in-process through ``cli.main`` into its own
-directory; a ``run/<file>`` argument reads the file an earlier command
-wrote.  The sha256 of every output except ``manifest.json`` (which
-records the ``--out`` path) must match ``golden_digests.json``.  The
+directory, named after the subcommand (``dimension/``) and numbered
+from its second line on (``dimension2/``); a ``run/<file>`` argument
+reads the file an earlier command wrote.  The sha256 of every output
+except ``manifest.json`` (which records the ``--out`` path) must match
+``golden_digests.json``.  The
 table records the numpy version, the BLAS and numpy's CPU dispatch
 features it was made with; on an install where one of them differs the
 test skips and names it, since those can move the last bits of a float.
@@ -15,6 +17,7 @@ log which files moved.
 
 import json
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +40,17 @@ def library_facts():
 
 
 def run_readme(root):
-    """Run every README command into root/<command>/; return
-    {"<command>/<file>": sha256} over every output but the manifests."""
+    """Run every README command into root/<command>[<k>]/; return
+    {"<command>[<k>]/<file>": sha256} over every output but the
+    manifests."""
     written = {}
     digests = {}
+    lines = Counter()
     for line in readme_commands():
         tokens = shlex.split(line)[1:]
-        out = Path(root) / tokens[0]
+        lines[tokens[0]] += 1
+        name = tokens[0] + (str(lines[tokens[0]]) if lines[tokens[0]] > 1 else "")
+        out = Path(root) / name
         argv = []
         for tok in tokens:
             if tok == "run/":
@@ -55,7 +62,7 @@ def run_readme(root):
         for path in sorted(out.iterdir()):
             written[path.name] = path
             if path.name != "manifest.json":
-                digests[f"{tokens[0]}/{path.name}"] = bio.sha256_file(path)
+                digests[f"{name}/{path.name}"] = bio.sha256_file(path)
     return digests
 
 

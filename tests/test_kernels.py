@@ -559,6 +559,36 @@ class TestScipyReplacements:
                 assert same_bits(bifgrid._nearest_distances(xy, count), ref), name
                 monkeypatch.undo()
 
+    def test_comb_measures_no_query_against_every_row(self, monkeypatch):
+        # the comb's x = 0 run outlasts the sweep; its queries used to
+        # measure every row, 1200 x 2200 pairs, and the box search
+        # measures a few rows per query
+        comb = self.clouds()["comb"]
+        xy = np.column_stack([comb.real, comb.imag])
+        searched = []
+        search, sqrt = bifgrid._box_search, np.sqrt
+
+        def counted(s, t, pos, best):
+            sizes = []
+
+            def measured(x, *args, **kwargs):
+                sizes.append(x.size)
+                return sqrt(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, "sqrt", measured)
+            try:
+                return search(s, t, pos, best)
+            finally:
+                monkeypatch.setattr(np, "sqrt", sqrt)
+                searched.append((len(pos), sum(sizes)))
+
+        monkeypatch.setattr(bifgrid, "_box_search", counted)
+        ref = cKDTree(xy).query(xy[:2000], k=2)[0][:, 1]
+        assert same_bits(bifgrid._nearest_distances(xy, 2000), ref)
+        [(queries, pairs)] = searched
+        assert queries >= 1000
+        assert pairs < queries * len(xy) / 100
+
     def test_nonfinite_cloud(self):
         pts = np.exp(2j * np.pi * np.arange(2000) / 2000)
         pts[7] = complex(np.nan, 0.0)

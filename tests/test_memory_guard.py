@@ -4,8 +4,9 @@ coordinate mesh of radial masses, and the parameter grid and critical
 values of a scan; and of the stages that once held a whole-array
 temporary they need only a chunk of: the sub-cell offsets of radial
 masses in C^2, the formatted values of a field CSV and the scaled
-pixels of a PGM.  tracemalloc counts numpy's buffers, so a peak far
-above the result's own size means such an array is back."""
+pixels of a PGM; and of ``dimension --box``, which scans and measures
+only the cells its radii reach.  tracemalloc counts numpy's buffers, so
+a peak far above the result's own size means such an array is back."""
 
 import os
 import tracemalloc
@@ -13,7 +14,8 @@ import tracemalloc
 import numpy as np
 
 from biflab import hyperbolic, io as bio
-from biflab.bifgrid import Box, MeasureField, radial_masses, scan_field
+from biflab.bifgrid import Box, MeasureField, radial_masses, radial_window, scan_field
+from biflab.cli import main
 from biflab.families import MapFamily
 
 
@@ -99,3 +101,19 @@ def test_pgm_scales_by_row_blocks(tmp_path):
     _, peak = peak_bytes(lambda: bio.write_pgm(path, values))
     assert path.stat().st_size > 2 * values.size
     assert peak < 1.5 * values.nbytes
+
+
+def test_pointwise_dimension_scans_only_the_window(tmp_path, monkeypatch):
+    # the README scaling box at 512^2 with radii 2^-4..2^-8 reaches 110^2
+    # cells, 4.6% of the grid; a scan and ddc of the whole box peaked at
+    # 6.6x the grid's value array, and the window peaks near 12x its own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    radii = [2.0 ** -k for k in range(4, 9)]
+    argv = ["dimension", "--family", "unicritical2", "--box", "-2,0:0.6x0.6", "--res", "512",
+            "--field", "G0", "--center", "-2,0", "--radii", ",".join(map(repr, radii)),
+            "--out", str(tmp_path / "dim")]
+    rc, peak = peak_bytes(lambda: main(argv))
+    assert rc == 0
+    window = radial_window(Box((-2 + 0j,), (0.3,)), 512, [-2 + 0j], radii[0])
+    assert window == ((201, 311), (201, 311))
+    assert peak < 20 * 110 ** 2 * 8 < 512 ** 2 * 8

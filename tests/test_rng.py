@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from biflab.rng import counter_bits, counter_choice, counter_uniform
+from biflab.rng import counter_bits, counter_choice, counter_key, counter_uniform
 
 
 def test_pure_function_of_key():
@@ -45,3 +45,18 @@ def test_keys_decorrelate():
     idx = np.arange(5000, dtype=np.uint64)
     assert not np.array_equal(counter_bits(1, idx, 0), counter_bits(2, idx, 0))
     assert not np.array_equal(counter_bits(1, idx, 0), counter_bits(1, idx, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), start=st.integers(0, 2 ** 63),
+       size=st.integers(0, 300), steps=st.lists(st.integers(0, 2 ** 64 - 1), max_size=6),
+       n_choices=st.integers(1, 7))
+def test_key_mixed_once_draws_the_same_bits(seed, start, size, steps, n_choices):
+    # the sampler mixes (seed, index) once and draws every step from it
+    idx = np.arange(start, start + size, dtype=np.uint64)
+    key = counter_key(seed, idx)
+    for step in steps:
+        assert np.array_equal(counter_bits(seed, idx, step, key=key),
+                              counter_bits(seed, idx, step))
+        assert np.array_equal(counter_choice(seed, idx, step, n_choices, key=key),
+                              counter_choice(seed, idx, step, n_choices))
