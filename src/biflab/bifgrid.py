@@ -118,23 +118,28 @@ class GridField:
     resolution: int
     values: np.ndarray
     meta: dict = field(default_factory=dict)
-    nan_count: int = 0
     window: tuple = None
 
 
 @dataclass
 class MeasureField:
-    """Discrete measure on the cells of a grid.  ``cell_mass`` is the
-    clamped (nonnegative) mass; ``raw_mass`` keeps the signed stencil
-    output and ``clamp_total`` the amount removed by clamping.  The masses
-    are those of the cells of ``window``, as in ``GridField``."""
+    """Discrete measure on the cells of a grid.  ``raw_mass`` is the
+    signed stencil output, ``cell_mass`` the clamped (nonnegative) mass
+    and ``clamp_total`` the amount removed by clamping.  The masses are
+    those of the cells of ``window``, as in ``GridField``."""
     box: Box
     resolution: int
-    cell_mass: np.ndarray
     raw_mass: np.ndarray
-    clamp_total: float
     meta: dict = field(default_factory=dict)
     window: tuple = None
+
+    @property
+    def cell_mass(self):
+        return np.maximum(self.raw_mass, 0.0)
+
+    @property
+    def clamp_total(self):
+        return float(np.sum(self.cell_mass - self.raw_mass))
 
     @property
     def total_mass(self):
@@ -272,11 +277,8 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER, window=None
             vals[lo:hi] += mult * escape_rate(family, lams, k, maxiter)
 
     _blocks(run, cells)
-    vals = vals.reshape(shape)
-    nan_count = int(np.sum(~np.isfinite(vals)))
-    return GridField(box=box, resolution=resolution, values=vals,
-                     meta={"which": which, "maxiter": maxiter}, nan_count=nan_count,
-                     window=window)
+    return GridField(box=box, resolution=resolution, values=vals.reshape(shape),
+                     meta={"which": which, "maxiter": maxiter}, window=window)
 
 
 # ----------------------------------------------------------------------
@@ -290,11 +292,8 @@ def ddc(gfield):
         raise ValueError("ddc requires one complex parameter")
     hx = gfield.box.cell_widths(gfield.resolution)[0]
     hy = gfield.box.cell_heights(gfield.resolution)[0]
-    raw = _local_mass(gfield.values, weights=[hy / hx, hx / hy])
-    clamped = np.maximum(raw, 0.0)
-    clamp_total = float(np.sum(clamped - raw))
     return MeasureField(box=gfield.box, resolution=gfield.resolution,
-                        cell_mass=clamped, raw_mass=raw, clamp_total=clamp_total,
+                        raw_mass=_local_mass(gfield.values, weights=[hy / hx, hx / hy]),
                         meta={"op": "ddc", "source": dict(gfield.meta)}, window=gfield.window)
 
 
@@ -396,9 +395,12 @@ def wedge_pair(field_a, field_b, mollify_radius=None):
     valid = np.zeros(raw.shape, dtype=bool)
     valid[tuple(slice(s, -s) for s in shells)] = True
     raw = np.where(valid, raw, 0.0)
-    clamped = np.maximum(raw, 0.0)
-    clamp_total = float(np.sum(clamped - raw))
-    absolute = float(np.sum(clamped)) + clamp_total
+    mu = MeasureField(box=box, resolution=res, raw_mass=raw,
+                      meta={"op": "wedge_pair", "mollify_radius": mollify_radius,
+                            "boundary_shell": shells,
+                            "a": dict(field_a.meta), "b": dict(field_b.meta)})
+    clamp_total = mu.clamp_total
+    absolute = mu.total_mass + clamp_total
     # Roundoff moves a Hessian entry of u by up to about 16 eps max|u| / h^2,
     # and M is bilinear in the entries of A and B; a clamped mass below the
     # mass that this can move over the valid cells is roundoff, as in a
@@ -412,11 +414,7 @@ def wedge_pair(field_a, field_b, mollify_radius=None):
     if clamp_total > max(CLAMP_WARN_SHARE * absolute, roundoff):
         warnings.warn(f"clamped mass {clamp_total:.3g} is {clamp_total / absolute:.1%} "
                       f"of the absolute mass {absolute:.3g}", NotPlurisubharmonic)
-    return MeasureField(box=box, resolution=res, cell_mass=clamped,
-                        raw_mass=raw, clamp_total=clamp_total,
-                        meta={"op": "wedge_pair", "mollify_radius": mollify_radius,
-                              "boundary_shell": shells,
-                              "a": dict(field_a.meta), "b": dict(field_b.meta)})
+    return mu
 
 
 def monge_ampere2(gfield, mollify_radius=None):

@@ -61,6 +61,18 @@ def _int(text, flag):
     return int(text)
 
 
+def _float(text, flag):
+    """``text`` as a float where it is ASCII: ``-?`` and digits with an
+    optional point and exponent, or ``inf``, ``infinity`` or ``nan`` in
+    any case, which the callers' finiteness checks refuse.  ``float``
+    would also take ``1_0``, ``+1``, surrounding space and other scripts'
+    digits.  Anything else is a ValueError naming the flag."""
+    if re.fullmatch(r"-?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[-+]?[0-9]+)?|inf(inity)?|nan)",
+                    text, re.ASCII | re.IGNORECASE) is None:
+        raise ValueError(f"{flag} needs a number, got {text!r}")
+    return float(text)
+
+
 def _parse_family(text):
     if os.path.exists(text):
         with open(text) as f:
@@ -85,7 +97,7 @@ def _parse_params(text, flag, count=None):
     for part in text.split(";"):
         try:
             re_s, im_s = part.split(",")
-            out.append(float(re_s) + 1j * float(im_s))
+            out.append(_float(re_s, flag) + 1j * _float(im_s, flag))
         except ValueError:
             raise ValueError(f"{flag} needs re,im point(s), got {part!r}") from None
         if not np.isfinite(out[-1]):
@@ -99,7 +111,7 @@ def _floats(text, flag):
     """A comma list of finite numbers; a malformed or non-finite one is a
     ValueError naming the flag."""
     try:
-        out = np.array([float(v) for v in text.split(",")])
+        out = np.array([_float(v, flag) for v in text.split(",")])
     except ValueError:
         raise ValueError(f"{flag} needs a comma list of numbers, got {text!r}") from None
     if not np.all(np.isfinite(out)):
@@ -114,8 +126,8 @@ def _parse_box(text, count):
     for part in text.split(";"):
         try:
             c_s, size_s = part.split(":")
-            cx, cy = (float(v) for v in c_s.split(","))
-            w, h = (float(v) for v in size_s.lower().split("x"))
+            cx, cy = (_float(v, "--box") for v in c_s.split(","))
+            w, h = (_float(v, "--box") for v in size_s.lower().split("x"))
         except ValueError:
             raise ValueError(f"--box needs cx,cy:WxH box(es), got {part!r}") from None
         if not (0 < w < math.inf and 0 < h < math.inf):
@@ -206,7 +218,7 @@ def _scan(args, family):
     gf = _grid(args, family)
     return (_grid_files(args.field, gf, gf.values, args.field),
             f"scanned {args.field}: min {float(np.nanmin(gf.values)):.6g} "
-            f"max {float(np.nanmax(gf.values)):.6g} nan {gf.nan_count}")
+            f"max {float(np.nanmax(gf.values)):.6g} nan {int(np.sum(~np.isfinite(gf.values)))}")
 
 
 def _ddc(args, family):
@@ -377,8 +389,8 @@ def _build_parser():
                        help="unicritical<d>, bh<d>, or a JSON family file")
         p.add_argument("--out", default=".", help="output directory")
         for flag, kw in cmd.flags:
-            # an integer flag is stored as text, for _run to read with _int
-            p.add_argument(flag, **{k: v for k, v in kw.items() if v is not int})
+            # a number flag is stored as text, for _run to read with _int or _float
+            p.add_argument(flag, **{k: v for k, v in kw.items() if k != "type"})
         p.set_defaults(func=cmd.compute)
     return ap
 
@@ -386,8 +398,9 @@ def _build_parser():
 def _run(args):
     for flag, kw in next(c for c in COMMANDS if c.name == args.command).flags:
         value = getattr(args, flag[2:])
-        if kw.get("type") is int and isinstance(value, str):
-            setattr(args, flag[2:], _int(value, flag))
+        read = {int: _int, float: _float}.get(kw.get("type"))
+        if read and isinstance(value, str):
+            setattr(args, flag[2:], read(value, flag))
     cloud = getattr(args, "cloud", None)
     if args.command == "dimension":
         needed = ("scales",) if cloud else ("box", "res", "center", "radii")

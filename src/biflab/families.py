@@ -1,7 +1,7 @@
 """Map families, orbits, derivative cocycles and dynamical-plane Newton.
 
 Everything downstream (Green functions, continuation, Misiurewicz solving,
-parameter scans) consumes the three family kinds defined here:
+parameter scans) tells the three kinds apart only through ``MapFamily``:
 
 * ``unicritical``      f(z) = z^d + c                       (m = 1)
 * ``branner_hubbard``  p(z) = z^d/d + sum_{j=2}^{d-1} (-1)^{d-j} s_{d-j}(c)/j z^j + a^d
@@ -44,13 +44,8 @@ numpy scalar it returns, rounds differently.
 
 The activity maps evaluate a stack of parameters at once: one
 ``poly_coeffs`` call for the whole stack and a column-wise
-``npoly.polyval(z, coef, tensor=False)``.  The escape-rate kernel's
-step, ``potential._power_step``, keeps the power form z^d + c and
-z^d/d + a^d + sum_j coef_j z^j, and writes each
-product as ``np.multiply(coef_j, z ** j)``: on arrays of 256 KiB or
-more numpy's temporary elision evaluates ``coef_j * z ** j`` as
-``z ** j * coef_j``, and the fused complex multiply is not bitwise
-commutative.
+``npoly.polyval(z, coef, tensor=False)``; the escape-rate kernel
+steps with ``power_step``.
 
 A family's JSON document holds ``kind``, ``degree`` and, for the
 rational kind, the ``num``/``den`` tables.  ``_check_shape`` checks it
@@ -157,6 +152,19 @@ class MapFamily:
                 + [(-1.0) ** (d - j) * sig[d - j] / j for j in range(2, d)]
                 + [1.0 / d])
 
+    def power_step(self, rows, z):
+        """f at z in power form, z^d + c or z^d/d + a^d + sum_j row_j z^j,
+        ``rows`` from ``coeff_rows``.  ``np.multiply`` keeps the operand
+        order, which numpy's temporary elision swaps in ``row * z ** j`` on
+        arrays of 256 KiB or more; complex multiplication is not commutative in bits."""
+        d = self.degree
+        if self.kind == "unicritical":
+            return z ** d + rows[0]
+        out = z ** d / d + rows[0]
+        for j in range(2, d):
+            out = out + np.multiply(rows[j], z ** j)
+        return out
+
     def poly_coeffs(self, lam):
         """z-coefficients (lowest first) for the polynomial kinds: shape
         (d+1,) for one parameter of shape (m,), or (d+1, P) for a stack of
@@ -183,20 +191,11 @@ class MapFamily:
         n, d = self._rat_coeffs(lam)
         n = np.trim_zeros(n, "b")
         d = np.trim_zeros(d, "b")
-        p, q = len(n) - 1, len(d) - 1
-        if p < 0 or q < 0:
+        if not (len(n) and len(d)):
             return 0.0 + 0j
-        if p == 0 and q == 0:
-            return 1.0 + 0j
-        size = p + q
-        syl = np.zeros((size, size), dtype=complex)
-        for i in range(q):
-            syl[i, i : i + p + 1] = n[::-1]
-        for i in range(p):
-            syl[q + i, i : i + q + 1] = d[::-1]
         # huge coefficients overflow to inf or NaN, which check_nondegenerate refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            return complex(np.linalg.det(syl))
+            return complex(np.linalg.det(_sylvester(n, d)))
 
     def check_nondegenerate(self, lam):
         if self.kind == "rational":
@@ -222,6 +221,19 @@ class MapFamily:
 
     def deriv(self, lam, z):
         return self.map_and_deriv(lam)[1](z)
+
+    def log_derivs(self, lam, z):
+        """log|f'| at the points z, spherical for the rational kind, else affine."""
+        f, df = self.map_and_deriv(lam)
+        with np.errstate(divide="ignore"):
+            vals = np.log(np.abs(df(z)))
+        if self.kind == "rational":
+            vals = vals + np.log1p(np.abs(z) ** 2) - np.log1p(np.abs(f(z)) ** 2)
+        return vals
+
+    def series_order(self, N_trunc):
+        """Local series order of a chain cut at N_trunc: the degree, or N_trunc + 4 if rational."""
+        return N_trunc + 4 if self.kind == "rational" else self.degree
 
     def local_series(self, lam, w, order):
         """Taylor coefficients b_0..b_order of f at the point w."""
@@ -331,11 +343,7 @@ class MapFamily:
             n, e = self._rat_coeffs(lam)
         else:
             n, e = self.poly_coeffs(lam), np.eye(1, d + 1, dtype=complex)[0]
-        syl = np.zeros((2 * d, 2 * d), dtype=complex)
-        for i in range(d):
-            syl[i, i:i + d + 1] = n[::-1]
-            syl[d + i, i:i + d + 1] = e[::-1]
-        lower = 1.0 / np.max(np.sum(np.abs(np.linalg.inv(syl)), axis=1))
+        lower = 1.0 / np.max(np.sum(np.abs(np.linalg.inv(_sylvester(n, e))), axis=1))
         return max(math.log(max(np.sum(np.abs(n)), np.sum(np.abs(e)))), -math.log(lower))
 
 
@@ -344,6 +352,18 @@ def _poly_maps(coef):
     dcoef = npoly.polyder(coef)
     return (lambda z: npoly.polyval(np.asarray(z, dtype=complex), coef),
             lambda z: npoly.polyval(np.asarray(z, dtype=complex), dcoef))
+
+
+def _sylvester(a, b):
+    """Sylvester matrix of the polynomials with coefficients a and b
+    (lowest first): deg b shifted rows of a over deg a shifted rows of b."""
+    p, q = len(a) - 1, len(b) - 1
+    syl = np.zeros((p + q, p + q), dtype=complex)
+    for i in range(q):
+        syl[i, i:i + p + 1] = a[::-1]
+    for i in range(p):
+        syl[q + i, i:i + q + 1] = b[::-1]
+    return syl
 
 
 def _rat_chart(n, d, z, deriv):

@@ -265,8 +265,7 @@ def linearize_orbit(family, lam, w, n, N_trunc=12, tail=30, forward_points=None)
     chain = np.empty(n + tail + 1, dtype=complex)
     chain[: n + 1] = pts[::-1]
     chain[n + 1:] = _backward_extend(family, lam, pts[0], tail)
-    order = family.degree if family.kind != "rational" else N_trunc + 4
-    order = max(order, 2)
+    order = family.series_order(N_trunc)
     # local series of f at chain[i], i >= 1 (maps toward chain[i-1])
     locs = [family.local_series(lam, chain[i], order) for i in range(1, n + tail + 1)]
     lin = np.array([loc[1] for loc in locs])

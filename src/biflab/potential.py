@@ -8,7 +8,7 @@ parameter-space Green function (for z^2+c it is the Mandelbrot-set Green
 function, growing like log|c|), G_j >= 0 with equality exactly on bounded
 critical orbits, and dd^c of the quadratic G_0 carries unit total mass.
 
-``escape_rate``, stepping in power form (``_power_step``), is the one
+``escape_rate``, stepping with ``MapFamily.power_step``, is the one
 escape-rate kernel.  It takes parameter coordinates and a marked
 critical index, and starts each orbit at that point's critical value.
 The grid scans run it on each block of cells, and
@@ -33,6 +33,10 @@ GREEN_MAXITER = 200
 GREEN_TOL = 1e-12
 PLANE_BIG = 1e12
 PLANE_MAXITER = 2048
+# most samples of a max-entropy cloud: `lyap` peaks at 102 MB RSS with
+# 10^6 samples and 300 MB with 2^22 on a 2-core Xeon, about 62 MB per
+# 10^6, so near 560 MB at the bound, as a grid scan at MAX_GRID_CELLS
+MAX_SAMPLES = 2 ** 23
 
 # Largest block of a split kernel, in points.  Every worker holds one
 # block's temporaries at a time, and each block pays the loop's fixed
@@ -145,20 +149,6 @@ def green_at(family, lam, v: LiftVector):
     return GreenValue(value=G, converged=converged)
 
 
-def _power_step(family, rows, z):
-    """f applied pointwise in power form, z^d + c or z^d/d + a^d +
-    sum_j row_j z^j, with ``rows`` from ``family.coeff_rows``.
-    ``np.multiply`` keeps each product's operand order, which the elided
-    ``row * z ** j`` would not (see ``families``)."""
-    d = family.degree
-    if family.kind == "unicritical":
-        return z ** d + rows[0]
-    out = z ** d / d + rows[0]
-    for j in range(2, d):
-        out = out + np.multiply(rows[j], z ** j)
-    return out
-
-
 def escape_rate(family, lams, j, maxiter):
     """Escape-rate Green values g = d^{-n} (log|z_n| + gamma), gamma =
     log|lead| / (d - 1), of marked critical point j at the parameter
@@ -178,7 +168,7 @@ def escape_rate(family, lams, j, maxiter):
     """
     d = family.degree
     rows = family.coeff_rows(lams)
-    z = _power_step(family, rows, family.critical_rows(lams)[j][0])
+    z = family.power_step(rows, family.critical_rows(lams)[j][0])
     gamma = math.log(abs(rows[d])) / (d - 1)
     g = np.zeros(z.size)
     idx = np.arange(z.size)
@@ -199,7 +189,7 @@ def escape_rate(family, lams, j, maxiter):
             break
         if n >= 8 and n & (n - 1) == 0:
             saved = z.copy()
-        z = _power_step(family, rows, z)
+        z = family.power_step(rows, z)
     return g
 
 
@@ -230,6 +220,8 @@ def sample_mu_f(family, lam, n_points, depth, seed):
     """
     if n_points < 0:
         raise ValueError(f"n_points must be >= 0, got {n_points}")
+    if n_points > MAX_SAMPLES:
+        raise ValueError(f"{n_points} samples, above the {MAX_SAMPLES} of MAX_SAMPLES")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     return _backward_orbits(family, lam, np.arange(n_points, dtype=np.uint64), depth, seed)
@@ -277,10 +269,9 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
 
     Samples landing within 1e-12 of a critical point are redrawn (with a
     shifted counter key) and counted in ``flagged``; CriticalOnOrbit is
-    raised if any remain after five rounds, or if a log-derivative is
-    not finite.  The derivative is measured in the affine chart; the
-    spherical correction is applied only for the rational kind.  A
-    standard error needs two samples, so ``n_points < 2`` is a ValueError;
+    raised if any remain after five rounds, or if a log-derivative
+    (``MapFamily.log_derivs``) is not finite.  A standard error needs
+    two samples, so ``n_points < 2`` is a ValueError;
     so is ``depth < 1``, which leaves every sample at the start point.
     """
     if n_points < 2:
@@ -303,12 +294,7 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
         if n_bad:
             raise CriticalOnOrbit(
                 f"{n_bad} samples within 1e-12 of a critical point after 5 redraw rounds")
-    dz = np.asarray(family.deriv(lam, z), dtype=complex)
-    with np.errstate(divide="ignore"):
-        vals = np.log(np.abs(dz))
-    if family.kind == "rational":
-        fz = np.asarray(family.eval(lam, z), dtype=complex)
-        vals = vals + np.log1p(np.abs(z) ** 2) - np.log1p(np.abs(fz) ** 2)
+    vals = family.log_derivs(lam, z)
     n_bad = int(np.sum(~np.isfinite(vals)))
     if n_bad:
         raise CriticalOnOrbit(f"{n_bad} log-derivatives are not finite")

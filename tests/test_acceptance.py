@@ -193,9 +193,7 @@ def test_c10_dimension_estimators():
     res = 256
     h2 = box.cell_widths(res)[0] * box.cell_heights(res)[0]
     from biflab.bifgrid import MeasureField
-    leb = MeasureField(box=box, resolution=res,
-                       cell_mass=np.full((res, res), h2),
-                       raw_mass=np.full((res, res), h2), clamp_total=0.0)
+    leb = MeasureField(box=box, resolution=res, raw_mass=np.full((res, res), h2))
     radii = 0.6 * 2.0 ** -np.arange(5, dtype=float)
     est = pointwise_dimension(radial_masses(leb, 0j, radii))
     assert abs(est.slope - 2.0) <= 0.02

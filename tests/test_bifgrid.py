@@ -40,8 +40,7 @@ def lebesgue_measure(box, res):
     hx = box.cell_widths(res)[0]
     hy = box.cell_heights(res)[0]
     mass = np.full((res, res), hx * hy)
-    return MeasureField(box=box, resolution=res, cell_mass=mass,
-                        raw_mass=mass.copy(), clamp_total=0.0)
+    return MeasureField(box=box, resolution=res, raw_mass=mass)
 
 
 class TestBox:
@@ -280,8 +279,7 @@ class TestRadial:
         box = Box((0j, 0j), (1.0, 1.0))
         h = box.cell_widths(16)[0]
         mass = np.full((16,) * 4, h ** 4)
-        mu = MeasureField(box=box, resolution=16, cell_mass=mass,
-                          raw_mass=mass.copy(), clamp_total=0.0)
+        mu = MeasureField(box=box, resolution=16, raw_mass=mass)
         radii = np.array([0.9, 0.7, 0.5, 0.4])
         prof = radial_masses(mu, center, radii)
         assert np.allclose(prof.masses, math.pi ** 2 * radii ** 4 / 2, rtol=0.005)
@@ -291,8 +289,7 @@ class TestRadial:
         res = 64
         mass = np.zeros((res, res))
         mass[res // 2, res // 2] = 1.0
-        mu = MeasureField(box=box, resolution=res, cell_mass=mass,
-                          raw_mass=mass.copy(), clamp_total=0.0)
+        mu = MeasureField(box=box, resolution=res, raw_mass=mass)
         prof = radial_masses(mu, 0j, np.array([0.8, 0.5, 0.2]))
         assert np.allclose(prof.masses, 1.0)
 
@@ -301,8 +298,7 @@ class TestRadial:
         # a short center raised IndexError, and a long one was cut to m
         box = Box((0j,) * m, (1.0,) * m)
         mass = np.ones((8,) * (2 * m))
-        mu = MeasureField(box=box, resolution=8, cell_mass=mass, raw_mass=mass,
-                          clamp_total=0.0)
+        mu = MeasureField(box=box, resolution=8, raw_mass=mass)
         with pytest.raises(ValueError, match=rf"center of {m} coordinate\(s\), got {len(center)}"):
             radial_masses(mu, center, np.array([0.9, 0.8]))
 
@@ -393,8 +389,7 @@ class TestRadialWindow:
         box = Box((0j,), (1.0,))
         window = radial_window(box, 64, [0j], 0.3)
         mass = np.ones(tuple(hi - lo for lo, hi in window))
-        mu = MeasureField(box=box, resolution=64, cell_mass=mass, raw_mass=mass,
-                          clamp_total=0.0, window=window)
+        mu = MeasureField(box=box, resolution=64, raw_mass=mass, window=window)
         assert radial_masses(mu, 0j, [0.3, 0.2]).masses[0] > 0
         with pytest.raises(ValueError, match="misses cells"):
             radial_masses(mu, 0j, [0.4, 0.2])
@@ -424,7 +419,7 @@ class TestMassScaling:
 
     def test_massless_law_names_its_stage(self):
         mu = lebesgue_measure(Box((0j,), (1.0,)), 128)
-        mu.cell_mass[:] = 0.0
+        mu.raw_mass[:] = 0.0
         m_plus = np.arange(1, 11) * math.log(2)
         with pytest.raises(DegenerateProfile, match="^mass scaling: fewer than 3 positive"):
             mass_scaling(mu, 0j, m_plus, q=1, d=2, eps=0.5)

@@ -4,13 +4,14 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biflab import bifgrid, cli, hyperbolic, io as bio
+from biflab import bifgrid, cli, hyperbolic, io as bio, potential
 from biflab.cli import main
 from biflab.errors import NotPlurisubharmonic
 from biflab.families import MapFamily
@@ -478,6 +479,21 @@ class TestExitCodes:
         assert f"n_points must be >= 2 for a standard error, got {samples}" \
             in capsys.readouterr().err
         assert not (tmp_path / "lyap.json").exists()
+
+    def test_too_many_samples(self, tmp_path, capsys):
+        # 10^11 samples exited 1 with numpy's _ArrayMemoryError traceback
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            assert main(["lyap", "--family", "unicritical2", "--param", "-2,0",
+                         "--samples", "100000000000", "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (f"invalid input: 100000000000 samples, above the {potential.MAX_SAMPLES} "
+                f"of MAX_SAMPLES") in capsys.readouterr().err
+        assert peak < 10 ** 7
+        assert not out.exists()
 
     def test_bad_box_string(self, tmp_path):
         assert main(["scan", "--family", "unicritical2", "--box", "zzz",
@@ -994,6 +1010,42 @@ def first_case(name):
 
 INT_FLAGS = [(first_case(cmd.name), flag) for cmd in cli.COMMANDS for flag, kw in cmd.flags
              if kw.get("type") is int]
+
+
+# every flag that holds other numbers, with the slot of its text that a
+# test value fills: the float flags read whole, the points, boxes and
+# comma lists in one place each
+FLOAT_FLAGS = [(first_case(cmd.name), flag, "{}") for cmd in cli.COMMANDS
+               for flag, kw in cmd.flags if kw.get("type") is float] + [
+    (MANIFEST_CASES[case][0], flag, slot) for case, flag, slot in (
+    ("lyap", "--param", "{},0"), ("misiurewicz", "--seed", "-1.9,{}"),
+    ("scan", "--box", "-0.5,0:{}x4"), ("ddc", "--box", "{},0:5x4"),
+    ("dimension-cloud", "--scales", "0.25,{}"), ("dimension-pointwise", "--center", "-2,{}"),
+    ("dimension-pointwise", "--radii", "0.08,{}"), ("scaling", "--mplus", "0,0.5,{}"),
+    ("cantor", "--param", "{},0"), ("cantor", "--anchors", "3,0;{},0"),
+    ("linearize", "--param", "-2,{}"), ("linearize", "--w", "{},0"))]
+
+
+class TestFloatFlags:
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 3", "+3", "\uff13"])
+    @pytest.mark.parametrize("argv, flag, slot", FLOAT_FLAGS,
+                             ids=[f"{argv[0]}{flag}-{slot}" for argv, flag, slot in FLOAT_FLAGS])
+    def test_only_ascii_numbers(self, tmp_path, capsys, argv, flag, slot, value):
+        # float() reads 1_0 as 10 and the Arabic-Indic and full-width
+        # digits as 3: lyap --param \u0661,0 ran and recorded "\u0661,0"
+        out = tmp_path / "run"
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if flag in argv:
+            i = argv.index(flag)
+            argv = argv[:i] + argv[i + 2:]
+        assert main(argv + [f"{flag}={slot.format(value)}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid input: {flag} needs" in err and value in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["3", "-0.5", ".5", "2.", "1e-3", "2E+4", "-inf", "NaN"])
+    def test_decimal_spellings(self, text):
+        assert repr(cli._float(text, "--x")) == repr(float(text))
 
 
 class TestIntegerFlags:

@@ -31,11 +31,12 @@ Every class in ``errors.py`` other than the base ``BiflabError`` is
 named by another ``src/biflab`` module (raised, caught or warned with):
 an error type goes when its last raise goes.
 
-Every public top-level function or class of ``src/biflab`` is reached
-by another biflab definition (in its own module or another), by the
-benchmark's child and workloads, which run the README commands, or by
-the acceptance checks: library surface that only unit tests call is
-deleted.  A reference is a name, an attribute or a ``from`` import.
+Every public top-level function or class of ``src/biflab``, and every
+public method or property of its classes (dunders are not public), is
+reached by another biflab definition (in its own module or another), by
+the benchmark's child and workloads, which run the README commands, by
+its tracer, or by the acceptance checks: library surface that only unit
+tests call is deleted.  A reference is a name, an attribute or a ``from`` import.
 
 Every module-level constant of ``src/biflab`` (a name bound by a
 top-level assignment; dunders are exempt) is read by some ``src/biflab``
@@ -265,9 +266,10 @@ def names_referenced(nodes):
 
 def unreached_definitions(modules, users):
     """(module, line, name) of each public top-level function or class of
-    ``modules``, a {module name: source} map, that no other top-level
-    statement of its module, no other module and none of the ``users``
-    sources names."""
+    ``modules``, a {module name: source} map, and of each public method of
+    a top-level class, that no other top-level statement of its module
+    (nor, for a method, another statement of its class), no other module
+    and none of the ``users`` sources names."""
     bodies = {name: ast.parse(source).body for name, source in modules.items()}
     used = {name: names_referenced(body) for name, body in bodies.items()}
     users = names_referenced(ast.parse(source) for source in users)
@@ -275,18 +277,25 @@ def unreached_definitions(modules, users):
     for name, body in bodies.items():
         elsewhere = users.union(*(u for other, u in used.items() if other != name))
         for i, stmt in enumerate(body):
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")
-                    and stmt.name not in elsewhere
-                    and stmt.name not in names_referenced(body[:i] + body[i + 1:])):
-                out.append((name, stmt.lineno, stmt.name))
+            rest = body[:i] + body[i + 1:]
+            defs = [(stmt, rest)]
+            if isinstance(stmt, ast.ClassDef):
+                defs += [(m, rest + [s for s in stmt.body if s is not m]) for m in stmt.body]
+            for d, others in defs:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and not d.name.startswith("_")
+                        and d.name not in elsewhere
+                        and d.name not in names_referenced(others)):
+                    out.append((name, d.lineno, d.name))
     return out
 
 
 # what reaches the library besides itself: the benchmark child with its
-# workloads (the README commands) and the acceptance criteria
+# workloads (the README commands), its tracer (which wraps
+# ``MapFamily.eval``, ``deriv`` and ``preimages`` by name) and the
+# acceptance criteria
 LIBRARY_USERS = [ROOT / "perfbench" / "child.py", ROOT / "perfbench" / "workloads.py",
-                 ROOT / "tests" / "test_acceptance.py"]
+                 ROOT / "perfbench" / "spans.py", ROOT / "tests" / "test_acceptance.py"]
 
 
 def test_every_public_definition_is_reached():
@@ -373,6 +382,21 @@ def unpassed_defaults(modules, users):
             if not ({name, None} & keywords or position is not None and position < most):
                 out.append((module, line, callee, name))
     return sorted(out)
+
+
+def test_checker_finds_unreached_methods():
+    modules = {"a": ("class K:\n"
+                     "    def used(self):\n        return self.helper()\n"
+                     "    def helper(self):\n        return 1\n"
+                     "    @property\n    def size(self):\n        return 2\n"
+                     "    def orphan(self):\n        return self.orphan()\n"
+                     "    def __len__(self):\n        return 0\n"
+                     "    def _private(self):\n        pass\n"
+                     "def run():\n    return K().used()\n")}
+    users = ["from lib.a import run\nrun().size\n"]
+    assert unreached_definitions(modules, users) == [("a", 9, "orphan")]
+    assert unreached_definitions(modules, []) == [("a", 7, "size"), ("a", 9, "orphan"),
+                                                  ("a", 15, "run")]
 
 
 def test_every_default_is_passed():

@@ -40,6 +40,7 @@ import os
 import sys
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -799,8 +800,8 @@ class TestEscapeRate:
         # z_8 at step 16: one step makes the critical value and 16 more
         # run the loop, where the old loop stepped it 2048 times
         calls = []
-        step = potential._power_step
-        monkeypatch.setattr(potential, "_power_step", lambda *a: calls.append(1) or step(*a))
+        step = MapFamily.power_step
+        monkeypatch.setattr(MapFamily, "power_step", lambda *a: calls.append(1) or step(*a))
         g = potential.escape_rate(QUAD, [np.array([-1.0 + 0j])], 0, 2048)
         assert len(calls) <= 17 and same_bits(g, np.zeros(1))
 
@@ -1087,7 +1088,8 @@ class TestBlockSplit:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with np.errstate(over="ignore"):
-                    assert scan_field(BH3, box, 8, "G0", maxiter=64).nan_count == 8 ** 4
+                    values = scan_field(BH3, box, 8, "G0", maxiter=64).values
+                    assert np.sum(~np.isfinite(values)) == 8 ** 4
 
     def test_block_failure_keeps_its_type(self, split, monkeypatch, tmp_path):
         # 5 samples on 2 CPUs are the blocks [0, 2) and [2, 5); the
@@ -1301,11 +1303,10 @@ def old_wedge_pair(field_a, field_b, mollify_radius=None):
     if n_clamped > 0.01 * int(np.sum(valid)):
         warnings.warn(f"{n_clamped} of {int(np.sum(valid))} interior cells clamped negative",
                       NotPlurisubharmonic)
-    return bifgrid.MeasureField(box=box, resolution=res, cell_mass=clamped,
-                                raw_mass=raw, clamp_total=clamp_total,
-                                meta={"op": "wedge_pair", "mollify_radius": mollify_radius,
-                                      "boundary_shell": shells,
-                                      "a": dict(field_a.meta), "b": dict(field_b.meta)})
+    return types.SimpleNamespace(cell_mass=clamped, raw_mass=raw, clamp_total=clamp_total,
+                                 meta={"op": "wedge_pair", "mollify_radius": mollify_radius,
+                                       "boundary_shell": shells,
+                                       "a": dict(field_a.meta), "b": dict(field_b.meta)})
 
 
 def spiky(rng, shape):

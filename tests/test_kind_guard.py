@@ -1,11 +1,10 @@
-"""Family kinds are told apart in ``families.py`` and in few places else.
+"""Family kinds are told apart in ``families.py`` alone.
 
-Each kind's maps, derivatives, preimages and series come from
-``families.MapFamily``, so the rest of biflab runs one path for every
-kind.  This check walks each other module's syntax tree and fails on a
-comparison of ``.kind`` with a literal (``family.kind == "rational"``,
-``f.kind in ("unicritical",)``) in any function that is not listed in
-``KIND_FORKS``, the places where the mathematics itself differs by kind.
+Each kind's maps, derivatives, preimages, series, escape-rate step and
+Lyapunov chart come from ``families.MapFamily``, so the rest of biflab
+runs one path for every kind.  This check walks each other module's
+syntax tree and fails on any comparison of ``.kind`` with a literal
+(``family.kind == "rational"``, ``f.kind in ("unicritical",)``).
 """
 
 import ast
@@ -15,11 +14,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "biflab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "families.py")
-KIND_FORKS = {
-    ("potential.py", "_power_step"),       # z^d + c against the Branner-Hubbard sum
-    ("potential.py", "lyapunov_mc"),       # the spherical correction of a rational map
-    ("hyperbolic.py", "linearize_orbit"),  # the local series order
-}
 
 
 def _is_literal(node):
@@ -50,14 +44,8 @@ def kind_forks(source):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_kind_forks_only_where_listed(path):
-    forks = kind_forks(path.read_text())
-    assert [(line, f) for line, f in forks if (path.name, f) not in KIND_FORKS] == []
-
-
-def test_listed_forks_exist():
-    # a listed function that no longer forks comes off the list
-    found = {(p.name, f) for p in MODULES for _, f in kind_forks(p.read_text())}
-    assert KIND_FORKS <= found
+    # nothing is listed: a kind fork belongs in a MapFamily method
+    assert kind_forks(path.read_text()) == []
 
 
 def test_checker_finds_forks():

@@ -42,8 +42,7 @@ def test_radial_masses_form_no_coordinate_mesh():
     box = Box((-0.5 + 0j,), (2.5,), (2.0,))
     rng = np.random.default_rng(23)
     mass = rng.random((1024, 1024))
-    mu = MeasureField(box=box, resolution=1024, cell_mass=mass,
-                      raw_mass=mass, clamp_total=0.0)
+    mu = MeasureField(box=box, resolution=1024, raw_mass=mass)
     prof, peak = peak_bytes(lambda: radial_masses(mu, -0.75 + 0.1j, [2.0, 1.0, 0.5, 0.25, 0.1]))
     assert np.all(prof.masses > 0)
     assert peak < 3 * mass.nbytes
@@ -66,8 +65,7 @@ def test_radial_masses_in_c2_test_band_cells_by_chunks():
     box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4))
     rng = np.random.default_rng(16)
     mass = rng.random((16,) * 4)
-    mu = MeasureField(box=box, resolution=16, cell_mass=mass,
-                      raw_mass=mass, clamp_total=0.0)
+    mu = MeasureField(box=box, resolution=16, raw_mass=mass)
     prof, peak = peak_bytes(lambda: radial_masses(mu, (1.7 + 0.4j, 1.6 + 0.5j),
                                                   [0.4, 0.3, 0.2, 0.16]))
     assert np.all(prof.masses > 0)
