@@ -18,7 +18,6 @@ bits it has on the whole grid.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import re
@@ -87,26 +86,23 @@ class Box:
         return all(abs(w - h) <= 1e-12 * max(w, h)
                    for w, h in zip(self.half_widths, self.half_heights))
 
-    def cell_widths(self, resolution):
-        return tuple(2.0 * h / resolution for h in self.half_widths)
+    def cell_sizes(self, resolution):
+        """Cell size per real axis, in ``axes`` order."""
+        return tuple(2.0 * h / resolution for hw, hh in zip(self.half_widths, self.half_heights)
+                     for h in (hw, hh))
 
-    def cell_heights(self, resolution):
-        return tuple(2.0 * h / resolution for h in self.half_heights)
-
-    def _spans(self):
-        """(start, span) of each real axis, in value-array axis order
-        (re1, im1[, re2, im2]): at resolution n, cell i of the axis is
-        centred at start + span ((i + 0.5) / n)."""
+    def axes(self, resolution, window=None):
+        """Cell-center coordinates of the 2m real axes, in value-array
+        axis order (re1, im1[, re2, im2]), each cut to its (lo, hi) cell
+        range of ``window`` (None: every cell)."""
+        if window is not None and len(window) != 2 * self.m:
+            raise ValueError(f"a window of {len(window)} cell range(s) for the "
+                             f"{2 * self.m} real axes of the box")
+        t = (np.arange(resolution) + 0.5) / resolution
         out = []
         for c, hw, hh in zip(self.centers, self.half_widths, self.half_heights):
-            out += [(complex(c).real - hw, 2.0 * hw), (complex(c).imag - hh, 2.0 * hh)]
-        return out
-
-    def axes(self, resolution):
-        """Cell-center coordinates of the 2m real axes, in value-array
-        axis order (re1, im1[, re2, im2])."""
-        t = (np.arange(resolution) + 0.5) / resolution
-        return [start + span * t for start, span in self._spans()]
+            out += [complex(c).real - hw + 2.0 * hw * t, complex(c).imag - hh + 2.0 * hh * t]
+        return out if window is None else [a[lo:hi] for a, (lo, hi) in zip(out, window)]
 
 
 @dataclass
@@ -221,12 +217,6 @@ def _field_index(family, which):
     return j
 
 
-def _window_axes(box, resolution, window):
-    """The box axes, each cut to its range of ``window`` (None: whole)."""
-    axes = box.axes(resolution)
-    return axes if window is None else [a[lo:hi] for a, (lo, hi) in zip(axes, window)]
-
-
 def _check_resolution(resolution):
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
@@ -259,7 +249,7 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER, window=None
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"resolution {resolution} gives {cells} cells, above the "
                          f"{MAX_GRID_CELLS} of MAX_GRID_CELLS")
-    axes = _window_axes(box, resolution, window)
+    axes = box.axes(resolution, window)
     shape = tuple(len(a) for a in axes)
     cells = math.prod(shape)
     mults = [k for _, k in family.marked_critical_points([0j] * family.param_dim)]
@@ -290,8 +280,7 @@ def ddc(gfield):
     cells of the field's window get mass 0, like the grid's edge."""
     if gfield.box.m != 1:
         raise ValueError("ddc requires one complex parameter")
-    hx = gfield.box.cell_widths(gfield.resolution)[0]
-    hy = gfield.box.cell_heights(gfield.resolution)[0]
+    hx, hy = gfield.box.cell_sizes(gfield.resolution)
     return MeasureField(box=gfield.box, resolution=gfield.resolution,
                         raw_mass=_local_mass(gfield.values, weights=[hy / hx, hx / hy]),
                         meta={"op": "ddc", "source": dict(gfield.meta)}, window=gfield.window)
@@ -349,10 +338,9 @@ def _gaussian(values, sigmas):
 
 
 def _mollify(values, box, resolution, radius):
-    h = box.cell_widths(resolution)
     sig = []
-    for i in range(box.m):
-        sig.extend([radius / (2.0 * h[i])] * 2)
+    for h in box.cell_sizes(resolution)[::2]:
+        sig.extend([radius / (2.0 * h)] * 2)
     # bit for bit scipy.ndimage.gaussian_filter(values, sig, mode="nearest", truncate=2.0)
     return _gaussian(values, sig)
 
@@ -371,7 +359,7 @@ def wedge_pair(field_a, field_b, mollify_radius=None):
         raise ValueError("wedge stencils require square coordinate planes")
     if field_b.box != box or field_b.resolution != res:
         raise ValueError("fields must share box and resolution")
-    h1, h2 = box.cell_widths(res)
+    h1, h2 = box.cell_sizes(res)[::2]
     if mollify_radius is None:
         mollify_radius = 3.0 * max(h1, h2)
     if not math.isfinite(mollify_radius):
@@ -438,15 +426,13 @@ def decreasing_radii(radii):
     return radii
 
 
-def _cell_sizes(box, resolution):
-    """Cell size per real axis, in ``Box.axes`` order (re1, im1, ...)."""
-    return np.array([box.cell_widths(resolution), box.cell_heights(resolution)]).T.ravel()
-
-
-def _real_center(center):
+def _real_center(box, center):
     """The coordinates of a centre in C^m per real axis, in ``Box.axes``
-    order."""
+    order; a ValueError unless it has the box's m coordinates."""
     ctr = np.atleast_1d(np.asarray(center, dtype=complex))
+    if ctr.shape != (box.m,):
+        raise ValueError(f"radial masses need a center of {box.m} coordinate(s), "
+                         f"got {ctr.size}")
     return np.array([ctr.real, ctr.imag]).T.ravel()
 
 
@@ -460,19 +446,17 @@ def radial_window(box, resolution, center, r_max):
     cell's offset along each axis.  So each range holds the cells whose
     offset lies below that reach, computed as ``radial_masses`` computes
     it, widened by one cell on each side and clipped to the grid.  The
-    offset grows with the cell index, so each end is a bisection and
-    nothing of the grid's size is formed.  An axis with no such cell
-    gets an empty range."""
+    offset grows with the cell index, so each end is a sorted search of
+    the 1-d axis and nothing of the grid's size is formed.  An axis with
+    no such cell gets an empty range."""
     _check_resolution(resolution)
-    hs = _cell_sizes(box, resolution)
-    reach = r_max + 0.5 * float(np.linalg.norm(hs))
-    cells = range(resolution)
+    cvec = _real_center(box, center)
+    reach = r_max + 0.5 * float(np.linalg.norm(box.cell_sizes(resolution)))
     window = []
-    for (start, span), c in zip(box._spans(), _real_center(center)):
-        def offset(i):
-            return start + span * ((i + 0.5) / resolution) - c
-        first = bisect.bisect_left(cells, True, key=lambda i: offset(i) > -reach)
-        end = bisect.bisect_left(cells, True, key=lambda i: offset(i) >= reach)
+    for a, c in zip(box.axes(resolution), cvec):
+        offset = a - c
+        first = int(np.searchsorted(offset, -reach, side="right"))
+        end = int(np.searchsorted(offset, reach, side="left"))
         window.append((max(first - 1, 0), min(end + 1, resolution)) if first < end else (0, 0))
     return tuple(window)
 
@@ -486,24 +470,21 @@ def radial_masses(measure, center, radii):
     the masses of the whole grid, bit for bit; a window that misses a
     cell in reach is a ValueError."""
     box, res = measure.box, measure.resolution
-    hs = _cell_sizes(box, res)
+    hs = box.cell_sizes(res)
     radii = decreasing_radii(radii)
     hmax = float(np.max(hs))
     if radii[-1] < 3.0 * hmax:
         raise ResolutionExceeded(
             f"r_min = {radii[-1]:.3g} below 3 cell widths ({3 * hmax:.3g})")
     ctr = np.atleast_1d(np.asarray(center, dtype=complex))
-    if ctr.shape != (box.m,):
-        raise ValueError(f"radial masses need a center of {box.m} coordinate(s), "
-                         f"got {ctr.size}")
-    cvec = _real_center(ctr)
+    cvec = _real_center(box, ctr)
     if measure.window is not None:
         need = radial_window(box, res, ctr, radii[0])
         if all(lo < hi for lo, hi in need) and any(
                 lo < wlo or hi > whi for (lo, hi), (wlo, whi) in zip(need, measure.window)):
             raise ValueError(f"the measure's window {measure.window} misses cells of "
                              f"{need}, within reach of the radii")
-    flats = _window_axes(box, res, measure.window)
+    flats = box.axes(res, measure.window)
     # the distance to the centre adds the squared offsets of each real
     # axis, broadcast from 1-d, so no array of cell coordinates is formed
     dist = np.zeros(tuple(len(a) for a in flats))
@@ -583,8 +564,7 @@ def mass_scaling(measure, center, m_plus, q, d, eps=0.25):
     ``eps`` must be positive and finite (``scaling_ladder``).
     """
     radii = scaling_ladder(m_plus, eps)
-    h = max(measure.box.cell_widths(measure.resolution)
-            + measure.box.cell_heights(measure.resolution))
+    h = max(measure.box.cell_sizes(measure.resolution))
     usable = int(np.sum(radii >= 3.0 * h))
     if usable < 3:
         raise ResolutionExceeded(f"only {usable} usable scales at this resolution")

@@ -406,6 +406,15 @@ def _taylor_shift(coef, w, order):
 # ----------------------------------------------------------------------
 # module-level operations
 
+def _modulus(z):
+    """|z|, inf where it overflows: Python's complex abs raises there, and
+    a point that far out has escaped."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def orbit(family, lam, z0, n):
     """Forward orbit of z0 with the derivative cocycle.
 
@@ -425,16 +434,16 @@ def orbit(family, lam, z0, n):
     logs = [0.0]
     z = complex(z0)
     for _ in range(n):
-        if not abs(z) <= r_esc:
+        if not _modulus(z) <= r_esc:
             break
         dz = complex(df(z))
         z = complex(f(z))
-        mag = abs(dz)
+        mag = _modulus(dz)
         logs.append(logs[-1] + (math.log(mag) if mag > 0 else -math.inf))
         pts.append(z)
     # the last point is the first one outside the radius, if any is
     return Orbit(points=np.array(pts, dtype=complex), log_deriv=np.array(logs),
-                 escaped=not abs(z) <= r_esc)
+                 escaped=not _modulus(z) <= r_esc)
 
 
 def critical_points(family, lam):

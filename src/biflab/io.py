@@ -148,8 +148,13 @@ def _write_csv(path, header, n_rows, columns):
 
 
 def write_field_csv(path, box, resolution, values, value_name="value"):
-    """Cell-indexed CSV of a grid (one row per cell, headers included)."""
+    """Cell-indexed CSV of a grid (one row per cell, headers included).
+    ``values`` holds every cell: the rows are labelled by the whole grid's
+    indices and axes, so a window's field is a ValueError."""
     v = np.asarray(values, dtype=float)
+    whole = (resolution,) * (2 * box.m)
+    if v.shape != whole:
+        raise ValueError(f"field values of shape {v.shape}, not the grid's {whole}")
     ns = range(1, box.m + 1)
     header = ",".join([f"{a}{i}" for i in ns for a in ("ix", "iy")]
                       + [f"{a}{i}" for i in ns for a in ("re", "im")] + [value_name])

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import BiflabError, CriticalOnOrbit, NoConvergence, NonRepellingTarget
-from .families import _check_shape, family_to_json, multiplier as segment_multiplier, orbit
+from .families import _check_shape, _modulus, family_to_json, multiplier as segment_multiplier, orbit
 
 DELTA_REP = 1e-3
 N_CERT = 60
@@ -156,7 +156,7 @@ def _landing_walk(family, lam, spec):
         end = pat.n + pat.p
         ob = orbit(family, lam, z, end)
         if len(ob) > end:
-            gap = max(gap, abs(complex(ob.points[end]) - complex(ob.points[pat.n])))
+            gap = max(gap, _modulus(complex(ob.points[end]) - complex(ob.points[pat.n])))
             cycles.append(ob.points[pat.n:end])
         else:
             gap = math.inf

@@ -191,7 +191,7 @@ def test_c10_dimension_estimators():
     assert abs(est.slope - 1.0) <= 0.05
     box = Box((0j,), (1.0,))
     res = 256
-    h2 = box.cell_widths(res)[0] * box.cell_heights(res)[0]
+    h2 = math.prod(box.cell_sizes(res))
     from biflab.bifgrid import MeasureField
     leb = MeasureField(box=box, resolution=res, raw_mass=np.full((res, res), h2))
     radii = 0.6 * 2.0 ** -np.arange(5, dtype=float)

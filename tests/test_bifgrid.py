@@ -28,6 +28,7 @@ from biflab.errors import (
 from biflab.families import MapFamily
 
 QUAD = MapFamily("unicritical", 2)
+BH3 = MapFamily("branner_hubbard", 3)
 
 
 def make_field(box, res, func):
@@ -37,8 +38,7 @@ def make_field(box, res, func):
 
 
 def lebesgue_measure(box, res):
-    hx = box.cell_widths(res)[0]
-    hy = box.cell_heights(res)[0]
+    hx, hy = box.cell_sizes(res)
     mass = np.full((res, res), hx * hy)
     return MeasureField(box=box, resolution=res, raw_mass=mass)
 
@@ -51,7 +51,7 @@ class TestBox:
     def test_rectangular(self):
         b = Box((0j,), (2.0,), (1.0,))
         assert not b.is_square
-        assert b.cell_widths(10) == (0.4,) and b.cell_heights(10) == (0.2,)
+        assert b.cell_sizes(10) == (0.4, 0.2)
 
     def test_axes_cell_centers(self):
         b = Box((1.0 + 0j,), (1.0,))
@@ -99,8 +99,7 @@ class TestDdc:
         box = Box((0.5 + 0.25j,), (1.0,), (0.5,))
         res = 32
         f = make_field(box, res, lambda c: np.abs(c) ** 2)
-        hx = box.cell_widths(res)[0]
-        hy = box.cell_heights(res)[0]
+        hx, hy = box.cell_sizes(res)
         inner = f.values[1:-1, 1:-1] * 0 + (2.0 / math.pi) * hx * hy
         mu = ddc(f)
         assert np.allclose(mu.raw_mass[1:-1, 1:-1], inner, rtol=1e-12)
@@ -137,7 +136,7 @@ class TestDdc:
         def raw(values):
             return ddc(GridField(box=box, resolution=res, values=values)).raw_mass
 
-        hx, hy = box.cell_widths(res)[0], box.cell_heights(res)[0]
+        hx, hy = box.cell_sizes(res)
         unit = (np.finfo(float).eps * (hy / hx + hx / hy)
                 * (abs(a) * np.max(np.abs(u)) + abs(b) * np.max(np.abs(v))) / (2 * math.pi))
         assert np.max(np.abs(raw(a * u + b * v) - (a * raw(u) + b * raw(v)))) <= 32 * unit
@@ -206,7 +205,7 @@ class TestWedge:
         res = 16
         f = make_field(self.BOX, res, lambda a, b: np.abs(a) ** 2 + np.abs(b) ** 2)
         mu = monge_ampere2(f)
-        h1, h2 = self.BOX.cell_widths(res)
+        h1, h2 = self.BOX.cell_sizes(res)[::2]
         s = mu.meta["boundary_shell"]
         inner = mu.raw_mass[tuple(slice(k + 1, -k - 1) for k in s)]
         assert np.allclose(inner, (8.0 / math.pi ** 2) * h1 ** 2 * h2 ** 2,
@@ -228,7 +227,7 @@ class TestWedge:
         fa = make_field(self.BOX, res, lambda a, b: np.abs(a) ** 2)
         fb = make_field(self.BOX, res, lambda a, b: np.abs(b) ** 2)
         mu = wedge_pair(fa, fb)
-        h1, h2 = self.BOX.cell_widths(res)
+        h1, h2 = self.BOX.cell_sizes(res)[::2]
         s = mu.meta["boundary_shell"]
         inner = mu.raw_mass[tuple(slice(k + 1, -k - 1) for k in s)]
         assert np.allclose(inner, (2.0 / math.pi) ** 2 * h1 ** 2 * h2 ** 2,
@@ -277,7 +276,7 @@ class TestRadial:
     def test_lebesgue_ball_mass_in_c2(self, center):
         # the ball of radius r in C^2 = R^4 has volume pi^2 r^4 / 2
         box = Box((0j, 0j), (1.0, 1.0))
-        h = box.cell_widths(16)[0]
+        h = box.cell_sizes(16)[0]
         mass = np.full((16,) * 4, h ** 4)
         mu = MeasureField(box=box, resolution=16, raw_mass=mass)
         radii = np.array([0.9, 0.7, 0.5, 0.4])
@@ -295,12 +294,17 @@ class TestRadial:
 
     @pytest.mark.parametrize("m, center", [(2, (0j,)), (2, (0j, 0j, 0j)), (1, (0j, 0j))])
     def test_center_needs_one_coordinate_per_parameter(self, m, center):
-        # a short center raised IndexError, and a long one was cut to m
+        # a short center raised IndexError, and a long one was cut to m;
+        # in radial_window, a short one gave fewer ranges than the grid
+        # has axes
         box = Box((0j,) * m, (1.0,) * m)
         mass = np.ones((8,) * (2 * m))
         mu = MeasureField(box=box, resolution=8, raw_mass=mass)
-        with pytest.raises(ValueError, match=rf"center of {m} coordinate\(s\), got {len(center)}"):
+        message = rf"center of {m} coordinate\(s\), got {len(center)}"
+        with pytest.raises(ValueError, match=message):
             radial_masses(mu, center, np.array([0.9, 0.8]))
+        with pytest.raises(ValueError, match=message):
+            radial_window(box, 8, center, 0.9)
 
     def test_requires_decreasing_radii(self):
         mu = lebesgue_measure(Box((0j,), (1.0,)), 32)
@@ -347,8 +351,11 @@ class TestRadialWindow:
         assert part.cell_mass.shape == tuple(hi - lo for lo, hi in window)
         try:
             expected = radial_masses(whole, center, radii).masses
-        except ResolutionExceeded as exc:
-            with pytest.raises(ResolutionExceeded, match=re.escape(str(exc))):
+        except (ResolutionExceeded, ValueError) as exc:
+            # radii below the 3-cell floor, or two reaches that round to
+            # one radius (0 and 5e-324 scaled by 0.1): the window refuses
+            # them alike
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
                 radial_masses(part, center, radii)
             return
         got = radial_masses(part, center, radii).masses
@@ -361,7 +368,7 @@ class TestRadialWindow:
         # from the centre lies below r_max + half a cell diagonal, and one
         # more cell on each side, within the grid
         box, res = Box((-2 + 0j,), (0.3,)), 512
-        h = box.cell_widths(res)[0]
+        h = box.cell_sizes(res)[0]
         reach = r_max + 0.5 * math.hypot(h, h)
         expected = []
         for axis, c in zip(box.axes(res), (center.real, center.imag)):
@@ -384,6 +391,18 @@ class TestRadialWindow:
         assert part.window == window
         expected = whole.values[window_slices(window)]
         assert np.array_equal(part.values.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("family, ranges", [(QUAD, 1), (QUAD, 4), (BH3, 2), (BH3, 6)])
+    def test_window_needs_one_range_per_axis(self, family, ranges):
+        # a short window made the scan raise a bare IndexError, and a long
+        # one was cut to the grid's axes
+        m = family.param_dim
+        box, window = Box((0j,) * m, (1.0,) * m), ((2, 6),) * ranges
+        message = rf"window of {ranges} cell range\(s\) for the {2 * m} real axes"
+        with pytest.raises(ValueError, match=message):
+            box.axes(16, window)
+        with pytest.raises(ValueError, match=message):
+            scan_field(family, box, 16, "G0", maxiter=8, window=window)
 
     def test_window_short_of_the_radii_refused(self):
         box = Box((0j,), (1.0,))

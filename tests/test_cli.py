@@ -231,6 +231,19 @@ class TestMisiurewicz:
         [report] = read_json(tmp_path / "cert" / "certify_report.json")["reports"]
         assert report["checks"]["sigma_min_match"] is False
 
+    def test_overflowing_orbit_exits_3(self, tmp_path, capsys):
+        # |lambda_0| near 7.7e307 sends an orbit point past the largest
+        # float modulus; Python's complex abs raised OverflowError there,
+        # and certify exited 1
+        family, doc = TAMPER_RECORDS[1]
+        doc = copy.deepcopy(doc)
+        doc["lambda"][0][1] = 7.690162164221906e+307
+        certs = tmp_path / "certs.ndjson"
+        bio.write_ndjson(certs, [doc])
+        assert main(["certify", "--family", family, "--certs", str(certs),
+                     "--out", str(tmp_path / "cert")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["k0", "n", "p"])
     @pytest.mark.parametrize("command", ["certify", "misiurewicz"])
     def test_orbit_length_above_the_bound(self, tmp_path, capsys, command, field):

@@ -115,6 +115,13 @@ class TestOrbit:
         ob = orbit(fam, [complex(math.nan, 0.0)], 0j, 5)
         assert ob.escaped and len(ob) == 2
 
+    def test_overflowing_modulus_counts_as_escaped(self):
+        # both parts are finite but |z| overflows, where Python's complex
+        # abs raises OverflowError
+        fam = MapFamily("unicritical", 2)
+        ob = orbit(fam, [0j], complex(1.5e308, 1.5e308), 10)
+        assert ob.escaped and len(ob) == 1
+
     def test_cocycle_additivity(self):
         fam = MapFamily("unicritical", 2)
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -238,6 +239,17 @@ class TestPgm:
 
 
 class TestCsv:
+    @pytest.mark.parametrize("m, shape", [(1, (20, 20)), (1, (64 * 64,)), (2, (64, 64))])
+    def test_field_of_another_shape_refused(self, tmp_path, m, shape):
+        # rows are labelled by the whole grid's indices and axes: the first
+        # cell of the window 22..41 was written as cell 0, re1 = -2.07875
+        box = Box((-2 + 0j,) * m, (0.16,) * m)
+        whole = (64,) * (2 * m)
+        with pytest.raises(ValueError, match=re.escape(
+                f"field values of shape {shape}, not the grid's {whole}")):
+            bio.write_field_csv(tmp_path / "field.csv", box, 64, np.zeros(shape), "g")
+        assert not (tmp_path / "field.csv").exists()
+
     def test_field_round_trip(self, tmp_path):
         box = Box((0.5 + 0.25j,), (1.0,), (0.5,))
         res = 4

@@ -25,6 +25,9 @@ grid scan on 1, 2 and 3 CPUs with blocks shrunk so that small
 inputs split, against the same references; the sampler's reference is
 the loop that solved the preimages of every sample at every step, and
 the shared-prefix tests also count the points the sampler solves.
+The box's axis spans, cell sizes and the bisection that found a radial
+window are the oracles of ``Box.axes``, ``Box.cell_sizes`` and
+``radial_window``.
 The Gaussian mollifier and the nearest-neighbor spacing of the box count
 are compared with the scipy calls they replaced, ``gaussian_filter`` and
 ``cKDTree.query``.
@@ -32,6 +35,7 @@ Results are compared through ``uint64`` views, so a changed last bit,
 sign of zero or NaN fails.
 """
 
+import bisect
 import csv
 import dataclasses
 import json
@@ -519,7 +523,7 @@ class TestScipyReplacements:
         # the grid-deep wedge: a 24^4 G0 field of bh3 and radius 0.2
         box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4))
         field = scan_field(BH3, box, 24, "G0", maxiter=256)
-        h1, h2 = box.cell_widths(24)
+        h1, h2 = box.cell_sizes(24)[::2]
         sigmas = [0.2 / (2.0 * h1)] * 2 + [0.2 / (2.0 * h2)] * 2
         ref = gaussian_filter(field.values, sigma=sigmas, mode="nearest", truncate=2.0)
         assert same_or_both_nan(bifgrid._mollify(field.values, box, 24, 0.2), ref)
@@ -1034,7 +1038,7 @@ class TestBlockSplit:
             for fam, res, block, fields in [(QUAD, 16, 16, ("G0", "L")),
                                             (BH3, 8, 256, ("G0", "G1", "L"))]:
                 box = Box((0j,) * fam.param_dim, (1.0,) * fam.param_dim)
-                monkeypatch.setattr(Box, "axes", lambda self, n: [
+                monkeypatch.setattr(Box, "axes", lambda self, n, window=None: [
                     np.roll(special, 5 * k)[:n] for k in range(2 * self.m)])
                 lams = old_param_grids(box, res)
                 for maxiter in (8, 17, 512):
@@ -1261,7 +1265,7 @@ def old_wedge_pair(field_a, field_b, mollify_radius=None):
         raise ValueError("wedge stencils require square coordinate planes")
     if field_b.box != box or field_b.resolution != res:
         raise ValueError("fields must share box and resolution")
-    h1, h2 = box.cell_widths(res)
+    h1, h2 = box.cell_sizes(res)[::2]
     if mollify_radius is None:
         mollify_radius = 3.0 * max(h1, h2)
     if mollify_radius < 2.0 * min(h1, h2):
@@ -1358,6 +1362,99 @@ class TestStencils:
                 for name in ("raw_mass", "cell_mass", "clamp_total"):
                     assert same_bits(getattr(new, name), getattr(old, name))
                 assert new.meta == old.meta
+
+
+# ----------------------------------------------------------------------
+# reference grid geometry: the axis spans, cell sizes and window
+# bisection that ``Box.axes`` and ``Box.cell_sizes`` replaced
+
+def old_spans(box):
+    """(start, span) of each real axis, in value-array axis order
+    (re1, im1[, re2, im2]): at resolution n, cell i of the axis is
+    centred at start + span ((i + 0.5) / n)."""
+    out = []
+    for c, hw, hh in zip(box.centers, box.half_widths, box.half_heights):
+        out += [(complex(c).real - hw, 2.0 * hw), (complex(c).imag - hh, 2.0 * hh)]
+    return out
+
+
+def old_axes(box, resolution):
+    """Cell-center coordinates of the 2m real axes, in value-array
+    axis order (re1, im1[, re2, im2])."""
+    t = (np.arange(resolution) + 0.5) / resolution
+    return [start + span * t for start, span in old_spans(box)]
+
+
+def old_cell_widths(box, resolution):
+    return tuple(2.0 * h / resolution for h in box.half_widths)
+
+
+def old_cell_heights(box, resolution):
+    return tuple(2.0 * h / resolution for h in box.half_heights)
+
+
+def old_cell_sizes(box, resolution):
+    """Cell size per real axis, in ``Box.axes`` order (re1, im1, ...)."""
+    return np.array([old_cell_widths(box, resolution),
+                     old_cell_heights(box, resolution)]).T.ravel()
+
+
+def old_real_center(center):
+    """The coordinates of a centre in C^m per real axis, in ``Box.axes``
+    order."""
+    ctr = np.atleast_1d(np.asarray(center, dtype=complex))
+    return np.array([ctr.real, ctr.imag]).T.ravel()
+
+
+def old_radial_window(box, resolution, center, r_max):
+    """The bisection of each axis's cell offsets against the reach."""
+    bifgrid._check_resolution(resolution)
+    hs = old_cell_sizes(box, resolution)
+    reach = r_max + 0.5 * float(np.linalg.norm(hs))
+    cells = range(resolution)
+    window = []
+    for (start, span), c in zip(old_spans(box), old_real_center(center)):
+        def offset(i):
+            return start + span * ((i + 0.5) / resolution) - c
+        first = bisect.bisect_left(cells, True, key=lambda i: offset(i) > -reach)
+        end = bisect.bisect_left(cells, True, key=lambda i: offset(i) >= reach)
+        window.append((max(first - 1, 0), min(end + 1, resolution)) if first < end else (0, 0))
+    return tuple(window)
+
+
+class TestGridGeometry:
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 2), res=st.integers(8, 4096), data=st.data())
+    def test_box_geometry_matches_old(self, m, res, data):
+        # rectangular cells, and centres inside the box and up to twice
+        # its half-extent outside it
+        coord = st.floats(-3.0, 3.0)
+        half = st.floats(1e-4, 2.0)
+        box = Box(tuple(complex(data.draw(coord), data.draw(coord)) for _ in range(m)),
+                  tuple(data.draw(half) for _ in range(m)),
+                  tuple(data.draw(half) for _ in range(m)))
+        center = [c + complex(data.draw(st.floats(-3.0, 3.0)) * hw,
+                              data.draw(st.floats(-3.0, 3.0)) * hh)
+                  for c, hw, hh in zip(box.centers, box.half_widths, box.half_heights)]
+        r_max = data.draw(st.floats(1e-7, 10.0))
+        if data.draw(st.booleans()):
+            # a reach that lands on a cell's offset, where the two ends of
+            # a range differ in whether they take the cell
+            k, i = data.draw(st.integers(0, 2 * m - 1)), data.draw(st.integers(0, res - 1))
+            half_diag = 0.5 * float(np.linalg.norm(old_cell_sizes(box, res)))
+            off = abs(float(old_axes(box, res)[k][i] - old_real_center(center)[k]))
+            r_max = off - half_diag
+            for _ in range(4):
+                if r_max + half_diag != off:
+                    r_max = float(np.nextafter(r_max, off))
+        window = bifgrid.radial_window(box, res, center, r_max)
+        assert window == old_radial_window(box, res, center, r_max)
+        axes = box.axes(res)
+        assert all(same_bits(a, b) for a, b in zip(axes, old_axes(box, res), strict=True))
+        assert same_bits(np.array(box.cell_sizes(res)), old_cell_sizes(box, res))
+        cut = box.axes(res, window)
+        assert all(same_bits(a, b[lo:hi])
+                   for a, b, (lo, hi) in zip(cut, axes, window, strict=True))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ values of a scan; and of the stages that once held a whole-array
 temporary they need only a chunk of: the sub-cell offsets of radial
 masses in C^2, the formatted values of a field CSV and the scaled
 pixels of a PGM; and of ``dimension --box``, which scans and measures
-only the cells its radii reach.  tracemalloc counts numpy's buffers, so
+only the cells its radii reach, and of ``radial_window``, which finds
+them on the 1-d axes.  tracemalloc counts numpy's buffers, so
 a peak far above the result's own size means such an array is back."""
 
 import os
@@ -99,6 +100,16 @@ def test_pgm_scales_by_row_blocks(tmp_path):
     _, peak = peak_bytes(lambda: bio.write_pgm(path, values))
     assert path.stat().st_size > 2 * values.size
     assert peak < 1.5 * values.nbytes
+
+
+def test_radial_window_searches_the_axes():
+    # each end of a range is a search of one 1-d axis of 4096 cells; one
+    # plane of cell offsets alone would be 128 MB
+    for box, center in [(Box((-2 + 0j,), (0.08,)), [-2 + 0j]),
+                        (Box((-2 + 0j, 0j), (0.08, 0.5), (0.08, 0.3)), [-2 + 0j, 0.1j])]:
+        window, peak = peak_bytes(lambda: radial_window(box, 4096, center, 2.0 ** -4))
+        assert len(window) == 2 * box.m and all(lo < hi for lo, hi in window)
+        assert peak < 2 ** 20
 
 
 def test_pointwise_dimension_scans_only_the_window(tmp_path, monkeypatch):
