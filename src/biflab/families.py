@@ -43,9 +43,9 @@ numpy's scalar complex arithmetic, which ``polyval`` would run on the
 numpy scalar it returns, rounds differently.
 
 The activity maps evaluate a stack of parameters at once: one
-``poly_coeffs`` call for the whole stack and a column-wise
-``npoly.polyval(z, coef, tensor=False)``; the escape-rate kernel
-steps with ``power_step``.
+``poly_coeffs`` call for the whole stack, then column-wise Horner
+passes written inline with ``polyval``'s own expressions; the
+escape-rate kernel steps with ``power_step``.
 
 A family's JSON document holds ``kind``, ``degree`` and, for the
 rational kind, the ``num``/``den`` tables.  ``_check_shape`` checks it

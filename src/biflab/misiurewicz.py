@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import BiflabError, CriticalOnOrbit, NoConvergence, NonRepellingTarget
 from .families import _check_shape, _modulus, family_to_json, multiplier as segment_multiplier, orbit
@@ -84,10 +83,13 @@ def activity_chi(family, lam, spec):
     All rows' critical orbits run together: one ``family.critical_rows``
     and one ``family.poly_coeffs`` call on the stack (column r has the
     bits of ``family.poly_coeffs(lam[r])``), then k0 column-wise Horner
-    passes ``npoly.polyval(z, coef, tensor=False)`` for every tracked
-    point and n more per pattern.  A pass is ``family.eval``'s
-    multiply-and-add sequence, which numpy's array loops round as its
-    0-d path does, so every row keeps the bits of chi at that row alone.
+    passes for every tracked point and n more per pattern.  A pass runs
+    ``npoly.polyval(z, coef, tensor=False)``'s own expressions inline on
+    the coefficient rows, reversed once per call: w = c_d + z * 0, then
+    w = c_j + w * z.  That is ``family.eval``'s multiply-and-add
+    sequence, which numpy's array loops round as its 0-d path does, so
+    every row keeps the bits of chi at that row alone; the ``z * 0`` term
+    carries an overflowed orbit's inf and nan as ``polyval`` does.
     """
     lam = np.asarray(lam, dtype=complex)
     lams = np.atleast_2d(lam)
@@ -96,41 +98,55 @@ def activity_chi(family, lam, spec):
     z = np.empty((k, rows), dtype=complex)
     for i, idx in enumerate(spec.tracked):
         z[i] = _critical_point(crit, idx)
-    coef = family.poly_coeffs(lams)
+    top, *rest = family.poly_coeffs(lams)[::-1]
+
+    def horner(x):
+        w = top + x * 0
+        for c in rest:
+            w = c + w * x
+        return w
+
     for _ in range(spec.k0):
-        z = npoly.polyval(z, coef, tensor=False)
+        z = horner(z)
     out = np.empty((rows, k), dtype=complex)
     for i, pat in enumerate(spec.patterns):
         w = z[i]
         for _ in range(pat.n):
-            w = npoly.polyval(w, coef, tensor=False)
+            w = horner(w)
         out[:, i] = w - z[i]
     return out if lam.ndim == 2 else out[0]
 
 
-def _chi_jacobian(family, lam, spec, step=FD_STEP):
-    """Central finite-difference Jacobian of chi; chi is holomorphic in
-    lam, so one complex direction per coordinate suffices.  The 2m points
-    lam + h_j e_j, lam - h_j e_j (j = 0..m-1, in that order) are one stack
-    for one ``activity_chi`` call."""
+def _chi_and_jacobian(family, lam, spec, step=FD_STEP):
+    """(chi(lam), central finite-difference Jacobian of chi) from one
+    ``activity_chi`` call on the (2m+1, m) stack lam, lam + h_j e_j,
+    lam - h_j e_j (j = 0..m-1, in that order); chi is holomorphic in
+    lam, so one complex direction per coordinate suffices."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     hs = [step * max(1.0, abs(v)) for v in lam]
-    pts = np.repeat(lam[None, :], 2 * len(lam), axis=0)
+    pts = np.repeat(lam[None, :], 2 * len(lam) + 1, axis=0)
     for j, h in enumerate(hs):
-        pts[2 * j, j] += h
-        pts[2 * j + 1, j] -= h
+        pts[2 * j + 1, j] += h
+        pts[2 * j + 2, j] -= h
     chi = activity_chi(family, pts, spec)
-    return np.stack([(chi[2 * j] - chi[2 * j + 1]) / (2.0 * h) for j, h in enumerate(hs)], axis=1)
+    return chi[0], np.stack([(chi[2 * j + 1] - chi[2 * j + 2]) / (2.0 * h)
+                             for j, h in enumerate(hs)], axis=1)
+
+
+def _sigma_min(J, lam):
+    """Smallest singular value of the activity Jacobian J at lam; a
+    non-finite J is NoConvergence."""
+    if not np.all(np.isfinite(J)):
+        raise NoConvergence(f"activity Jacobian is not finite at lambda={lam}")
+    return float(np.linalg.svd(J, compute_uv=False)[-1])
 
 
 def transversality(family, lam, spec, step=FD_STEP):
     """Smallest singular value of the finite-difference Jacobian of chi at
     lam; one near zero is reported, a non-finite Jacobian NoConvergence."""
     with np.errstate(over="ignore", invalid="ignore"):
-        J = _chi_jacobian(family, lam, spec, step=step)
-    if not np.all(np.isfinite(J)):
-        raise NoConvergence(f"activity Jacobian is not finite at lambda={lam}")
-    return float(np.linalg.svd(J, compute_uv=False)[-1])
+        _, J = _chi_and_jacobian(family, lam, spec, step=step)
+    return _sigma_min(J, lam)
 
 
 def _landing_walk(family, lam, spec):
@@ -186,6 +202,9 @@ def _landing_multipliers(family, lam, cycles):
 def solve_misiurewicz(family, seed, spec):
     """Damped Newton on chi = 0 from the seed, followed by certification.
     The parameter slice must be square (k tracked points, k coordinates).
+    The start and each damping trial are one ``_chi_and_jacobian`` call,
+    so an accepted trial brings the Jacobian of the next Newton step, and
+    the certificate's sigma_min is that of the Jacobian held at the end.
     A landing point that does not close under f^p (gap above CLOSURE_TOL)
     has the wrong period and is refused (NoConvergence), as is a landing
     cycle with |multiplier| <= 1 + DELTA_REP (NonRepellingTarget).
@@ -197,12 +216,11 @@ def solve_misiurewicz(family, seed, spec):
     # a diverging seed overflows its orbits and fails below, on the
     # Jacobian check or in the damping loop: the warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        chi = activity_chi(family, lam, spec)
+        chi, J = _chi_and_jacobian(family, lam, spec)
         res = float(np.linalg.norm(chi))
         for _ in range(SOLVE_MAXITER):
             if res <= 1e-12:
                 break
-            J = _chi_jacobian(family, lam, spec)
             if not np.all(np.isfinite(J)):
                 raise NoConvergence(f"Newton: activity Jacobian is not finite at lambda={lam}")
             try:
@@ -211,10 +229,10 @@ def solve_misiurewicz(family, seed, spec):
                 raise NoConvergence(f"singular activity Jacobian: {exc}") from exc
             for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
                 trial = lam - damping * step
-                chi_t = activity_chi(family, trial, spec)
+                chi_t, J_t = _chi_and_jacobian(family, trial, spec)
                 res_t = float(np.linalg.norm(chi_t))
                 if math.isfinite(res_t) and res_t < res:
-                    lam, chi, res = trial, chi_t, res_t
+                    lam, chi, J, res = trial, chi_t, J_t, res_t
                     break
             else:
                 raise NoConvergence(f"damped Newton stalled at residual {res:.3g}")
@@ -224,9 +242,8 @@ def solve_misiurewicz(family, seed, spec):
     if not gap <= CLOSURE_TOL:
         raise NoConvergence(f"landing point does not close under f^p: gap {gap:.3g} > {CLOSURE_TOL}")
     mults = _landing_multipliers(family, lam, cycles)
-    sigma = transversality(family, lam, spec)
-    return MisiurewiczCertificate(lam=lam, residual=res, multipliers=mults, sigma_min=sigma,
-                                  m_plus=m_plus, spec=spec)
+    return MisiurewiczCertificate(lam=lam, residual=res, multipliers=mults,
+                                  sigma_min=_sigma_min(J, lam), m_plus=m_plus, spec=spec)
 
 
 def verify_certificate(cert, family):

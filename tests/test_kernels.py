@@ -1675,6 +1675,21 @@ def old_chi_jacobian(family, lam, spec, step=FD_STEP):
     return J
 
 
+def old_chi_and_jacobian(family, lam, spec, step=FD_STEP):
+    """The references' value and Jacobian, as ``_chi_and_jacobian`` gives them."""
+    return old_activity_chi(family, lam, spec), old_chi_jacobian(family, lam, spec, step=step)
+
+
+def old_transversality(family, lam, spec, step=FD_STEP):
+    """Smallest singular value of the reference Jacobian; a non-finite
+    one is NoConvergence."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = old_chi_jacobian(family, lam, spec, step=step)
+    if not np.all(np.isfinite(J)):
+        raise NoConvergence(f"activity Jacobian is not finite at lambda={lam}")
+    return float(np.linalg.svd(J, compute_uv=False)[-1])
+
+
 def activity_case(name):
     """(family, base parameter, {"preperiodic": spec})."""
     if name == "unicritical2":
@@ -1781,8 +1796,24 @@ class TestActivityMap:
         rng = np.random.default_rng(30)
         for lam in stack_near(rng, base, 6, 0.3):
             for step in (FD_STEP, 2e-7):
-                assert same_bits(misiurewicz._chi_jacobian(family, lam, specs[kind], step=step),
-                                 old_chi_jacobian(family, lam, specs[kind], step=step))
+                chi, J = misiurewicz._chi_and_jacobian(family, lam, specs[kind], step=step)
+                old_chi, old_J = old_chi_and_jacobian(family, lam, specs[kind], step=step)
+                assert same_bits(chi, old_chi) and same_bits(J, old_J)
+
+    def test_horner_keeps_overflow_and_zero_rows(self):
+        # the inline Horner pass (c_d + z * 0, then c_j + w * z, as
+        # polyval) keeps the reference's bits on a row whose orbit
+        # overflows at a = 1e80, with its inf and nan where the
+        # reference has them, and on the row at exactly 0
+        spec = activity_case("bh3")[2]["preperiodic"]
+        stack = np.array([[0.5 + 0.2j, 1e80 + 0j], [0j, 0j], [0.5 + 0.2j, 1.1 + 0.3j]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = misiurewicz.activity_chi(BH3, stack, spec)
+            old = np.array([old_activity_chi(BH3, row, spec) for row in stack])
+        assert same_bits(new, old)
+        assert np.array_equal(np.isinf(new), np.isinf(old))
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        assert np.any(np.isnan(new[0])) and np.all(np.isfinite(new[1:]))
 
 
 # seeds of the c12 hunt grid (tests/test_acceptance.py): the four that
@@ -1825,7 +1856,7 @@ class TestActivityCertificates:
         assert sum(r.startswith("[") for r in new) >= 10
         assert len({r.split(":")[0] for r in new if not r.startswith("[")}) == 2
         monkeypatch.setattr(misiurewicz, "activity_chi", old_activity_chi)
-        monkeypatch.setattr(misiurewicz, "_chi_jacobian", old_chi_jacobian)
+        monkeypatch.setattr(misiurewicz, "_chi_and_jacobian", old_chi_and_jacobian)
         assert new == self.records()
 
     def test_cli_outputs_match_old_code(self, tmp_path, monkeypatch):
@@ -1847,7 +1878,7 @@ class TestActivityCertificates:
 
         new = run("new")
         monkeypatch.setattr(misiurewicz, "activity_chi", old_activity_chi)
-        monkeypatch.setattr(misiurewicz, "_chi_jacobian", old_chi_jacobian)
+        monkeypatch.setattr(misiurewicz, "_chi_and_jacobian", old_chi_and_jacobian)
         old = run("old")
         assert len(new) == 4 and new == old
 
@@ -1893,12 +1924,12 @@ def old_solve_misiurewicz(family, seed, spec):
     if k != len(lam):
         raise ValueError(f"square solve requires {k} parameter coordinates, got {len(lam)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        chi = misiurewicz.activity_chi(family, lam, spec)
+        chi = old_activity_chi(family, lam, spec)
         res = float(np.linalg.norm(chi))
         for _ in range(misiurewicz.SOLVE_MAXITER):
             if res <= 1e-12:
                 break
-            J = misiurewicz._chi_jacobian(family, lam, spec)
+            J = old_chi_jacobian(family, lam, spec)
             if not np.all(np.isfinite(J)):
                 raise NoConvergence(f"Newton: activity Jacobian is not finite at lambda={lam}")
             try:
@@ -1907,7 +1938,7 @@ def old_solve_misiurewicz(family, seed, spec):
                 raise NoConvergence(f"singular activity Jacobian: {exc}") from exc
             for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
                 trial = lam - damping * step
-                chi_t = misiurewicz.activity_chi(family, trial, spec)
+                chi_t = old_activity_chi(family, trial, spec)
                 res_t = float(np.linalg.norm(chi_t))
                 if math.isfinite(res_t) and res_t < res:
                     lam, chi, res = trial, chi_t, res_t
@@ -1930,7 +1961,7 @@ def old_solve_misiurewicz(family, seed, spec):
             raise NonRepellingTarget(
                 f"landing cycle multiplier {math.exp(ml[0]):.6g} <= 1 + {misiurewicz.DELTA_REP}")
         mults.append(ml)
-    sigma = misiurewicz.transversality(family, lam, spec)
+    sigma = old_transversality(family, lam, spec)
     return misiurewicz.MisiurewiczCertificate(
         lam=lam, residual=res, multipliers=mults, sigma_min=sigma,
         m_plus=old_m_plus(family, lam, spec), spec=spec)
@@ -1954,7 +1985,7 @@ def old_verify_certificate(cert, family):
         drift = max(drift, abs(ml[0] - cert.multipliers[i][0]))
     checks["repelling_landing"] = repelling
     checks["multiplier_match"] = repelling and drift <= 1e-6
-    sigma = misiurewicz.transversality(family, lam, spec, step=2e-7)
+    sigma = old_transversality(family, lam, spec, step=2e-7)
     checks["sigma_min_match"] = abs(sigma - cert.sigma_min) <= 1e-4 * max(1.0, cert.sigma_min)
     mp = old_m_plus(family, lam, spec)
     checks["m_plus_match"] = bool(np.max(np.abs(mp - cert.m_plus)) <= 1e-8 * max(1.0, float(np.max(np.abs(mp)))))

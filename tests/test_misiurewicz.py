@@ -137,11 +137,13 @@ class TestCallCount:
 
     Seeds from the c12 hunt grid (tests/test_acceptance.py): one that
     certifies, one whose Newton run converges to a superattracting
-    target after many damping halvings.  A Jacobian is one
-    ``activity_chi`` call on the (2m, m) stack of its 2m difference
-    points, so a solve makes 1 call for the starting value, then per
-    Newton step 1 for the Jacobian and 1 per damping trial, and 1 more for
-    the transversality of a certified parameter.
+    target after many damping halvings.  The start and each damping
+    trial are one ``activity_chi`` call on the (2m+1, m) stack of the
+    point and its 2m difference points, so a solve makes 1 + trials
+    calls and one ``np.linalg.solve`` per Newton step.  An accepted trial
+    brings the Jacobian of the next step, and a certified parameter's
+    transversality is read off the Jacobian held at the end, so nothing
+    is evaluated after the accepted trial.
     """
 
     SPEC = ActivitySpec((0, 1), 2, (Preperiodic(1, 1), Preperiodic(2, 2)))
@@ -150,40 +152,34 @@ class TestCallCount:
         ((-0.375 + 0.8j, 5, 1), True, 14, 14),
         ((0.4j, 3, 0), False, 28, 31),
     ], ids=["certified", "superattracting"])
-    def test_one_stacked_call_per_jacobian(self, monkeypatch, grid, certified,
-                                           steps, trials):
+    def test_one_stacked_call_per_trial(self, monkeypatch, grid, certified, steps, trials):
         c1, j, k = grid
         seed = [c1, complex(np.linspace(0.3, 1.3, 6)[j], (0.1, 0.5)[k])]
         log = []
-        chi, jacobian, solve = (misiurewicz.activity_chi, misiurewicz._chi_jacobian,
-                                np.linalg.solve)
+        chi, solve = misiurewicz.activity_chi, np.linalg.solve
 
         def counted_chi(family, lam, spec, **kw):
-            log.append(np.shape(lam))
+            log.append(np.array(lam))
             return chi(family, lam, spec, **kw)
-
-        def marked_jacobian(*args, **kw):
-            log.append("jacobian")
-            return jacobian(*args, **kw)
 
         def counted_solve(*args):
             log.append("newton step")
             return solve(*args)
 
         monkeypatch.setattr(misiurewicz, "activity_chi", counted_chi)
-        monkeypatch.setattr(misiurewicz, "_chi_jacobian", marked_jacobian)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         if certified:
-            solve_misiurewicz(CUBIC, seed, self.SPEC)
+            cert = solve_misiurewicz(CUBIC, seed, self.SPEC)
         else:
             with pytest.raises(NonRepellingTarget):
                 solve_misiurewicz(CUBIC, seed, self.SPEC)
-        jacobians = [i for i, entry in enumerate(log) if entry == "jacobian"]
-        assert all(log[i + 1] == (4, 2) for i in jacobians)
-        assert log.count((4, 2)) == len(jacobians) == steps + certified
-        assert log.count("newton step") == steps
-        assert log[0] == (2,) and log.count((2,)) == 1 + trials
-        assert len(log) - len(jacobians) - steps == 1 + steps + trials + certified
+        calls = [entry for entry in log if not isinstance(entry, str)]
+        assert all(stack.shape == (5, 2) for stack in calls)
+        assert len(calls) == 1 + trials
+        assert len(log) - len(calls) == steps
+        if certified:
+            # the last entry is the accepted trial, at the certified lambda
+            assert not isinstance(log[-1], str) and np.array_equal(log[-1][0], cert.lam)
 
 
 class TestVerification:
