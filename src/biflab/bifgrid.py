@@ -13,7 +13,10 @@ escape-rate kernel, on blocks of cells whose parameters each block forms
 from the box axes.  A radial output reads only the cells within reach
 of its centre, so a scan may cover just those (``radial_window``): the
 fields and measures record that window, and every cell in it has the
-bits it has on the whole grid.
+bits it has on the whole grid.  The stencils and radial masses walk
+blocks of first-axis rows (``_row_blocks``), each with the one-row halo
+a stencil reads, so their differences, products, distances and masks
+are formed a block at a time.
 """
 
 from __future__ import annotations
@@ -37,14 +40,17 @@ from .potential import _blocks, escape_rate
 SCAN_MAXITER = 512
 # largest grid a scan takes, in cells: 4096^2, 4x the largest README or
 # benchmark grid (2048^2); `ddc --res 4096` on the README box peaks at
-# 560 MB RSS on a 2-core Xeon
+# 429 MB RSS on a 2-core Xeon
 MAX_GRID_CELLS = 2 ** 24
 MIN_CLOUD_POINTS = 1000
 # a wedge warns when clamping removed more than this share of its mass
 CLAMP_WARN_SHARE = 0.05
-# the Gaussian mollifier accumulates blocks of whole rows of about this
-# many cells, so that a block and the padded rows it reads stay in cache
-GAUSS_BLOCK = 8192
+# the Gaussian mollifier, the stencils and radial masses work on blocks of
+# whole rows of about this many cells (``_row_blocks``), so that a block's
+# temporaries stay small and in cache; radial masses of the benchmark tip's
+# 1604^2 window took 0.094 s with 8192 cells a block and 0.061 s with
+# 32768, on a 2-core Xeon, and nothing else ran slower
+ROW_BLOCK = 1 << 15
 # the spacing search walks at most this many sorted neighbors on each side
 # of a point before it searches the point's box (``_box_search``)
 SWEEP_STEPS = 64
@@ -184,21 +190,38 @@ def _second_difference(u, ax, others, ay=None):
     return (cut(up, up) + cut(dn, dn) - cut(up, dn) - cut(dn, up)) / 4.0
 
 
+def _row_blocks(shape):
+    """Blocks of the first-axis rows of a grid of ``shape``, about
+    ROW_BLOCK cells each, in order: (rows, halo) slices, the rows
+    lo..hi-1 of a block and those rows with the one row on each side
+    that a stencil reads, cut to the grid."""
+    n = shape[0]
+    step = max(1, ROW_BLOCK // max(math.prod(shape[1:]), 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield slice(lo, hi), slice(max(lo - 1, 0), min(hi + 1, n))
+
+
 def _local_mass(values, weights=None):
     """Unscaled 5-point mass per complex coordinate, (1/2pi)(sum of the 4
     in-plane neighbors - 4 center), summed over coordinates; boundary
     cells get 0.  ``weights`` rescale each axis's second difference for
-    rectangular cells (weight = h_other / h_axis per coordinate plane)."""
+    rectangular cells (weight = h_other / h_axis per coordinate plane).
+    Each row block reads its rows with their halo, so the temporaries are
+    a block's."""
     ndim = values.ndim
     if weights is None:
         weights = [1.0] * ndim
-    # the boundary ring, where the stencil is one-sided, keeps mass 0
+    # the boundary ring, where the stencil is one-sided, keeps mass 0; the
+    # inner rows of a block's halo are the block's rows off the grid's edge
     inner = (slice(1, -1),) * ndim
-    acc = np.zeros_like(values[inner])
-    for ax in range(ndim):
-        acc += weights[ax] * _second_difference(values, ax, slice(1, -1))
     mass = np.zeros_like(values)
-    mass[inner] = acc / (2.0 * math.pi)
+    for _, halo in _row_blocks(values.shape):
+        u = values[halo]
+        acc = np.zeros_like(u[inner])
+        for ax in range(ndim):
+            acc += weights[ax] * _second_difference(u, ax, slice(1, -1))
+        mass[halo][inner] = acc / (2.0 * math.pi)
     return mass
 
 
@@ -286,13 +309,23 @@ def ddc(gfield):
                         meta={"op": "ddc", "source": dict(gfield.meta)}, window=gfield.window)
 
 
-def _hessian_fields(u, h1, h2):
+def _hessian_fields(u, h1, h2, keep=slice(None)):
     """Complex-Hessian entries (d^2 u / dl_j dl_k-bar) of a 4D grid with
-    axis order (x1, y1, x2, y2)."""
+    axis order (x1, y1, x2, y2), at the first-axis rows ``keep`` of u
+    (a row block's, with the rows of its halo around it).  A second
+    difference is 0 on the end cells of its axes, as on the grid's."""
+    lo, hi, _ = keep.indices(len(u))
+
     def d2(ax, ay=None):
-        out = np.zeros_like(u)
-        out[tuple(slice(1, -1) if b in (ax, ay) else slice(None) for b in range(u.ndim))] = \
-            _second_difference(u, ax, slice(None), ay)
+        out = np.zeros((hi - lo,) + u.shape[1:])
+        cut = [slice(1, -1) if b in (ax, ay) else slice(None) for b in range(u.ndim)]
+        if ax == 0:
+            # the rows of ``keep`` with both neighbors in u
+            a, b = max(lo, 1), min(hi, len(u) - 1)
+            cut[0] = slice(a - lo, b - lo)
+            out[tuple(cut)] = _second_difference(u[a - 1:b + 1], ax, slice(None), ay)
+        else:
+            out[tuple(cut)] = _second_difference(u[lo:hi], ax, slice(None), ay)
         return out
 
     A11 = 0.25 * (d2(0) + d2(1)) / h1 ** 2
@@ -320,7 +353,7 @@ def _gaussian(values, sigmas):
             padded = np.pad(rows, [(r, r), (0, 0)], mode="edge")
             rows = np.empty_like(rows)
             # blocks of whole rows, so that every operand is contiguous
-            step = max(1, GAUSS_BLOCK // rows.shape[1])
+            step = max(1, ROW_BLOCK // rows.shape[1])
             tmp = np.empty((min(step, n), rows.shape[1]))
             # an inf - inf or an overflow passes silently, as in scipy's loop
             with np.errstate(invalid="ignore", over="ignore"):
@@ -369,20 +402,27 @@ def wedge_pair(field_a, field_b, mollify_radius=None):
     ua = _mollify(field_a.values, box, res, mollify_radius)
     ub = (ua if field_b is field_a or np.array_equal(field_b.values, field_a.values)
           else _mollify(field_b.values, box, res, mollify_radius))
-    A11, A22, A12 = _hessian_fields(ua, h1, h2)
-    if ub is ua:
-        B11, B22, B12 = A11, A22, A12
-    else:
-        B11, B22, B12 = _hessian_fields(ub, h1, h2)
-    M = 0.5 * (A11 * B22 + B11 * A22 - A12 * np.conj(B12) - B12 * np.conj(A12))
-    raw = (8.0 / math.pi ** 2) * M.real * (h1 ** 2) * (h2 ** 2)
     # drop the shell whose stencil sees padded (edge-replicated) data
     shells = []
     for h in (h1, h1, h2, h2):
         shells.append(int(math.ceil(2.0 * mollify_radius / (2.0 * h))) + 1)
-    valid = np.zeros(raw.shape, dtype=bool)
-    valid[tuple(slice(s, -s) for s in shells)] = True
-    raw = np.where(valid, raw, 0.0)
+    valid = [slice(s, n - s) for s, n in zip(shells, ua.shape)]
+    raw = np.zeros(ua.shape)
+    # the largest Hessian entry of each field, over every cell
+    size_a = size_b = np.full(3, -np.inf)
+    for rows, halo in _row_blocks(ua.shape):
+        keep = slice(rows.start - halo.start, rows.stop - halo.start)
+        A = _hessian_fields(ua[halo], h1, h2, keep)
+        B = A if ub is ua else _hessian_fields(ub[halo], h1, h2, keep)
+        size_a = np.maximum(size_a, [np.max(np.abs(e)) for e in A])
+        size_b = size_a if ub is ua else np.maximum(size_b, [np.max(np.abs(e)) for e in B])
+        lo, hi = max(valid[0].start, rows.start), min(valid[0].stop, rows.stop)
+        if lo >= hi:
+            continue
+        cut = (slice(lo - rows.start, hi - rows.start), *valid[1:])
+        (A11, A22, A12), (B11, B22, B12) = ([e[cut] for e in A], [e[cut] for e in B])
+        M = 0.5 * (A11 * B22 + B11 * A22 - A12 * np.conj(B12) - B12 * np.conj(A12))
+        raw[(slice(lo, hi), *valid[1:])] = (8.0 / math.pi ** 2) * M.real * (h1 ** 2) * (h2 ** 2)
     mu = MeasureField(box=box, resolution=res, raw_mass=raw,
                       meta={"op": "wedge_pair", "mollify_radius": mollify_radius,
                             "boundary_shell": shells,
@@ -395,9 +435,9 @@ def wedge_pair(field_a, field_b, mollify_radius=None):
     # pluriharmonic or rank-one field, and shows no loss of plurisubharmonicity
     err_a, err_b = (16.0 * np.finfo(float).eps * float(np.max(np.abs(u))) / min(h1, h2) ** 2
                     for u in (ua, ub))
-    size_a, size_b = (max(float(np.max(np.abs(e))) for e in entries)
-                      for entries in ((A11, A22, A12), (B11, B22, B12)))
-    roundoff = ((8.0 / math.pi ** 2) * (h1 * h2) ** 2 * int(np.sum(valid))
+    size_a, size_b = (max(float(e) for e in size) for size in (size_a, size_b))
+    valid_cells = math.prod(max(v.stop - v.start, 0) for v in valid)
+    roundoff = ((8.0 / math.pi ** 2) * (h1 * h2) ** 2 * valid_cells
                 * (size_a * err_b + size_b * err_a + err_a * err_b))
     if clamp_total > max(CLAMP_WARN_SHARE * absolute, roundoff):
         warnings.warn(f"clamped mass {clamp_total:.3g} is {clamp_total / absolute:.1%} "
@@ -421,7 +461,7 @@ def monge_ampere2(gfield, mollify_radius=None):
 def decreasing_radii(radii):
     """``radii`` as a float array; a ValueError unless strictly decreasing."""
     radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) >= 0):
+    if not np.all(np.diff(radii) < 0):
         raise ValueError("radii must be strictly decreasing")
     return radii
 
@@ -468,7 +508,14 @@ def radial_masses(measure, center, radii):
     Only the cells within reach of the largest radius are read, so a
     measure on a ``radial_window`` (for these radii or larger ones) gives
     the masses of the whole grid, bit for bit; a window that misses a
-    cell in reach is a ValueError."""
+    cell in reach is a ValueError.
+
+    The measure is read by row blocks (``_row_blocks``).  Each radius
+    gathers the clamped masses of its inner cells, and those of its band
+    cells times their covered fractions, in flat cell order, and sums
+    each gather once: the sums of whole-array masks, with no array of the
+    measure's size formed.  A counting pass over the blocks sizes the
+    gathers, and a second pass fills them."""
     box, res = measure.box, measure.resolution
     hs = box.cell_sizes(res)
     radii = decreasing_radii(radii)
@@ -485,38 +532,71 @@ def radial_masses(measure, center, radii):
             raise ValueError(f"the measure's window {measure.window} misses cells of "
                              f"{need}, within reach of the radii")
     flats = box.axes(res, measure.window)
-    # the distance to the centre adds the squared offsets of each real
-    # axis, broadcast from 1-d, so no array of cell coordinates is formed
-    dist = np.zeros(tuple(len(a) for a in flats))
-    for k, a in enumerate(np.ix_(*flats)):
-        dist += (a - cvec[k]) ** 2
-    np.sqrt(dist, out=dist)
+    shape = tuple(len(a) for a in flats)
     half_diag = 0.5 * float(np.linalg.norm(hs))
     subsample = 8 if box.m == 1 else 4
     offs = [(np.arange(subsample) + 0.5) / subsample - 0.5 for _ in hs]
     off_flat = np.stack([om.ravel() for om in np.meshgrid(*offs, indexing="ij")], axis=0)
     step = max(1, _BAND_FLOATS // off_flat.shape[1])
-    masses = np.empty(len(radii))
-    mass_flat = measure.cell_mass.ravel()
-    dist_flat = dist.ravel()
-    for i, r in enumerate(radii):
-        inner = dist_flat <= r - half_diag
-        band = (~inner) & (dist_flat < r + half_diag)
-        total = float(np.sum(mass_flat[inner]))
+    raw = measure.raw_mass
+
+    def cells():
+        """(rows, axes, i, near, inner, band) for each row block and radius
+        i in turn (``_ball_cells``)."""
+        for rows, _ in _row_blocks(shape):
+            axes = [flats[0][rows], *flats[1:]]
+            for i, ball in enumerate(_ball_cells(axes, cvec, radii, half_diag)):
+                yield rows, axes, i, *ball
+
+    counts = np.zeros((len(radii), 2), dtype=np.intp)
+    for _, _, i, _, inner, band in cells():
+        counts[i] += np.count_nonzero(inner), np.count_nonzero(band)
+    gathers = [(np.empty(n_inner), np.empty(n_band)) for n_inner, n_band in counts]
+    filled = np.zeros_like(counts)
+    for rows, axes, i, near, inner, band in cells():
+        inner, band = near[inner], near[band]
+        mass = raw[rows].ravel()
+        (g_inner, g_band), (p, q) = gathers[i], filled[i]
+        np.maximum(mass[inner], 0.0, out=g_inner[p:p + inner.size])
         # the covered fraction of band cells, a chunk of cells at a time,
         # so no (band cells x sub-cells) array is formed
-        band_cells = np.nonzero(band)[0]
-        frac = np.empty(band_cells.size)
-        for lo in range(0, band_cells.size, step):
-            cells = np.unravel_index(band_cells[lo:lo + step], dist.shape)
-            sub2 = np.zeros((cells[0].size, off_flat.shape[1]))
-            for k, (a, ik) in enumerate(zip(flats, cells)):
+        for lo in range(0, band.size, step):
+            chunk = band[lo:lo + step]
+            sub2 = np.zeros((chunk.size, off_flat.shape[1]))
+            ix = np.unravel_index(chunk, tuple(len(a) for a in axes))
+            for k, (a, ik) in enumerate(zip(axes, ix)):
                 sub2 += (a[ik][:, None] + off_flat[k][None, :] * hs[k] - cvec[k]) ** 2
-            frac[lo:lo + step] = np.mean(sub2 <= r * r, axis=1)
-        if band_cells.size:
-            total += float(np.sum(mass_flat[band] * frac))
-        masses[i] = total
+            g_band[q + lo:q + lo + chunk.size] = (
+                np.maximum(mass[chunk], 0.0) * np.mean(sub2 <= radii[i] * radii[i], axis=1))
+        filled[i] += inner.size, band.size
+    masses = np.empty(len(radii))
+    for i, (g_inner, g_band) in enumerate(gathers):
+        masses[i] = float(np.sum(g_inner))
+        if g_band.size:
+            masses[i] += float(np.sum(g_band))
     return RadialMassProfile(center=tuple(ctr), radii=radii, masses=masses)
+
+
+def _ball_cells(axes, cvec, radii, half_diag):
+    """For each of the decreasing ``radii`` in turn, (near, inner, band):
+    the flat indices, in increasing order, of cells on ``axes`` within
+    reach of the radius, and masks over them of those inside the ball
+    about ``cvec`` (distance at most r - half_diag) and of those in its
+    band (the others nearer than r + half_diag).  Each radius searches
+    only the cells within reach of the one before it."""
+    # the distance to the centre adds the squared offsets of each real
+    # axis, broadcast from 1-d, so no array of cell coordinates is formed
+    dist = np.zeros(tuple(len(a) for a in axes))
+    for k, a in enumerate(np.ix_(*axes)):
+        dist += (a - cvec[k]) ** 2
+    dist = np.sqrt(dist, out=dist).ravel()
+    near = None
+    for r in radii:
+        lo, hi = r - half_diag, r + half_diag
+        keep = dist <= max(lo, hi)
+        near, dist = (np.flatnonzero(keep) if near is None else near[keep]), dist[keep]
+        inner = dist <= lo
+        yield near, inner, ~inner & (dist < hi)
 
 
 def _ols(x, y):

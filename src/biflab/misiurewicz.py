@@ -85,11 +85,13 @@ def activity_chi(family, lam, spec):
     bits of ``family.poly_coeffs(lam[r])``), then k0 column-wise Horner
     passes for every tracked point and n more per pattern.  A pass runs
     ``npoly.polyval(z, coef, tensor=False)``'s own expressions inline on
-    the coefficient rows, reversed once per call: w = c_d + z * 0, then
+    the coefficient rows, reversed once per call: w = c_d, then
     w = c_j + w * z.  That is ``family.eval``'s multiply-and-add
     sequence, which numpy's array loops round as its 0-d path does, so
-    every row keeps the bits of chi at that row alone; the ``z * 0`` term
-    carries an overflowed orbit's inf and nan as ``polyval`` does.
+    every row keeps the bits of chi at that row alone.  ``polyval``
+    starts from c_d + z * 0 instead.  On every family c_d is a finite
+    non-zero constant, so that term changes no finite z, and a z that
+    has overflowed turns to nan within the pass either way.
     """
     lam = np.asarray(lam, dtype=complex)
     lams = np.atleast_2d(lam)
@@ -101,7 +103,7 @@ def activity_chi(family, lam, spec):
     top, *rest = family.poly_coeffs(lams)[::-1]
 
     def horner(x):
-        w = top + x * 0
+        w = top
         for c in rest:
             w = c + w * x
         return w

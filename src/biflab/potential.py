@@ -33,17 +33,17 @@ GREEN_MAXITER = 200
 GREEN_TOL = 1e-12
 PLANE_BIG = 1e12
 PLANE_MAXITER = 2048
-# most samples of a max-entropy cloud: `lyap` peaks at 102 MB RSS with
-# 10^6 samples and 300 MB with 2^22 on a 2-core Xeon, about 62 MB per
-# 10^6, so near 560 MB at the bound, as a grid scan at MAX_GRID_CELLS
+# most samples of a max-entropy cloud: `lyap` peaks at 105 MB RSS with
+# 10^6 samples, 301 MB with 2^22 and 561 MB at the bound on a 2-core
+# Xeon, about 62 MB per 10^6; `ddc` at MAX_GRID_CELLS peaks at 429 MB
 MAX_SAMPLES = 2 ** 23
 
 # Largest block of a split kernel, in points.  Every worker holds one
 # block's temporaries at a time, and each block pays the loop's fixed
 # cost per step, so the length trades peak memory against that cost.
 # On 2 cores of a Xeon, `ddc` of the README's 1024^2 grid peaked at
-# 128-129 MB RSS with 2^16 and at 144-145 MB with 2^17, in the same
-# 0.9 s; one worker peaked at 124 MB.
+# 67-77 MB RSS with 2^16 and at 72-83 MB with 2^17, in about the same
+# 0.9-1.2 s; one worker peaked at 63 MB.
 _BLOCK = 1 << 16
 
 

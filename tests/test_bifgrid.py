@@ -310,6 +310,9 @@ class TestRadial:
         mu = lebesgue_measure(Box((0j,), (1.0,)), 32)
         with pytest.raises(ValueError):
             radial_masses(mu, 0j, np.array([0.2, 0.3]))
+        # a nan among the radii orders with nothing
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            radial_masses(mu, 0j, np.array([0.5, np.nan, 0.2]))
 
     def test_resolution_guard(self):
         mu = lebesgue_measure(Box((0j,), (1.0,)), 32)

@@ -31,6 +31,11 @@ window are the oracles of ``Box.axes``, ``Box.cell_sizes`` and
 The Gaussian mollifier and the nearest-neighbor spacing of the box count
 are compared with the scipy calls they replaced, ``gaussian_filter`` and
 ``cKDTree.query``.
+The stencils and radial masses run by row blocks, and their tests cross
+block edges: against the second-difference references, the wedge's
+roundoff warning rule on whole-grid Hessians (``old_wedge_warns``) and
+the radial masses of whole-array distances and masks
+(``old_radial_masses``).
 Results are compared through ``uint64`` views, so a changed last bit,
 sign of zero or NaN fails.
 """
@@ -64,6 +69,7 @@ from biflab.errors import (
     NoConvergence,
     NonRepellingTarget,
     NotPlurisubharmonic,
+    ResolutionExceeded,
     RootFindingFailure,
 )
 from biflab.families import (
@@ -1313,6 +1319,93 @@ def old_wedge_pair(field_a, field_b, mollify_radius=None):
                                        "a": dict(field_a.meta), "b": dict(field_b.meta)})
 
 
+def old_wedge_warns(field_a, field_b, mollify_radius=None):
+    """Whether ``wedge_pair`` warns NotPlurisubharmonic: the reference's
+    clamped mass is above both CLAMP_WARN_SHARE of its absolute mass and
+    the roundoff bound of its valid cells, taken from the whole-grid
+    Hessians of the reference."""
+    box, res = field_a.box, field_a.resolution
+    h1, h2 = box.cell_sizes(res)[::2]
+    if mollify_radius is None:
+        mollify_radius = 3.0 * max(h1, h2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotPlurisubharmonic)
+        ref = old_wedge_pair(field_a, field_b, mollify_radius=mollify_radius)
+    us = [bifgrid._mollify(f.values, box, res, mollify_radius) for f in (field_a, field_b)]
+    err_a, err_b = (16.0 * np.finfo(float).eps * float(np.max(np.abs(u))) / min(h1, h2) ** 2
+                    for u in us)
+    size_a, size_b = (max(float(np.max(np.abs(e))) for e in old_hessian_fields(u, h1, h2))
+                      for u in us)
+    valid = np.zeros(us[0].shape, dtype=bool)
+    valid[tuple(slice(s, -s) for s in ref.meta["boundary_shell"])] = True
+    roundoff = ((8.0 / math.pi ** 2) * (h1 * h2) ** 2 * int(np.sum(valid))
+                * (size_a * err_b + size_b * err_a + err_a * err_b))
+    absolute = float(np.sum(ref.cell_mass)) + ref.clamp_total
+    return ref.clamp_total > max(bifgrid.CLAMP_WARN_SHARE * absolute, roundoff)
+
+
+# ----------------------------------------------------------------------
+# reference radial masses: the whole-array distances, clamped masses and
+# masks that the row blocks replaced
+
+def old_radial_masses(measure, center, radii):
+    """mu(ball(center, r_k)) by cell summation; cells cut by the sphere
+    contribute their subsampled covered fraction.
+
+    Only the cells within reach of the largest radius are read, so a
+    measure on a ``radial_window`` (for these radii or larger ones) gives
+    the masses of the whole grid, bit for bit; a window that misses a
+    cell in reach is a ValueError."""
+    box, res = measure.box, measure.resolution
+    hs = box.cell_sizes(res)
+    radii = bifgrid.decreasing_radii(radii)
+    hmax = float(np.max(hs))
+    if radii[-1] < 3.0 * hmax:
+        raise ResolutionExceeded(
+            f"r_min = {radii[-1]:.3g} below 3 cell widths ({3 * hmax:.3g})")
+    ctr = np.atleast_1d(np.asarray(center, dtype=complex))
+    cvec = bifgrid._real_center(box, ctr)
+    if measure.window is not None:
+        need = bifgrid.radial_window(box, res, ctr, radii[0])
+        if all(lo < hi for lo, hi in need) and any(
+                lo < wlo or hi > whi for (lo, hi), (wlo, whi) in zip(need, measure.window)):
+            raise ValueError(f"the measure's window {measure.window} misses cells of "
+                             f"{need}, within reach of the radii")
+    flats = box.axes(res, measure.window)
+    # the distance to the centre adds the squared offsets of each real
+    # axis, broadcast from 1-d, so no array of cell coordinates is formed
+    dist = np.zeros(tuple(len(a) for a in flats))
+    for k, a in enumerate(np.ix_(*flats)):
+        dist += (a - cvec[k]) ** 2
+    np.sqrt(dist, out=dist)
+    half_diag = 0.5 * float(np.linalg.norm(hs))
+    subsample = 8 if box.m == 1 else 4
+    offs = [(np.arange(subsample) + 0.5) / subsample - 0.5 for _ in hs]
+    off_flat = np.stack([om.ravel() for om in np.meshgrid(*offs, indexing="ij")], axis=0)
+    step = max(1, bifgrid._BAND_FLOATS // off_flat.shape[1])
+    masses = np.empty(len(radii))
+    mass_flat = measure.cell_mass.ravel()
+    dist_flat = dist.ravel()
+    for i, r in enumerate(radii):
+        inner = dist_flat <= r - half_diag
+        band = (~inner) & (dist_flat < r + half_diag)
+        total = float(np.sum(mass_flat[inner]))
+        # the covered fraction of band cells, a chunk of cells at a time,
+        # so no (band cells x sub-cells) array is formed
+        band_cells = np.nonzero(band)[0]
+        frac = np.empty(band_cells.size)
+        for lo in range(0, band_cells.size, step):
+            cells = np.unravel_index(band_cells[lo:lo + step], dist.shape)
+            sub2 = np.zeros((cells[0].size, off_flat.shape[1]))
+            for k, (a, ik) in enumerate(zip(flats, cells)):
+                sub2 += (a[ik][:, None] + off_flat[k][None, :] * hs[k] - cvec[k]) ** 2
+            frac[lo:lo + step] = np.mean(sub2 <= r * r, axis=1)
+        if band_cells.size:
+            total += float(np.sum(mass_flat[band] * frac))
+        masses[i] = total
+    return bifgrid.RadialMassProfile(center=tuple(ctr), radii=radii, masses=masses)
+
+
 def spiky(rng, shape):
     """Random values with signed zeros, nan and +-inf sprinkled in."""
     u = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
@@ -1325,43 +1418,145 @@ def spiky(rng, shape):
     return u
 
 
+def spanning(row):
+    """A grid shape of rows of shape ``row`` whose first axis spans three
+    whole row blocks (``bifgrid._row_blocks``) and ends in a partial one."""
+    step = max(1, bifgrid.ROW_BLOCK // math.prod(row))
+    return (3 * step + step // 2 + 1,) + row
+
+
+def spans_blocks(shape):
+    blocks = [rows.stop - rows.start for rows, _ in bifgrid._row_blocks(shape)]
+    return len(blocks) >= 4 and blocks[-1] < blocks[0]
+
+
 class TestStencils:
-    @pytest.mark.parametrize("shape", [(9, 9), (16, 11), (6, 7, 5, 6)])
+    @pytest.mark.parametrize("shape", [(9, 9), (16, 11), (6, 7, 5, 6),
+                                       spanning((11,)), spanning((7, 5, 6))])
     def test_local_mass(self, shape):
         rng = np.random.default_rng(sum(shape))
+        assert spans_blocks(shape) or math.prod(shape) <= bifgrid.ROW_BLOCK
         with np.errstate(invalid="ignore"):
-            for _ in range(5):
+            for _ in range(5 if math.prod(shape) < 2000 else 2):
                 u = spiky(rng, shape)
                 weights = list(rng.uniform(0.2, 3.0, len(shape)))
                 assert same_bits(_local_mass(u, weights=weights),
                                  old_local_mass(u, shape[0], weights=weights))
                 assert same_bits(_local_mass(u), old_local_mass(u, shape[0]))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_local_mass_in_blocks_of_few_rows(self, rows, monkeypatch):
+        # blocks of 1 to 3 rows, so that a block's halo is most of what it
+        # reads, and the grid's first and last rows are each a block's
+        monkeypatch.setattr(bifgrid, "ROW_BLOCK", rows * 7)
+        rng = np.random.default_rng(rows)
+        with np.errstate(invalid="ignore"):
+            for shape in [(10, 7), (11, 7), (3, 7), (2, 7), (1, 7)]:
+                u = spiky(rng, shape)
+                assert same_bits(_local_mass(u, weights=[0.5, 2.0]),
+                                 old_local_mass(u, shape[0], weights=[0.5, 2.0]))
+
     def test_hessian_fields(self):
+        # whole grids, and the blocks of grids that span several, each
+        # block's entries read from its rows with their halo
         rng = np.random.default_rng(6)
         with np.errstate(invalid="ignore"):
-            for shape in [(6, 6, 6, 6), (5, 7, 6, 4)]:
+            for shape in [(6, 6, 6, 6), (5, 7, 6, 4), spanning((6, 5, 4)), (3, 4, 5, 6)]:
                 u = spiky(rng, shape)
-                for new, old in zip(_hessian_fields(u, 0.1, 0.03),
-                                    old_hessian_fields(u, 0.1, 0.03)):
+                olds = old_hessian_fields(u, 0.1, 0.03)
+                for new, old in zip(_hessian_fields(u, 0.1, 0.03), olds):
                     assert same_bits(new, old)
+                for rows, halo in bifgrid._row_blocks(shape):
+                    keep = slice(rows.start - halo.start, rows.stop - halo.start)
+                    for new, old in zip(_hessian_fields(u[halo], 0.1, 0.03, keep), olds):
+                        assert same_bits(new, old[rows])
+            assert spans_blocks(spanning((6, 5, 4)))
 
     @pytest.mark.parametrize("mollify", [None, 0.2])
-    def test_wedge_pair(self, mollify):
+    def test_wedge_pair(self, mollify, monkeypatch):
         # the bh3 fields of the benchmark's ma2 box at 10^4, their self
-        # wedge and an indefinite field that clamps every interior cell
+        # wedge, an indefinite field that clamps every interior cell, a
+        # field with nan, -inf and -0.0 spikes in different row blocks,
+        # and the rank-one field exp(-40 x1) + 3 x2, whose clamped mass
+        # (roundoff) stays below the bound only when it takes the largest
+        # Hessian entries, in the first rows; the module's row blocks,
+        # then blocks of 3 rows (the last one partial) and of 1
         box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4))
         g0, g1 = (scan_field(BH3, box, 10, f, maxiter=64) for f in ("G0", "G1"))
         a, b = old_param_grids(box, 10)
         saddle = bifgrid.GridField(box, 10, np.abs(a) ** 2 - np.abs(b) ** 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NotPlurisubharmonic)
-            for fa, fb in ((g0, g1), (g0, g0), (saddle, saddle)):
-                new = bifgrid.wedge_pair(fa, fb, mollify_radius=mollify)
-                old = old_wedge_pair(fa, fb, mollify_radius=mollify)
-                for name in ("raw_mass", "cell_mass", "clamp_total"):
-                    assert same_bits(getattr(new, name), getattr(old, name))
-                assert new.meta == old.meta
+        spikes = g1.values.copy()
+        spikes[8, 4, 5, 5], spikes[1, 2, 3, 4], spikes[4, 5, 5, 5] = np.nan, -np.inf, -0.0
+        spiked = bifgrid.GridField(box, 10, spikes, meta={"which": "spiked"})
+        steep = bifgrid.GridField(box, 10, np.exp(-40.0 * (a.real - 1.7)) + 3.0 * b.real)
+        pairs = ((g0, g1), (g0, g0), (saddle, saddle), (g0, spiked), (steep, steep))
+        with np.errstate(invalid="ignore"):
+            olds = []
+            for fa, fb in pairs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", NotPlurisubharmonic)
+                    olds.append(old_wedge_pair(fa, fb, mollify_radius=mollify))
+            warns = [old_wedge_warns(fa, fb, mollify_radius=mollify) for fa, fb in pairs]
+            assert warns[2] and not all(warns)
+            for rows in (None, 3, 1):
+                if rows is not None:
+                    monkeypatch.setattr(bifgrid, "ROW_BLOCK", rows * 10 ** 3)
+                for (fa, fb), old, warn in zip(pairs, olds, warns):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always", NotPlurisubharmonic)
+                        new = bifgrid.wedge_pair(fa, fb, mollify_radius=mollify)
+                    for name in ("raw_mass", "cell_mass", "clamp_total"):
+                        assert same_bits(getattr(new, name), getattr(old, name))
+                    assert new.meta == old.meta
+                    assert any(issubclass(w.category, NotPlurisubharmonic)
+                               for w in caught) == warn
+
+
+class TestRadialMasses:
+    CASES = {
+        # C at 1024^2 (rectangular cells, 32 rows a block) and 96^2; C^2
+        # at 16^4
+        "c1024": (Box((-0.5 + 0j,), (2.5,), (2.0,)), 1024, [-0.75 + 0.1j],
+                  [0.9, 0.5, 0.31, 0.2, 0.1, 0.05]),
+        "c96": (Box((-2 + 0j,), (0.3,)), 96, [-2.01 + 0.02j], [0.25, 0.1, 0.03]),
+        "c2": (Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4)), 16, [1.7 + 0.4j, 1.63 + 0.48j],
+               [0.4, 0.3, 0.2, 0.16]),
+    }
+
+    @pytest.mark.parametrize("rows", [None, 3, 1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_masses_match_old(self, case, rows, monkeypatch):
+        # every ring's band spans many first-axis rows, so with blocks of
+        # 1 or 3 rows and with the module's blocks of the 1024^2 grid its
+        # cells fall on the first and last rows of blocks; the whole grid
+        # and its radial window, whose blocks start at other rows
+        box, res, center, radii = self.CASES[case]
+        shape = (res,) * (2 * box.m)
+        if rows is not None:
+            monkeypatch.setattr(bifgrid, "ROW_BLOCK", rows * res ** (2 * box.m - 1))
+        rng = np.random.default_rng(res)
+        mass = rng.standard_normal(shape)
+        mass.ravel()[rng.choice(mass.size, 3, replace=False)] = -0.0
+        whole = bifgrid.MeasureField(box, res, mass)
+        want = old_radial_masses(whole, center, radii).masses
+        got = bifgrid.radial_masses(whole, center, radii).masses
+        assert same_bits(got, want)
+        window = bifgrid.radial_window(box, res, center, radii[0])
+        part = bifgrid.MeasureField(box, res, mass[tuple(slice(lo, hi) for lo, hi in window)],
+                                    window=window)
+        assert same_bits(bifgrid.radial_masses(part, center, radii).masses, want)
+        step = max(1, bifgrid.ROW_BLOCK // res ** (2 * box.m - 1))
+        if rows is not None or case == "c1024":
+            assert 2 * radii[0] / box.cell_sizes(res)[0] > step
+
+    def test_nan_and_inf_masses(self):
+        # a nan or inf in a ball carries into its mass as in the reference
+        box, res, center, radii = self.CASES["c96"]
+        mass = np.random.default_rng(9).random((res, res))
+        mass[50, 40], mass[45, 50] = np.nan, np.inf
+        mu = bifgrid.MeasureField(box, res, mass)
+        assert same_bits(bifgrid.radial_masses(mu, center, radii).masses,
+                         old_radial_masses(mu, center, radii).masses)
 
 
 # ----------------------------------------------------------------------
@@ -1801,8 +1996,8 @@ class TestActivityMap:
                 assert same_bits(chi, old_chi) and same_bits(J, old_J)
 
     def test_horner_keeps_overflow_and_zero_rows(self):
-        # the inline Horner pass (c_d + z * 0, then c_j + w * z, as
-        # polyval) keeps the reference's bits on a row whose orbit
+        # the inline Horner pass (c_d, then c_j + w * z; polyval starts
+        # from c_d + z * 0) keeps the reference's bits on a row whose orbit
         # overflows at a = 1e80, with its inf and nan where the
         # reference has them, and on the row at exactly 0
         spec = activity_case("bh3")[2]["preperiodic"]

@@ -4,18 +4,36 @@ coordinate mesh of radial masses, and the parameter grid and critical
 values of a scan; and of the stages that once held a whole-array
 temporary they need only a chunk of: the sub-cell offsets of radial
 masses in C^2, the formatted values of a field CSV and the scaled
-pixels of a PGM; and of ``dimension --box``, which scans and measures
-only the cells its radii reach, and of ``radial_window``, which finds
-them on the 1-d axes.  tracemalloc counts numpy's buffers, so
-a peak far above the result's own size means such an array is back."""
+pixels of a PGM, and the differences, distances and masks of the
+``ddc`` and wedge stencils and of radial masses, which run by row
+blocks; and of ``dimension --box``, which scans and measures only the
+cells its radii reach, and of ``radial_window``, which finds them on the
+1-d axes.  tracemalloc counts numpy's buffers, so a peak far above the
+result's own size means such an array is back.  One more test bounds
+the peak RSS of a process that runs ``dimension --box`` and then
+``ma2``, which also counts the heap that the first command leaves
+behind."""
 
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from biflab import hyperbolic, io as bio
-from biflab.bifgrid import Box, MeasureField, radial_masses, radial_window, scan_field
+from biflab import bifgrid, hyperbolic, io as bio
+from biflab.bifgrid import (
+    Box,
+    GridField,
+    MeasureField,
+    ddc,
+    radial_masses,
+    radial_window,
+    scan_field,
+    wedge_pair,
+)
 from biflab.cli import main
 from biflab.families import MapFamily
 
@@ -39,14 +57,65 @@ def test_cantor_cloud_stores_no_words():
 
 
 def test_radial_masses_form_no_coordinate_mesh():
-    # a 1024^2 measure; a mesh of the two real axes alone is 2x a cell array
+    # a 1024^2 measure; a mesh of the two real axes alone is 2x a cell
+    # array, and the clamped masses with the distances were 2x; the
+    # gathers of these radii are 0.84x, and the run peaks at 0.99x
     box = Box((-0.5 + 0j,), (2.5,), (2.0,))
     rng = np.random.default_rng(23)
     mass = rng.random((1024, 1024))
     mu = MeasureField(box=box, resolution=1024, raw_mass=mass)
     prof, peak = peak_bytes(lambda: radial_masses(mu, -0.75 + 0.1j, [2.0, 1.0, 0.5, 0.25, 0.1]))
     assert np.all(prof.masses > 0)
-    assert peak < 3 * mass.nbytes
+    assert peak < 1.25 * mass.nbytes
+
+
+# the bytes of a few temporaries of one row block and of one chunk of
+# band cells' sub-cell offsets
+BLOCK_BYTES = 4 * 8 * (bifgrid.ROW_BLOCK + bifgrid._BAND_FLOATS)
+
+
+@pytest.mark.parametrize("box, res, center, radii", [
+    (Box((-0.5 + 0j,), (2.5,), (2.0,)), 1024, [-0.75 + 0.1j], [2.0, 1.0, 0.5, 0.25, 0.1]),
+    (Box((-0.5 + 0j,), (2.5,), (2.0,)), 1024, [-0.75 + 0.1j], [0.5, 0.25, 0.1]),
+    (Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4)), 24, [1.7 + 0.4j, 1.6 + 0.5j],
+     [0.4, 0.3, 0.2, 0.16])])
+def test_radial_masses_hold_their_gathers_and_a_block(box, res, center, radii):
+    # each radius gathers the masses of the cells within r + half a cell
+    # diagonal; beyond those the run holds one block's distances and
+    # indices and one chunk of band cells (0.8-1.7 MB on these, below the
+    # bound's 3 MB), where whole-grid distances or clamped masses would
+    # add 2.7 to 8 MB
+    mass = np.random.default_rng(res).random((res,) * (2 * box.m))
+    mu = MeasureField(box=box, resolution=res, raw_mass=mass)
+    offsets = np.ix_(*(a - c for a, c in zip(box.axes(res), bifgrid._real_center(box, center))))
+    dist = np.sqrt(sum(o ** 2 for o in offsets))
+    half_diag = 0.5 * float(np.linalg.norm(box.cell_sizes(res)))
+    gathered = 8 * sum(int(np.sum(dist < r + half_diag)) for r in radii)
+    del dist
+    prof, peak = peak_bytes(lambda: radial_masses(mu, center, radii))
+    assert np.all(prof.masses > 0)
+    assert peak < gathered + BLOCK_BYTES
+
+
+def test_ddc_holds_its_output_and_a_block():
+    # a 1024^2 field; the stencil's whole-grid sum and differences were
+    # 2x the output more; a block of rows takes 1 MB, below the bound's 3 MB
+    values = np.random.default_rng(1024).standard_normal((1024, 1024))
+    mu, peak = peak_bytes(lambda: ddc(GridField(Box((-0.5 + 0j,), (2.5,), (2.0,)), 1024, values)))
+    assert peak < mu.raw_mass.nbytes + BLOCK_BYTES
+
+
+def test_wedge_pair_forms_hessians_by_row_blocks():
+    # the benchmark's ma2 wedge, bh3 G0 and G1 at 24^4: the six Hessian
+    # entries of the two fields and the determinant's products over the
+    # whole grid peaked at 15x a field; the mollified fields, the output
+    # and the clamped mass of the output, with a block of rows, at 6.1x
+    box = Box((1.7 + 0.4j, 1.6 + 0.5j), (0.4, 0.4))
+    g0, g1 = (scan_field(MapFamily("branner_hubbard", 3), box, 24, f, maxiter=256)
+              for f in ("G0", "G1"))
+    mu, peak = peak_bytes(lambda: wedge_pair(g0, g1, mollify_radius=0.2))
+    assert mu.total_mass > 0
+    assert peak < 7 * g0.values.nbytes
 
 
 def test_scan_forms_no_parameter_grid(monkeypatch):
@@ -115,7 +184,8 @@ def test_radial_window_searches_the_axes():
 def test_pointwise_dimension_scans_only_the_window(tmp_path, monkeypatch):
     # the README scaling box at 512^2 with radii 2^-4..2^-8 reaches 110^2
     # cells, 4.6% of the grid; a scan and ddc of the whole box peaked at
-    # 6.6x the grid's value array, and the window peaks near 12x its own
+    # 6.6x the grid's value array, and the window peaks at 15-17x its own,
+    # most of it a scan block's and a band chunk's fixed-size temporaries
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     radii = [2.0 ** -k for k in range(4, 9)]
     argv = ["dimension", "--family", "unicritical2", "--box", "-2,0:0.6x0.6", "--res", "512",
@@ -125,4 +195,47 @@ def test_pointwise_dimension_scans_only_the_window(tmp_path, monkeypatch):
     assert rc == 0
     window = radial_window(Box((-2 + 0j,), (0.3,)), 512, [-2 + 0j], radii[0])
     assert window == ((201, 311), (201, 311))
-    assert peak < 20 * 110 ** 2 * 8 < 512 ** 2 * 8
+    assert peak < 19 * 110 ** 2 * 8 < 512 ** 2 * 8
+
+
+RSS_CHILD = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from biflab.cli import main
+
+
+def status_kib(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
+
+
+start = status_kib("VmRSS")
+out = sys.argv[1]
+radii = ",".join(repr(2.0 ** -k) for k in range(4, 9))
+assert main(["dimension", "--family", "unicritical2", "--box", "-2,0:0.16x0.16",
+             "--res", "1536", "--maxiter", "256", "--field", "G0", "--center", "-2,0",
+             "--radii", radii, "--out", out + "/tip"]) == 0
+assert main(["ma2", "--family", "bh3", "--box", "1.7,0.4:0.8x0.8;1.6,0.5:0.8x0.8",
+             "--res", "16", "--field", "G0", "--field2", "G1", "--maxiter", "256",
+             "--mollify", "0.2", "--out", out + "/ma2"]) == 0
+print(status_kib("VmHWM") - start)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_tip_then_ma2_peak_rss(tmp_path):
+    """The RSS that one process running a small ``dimension --box`` (the
+    benchmark's tip at 1536^2, radii 2^-4..2^-8) and then ``ma2 --res
+    16`` adds to its RSS after import, on 2 workers.  A 2-core Xeon
+    (Python 3.11, numpy 2.4, glibc malloc) read 32-35 MB with the
+    stencils and radial masses by row blocks, and 52-56 MB with their
+    whole-grid temporaries.  The peak counts the heap that the first
+    command leaves resident too, which tracemalloc does not see.  It is
+    the process's VmHWM: ``ru_maxrss`` keeps the peak of the process that
+    spawned it across exec, which for a child of pytest can be above the
+    whole run's."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    run = subprocess.run([sys.executable, "-c", RSS_CHILD, str(tmp_path)], capture_output=True,
+                         text=True, check=True, cwd=root, env={**os.environ, "PYTHONPATH": path})
+    assert int(run.stdout.split()[-1]) < 42 * 1024
