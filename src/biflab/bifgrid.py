@@ -459,10 +459,13 @@ def monge_ampere2(gfield, mollify_radius=None):
 # radial masses and dimension estimators
 
 def decreasing_radii(radii):
-    """``radii`` as a float array; a ValueError unless strictly decreasing."""
+    """``radii`` as a float array; a ValueError unless strictly decreasing
+    and finite (a lone nan has no difference to order)."""
     radii = np.asarray(radii, dtype=float)
     if not np.all(np.diff(radii) < 0):
         raise ValueError("radii must be strictly decreasing")
+    if not np.all(np.isfinite(radii)):
+        raise ValueError(f"radii must be finite, got {radii.tolist()}")
     return radii
 
 

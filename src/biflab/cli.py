@@ -188,9 +188,15 @@ def _grid_files(stem, grid, values, column):
 
 
 def _measure_files(stem, mf):
-    return _grid_files(stem, mf, mf.cell_mass, "mass") + [_json(
-        f"{stem}.json", {"total_mass": mf.total_mass, "clamp_total": mf.clamp_total,
-                         "meta": mf.meta})]
+    """The files of a measure, with its total and clamped mass.  The
+    clamped total comes first: its one whole-grid temporary is gone before
+    the clamped array that the writers and the total share is built."""
+    clamped = mf.clamp_total
+    mass = mf.cell_mass
+    total = float(np.sum(mass))
+    files = _grid_files(stem, mf, mass, "mass") + [_json(
+        f"{stem}.json", {"total_mass": total, "clamp_total": clamped, "meta": mf.meta})]
+    return files, total, clamped
 
 
 # ----------------------------------------------------------------------
@@ -222,9 +228,8 @@ def _scan(args, family):
 
 
 def _ddc(args, family):
-    mf = ddc_op(_grid(args, family))
-    return (_measure_files("ddc", mf),
-            f"total mass {mf.total_mass:.6f} (clamped {mf.clamp_total:.3g})")
+    files, total, clamped = _measure_files("ddc", ddc_op(_grid(args, family)))
+    return files, f"total mass {total:.6f} (clamped {clamped:.3g})"
 
 
 def _ma2(args, family):
@@ -238,7 +243,8 @@ def _ma2(args, family):
     else:
         mf = monge_ampere2(gf, mollify_radius=args.mollify)
         stem = f"ma2_{args.field}"
-    return _measure_files(stem, mf), f"{stem}: total mass {mf.total_mass:.6g}"
+    files, total, _ = _measure_files(stem, mf)
+    return files, f"{stem}: total mass {total:.6g}"
 
 
 def _misiurewicz(args, family):

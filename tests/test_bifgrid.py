@@ -314,6 +314,14 @@ class TestRadial:
         with pytest.raises(ValueError, match="strictly decreasing"):
             radial_masses(mu, 0j, np.array([0.5, np.nan, 0.2]))
 
+    @pytest.mark.parametrize("radii", [[np.nan], [np.inf], [1.0, np.nan]])
+    def test_requires_finite_radii(self, radii):
+        # a lone nan returned mass 0 and a lone inf the whole mass
+        mu = ddc(scan_field(MapFamily("unicritical", 2), Box((-0.5 + 0j,), (2.5,), (2.0,)),
+                            32, "G0"))
+        with pytest.raises(ValueError, match="radii must be"):
+            radial_masses(mu, -0.5 + 0j, radii)
+
     def test_resolution_guard(self):
         mu = lebesgue_measure(Box((0j,), (1.0,)), 32)
         with pytest.raises(ResolutionExceeded):

@@ -17,10 +17,10 @@ Inside ``src/biflab`` a module imports the other biflab modules at the
 top: a relative import in a function body hides a dependency and runs
 again on every call.  Lazy imports of third-party packages stay allowed.
 
-No ``src/biflab`` module imports scipy, at the top or in a function, and
-``import biflab.cli`` in a fresh interpreter loads no scipy module: numpy
-is the one run-time dependency, and scipy's import time would land on
-every command.  The tests may import scipy as an oracle.
+No ``src/biflab`` module imports scipy or mpmath, at the top or in a
+function, and ``import biflab.cli`` in a fresh interpreter loads no
+module of either: numpy is the one run-time dependency, and their import
+time would land on every command.  The tests may import both as oracles.
 
 Every field of a ``@dataclass`` in ``src/biflab`` is read as an
 attribute (``x.field``) somewhere in a biflab or test module: a field
@@ -152,34 +152,49 @@ def test_checker_finds_function_level_relative_imports():
     assert function_level_relative_imports(source) == [7, 9]
 
 
-def scipy_imports(source):
-    """Lines of the imports of scipy or a scipy submodule, at any depth."""
+def oracle_imports(source, package):
+    """Lines of the imports of ``package`` or a submodule, at any depth."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Import)
-                  and any(a.name.split(".")[0] == "scipy" for a in node.names)
+                  and any(a.name.split(".")[0] == package for a in node.names)
                   or isinstance(node, ast.ImportFrom) and node.level == 0
-                  and node.module.split(".")[0] == "scipy")
+                  and node.module.split(".")[0] == package)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_scipy_imports(path):
-    assert scipy_imports(path.read_text()) == []
+    assert oracle_imports(path.read_text(), "scipy") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_mpmath_imports(path):
+    assert oracle_imports(path.read_text(), "mpmath") == []
 
 
 def test_checker_finds_scipy_imports():
     source = ("import scipy\nimport numpy, scipy.linalg as la\nimport scipyish\n"
               "from scipy.ndimage import gaussian_filter\nfrom . import scipy\n"
               "def f():\n    from scipy.spatial import cKDTree\n    return cKDTree\n")
-    assert scipy_imports(source) == [1, 2, 4, 7]
+    assert oracle_imports(source, "scipy") == [1, 2, 4, 7]
+    assert oracle_imports(source.replace("scipy", "mpmath"), "mpmath") == [1, 2, 4, 7]
 
 
-def test_cli_import_loads_no_scipy():
+def cli_import_loads(package):
+    """Modules of ``package`` that ``import biflab.cli`` loads in a fresh interpreter."""
     code = ("import sys, biflab.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n")
     path = os.pathsep.join([str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": path})
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert cli_import_loads("scipy") == "[]"
+
+
+def test_cli_import_loads_no_mpmath():
+    assert cli_import_loads("mpmath") == "[]"
 
 
 def dataclass_fields(source):

@@ -36,6 +36,11 @@ block edges: against the second-difference references, the wedge's
 roundoff warning rule on whole-grid Hessians (``old_wedge_warns``) and
 the radial masses of whole-array distances and masks
 (``old_radial_masses``).
+The Aberth-Ehrlich preimage solve of the rational and Branner-Hubbard
+kinds changed bits on purpose, so it is compared with the companion
+eigenvalue solve it replaced (``old_rat_preimages``,
+``old_companion_preimages``) and with mpmath's 50-digit ``polyroots``
+within stated tolerances; only its fallback rows keep eigvals' bits.
 Results are compared through ``uint64`` views, so a changed last bit,
 sign of zero or NaN fails.
 """
@@ -52,6 +57,7 @@ import time
 import types
 import warnings
 
+import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -59,7 +65,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.ndimage import gaussian_filter
 from scipy.spatial import cKDTree
 
-from biflab import bifgrid, cli, hyperbolic, misiurewicz, potential
+from biflab import bifgrid, cli, families, hyperbolic, misiurewicz, potential
 from biflab import io as bio
 from biflab.bifgrid import Box, _hessian_fields, _local_mass, scan_field
 from biflab.cli import main
@@ -1724,6 +1730,30 @@ def old_rat_preimages(fam, lam, w):
     return roots[:, 0] if scalar else roots
 
 
+def old_companion_preimages(fam, lam, w):
+    """The companion-matrix branch of the earlier ``preimages``, for the
+    rational and the Branner-Hubbard kinds: eigvals of batched
+    companion matrices, columns in lexsort order."""
+    d = fam.degree
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fam.kind == "rational":
+            n, dd = fam._rat_coeffs(lam)
+            coefs = n[None, :] - w[:, None] * dd[None, :]
+        else:
+            coef = fam.poly_coeffs(lam)
+            coefs = np.broadcast_to(coef, (len(w), d + 1)).copy()
+            coefs[:, 0] -= w
+        lead = coefs[:, -1]
+        col = -coefs[:, :-1] / lead[:, None]
+    comp = np.zeros((len(w), d, d), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = col
+    roots = np.linalg.eigvals(comp).T
+    order = np.lexsort((roots.imag, roots.real), axis=0)
+    return np.take_along_axis(roots, order, axis=0)
+
+
 def old_local_series(fam, lam, w, order):
     w = complex(w)
     shift = np.array([w, 1.0], dtype=complex)
@@ -1796,14 +1826,190 @@ class TestRational:
                 assert same_bits(new, old_rat_deriv(fam, [0j], z))
 
     def test_preimages(self):
+        # the Aberth solve does not keep eigvals' bits: each target's roots
+        # match the oracle's within 1e-12 of max(1, |root|), except at the
+        # target 1e-300 beside the critical value 0, whose roots +-i are
+        # double and which either solve fixes only to about sqrt(eps)
         rng = np.random.default_rng(9)
         fam = lattes_family()
         for lam in ([0j], [0.2 + 0.1j]):
             z = chart_points(rng)
             z = z[np.isfinite(z) & (z != 0)]
-            assert same_bits(fam.preimages(lam, z), old_rat_preimages(fam, lam, z))
-            for w in z[-6:]:
-                assert same_bits(fam.preimages(lam, w), old_rat_preimages(fam, lam, w))
+            new = fam.preimages(lam, z)
+            gap, _ = root_gaps(new, old_rat_preimages(fam, lam, z))
+            assert np.all(gap <= np.where(np.abs(z) < 1e-200, 1e-7, 1e-12))
+            assert same_bits(new, lexsorted(new))
+            for i in range(len(z) - 6, len(z)):
+                assert same_bits(fam.preimages(lam, z[i]), new[:, i].copy())
+
+
+# ----------------------------------------------------------------------
+# the Aberth-Ehrlich preimage solve of the companion kinds, against the
+# eigenvalue solve it replaced and against mpmath's polyroots at 50 digits
+
+def root_gaps(new, old):
+    """Per column of two (d, N) root arrays: the largest distance from a
+    root of either to the nearest root of the other, over max(1, |root|),
+    and whether each root of ``new`` has its nearest root of ``old`` at
+    its own index (False is a branch-order flip)."""
+    dist = np.abs(new[:, None, :] - old[None, :, :])
+    gap = np.maximum(dist.min(axis=1) / np.maximum(1.0, np.abs(new)),
+                     dist.min(axis=0) / np.maximum(1.0, np.abs(old))).max(axis=0)
+    same_order = np.all(dist.argmin(axis=1) == np.arange(len(new))[:, None], axis=0)
+    return gap, same_order
+
+
+def lexsorted(roots):
+    return np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=0), axis=0)
+
+
+def row_polys(fam, lam, w):
+    """(d+1, N) z-coefficients, lowest first, of N - w D or p - w."""
+    if fam.kind == "rational":
+        n, dd = fam._rat_coeffs(lam)
+        return n[:, None] - w[None, :] * dd[:, None]
+    coefs = np.repeat(fam.poly_coeffs(lam)[:, None], len(w), axis=1)
+    coefs[0] -= w
+    return coefs
+
+
+def random_targets(rng, n):
+    """Targets of moduli 1e-3 to 1e3 in random directions."""
+    return ((rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            * 10.0 ** rng.uniform(-3.0, 3.0, n))
+
+
+# (family, lam) of the companion kinds
+COMPANION_CASES = {
+    "lattes": (lattes_family(), [0j]),
+    "bh3": (BH3, [0.3 + 0.2j, 0.5 - 0.1j]),
+    "bh3-far": (BH3, [-1.1 + 0.4j, 0.9j]),
+}
+
+
+@pytest.fixture
+def eig_rows(monkeypatch):
+    """The number of companion matrices handed to eigvals, in a list."""
+    rows = []
+    real = np.linalg.eigvals
+
+    def counted(a):
+        rows.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return rows
+
+
+class TestAberth:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("name", list(COMPANION_CASES))
+    def test_residuals(self, name):
+        # |sum_k c_k z^k| at each root is within 8 eps of sum_k |c_k| |z|^k,
+        # the rounding of the sum itself (1.5 eps at most when measured)
+        fam, lam = COMPANION_CASES[name]
+        w = random_targets(np.random.default_rng(5), 3000)
+        roots = fam.preimages(lam, w)
+        coefs = row_polys(fam, lam, w)
+        res, scale = np.zeros_like(roots), np.zeros(roots.shape)
+        for k in range(fam.degree, -1, -1):
+            res = res * roots + coefs[k]
+            scale = scale * np.abs(roots) + np.abs(coefs[k])
+        assert np.all(np.abs(res) <= 8 * self.EPS * scale)
+
+    @pytest.mark.parametrize("name", list(COMPANION_CASES))
+    def test_against_mpmath(self, name):
+        # each root within 16 eps of the nearest 50-digit root, relative
+        # (3.7 eps at most when measured; eigvals erred by up to 1e-11
+        # on the small roots of large targets)
+        fam, lam = COMPANION_CASES[name]
+        w = random_targets(np.random.default_rng(6), 40)
+        roots = fam.preimages(lam, w)
+        coefs = row_polys(fam, lam, w)
+        with mpmath.workdps(50):
+            for i in range(len(w)):
+                exact = np.array([complex(r) for r in mpmath.polyroots(
+                    [mpmath.mpc(complex(c)) for c in coefs[::-1, i]], maxsteps=400, extraprec=300)])
+                err = np.abs(roots[:, i, None] - exact[None, :]).min(axis=1)
+                assert np.all(err <= 16 * self.EPS * np.abs(roots[:, i]))
+
+    @pytest.mark.parametrize("name", list(COMPANION_CASES))
+    def test_near_eigvals_on_random_targets(self, name):
+        fam, lam = COMPANION_CASES[name]
+        w = random_targets(np.random.default_rng(7), 5000)
+        new = fam.preimages(lam, w)
+        gap, same_order = root_gaps(new, old_companion_preimages(fam, lam, w))
+        assert gap.max() <= 1e-12 and same_order.all()
+        assert same_bits(new, lexsorted(new))
+        if fam.kind == "rational":
+            assert same_bits(old_companion_preimages(fam, lam, w), old_rat_preimages(fam, lam, w))
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_lattes_backward_orbits(self, monkeypatch, eig_rows, seed):
+        # every target the sampler solves on 2000 depth-25 orbits: roots
+        # within 1e-12 of eigvals' over max(1, |root|) (1.6e-13 at most on
+        # the benchmark's orbits), no branch-order flip, and at most 1 in
+        # 1000 columns solved by eigvals (72 of 363,034 on the benchmark's)
+        fam = lattes_family()
+        seen = []
+        real = fam.preimages
+
+        def recorded(lam, w):
+            seen.append(np.array(w))
+            return real(lam, w)
+
+        monkeypatch.setattr(fam, "preimages", recorded)
+        potential.sample_mu_f(fam, [0j], 2000, 25, seed)
+        w = np.concatenate(seen)
+        assert 0 < sum(eig_rows) <= len(w) / 1000
+        gap, same_order = root_gaps(real([0j], w), old_rat_preimages(fam, [0j], w))
+        assert gap.max() <= 1e-12
+        assert np.count_nonzero(~same_order) == 0
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    @pytest.mark.parametrize("name", list(COMPANION_CASES))
+    def test_capped_rows_are_eigvals(self, monkeypatch, eig_rows, name, cap):
+        # no column is done after 0 or 1 sweeps, so every one takes the
+        # eigenvalue solve and its bits
+        fam, lam = COMPANION_CASES[name]
+        w = random_targets(np.random.default_rng(8), 300)
+        monkeypatch.setattr(families, "ABERTH_MAXITER", cap)
+        new = fam.preimages(lam, w)
+        assert eig_rows == [len(w)]
+        assert same_bits(new, old_companion_preimages(fam, lam, w))
+
+    def test_nonfinite_rows_fall_back_without_warning(self, eig_rows):
+        # a zero start radius (p(z) - w with w = a^3 has the root 0) puts
+        # the three starts on one point, and the root 4e250 of the Lattes
+        # row at w = 1e250 overflows Horner; both columns take eigvals'
+        # bits, without a RuntimeWarning, and the others keep their own
+        fam, lam = COMPANION_CASES["bh3"]
+        lattes = lattes_family()
+        for f, lam, w, bad in ((fam, lam, np.array([1.5 + 0.5j, fam.poly_coeffs(lam)[0], -2j]), 1),
+                               (lattes, [0j], np.array([0.5 + 0.1j, 1e250 + 0j, 2.0 + 0j]), 1)):
+            eig_rows.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                new = f.preimages(lam, w)
+            assert eig_rows == [1]
+            assert same_bits(new[:, bad].copy(), old_companion_preimages(f, lam, w[bad])[:, 0])
+            for i in (0, 2):
+                assert same_bits(new[:, i].copy(), f.preimages(lam, w[i]))
+
+    @pytest.mark.parametrize("name", list(COMPANION_CASES))
+    def test_columns_are_independent(self, monkeypatch, name):
+        # a column's bits do not depend on the chunk it runs in or on the
+        # other targets of the call
+        fam, lam = COMPANION_CASES[name]
+        w = random_targets(np.random.default_rng(9), 40)
+        ref = fam.preimages(lam, w)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(families, "ABERTH_ROWS", rows)
+            assert same_bits(fam.preimages(lam, w), ref)
+            assert same_bits(fam.preimages(lam, w[::-1]), ref[:, ::-1].copy())
+        for i in range(0, len(w), 7):
+            assert same_bits(fam.preimages(lam, w[i]), ref[:, i].copy())
 
 
 class TestLocalSeries:

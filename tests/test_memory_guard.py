@@ -8,7 +8,9 @@ pixels of a PGM, and the differences, distances and masks of the
 ``ddc`` and wedge stencils and of radial masses, which run by row
 blocks; and of ``dimension --box``, which scans and measures only the
 cells its radii reach, and of ``radial_window``, which finds them on the
-1-d axes.  tracemalloc counts numpy's buffers, so a peak far above the
+1-d axes; and of the CLI's measure files, which hold one clamped array,
+and the companion kinds' ``preimages``, which form no stack of companion
+matrices.  tracemalloc counts numpy's buffers, so a peak far above the
 result's own size means such an array is back.  One more test bounds
 the peak RSS of a process that runs ``dimension --box`` and then
 ``ma2``, which also counts the heap that the first command leaves
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biflab import bifgrid, hyperbolic, io as bio
+from biflab import bifgrid, cli, hyperbolic, io as bio, potential
 from biflab.bifgrid import (
     Box,
     GridField,
@@ -116,6 +118,30 @@ def test_wedge_pair_forms_hessians_by_row_blocks():
     mu, peak = peak_bytes(lambda: wedge_pair(g0, g1, mollify_radius=0.2))
     assert mu.total_mass > 0
     assert peak < 7 * g0.values.nbytes
+
+
+def test_measure_files_hold_one_clamped_array():
+    # a 1024^2 measure; the files' clamped masses and their two sums, with
+    # the clamped total taken before the held array, peak at 1.0x the
+    # measure, and reading the sums off the held array peaked at 2.0x
+    raw = np.random.default_rng(1024).standard_normal((1024, 1024))
+    mu = MeasureField(box=Box((-0.5 + 0j,), (2.5,), (2.0,)), resolution=1024, raw_mass=raw)
+    (files, total, clamped), peak = peak_bytes(lambda: cli._measure_files("ddc", mu))
+    assert len(files) == 3 and (total, clamped) == (mu.total_mass, mu.clamp_total)
+    assert peak < 1.25 * raw.nbytes
+
+
+def test_companion_preimages_form_no_matrix_stack():
+    # one sampler block of the Lattes family's targets; the batched
+    # companion matrices alone were N d^2 complex values, and the
+    # eigenvalue path peaked at 8.9 arrays of N d; the Aberth solve, its
+    # output and the sort's order and result peak at 2.7 of them
+    fam = MapFamily("rational", 4, num=[[1], [0], [2], [0], [1]],
+                    den=[[0], [-4], [0], [4], [0]])
+    w = np.resize(potential.sample_mu_f(fam, [0j], 4096, 25, 7), potential._BLOCK)
+    roots, peak = peak_bytes(lambda: fam.preimages([0j], w))
+    assert roots.shape == (4, w.size)
+    assert peak < 3 * roots.nbytes < w.size * 4 * 4 * 16
 
 
 def test_scan_forms_no_parameter_grid(monkeypatch):
