@@ -33,9 +33,11 @@ GREEN_MAXITER = 200
 GREEN_TOL = 1e-12
 PLANE_BIG = 1e12
 PLANE_MAXITER = 2048
-# most samples of a max-entropy cloud: `lyap` peaks at 105 MB RSS with
-# 10^6 samples, 301 MB with 2^22 and 561 MB at the bound on a 2-core
-# Xeon, about 62 MB per 10^6; `ddc` at MAX_GRID_CELLS peaks at 429 MB
+# most samples of one Lyapunov estimate: `lyap` at depth 30 peaks at
+# 64-65 MB RSS with 10^6 samples, 103-109 MB with 2^22 and 167-168 MB at
+# the bound on a 2-core Xeon, about 14 MB per 10^6 (the log-derivatives
+# and np.std's one temporary of them) above the import and one block per
+# worker; `ddc` at MAX_GRID_CELLS peaks at 429 MB
 MAX_SAMPLES = 2 ** 23
 
 # Largest block of a split kernel, in points.  Every worker holds one
@@ -205,96 +207,92 @@ def critical_green_sum(family, lam):
     return total
 
 
-def sample_mu_f(family, lam, n_points, depth, seed):
-    """Point cloud approximating the maximal entropy measure.
+def _backward_orbits(family, lam, keys, depth, seed):
+    """Endpoints of the random backward orbits of the uint64 sample
+    ``keys``, one block of samples on the calling thread.
 
-    Each sample is the endpoint of a random backward orbit of length
-    ``depth`` from the fixed generic start 1+i, choosing uniformly among
-    the d preimages with a counter-based RNG keyed by (seed, index,
-    step).  The index range is split into blocks that run their orbits
-    on separate threads (``_blocks``).  Within a block, samples whose
-    choices so far agree sit on one point, whose preimages are solved
-    once for all of them (``_backward_orbits``).  Every draw depends on
-    its key alone and every preimage on its point's bits alone, so each
-    sample has the bits of its own orbit whatever the split.
-    """
-    if n_points < 0:
-        raise ValueError(f"n_points must be >= 0, got {n_points}")
-    if n_points > MAX_SAMPLES:
-        raise ValueError(f"{n_points} samples, above the {MAX_SAMPLES} of MAX_SAMPLES")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    return _backward_orbits(family, lam, np.arange(n_points, dtype=np.uint64), depth, seed)
-
-
-def _backward_orbits(family, lam, idx, depth, seed):
-    """Endpoints of the random backward orbits of sample indices ``idx``.
-
-    Every orbit starts at 1+i, so after s steps a block's samples sit on
-    at most d^s points, one per distinct prefix of choices.  Each block
-    keeps those points ``vals`` and the point ``inv[i]`` of each sample,
-    and solves the preimages of each point once per step: the pair
-    (choice k, point j) names the point's k-th preimage, column j of row
-    k of ``preimages``.  A mark array over the d |vals| pairs, read in
-    order, numbers the pairs in use, which gives the next ``vals`` and
-    ``inv``; once every sample has a point of its own, ``inv`` is a
-    permutation and each step solves one point per sample.  The
-    preimages of a point are a function of its bits, so each sample ends
-    with the bits of its own orbit.  A block mixes its (seed, index)
-    counter keys once (``counter_key``) and draws every step from them.
+    Each orbit has length ``depth`` from the fixed generic start 1+i and
+    chooses uniformly among the d preimages with a counter-based RNG
+    keyed by (seed, key, step).  After s steps the samples sit on at most
+    d^s points, one per distinct prefix of choices.  The block keeps
+    those points ``vals`` and the point ``inv[i]`` of each sample, and
+    solves the preimages of each point once per step: the pair (choice
+    k, point j) names the point's k-th preimage, column j of row k of
+    ``preimages``.  A mark array over the d |vals| pairs, read in order,
+    numbers the pairs in use, which gives the next ``vals`` and ``inv``;
+    once every sample has a point of its own, ``inv`` is a permutation
+    and each step solves one point per sample.  Every draw depends on its
+    key alone and every preimage on its point's bits alone, so each
+    sample ends with the bits of its own orbit, whatever the other keys
+    of the block.  The keys are mixed once (``counter_key``) and every
+    step draws from them.
     """
     d = family.degree
-    out = np.empty(len(idx), dtype=complex)
-
-    def run(lo, hi):
-        keys = idx[lo:hi]
-        key = counter_key(seed, keys)
-        vals = np.array([1.0 + 1.0j])
-        inv = np.zeros(hi - lo, dtype=np.intp)
-        for s in range(depth):
-            pre = family.preimages(lam, vals)
-            pair = counter_choice(seed, keys, s, d, key=key) * vals.size + inv
-            used = np.zeros(d * vals.size, dtype=bool)
-            used[pair] = True
-            vals = pre.reshape(-1)[used]
-            inv = np.cumsum(used)[pair] - 1
-        out[lo:hi] = vals[inv]
-
-    _blocks(run, len(idx))
-    return out
+    key = counter_key(seed, keys)
+    vals = np.array([1.0 + 1.0j])
+    inv = np.zeros(len(keys), dtype=np.intp)
+    for s in range(depth):
+        pre = family.preimages(lam, vals)
+        pair = counter_choice(seed, keys, s, d, key=key) * vals.size + inv
+        used = np.zeros(d * vals.size, dtype=bool)
+        used[pair] = True
+        vals = pre.reshape(-1)[used]
+        inv = np.cumsum(used)[pair] - 1
+    return vals[inv]
 
 
 def lyapunov_mc(family, lam, n_points, depth, seed):
-    """Monte-Carlo Lyapunov exponent against the maximal entropy measure.
+    """Monte-Carlo Lyapunov exponent against the maximal entropy measure:
+    the mean of log|f'| (``MapFamily.log_derivs``) over sample i's
+    endpoint of a random backward orbit (``_backward_orbits``, key i),
+    for i < ``n_points``.
 
-    Samples landing within 1e-12 of a critical point are redrawn (with a
-    shifted counter key) and counted in ``flagged``; CriticalOnOrbit is
-    raised if any remain after five rounds, or if a log-derivative
-    (``MapFamily.log_derivs``) is not finite.  A standard error needs
-    two samples, so ``n_points < 2`` is a ValueError;
-    so is ``depth < 1``, which leaves every sample at the start point.
+    The sample range runs in blocks (``_blocks``), each from its draws
+    to its log-derivatives, so only the float64 log-derivatives of all
+    samples are held at once.  Samples landing within 1e-12 of a
+    critical point are redrawn (with a shifted counter seed) and counted
+    in ``flagged``; CriticalOnOrbit is raised if any remain after five
+    rounds, or else if a log-derivative is not finite.  Every sample's
+    bits depend on its key alone, so no split changes a bit of the
+    result.  A standard error needs two samples, so ``n_points < 2`` is
+    a ValueError; so is ``depth < 1``, which leaves every sample at the
+    start point, and a sample count above MAX_SAMPLES.  These are
+    checked before anything is allocated, and the critical points are
+    found before any draw.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2 for a standard error, got {n_points}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    z = sample_mu_f(family, lam, n_points, depth, seed)
+    if n_points > MAX_SAMPLES:
+        raise ValueError(f"{n_points} samples, above the {MAX_SAMPLES} of MAX_SAMPLES")
     crit = [c for c, _ in critical_points(family, lam) if np.isfinite(c)]
-    flagged = 0
-    for round_ in range(1, 6):
-        bad = _near_critical(z, crit)
-        if not np.any(bad):
-            break
-        flagged += int(np.sum(bad))
-        idx = np.nonzero(bad)[0]
-        z[idx] = _backward_orbits(family, lam, idx.astype(np.uint64), depth,
-                                  seed + 0x5851F42D * round_)
-    else:
-        n_bad = int(np.sum(_near_critical(z, crit)))
-        if n_bad:
-            raise CriticalOnOrbit(
-                f"{n_bad} samples within 1e-12 of a critical point after 5 redraw rounds")
-    vals = family.log_derivs(lam, z)
+    vals = np.empty(n_points)
+
+    def run(lo, hi):
+        # (samples redrawn, samples still near-critical after five rounds)
+        keys = np.arange(lo, hi, dtype=np.uint64)
+        z = _backward_orbits(family, lam, keys, depth, seed)
+        flagged = 0
+        for round_ in range(1, 6):
+            bad = _near_critical(z, crit)
+            if not np.any(bad):
+                break
+            flagged += int(np.sum(bad))
+            z[bad] = _backward_orbits(family, lam, keys[bad], depth,
+                                      seed + 0x5851F42D * round_)
+        else:
+            still = int(np.sum(_near_critical(z, crit)))
+            if still:
+                # refused after the pass, so no log|f'| is taken
+                return flagged, still
+        vals[lo:hi] = family.log_derivs(lam, z)
+        return flagged, 0
+
+    flagged, still = (sum(c) for c in zip(*_blocks(run, n_points)))
+    if still:
+        raise CriticalOnOrbit(
+            f"{still} samples within 1e-12 of a critical point after 5 redraw rounds")
     n_bad = int(np.sum(~np.isfinite(vals)))
     if n_bad:
         raise CriticalOnOrbit(f"{n_bad} log-derivatives are not finite")

@@ -2,7 +2,7 @@
 
 Every draw is a pure function of (seed, index, step), so sampling is
 deterministic regardless of how the index range is split across workers;
-``potential.sample_mu_f`` splits it into blocks that run on threads.
+``potential.lyapunov_mc`` splits it into blocks that run on threads.
 The generator is two rounds of the splitmix64 finalizer over the mixed
 key words.
 """

@@ -24,6 +24,7 @@ their verify reports.  The block-split tests run the sampler and the
 grid scan on 1, 2 and 3 CPUs with blocks shrunk so that small
 inputs split, against the same references; the sampler's reference is
 the loop that solved the preimages of every sample at every step, and
+``lyapunov_mc``'s refusals are those of the whole-cloud estimator, and
 the shared-prefix tests also count the points the sampler solves.
 The box's axis spans, cell sizes and the bisection that found a radial
 window are the oracles of ``Box.axes``, ``Box.cell_sizes`` and
@@ -960,6 +961,20 @@ def each_worker_count(split, block, fn, cpus=(1, 2, 3)):
     return out
 
 
+def blocked_orbits(fam, lam, n, depth, seed):
+    """The sampler's kernel on the blocks of samples 0..n-1 that the
+    block runner cuts, joined in block order."""
+    return np.concatenate(potential._blocks(lambda lo, hi: potential._backward_orbits(
+        fam, lam, np.arange(lo, hi, dtype=np.uint64), depth, seed), n))
+
+
+def refusal(fn):
+    """The message of the CriticalOnOrbit that fn() raises."""
+    with pytest.raises(CriticalOnOrbit) as err:
+        fn()
+    return str(err.value)
+
+
 class TestBlockSplit:
     @pytest.mark.parametrize("cpus", [2, 3, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 13, 14, 15, 100])
@@ -1009,7 +1024,7 @@ class TestBlockSplit:
         # point counts below, at and above one block of 7
         lam = [-0.9 + 0.2j] if fam is QUAD else [0j]
         ref = old_sample_mu_f(fam, lam, n, 12, 4)
-        for z in each_worker_count(split, 7, lambda: potential.sample_mu_f(fam, lam, n, 12, 4)):
+        for z in each_worker_count(split, 7, lambda: blocked_orbits(fam, lam, n, 12, 4)):
             assert same_bits(z, ref)
 
     def test_lyapunov_redraw(self, split, monkeypatch):
@@ -1029,6 +1044,39 @@ class TestBlockSplit:
         for res in each_worker_count(split, 7, lambda: potential.lyapunov_mc(
                 fam, [-2.0 + 0j], 400, 10, 6)):
             assert res == ref and same_bits([res.value, res.stderr], [ref.value, ref.stderr])
+
+    @pytest.mark.parametrize("stuck, flat", [(True, False), (False, True), (True, True)],
+                             ids=["near-critical", "non-finite", "both"])
+    def test_lyapunov_refusals_across_blocks(self, split, monkeypatch, stuck, flat):
+        # branch 0 of every point moved onto the critical point 0 of
+        # z^2 - 2 leaves about 1 sample in 64 there after the five redraw
+        # rounds, and f' made 0 right of Re = 1.5 makes log|f'| -inf
+        # there; more than 7 refused samples among blocks of at most 7 lie
+        # in two blocks or more, the blocks' counts add up to the whole
+        # cloud's, and the near-critical refusal comes first
+        fam = MapFamily("unicritical", 2)
+        preimages, map_and_deriv = fam.preimages, fam.map_and_deriv
+
+        def landing(lam, w):
+            pre = preimages(lam, w)
+            pre[0] = 0.0
+            return pre
+
+        def flat_deriv(lam):
+            f, df = map_and_deriv(lam)
+            return f, lambda z: np.where(np.real(z) > 1.5, 0.0, df(z))
+
+        if stuck:
+            monkeypatch.setattr(fam, "preimages", landing)
+        if flat:
+            monkeypatch.setattr(fam, "map_and_deriv", flat_deriv)
+        want = refusal(lambda: old_lyapunov_mc(fam, [-2.0 + 0j], 1000, 10, 6))
+        count, reason = want.split(" ", 1)
+        assert 7 < int(count) < 1000
+        assert reason.startswith("samples within" if stuck else "log-derivatives")
+        for got in each_worker_count(split, 7, lambda: refusal(lambda: potential.lyapunov_mc(
+                fam, [-2.0 + 0j], 1000, 10, 6))):
+            assert got == want
 
     @pytest.mark.parametrize("fam, box, res, block, fields", [
         *[(QUAD, box, 32, 64, ("G0", "L")) for box in BOUNDED_BOXES],
@@ -1176,7 +1224,7 @@ class TestSharedPrefixes:
         ref_z = old_sample_mu_f(fam, lam, n, depth, seed)
         ref = old_lyapunov_mc(fam, lam, n, depth, seed)
         for z, res in each_worker_count(split, 1 << 16, lambda: (
-                potential.sample_mu_f(fam, lam, n, depth, seed),
+                blocked_orbits(fam, lam, n, depth, seed),
                 potential.lyapunov_mc(fam, lam, n, depth, seed))):
             assert same_bits(z, ref_z)
             assert res == ref and same_bits([res.value, res.stderr], [ref.value, ref.stderr])
@@ -1199,7 +1247,7 @@ class TestSharedPrefixes:
             return real(lam, w)
 
         monkeypatch.setattr(fam, "preimages", counted)
-        potential.sample_mu_f(fam, lam, n, depth, seed)
+        blocked_orbits(fam, lam, n, depth, seed)
         keys = np.arange(n, dtype=np.uint64)
         want = [prefix_counts(seed, keys[lo:hi], depth, fam.degree)
                 for lo, hi in potential._blocks(lambda lo, hi: (lo, hi), n)]
@@ -1960,7 +2008,7 @@ class TestAberth:
             return real(lam, w)
 
         monkeypatch.setattr(fam, "preimages", recorded)
-        potential.sample_mu_f(fam, [0j], 2000, 25, seed)
+        blocked_orbits(fam, [0j], 2000, 25, seed)
         w = np.concatenate(seen)
         assert 0 < sum(eig_rows) <= len(w) / 1000
         gap, same_order = root_gaps(real([0j], w), old_rat_preimages(fam, [0j], w))

@@ -10,11 +10,12 @@ blocks; and of ``dimension --box``, which scans and measures only the
 cells its radii reach, and of ``radial_window``, which finds them on the
 1-d axes; and of the CLI's measure files, which hold one clamped array,
 and the companion kinds' ``preimages``, which form no stack of companion
-matrices.  tracemalloc counts numpy's buffers, so a peak far above the
-result's own size means such an array is back.  One more test bounds
-the peak RSS of a process that runs ``dimension --box`` and then
-``ma2``, which also counts the heap that the first command leaves
-behind."""
+matrices, and ``lyapunov_mc``, which carries each block of samples from
+its draws to its log-derivatives.  tracemalloc counts numpy's buffers,
+so a peak far above the result's own size means such an array is back.
+One more test bounds the peak RSS of a process that runs ``dimension
+--box`` and then ``ma2``, which also counts the heap that the first
+command leaves behind."""
 
 import os
 import subprocess
@@ -138,10 +139,26 @@ def test_companion_preimages_form_no_matrix_stack():
     # output and the sort's order and result peak at 2.7 of them
     fam = MapFamily("rational", 4, num=[[1], [0], [2], [0], [1]],
                     den=[[0], [-4], [0], [4], [0]])
-    w = np.resize(potential.sample_mu_f(fam, [0j], 4096, 25, 7), potential._BLOCK)
+    w = np.resize(potential._backward_orbits(fam, [0j], np.arange(4096, dtype=np.uint64), 25, 7),
+                  potential._BLOCK)
     roots, peak = peak_bytes(lambda: fam.preimages([0j], w))
     assert roots.shape == (4, w.size)
     assert peak < 3 * roots.nbytes < w.size * 4 * 4 * 16
+
+
+def test_lyapunov_holds_its_values_and_a_block_per_worker(monkeypatch):
+    # the benchmark's quadratic lyap at 2^20 samples on 2 workers: the
+    # float64 log-derivatives, or np.std's one temporary of them, and a
+    # block's keys, draws, points, marks and log-derivative temporaries
+    # per worker (about 128 bytes a sample, 8 MB a block) peak at 24 MB;
+    # the whole cloud, its sample indices and the log-derivatives'
+    # temporaries over it peaked at 65 MB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    n = 1 << 20
+    res, peak = peak_bytes(lambda: potential.lyapunov_mc(
+        MapFamily("unicritical", 2), [-2.0 + 0j], n, 30, 3))
+    assert res.n_points == n
+    assert peak < 8 * n + 2 * 160 * potential._BLOCK
 
 
 def test_scan_forms_no_parameter_grid(monkeypatch):
