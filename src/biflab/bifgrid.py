@@ -235,7 +235,7 @@ def _field_index(family, which):
         raise ValueError(f"unknown field {which!r}: a field is L or G<j>, "
                          f"j a critical index in decimal digits (G0, G1, ...)")
     j = int(which[1:])
-    if not 0 <= j < len(family.marked_critical_points([0j] * family.param_dim)):
+    if not 0 <= j < len(family.critical_rows([0j] * family.param_dim)):
         raise ValueError(f"critical index {j} out of range")
     return j
 
@@ -275,7 +275,7 @@ def scan_field(family, box, resolution, which, maxiter=SCAN_MAXITER, window=None
     axes = box.axes(resolution, window)
     shape = tuple(len(a) for a in axes)
     cells = math.prod(shape)
-    mults = [k for _, k in family.marked_critical_points([0j] * family.param_dim)]
+    mults = [k for _, k in family.critical_rows([0j] * family.param_dim)]
     vals = np.empty(cells)
 
     def run(lo, hi):

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import io as bio
 from .bifgrid import (
+    SCAN_MAXITER,
     Box,
     _field_index,
     box_dimension,
@@ -335,7 +336,7 @@ Command = namedtuple("Command", "name help flags compute")
 SCAN_FLAGS = (("--box", dict(required=True, help="cx,cy:WxH[;...]")),
               ("--res", dict(type=int, required=True)),
               ("--field", dict(default="L")),
-              ("--maxiter", dict(type=int, default=512)))
+              ("--maxiter", dict(type=int, default=SCAN_MAXITER)))
 
 
 COMMANDS = (

@@ -29,7 +29,8 @@ float, so a grid never holds a per-cell array of a constant.
 ``critical_rows`` is its companion for the marked critical points c_j,
 which the same three callers read.  Index j always names c_j(lambda),
 also where two marked points meet (c_1 = 0 in the cubic family);
-``critical_points`` gives the critical set, which merges such points.
+``critical_points`` gives the finite critical points at one parameter,
+each once and never merged, for the sampler's near-critical test.
 
 The scalar loops that step one parameter many times (``orbit`` and
 ``newton``) build the coefficients once per call:
@@ -61,7 +62,6 @@ against one declarative shape, as ``misiurewicz`` checks a certificate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -100,19 +100,6 @@ class Orbit:
 
     def __len__(self):
         return len(self.points)
-
-
-def _cluster(values, tol):
-    """Group nearly-equal complex values, returning (value, count) pairs."""
-    out = []
-    for v in values:
-        for i, (w, k) in enumerate(out):
-            if abs(v - w) <= tol:
-                out[i] = ((w * k + v) / (k + 1), k + 1)
-                break
-        else:
-            out.append((v, 1))
-    return [(complex(v), k) for v, k in out]
 
 
 class MapFamily:
@@ -335,11 +322,6 @@ class MapFamily:
             raise ValueError("rational kind has no marked critical points")
         return [(0.0, 1)] + [(c, 1) for c in lams[: d - 2]]
 
-    def marked_critical_points(self, lam):
-        """``critical_rows`` at the one parameter lam, as complex values."""
-        lam = np.asarray(lam, dtype=complex).ravel()
-        return [(complex(c), k) for c, k in self.critical_rows(list(lam))]
-
     def lift(self, lam):
         """Homogeneous lift F(u, v) of f_lambda on C^2."""
         d = self.degree
@@ -544,33 +526,23 @@ def orbit(family, lam, z0, n):
 
 
 def critical_points(family, lam):
-    """The critical set with multiplicities.
-
-    Polynomial kinds merge the marked points that lie within 1e-9 of
-    each other, relative to the largest (multiplicities summing to d-1);
-    the rational kind solves N'D - ND' = 0, merges roots within 1e-7 and
-    counts infinity in the reciprocal chart (total 2d-2).
-    """
+    """The finite critical points of f_lambda as complex values, each
+    once and none merged: the marked points of ``critical_rows`` for the
+    polynomial kinds, the roots of N'D - ND' for the rational kind."""
     if family.kind != "rational":
-        pts = [c for c, k in family.marked_critical_points(lam) for _ in range(k)]
-        return _cluster(pts, 1e-9 * max(1.0, max(abs(p) for p in pts)))
+        lams = list(np.asarray(lam, dtype=complex).ravel())
+        return [complex(c) for c, _ in family.critical_rows(lams)]
     family.check_nondegenerate(lam)
-    d = family.degree
     n, dd = family._rat_coeffs(lam)
     wr = npoly.polysub(npoly.polymul(npoly.polyder(n), dd),
                        npoly.polymul(n, npoly.polyder(dd)))
     wr = np.trim_zeros(wr, "b")
     if len(wr) == 0:
         raise RootFindingFailure("critical polynomial vanished identically")
-    roots = npoly.polyroots(wr) if len(wr) > 1 else np.array([])
+    roots = npoly.polyroots(wr)
     if np.any(~np.isfinite(roots)):
         raise RootFindingFailure("critical-point roots did not converge")
-    scale = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 1.0)
-    out = _cluster(list(roots), 1e-7 * scale)
-    missing = (2 * d - 2) - len(roots)
-    if missing > 0:
-        out.append((complex("inf"), missing))
-    return out
+    return [complex(c) for c in roots]
 
 
 def newton(family, lam, seed, *, maxiter):
@@ -641,12 +613,10 @@ def _check_shape(v, shape, name):
 
 
 def family_from_json(doc):
-    """Build a MapFamily from its JSON document (dict or JSON string).  A
+    """Build a MapFamily from its JSON document, a dict.  A
     missing field or a value of the wrong JSON type or count (``num``
     and ``den`` are lists of rows of [re, im] pairs) is a ValueError
     that names it."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     shape = {"kind": "string", "degree": "integer"}
     if type(doc) is dict and doc.get("kind") == "rational":
         shape.update(num=[[["number", 2]]], den=[[["number", 2]]])

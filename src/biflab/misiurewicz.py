@@ -70,7 +70,7 @@ class MisiurewiczCertificate:
 
 
 def _critical_point(marked, index):
-    """Point ``index`` of a ``critical_rows`` or ``marked_critical_points`` list."""
+    """Point ``index`` of a ``critical_rows`` list."""
     if not 0 <= index < len(marked):
         raise ValueError(f"critical index {index} out of range")
     return marked[index][0]
@@ -165,7 +165,7 @@ def _landing_walk(family, lam, spec):
     m_plus None.
     """
     f, _ = family.map_and_deriv(lam)
-    marked = family.marked_critical_points(lam)
+    marked = family.critical_rows(list(lam))
     gap, cycles, folds = 0.0, [], []
     for idx, pat in zip(spec.tracked, spec.patterns):
         z = _critical_point(marked, idx)

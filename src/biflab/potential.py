@@ -233,7 +233,7 @@ def _backward_orbits(family, lam, keys, depth, seed):
     inv = np.zeros(len(keys), dtype=np.intp)
     for s in range(depth):
         pre = family.preimages(lam, vals)
-        pair = counter_choice(seed, keys, s, d, key=key) * vals.size + inv
+        pair = counter_choice(key, s, d) * vals.size + inv
         used = np.zeros(d * vals.size, dtype=bool)
         used[pair] = True
         vals = pre.reshape(-1)[used]
@@ -266,7 +266,7 @@ def lyapunov_mc(family, lam, n_points, depth, seed):
         raise ValueError(f"depth must be >= 1, got {depth}")
     if n_points > MAX_SAMPLES:
         raise ValueError(f"{n_points} samples, above the {MAX_SAMPLES} of MAX_SAMPLES")
-    crit = [c for c, _ in critical_points(family, lam) if np.isfinite(c)]
+    crit = critical_points(family, lam)
     vals = np.empty(n_points)
 
     def run(lo, hi):

@@ -1,7 +1,8 @@
 """Counter-based (stateless) random numbers.
 
-Every draw is a pure function of (seed, index, step), so sampling is
-deterministic regardless of how the index range is split across workers;
+Every draw is a pure function of its key ``counter_key(seed, index)``
+and its step, so sampling is deterministic regardless of how the index
+range is split across workers;
 ``potential.lyapunov_mc`` splits it into blocks that run on threads.
 The generator is two rounds of the splitmix64 finalizer over the mixed
 key words.
@@ -24,33 +25,28 @@ def _mix(x):
 
 
 def counter_key(seed, index):
-    """The first of the two mixes of ``counter_bits``, of (seed, index):
-    the step enters only the second, so a caller that draws many steps
-    for the same indices mixes them once and passes the result as
-    ``key``."""
+    """The key of the (seed, index) counter pair, the first of the two
+    mixes: a sampler mixes it once and draws every step from it."""
     with np.errstate(over="ignore"):
         seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
         index = np.asarray(index, dtype=np.uint64)
         return _mix(index * _GOLDEN + seed)
 
 
-def counter_bits(seed, index, step, key=None):
-    """64 mixed bits for the (seed, index, step) counter triple; a given
-    ``key`` is taken as ``counter_key(seed, index)``."""
-    if key is None:
-        key = counter_key(seed, index)
+def counter_bits(key, step):
+    """64 mixed bits for the key (``counter_key``) at ``step``, the second mix."""
     with np.errstate(over="ignore"):
         step = np.uint64(int(step) & 0xFFFFFFFFFFFFFFFF)
         return _mix(key + step * _MIX2 + _GOLDEN)
 
 
-def counter_uniform(seed, index, step, key=None):
-    """Uniform float64 in [0, 1) keyed by (seed, index, step)."""
-    bits = counter_bits(seed, index, step, key=key)
+def counter_uniform(key, step):
+    """Uniform float64 in [0, 1) for the key at ``step``."""
+    bits = counter_bits(key, step)
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def counter_choice(seed, index, step, n_choices, key=None):
-    """Uniform integer in [0, n_choices) keyed by (seed, index, step)."""
-    u = counter_uniform(seed, index, step, key=key)
+def counter_choice(key, step, n_choices):
+    """Uniform integer in [0, n_choices) for the key at ``step``."""
+    u = counter_uniform(key, step)
     return np.minimum((u * n_choices).astype(np.int64), n_choices - 1)

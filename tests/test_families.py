@@ -5,7 +5,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from biflab import families, misiurewicz
+from biflab import families, misiurewicz, potential
 from biflab.errors import CriticalOnOrbit, DegenerateMap, RootFindingFailure
 from biflab.families import (
     MapFamily,
@@ -138,37 +138,54 @@ class TestOrbit:
                        - head.log_deriv[m] - tail.log_deriv[n]) < 1e-10
 
 
+def assert_critical(fam, lam, pts):
+    # every returned point zeroes f'
+    for c in pts:
+        assert type(c) is complex
+        assert abs(complex(fam.deriv(lam, c))) <= 1e-10 * max(1.0, abs(c))
+
+
 class TestCriticalPoints:
+    # ``critical_points`` is the finite critical set at one parameter:
+    # each point once, as a complex value, with no merging
     def test_cubic_marked(self):
         fam = MapFamily("branner_hubbard", 3)
-        pts = critical_points(fam, [2.0 + 0j, 1.0 + 0j])
-        assert sorted(((p.real, p.imag), m) for p, m in pts) == [((0, 0), 1), ((2, 0), 1)]
+        lam = [2.0 + 0j, 1.0 + 0j]
+        pts = critical_points(fam, lam)
+        assert pts == [0j, 2.0 + 0j]
+        assert_critical(fam, lam, pts)
 
-    def test_unicritical_multiplicity(self):
+    def test_unicritical_once(self):
         fam = MapFamily("unicritical", 4)
-        assert critical_points(fam, [0.3 + 0j]) == [(0j, 3)]
+        pts = critical_points(fam, [0.3 + 0j])
+        assert pts == [0j]
+        assert_critical(fam, [0.3 + 0j], pts)
 
-    def test_quartic_merged_critical_points(self):
-        fam = MapFamily("branner_hubbard", 4)
-        pts = critical_points(fam, [1.0 + 0j, 1.0 + 0j, 0j])
-        assert sorted(((p.real, p.imag), m) for p, m in pts) == [((0, 0), 1), ((1, 0), 2)]
-
-    @pytest.mark.parametrize("lam", [[0j, 1.0 + 0j], [0.5 - 0.25j, 0.5 - 0.25j, 1.0 + 0j]],
-                             ids=["bh3-c1=0", "bh4-c1=c2"])
+    @pytest.mark.parametrize("lam", [[0j, 1.0 + 0j], [0.5 - 0.25j, 0.5 - 0.25j, 1.0 + 0j],
+                                     [1.0 + 0j, 1.0 + 0j, 0j]],
+                             ids=["bh3-c1=0", "bh4-c1=c2", "bh4-c1=c2=1"])
     def test_meeting_marked_points_keep_their_index(self, lam):
         # where two marked points meet, c_j still names the j-th function
         # of lambda: d - 1 points in index order, one of a parameter and
-        # of a column of a stack alike; the critical set merges them
+        # of a column of a stack alike, and the critical set keeps both
         d = len(lam) + 1
         fam = MapFamily("branner_hubbard", d)
-        want = [(0j, 1)] + [(c, 1) for c in lam[: d - 2]]
-        assert fam.marked_critical_points(lam) == want
+        want = [0j] + lam[: d - 2]
+        assert critical_points(fam, lam) == want
+        assert_critical(fam, lam, want)
         stack = np.array([[0.3 + 0.1j] * (d - 1), lam])
         rows = fam.critical_rows(list(stack.T.copy()))
         assert [k for _, k in rows] == [1] * (d - 1) and rows[0][0] == 0.0
-        assert [complex(np.broadcast_to(c, 2)[1]) for c, _ in rows] == [c for c, _ in want]
-        assert sum(k for _, k in critical_points(fam, lam)) == d - 1
-        assert len(critical_points(fam, lam)) == d - 2
+        assert [complex(np.broadcast_to(c, 2)[1]) for c, _ in rows] == want
+
+    def test_nearby_points_both_near_critical(self):
+        # two marked points 1e-10 apart stay two points, so the sampler's
+        # 1e-12 test flags a sample on either of them
+        fam = MapFamily("branner_hubbard", 4)
+        lam = [1.0 + 0j, 1.0 + 1e-10 + 0j, 0j]
+        pts = critical_points(fam, lam)
+        assert_critical(fam, lam, pts)
+        assert potential._near_critical(np.array([1.0, 1.0 + 1e-10]), pts).all()
 
     def test_cubic_derivative_factorization(self):
         # p'(z) = z (z - c1) must hold identically
@@ -182,8 +199,10 @@ class TestCriticalPoints:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_lattes_critical_count(self):
+        # 2d - 2 = 6 finite critical points for d = 4, none at infinity
         pts = critical_points(lattes_family(), [0j])
-        assert sum(m for _, m in pts) == 6  # 2d - 2 for d = 4
+        assert len(pts) == 6
+        assert_critical(lattes_family(), [0j], pts)
 
 
 class TestPeriodic:

@@ -88,7 +88,7 @@ from biflab.families import (
     orbit,
 )
 from biflab.misiurewicz import FD_STEP, ActivitySpec, Preperiodic
-from biflab.rng import counter_choice
+from biflab.rng import counter_choice, counter_key
 
 QUAD = MapFamily("unicritical", 2)
 CUBIC = MapFamily("unicritical", 3)
@@ -896,18 +896,24 @@ def old_sample_mu_f(family, lam, n_points, depth, seed):
     z = np.full(n_points, 1.0 + 1.0j, dtype=complex)
     for s in range(depth):
         pre = family.preimages(lam, z)
-        k = counter_choice(seed, idx, s, d)
+        k = counter_choice(counter_key(seed, idx), s, d)
         z = pre[k, np.arange(n_points)]
     return z
 
 
 def old_finite_critical(family, lam):
-    return [(c, m) for c, m in critical_points(family, lam) if np.isfinite(c)]
+    return [(c, 1) for c in critical_points(family, lam)]
+
+
+def _marked(family, lam):
+    """``critical_rows`` at the one parameter lam, as complex values with
+    their multiplicities."""
+    return [(complex(c), k) for c, k in family.critical_rows(list(np.asarray(lam, complex).ravel()))]
 
 
 def old_lyapunov_mc(family, lam, n_points, depth, seed):
     z = old_sample_mu_f(family, lam, n_points, depth, seed)
-    crit = ([c for c, _ in family.marked_critical_points(lam)]
+    crit = ([c for c, _ in _marked(family, lam)]
             if family.kind != "rational"
             else [c for c, _ in old_finite_critical(family, lam)])
     flagged = 0
@@ -920,7 +926,8 @@ def old_lyapunov_mc(family, lam, n_points, depth, seed):
         zz = np.full(len(idx), 1.0 + 1.0j, dtype=complex)
         for s in range(depth):
             pre = family.preimages(lam, zz)
-            k = counter_choice(seed + 0x5851F42D * round_, idx.astype(np.uint64), s, family.degree)
+            k = counter_choice(counter_key(seed + 0x5851F42D * round_, idx.astype(np.uint64)), s,
+                               family.degree)
             zz = pre[k, np.arange(len(idx))]
         z[idx] = zz
     else:
@@ -1210,7 +1217,7 @@ SHARED_CASES = {
 def prefix_counts(seed, keys, depth, d):
     """Distinct prefixes of s choices among the samples ``keys``, for
     s = 0..depth-1, from the counter draws alone."""
-    choices = np.stack([counter_choice(seed, keys, s, d) for s in range(depth)], axis=1)
+    choices = np.stack([counter_choice(counter_key(seed, keys), s, d) for s in range(depth)], axis=1)
     return [min(1, len(keys))] + [len(np.unique(choices[:, :s], axis=0))
                                   for s in range(1, depth)]
 
@@ -2084,7 +2091,7 @@ class TestLocalSeries:
 # reference activity map: one chain of scalar eval calls per parameter
 
 def old_critical_point(family, lam, index):
-    pts = family.marked_critical_points(lam)
+    pts = _marked(family, lam)
     if index >= len(pts):
         raise ValueError(f"critical index {index} out of range")
     return complex(pts[index][0])
@@ -2338,7 +2345,7 @@ class TestActivityCertificates:
 
 def old_landing_multiplier(family, lam, spec, i):
     idx, pat = spec.tracked[i], spec.patterns[i]
-    c = misiurewicz._critical_point(family.marked_critical_points(lam), idx)
+    c = misiurewicz._critical_point(_marked(family, lam), idx)
     land = old_iterate(family, lam, c, spec.k0 + (pat.n if isinstance(pat, Preperiodic) else 0))
     seg = orbit(family, lam, land, pat.p)
     return segment_multiplier(family, lam, seg.points[:-1])
@@ -2348,7 +2355,7 @@ def old_m_plus(family, lam, spec):
     logs = np.full((len(spec.tracked), misiurewicz.N_CERT), -math.inf)
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     for i, (idx, pat) in enumerate(zip(spec.tracked, spec.patterns)):
-        c = misiurewicz._critical_point(family.marked_critical_points(lam), idx)
+        c = misiurewicz._critical_point(_marked(family, lam), idx)
         land = old_iterate(family, lam, c, spec.k0)
         q = pat.n if isinstance(pat, Preperiodic) else pat.p
         ob = orbit(family, lam, land, q)
@@ -2361,7 +2368,7 @@ def old_m_plus(family, lam, spec):
 def old_closure_gap(family, lam, spec):
     worst = 0.0
     for idx, pat in zip(spec.tracked, spec.patterns):
-        c = misiurewicz._critical_point(family.marked_critical_points(lam), idx)
+        c = misiurewicz._critical_point(_marked(family, lam), idx)
         z = old_iterate(family, lam, c, spec.k0 + (pat.n if isinstance(pat, Preperiodic) else 0))
         worst = max(worst, abs(old_iterate(family, lam, z, pat.p) - z))
     return worst
